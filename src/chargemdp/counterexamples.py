@@ -25,7 +25,7 @@ from .mdp import (Mdp, PeriodicMarkovStrategy, StationaryStrategy, build_mdp,
 from .periodic_sets import (EventuallyPeriodicSet, arithmetic, density,
                             difference, intersect, is_subset, make, multiples,
                             odds, shift, union)
-from .streams import superlevel_set
+from .streams import _canonical, superlevel_set
 
 
 # ---- reports -------------------------------------------------------------
@@ -177,6 +177,10 @@ def verify_lower_bounds(n_max: int) -> VerificationReport:
 
 # ---- no-optimum probes ---------------------------------------------------
 
+# The sets of multiples of 2, 4, ..., 256 that the shift lemma is checked on.
+_DYADIC_MULTIPLES = tuple(multiples(2 ** n) for n in range(1, 9))
+
+
 def _shortfall_rows(prefix: str, w: EventuallyPeriodicSet,
                     payoff_value: CValue) -> list[CheckRow]:
     """The structural facts forcing the payoff below 1, for the set w of
@@ -184,8 +188,7 @@ def _shortfall_rows(prefix: str, w: EventuallyPeriodicSet,
     rows = [_flag(f"{prefix}-payoff-below-1", payoff_value.high < 1,
                   f"payoff {payoff_value}")]
     outside = difference(odds(), w)
-    ok = all(is_subset(shift(intersect(w, multiples(2 ** n)), -1), outside)
-             for n in range(1, 9))
+    ok = all(is_subset(shift(intersect(w, m), -1), outside) for m in _DYADIC_MULTIPLES)
     rows.append(_flag(f"{prefix}-shift-lemma", ok))
     seq, cyc = dyadic_value_sequence(w)
     if any(v > 0 for v in seq):
@@ -209,19 +212,6 @@ def probe_payoff_shortfall(sigma, max_horizon: int = 4096) -> VerificationReport
     w = superlevel_set(f, Fraction(1, 2))
     val = integrate(mu, f)
     return VerificationReport("shortfall-probe", tuple(_shortfall_rows("probe", w, val)))
-
-
-def _canonical_pattern(pre: tuple[int, ...], cyc: tuple[int, ...]):
-    q = len(cyc)
-    for d in range(1, q + 1):
-        if q % d == 0 and all(cyc[j] == cyc[j % d] for j in range(q)):
-            cyc = cyc[:d]
-            break
-    pre = list(pre)
-    while pre and pre[-1] == cyc[-1]:
-        cyc = (cyc[-1],) + cyc[:-1]
-        pre.pop()
-    return tuple(pre), cyc
 
 
 def _pattern_reward_set(pre: tuple[int, ...], cyc: tuple[int, ...]) -> EventuallyPeriodicSet:
@@ -263,7 +253,7 @@ def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
                 pre = tuple((pre_bits >> i) & 1 for i in range(L))
                 for cyc_bits in range(1 << q):
                     cyc = tuple((cyc_bits >> i) & 1 for i in range(q))
-                    key = _canonical_pattern(pre, cyc)
+                    key = _canonical(pre, cyc)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -276,8 +266,8 @@ def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
                         failures.append(f"payoff {top} for pattern {key}")
                         continue
                     outside = difference(odds(), w)
-                    if not all(is_subset(shift(intersect(w, multiples(2 ** n)), -1),
-                                         outside) for n in range(1, 9)):
+                    if not all(is_subset(shift(intersect(w, m), -1), outside)
+                               for m in _DYADIC_MULTIPLES):
                         failures.append(f"shift lemma fails for pattern {key}")
                     if any(v > 0 for v in seq):
                         if not odd_mass < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charges import Charge, CValue, integrate
-from .streams import RationalStream, stream
+from .streams import RationalStream, _canonical, stream
 
 
 class CycleNotFound(RuntimeError):
@@ -199,15 +199,8 @@ def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
     cyc = [norm(r, len(pre) + i + 1) for i, r in enumerate(cycle_rows)]
     if not cyc:
         raise ValueError("cycle must have at least one phase")
-    q = len(cyc)
-    for d in range(1, q + 1):
-        if q % d == 0 and all(cyc[j] == cyc[j % d] for j in range(q)):
-            cyc = cyc[:d]
-            break
-    while pre and pre[-1] == cyc[-1]:
-        cyc = [cyc[-1]] + cyc[:-1]
-        pre.pop()
-    return PeriodicMarkovStrategy(len(pre), len(cyc), tuple(pre + cyc))
+    pre, cyc = _canonical(pre, cyc)
+    return PeriodicMarkovStrategy(len(pre), len(cyc), pre + cyc)
 
 
 Strategy = StationaryStrategy | PeriodicMarkovStrategy

@@ -2,12 +2,27 @@
 
 A set is stored as a finite preperiod (explicit membership bits for the
 integers 1..m) plus a residue rule: for n > m, n is a member iff
-n mod p lies in a fixed residue set.  Every value is kept canonical --
-p is the least period of the tail and m is the least preperiod
-compatible with it -- so representation equality coincides with set
-equality.  Membership bits and residues are packed into ints, which
-keeps the Boolean operations cheap even when the common period is in
-the hundreds.
+n mod p lies in a fixed residue set.  Both are packed into ints -- bit
+i-1 of the preperiod mask is the integer i, bit r of the residue mask
+the residue r -- which keeps the Boolean operations cheap even when the
+common period is in the thousands.
+
+Every value is canonical -- p is the least period of the tail and m is
+the least preperiod compatible with it -- so representation equality
+coincides with set equality.  :func:`_build` reaches that form with
+mask arithmetic only:
+
+* The least period d divides p, and a p-bit residue word has period
+  p/f exactly when rotating it by p/f bits leaves it unchanged.  So for
+  each prime factor f of p, p is divided by f for as long as that one
+  rotate-and-compare holds; what is left is d.
+* The residue rule read over 1..m (:func:`_tail_bits`: the residue word
+  rotated to start at 1 and tiled to m bits) is xored with the
+  preperiod bits.  The least preperiod is the ``bit_length`` of the
+  xor, the last integer where the two disagree.
+
+Aligning two sets for a Boolean operation reads the same
+:func:`_tail_bits` over the longer preperiod and the common period.
 
 Integers start at 1; membership queries for 0 are rejected.
 """
@@ -16,29 +31,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+@lru_cache(maxsize=1024)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
-def _tile(mask: int, width: int, total: int) -> int:
-    """Repeat a width-bit pattern until it covers total bits (width | total)."""
-    out = mask
-    have = width
-    while have < total:
-        out |= out << have
+def _tail_bits(res_mask: int, period: int, start: int, count: int) -> int:
+    """The residue rule read over the integers start..start+count-1,
+    packed from bit 0."""
+    r = start % period
+    if r:
+        res_mask = (res_mask >> r) | ((res_mask << (period - r)) & ((1 << period) - 1))
+    have = period
+    while have < count:
+        res_mask |= res_mask << have
         have *= 2
-    return out & ((1 << total) - 1)
+    return res_mask & ((1 << count) - 1)
 
 
 @dataclass(frozen=True)
@@ -77,16 +100,15 @@ class EventuallyPeriodicSet:
 
 def _build(pre_len: int, pre_mask: int, period: int, res_mask: int) -> EventuallyPeriodicSet:
     """Canonicalize: shrink to the minimal period, then the minimal preperiod."""
-    for d in _divisors(period):
-        sub = res_mask & ((1 << d) - 1)
-        if _tile(sub, d, period) == res_mask:
-            period, res_mask = d, sub
-            break
-    while pre_len > 0:
-        predicted = (res_mask >> (pre_len % period)) & 1
-        if ((pre_mask >> (pre_len - 1)) & 1) != predicted:
-            break
-        pre_len -= 1
+    for f in _prime_factors(period):
+        while period % f == 0:
+            d = period // f
+            low = res_mask & ((1 << d) - 1)
+            if (res_mask >> d) | (low << (period - d)) != res_mask:
+                break
+            period, res_mask = d, low
+    if pre_len:
+        pre_len = (pre_mask ^ _tail_bits(res_mask, period, 1, pre_len)).bit_length()
         pre_mask &= (1 << pre_len) - 1
     return EventuallyPeriodicSet(pre_len, pre_mask, period, res_mask)
 
@@ -152,11 +174,12 @@ def _aligned(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet):
 
 
 def _expand(s: EventuallyPeriodicSet, m: int, p: int) -> tuple[int, int]:
+    """The masks of s over the preperiod 1..m and the period p, where
+    m >= s.pre_len and s.period divides p."""
     pre = s.pre_mask
-    for i in range(s.pre_len + 1, m + 1):
-        if (s.res_mask >> (i % s.period)) & 1:
-            pre |= 1 << (i - 1)
-    return pre, _tile(s.res_mask, s.period, p)
+    if m > s.pre_len:
+        pre |= _tail_bits(s.res_mask, s.period, s.pre_len + 1, m - s.pre_len) << s.pre_len
+    return pre, _tail_bits(s.res_mask, s.period, 0, p)
 
 
 def union(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
@@ -195,12 +218,7 @@ def shift(s: EventuallyPeriodicSet, k: int) -> EventuallyPeriodicSet:
         j = -k
         pre_len = max(s.pre_len - j, 0)
         pre_mask = (s.pre_mask >> j) & ((1 << pre_len) - 1)
-    r = k % p
-    if r:
-        res = ((s.res_mask << r) | (s.res_mask >> (p - r))) & ((1 << p) - 1)
-    else:
-        res = s.res_mask
-    return _build(pre_len, pre_mask, p, res)
+    return _build(pre_len, pre_mask, p, _tail_bits(s.res_mask, p, -k, p))
 
 
 def contract(s: EventuallyPeriodicSet, d: int) -> EventuallyPeriodicSet:
@@ -234,18 +252,3 @@ def first_tail_element(s: EventuallyPeriodicSet, r: int) -> int:
     """Smallest n > preperiod with n congruent to r mod period."""
     m = s.pre_len
     return m + 1 + ((r - (m + 1)) % s.period)
-
-
-def count_up_to(s: EventuallyPeriodicSet, n: int) -> int:
-    """|S intersect {1..n}|, by direct counting (used as a test oracle)."""
-    total = 0
-    head = min(n, s.pre_len)
-    total += (s.pre_mask & ((1 << head) - 1)).bit_count()
-    if n > s.pre_len:
-        lo, hi = s.pre_len + 1, n
-        full, rem = divmod(hi - lo + 1, s.period)
-        total += full * s.res_mask.bit_count()
-        for i in range(lo + full * s.period, hi + 1):
-            if (s.res_mask >> (i % s.period)) & 1:
-                total += 1
-    return total

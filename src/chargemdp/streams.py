@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .periodic_sets import EventuallyPeriodicSet, make, member
+from .periodic_sets import EventuallyPeriodicSet, _prime_factors, make, member
 
 
 @dataclass(frozen=True)
@@ -56,21 +56,29 @@ class RationalStream:
         return out
 
 
+def _canonical(pre, cyc) -> tuple[tuple, tuple]:
+    """Minimal cycle, then minimal preperiod, of the sequence
+    pre, cyc, cyc, ... -- the same two steps as the set kernel's
+    canonical form, on a sequence of comparable items."""
+    q = len(cyc)
+    for f in _prime_factors(q):
+        while q % f == 0 and cyc[q // f:q] == cyc[:q - q // f]:
+            q //= f
+    cyc = tuple(cyc[:q])
+    n = len(pre)
+    k = 0
+    while k < n and pre[n - 1 - k] == cyc[-1 - k % q]:
+        k += 1
+    r = k % q
+    return tuple(pre[:n - k]), cyc[q - r:] + cyc[:q - r]
+
+
 def stream(preperiod, cycle) -> RationalStream:
     """Canonicalizing constructor."""
     cyc = [Fraction(v) for v in cycle]
-    pre = [Fraction(v) for v in preperiod]
     if not cyc:
         raise ValueError("cycle must be nonempty")
-    q = len(cyc)
-    for d in range(1, q + 1):
-        if q % d == 0 and all(cyc[j] == cyc[j % d] for j in range(q)):
-            cyc = cyc[:d]
-            break
-    while pre and pre[-1] == cyc[-1]:
-        cyc = [cyc[-1]] + cyc[:-1]
-        pre.pop()
-    return RationalStream(tuple(pre), tuple(cyc))
+    return RationalStream(*_canonical([Fraction(v) for v in preperiod], cyc))
 
 
 def constant(c) -> RationalStream:

@@ -11,7 +11,7 @@ from chargemdp import counterexamples as cx
 from chargemdp.charges import integrate, value
 from chargemdp.mdp import expected_reward_stream, payoff, periodic
 from chargemdp.periodic_sets import arithmetic, multiples, union
-from chargemdp.streams import superlevel_set
+from chargemdp.streams import _canonical, superlevel_set
 
 
 # ---- reports -------------------------------------------------------------
@@ -72,6 +72,12 @@ def test_sweep_small():
     assert "0 failures" in first.got
 
 
+def test_sweep_bounds_six():
+    rep = cx.sweep_payoff_shortfall(6, 6)
+    assert rep.passed
+    assert rep.rows[0].got == "6784 strategies, 0 failures"
+
+
 # ---- fast pattern path vs full strategy evaluation -----------------------
 
 def pattern_strategy(pre, cyc):
@@ -84,7 +90,7 @@ def pattern_strategy(pre, cyc):
        st.lists(st.integers(0, 1), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_pattern_reward_set_matches_strategy(pre, cyc):
-    key = cx._canonical_pattern(tuple(pre), tuple(cyc))
+    key = _canonical(tuple(pre), tuple(cyc))
     fast = cx._pattern_reward_set(*key)
     sigma = pattern_strategy(pre, cyc)
     f = expected_reward_stream(cx.even_or_odd_mdp(), sigma)

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargemdp.periodic_sets import (EventuallyPeriodicSet, arithmetic,
-                                     complement, contract, count_up_to,
+from chargemdp.periodic_sets import (EventuallyPeriodicSet, _build, _expand,
+                                     arithmetic, complement, contract,
                                      density, difference, empty, evens,
                                      intersect, is_subset, make, member,
                                      multiples, naturals, odds, shift, union)
@@ -19,6 +19,81 @@ CHECK_DEPTH = 120  # membership is fully determined by preperiod + one period
 
 def members(s, n=CHECK_DEPTH):
     return [k for k in range(1, n + 1) if member(s, k)]
+
+
+def count_up_to(s, n):
+    """|S intersect {1..n}|, by direct counting."""
+    total = 0
+    head = min(n, s.pre_len)
+    total += (s.pre_mask & ((1 << head) - 1)).bit_count()
+    if n > s.pre_len:
+        lo, hi = s.pre_len + 1, n
+        full, rem = divmod(hi - lo + 1, s.period)
+        total += full * s.res_mask.bit_count()
+        for i in range(lo + full * s.period, hi + 1):
+            if (s.res_mask >> (i % s.period)) & 1:
+                total += 1
+    return total
+
+
+# ---- reference kernel ----------------------------------------------------
+# The straightforward canonicaliser: try every divisor of the period from
+# the smallest, then drop preperiod bits one at a time while they follow
+# the residue rule.  The library's mask arithmetic must agree with it
+# exactly.
+
+def ref_divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def ref_tile(mask, width, total):
+    return sum(1 << i for i in range(total) if (mask >> (i % width)) & 1)
+
+
+def ref_build(pre_len, pre_mask, period, res_mask):
+    for d in ref_divisors(period):
+        sub = res_mask & ((1 << d) - 1)
+        if ref_tile(sub, d, period) == res_mask:
+            period, res_mask = d, sub
+            break
+    while pre_len > 0:
+        predicted = (res_mask >> (pre_len % period)) & 1
+        if ((pre_mask >> (pre_len - 1)) & 1) != predicted:
+            break
+        pre_len -= 1
+        pre_mask &= (1 << pre_len) - 1
+    return EventuallyPeriodicSet(pre_len, pre_mask, period, res_mask)
+
+
+def ref_expand(s, m, p):
+    pre = s.pre_mask
+    for i in range(s.pre_len + 1, m + 1):
+        if (s.res_mask >> (i % s.period)) & 1:
+            pre |= 1 << (i - 1)
+    return pre, ref_tile(s.res_mask, s.period, p)
+
+
+# Periods with repeated prime factors, where the minimal period is reached
+# by dividing out the same prime more than once.
+KERNEL_PERIODS = st.sampled_from((1, 2, 4, 8, 12, 30, 256, 360, 1280)) | st.integers(1, 64)
+
+
+@st.composite
+def raw_forms(draw, max_preperiod=3000):
+    """Non-canonical (pre_len, pre_mask, period, res_mask): the residue word
+    repeats a shorter block, and the preperiod ends with a run of bits that
+    already follow the residue rule."""
+    period = draw(KERNEL_PERIODS)
+    block = draw(st.sampled_from(ref_divisors(period)))
+    word = draw(st.integers(0, (1 << block) - 1))
+    res_mask = ref_tile(word, block, period)
+    pre_len = draw(st.integers(0, max_preperiod))
+    keep = draw(st.integers(0, pre_len))
+    pre_mask = draw(st.integers(0, (1 << keep) - 1))
+    for n in range(keep + 1, pre_len + 1):
+        if (res_mask >> (n % period)) & 1:
+            pre_mask |= 1 << (n - 1)
+    return pre_len, pre_mask, period, res_mask
 
 
 # ---- canonical form ------------------------------------------------------
@@ -57,6 +132,28 @@ def test_member_rejects_nonpositive():
         member(odds(), 0)
     with pytest.raises(ValueError):
         member(odds(), -3)
+
+
+@given(raw_forms())
+@settings(deadline=None)
+def test_build_matches_reference(raw):
+    assert _build(*raw) == ref_build(*raw)
+
+
+@given(raw_forms(), st.integers(0, 3000), st.integers(1, 6))
+@settings(deadline=None)
+def test_expand_matches_reference(raw, extra, factor):
+    s = ref_build(*raw)
+    m, p = s.pre_len + extra, s.period * factor
+    assert _expand(s, m, p) == ref_expand(s, m, p)
+
+
+def test_build_reaches_minimal_period_through_repeated_factors():
+    # 1280 = 2**8 * 5; the word repeats every 20 = 2**2 * 5 bits
+    raw = (0, 0, 1280, ref_tile(0b1001_0000_0001_0000_0011, 20, 1280))
+    assert _build(*raw) == ref_build(*raw)
+    assert _build(*raw).period == 20
+    assert _build(0, 0, 360, (1 << 360) - 1) == naturals()
 
 
 def test_constructor_validation():

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chargemdp.periodic_sets import density, member
-from chargemdp.streams import (RationalStream, add, combine, constant,
-                               indicator, pointwise_leq, scale, stream,
-                               superlevel_set)
+from chargemdp.streams import (RationalStream, _canonical, add, combine,
+                               constant, indicator, pointwise_leq, scale,
+                               stream, superlevel_set)
 
 from conftest import periodic_sets, rational_streams
 
@@ -46,6 +46,32 @@ def test_values_matches_value_at():
 def test_cycle_mean():
     assert stream([9], [1, 2, 3, 6]).cycle_mean() == 3
     assert constant(Fraction(2, 7)).cycle_mean() == Fraction(2, 7)
+
+
+def ref_canonical(pre, cyc):
+    """Smallest dividing cycle length first, then one rotation per
+    absorbed preperiod item."""
+    q = len(cyc)
+    for d in range(1, q + 1):
+        if q % d == 0 and all(cyc[j] == cyc[j % d] for j in range(q)):
+            cyc = list(cyc[:d])
+            break
+    pre = list(pre)
+    while pre and pre[-1] == cyc[-1]:
+        cyc = [cyc[-1]] + cyc[:-1]
+        pre.pop()
+    return tuple(pre), tuple(cyc)
+
+
+@given(st.lists(st.integers(0, 1), max_size=12),
+       st.sampled_from([1, 2, 3, 4, 6, 8, 12]).flatmap(
+           lambda q: st.lists(st.integers(0, 1), min_size=q, max_size=q)),
+       st.integers(1, 4))
+def test_canonical_matches_reference(pre, block, repeat):
+    # 0/1 items make repeated blocks and absorbable preperiods common
+    cyc = block * repeat
+    assert _canonical(pre, cyc) == ref_canonical(pre, cyc)
+    assert _canonical(tuple(pre), tuple(cyc)) == ref_canonical(pre, cyc)
 
 
 @given(rational_streams())
