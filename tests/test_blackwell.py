@@ -2,18 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargemdp.blackwell import (BETA, Poly, PoleAtOne, RationalFunction,
+                                 _cramer, _order_at_one, _policy_rows,
                                  average_value, blackwell_policy,
                                  discounted_value, discounted_value_at,
                                  poly_gcd, sign_near_one)
 from chargemdp.counterexamples import even_or_odd_mdp, late_switch_mdp
-from chargemdp.mdp import (enumerate_pure_stationary, expected_reward_stream,
-                           random_mdp, stationary)
+from chargemdp.mdp import (enumerate_pure_stationary, ensure_valid,
+                           expected_reward_stream, random_mdp, stationary)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
@@ -62,6 +64,20 @@ def test_poly_gcd_divides_both(p, q):
     assert divmod(q, g)[1].is_zero
 
 
+def _ref_poly_gcd(a, b):
+    # Euclid over the rationals, the gcd before the integer remainder sequence
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    if a.is_zero:
+        return a
+    return a.scaled(1 / a.coeffs[-1])
+
+
+@given(polys, polys, polys)
+def test_poly_gcd_matches_euclid(p, q, common):
+    assert poly_gcd(p * common, q * common) == _ref_poly_gcd(p * common, q * common)
+
+
 @given(polys)
 def test_at_one_minus_eps(p):
     # substituting b = 1 - e then evaluating at e must recover p(1 - e)
@@ -74,6 +90,34 @@ def test_leading_sign_at_one():
     assert Poly.of(1, -1).leading_sign_at_one() == 1    # 1 - b = e
     assert Poly.of(2).leading_sign_at_one() == 1
     assert Poly.of().leading_sign_at_one() == 0
+
+
+@given(polys)
+def test_leading_sign_at_one_matches_expansion(p):
+    # reference: the first nonzero coefficient of p(1 - e)
+    first = next((c for c in p.at_one_minus_eps().coeffs if c), 0)
+    assert p.leading_sign_at_one() == (first > 0) - (first < 0)
+
+
+def _b_minus_one_to(m: int) -> Poly:
+    out = Poly.of(1)
+    for _ in range(m):
+        out = out * Poly.of(-1, 1)
+    return out
+
+
+@given(polys, st.integers(0, 3))
+def test_order_at_one(p, extra):
+    # p = (b-1)^m * q with q(1) != 0, also when p has (b-1) factors built in
+    p = p * _b_minus_one_to(extra)
+    m, at_one = _order_at_one(list(p.coeffs))
+    if p.is_zero:
+        assert (m, at_one) == (0, 0)
+        return
+    assert m >= extra and at_one != 0
+    quo, rem = divmod(p, _b_minus_one_to(m))
+    assert rem.is_zero
+    assert quo.evaluate(1) == at_one
 
 
 # ---- rational functions --------------------------------------------------
@@ -202,3 +246,130 @@ def test_blackwell_policy_dominates(seed):
         w = discounted_value(m, other)
         for s in m.states:
             assert sign_near_one(v[s] - w[s]) >= 0
+
+
+def test_discounted_value_at_singular_factor():
+    # I - bP is singular at b = 1 for every policy, and at b = -1 when the
+    # chain has a cycle of even length (here 1 -> 2 -> 1)
+    m = even_or_odd_mdp()
+    pi = stationary({"1": "T", "2": "c", "3": "c"})
+    for beta in (1, -1):
+        with pytest.raises(ZeroDivisionError, match=f"beta = {beta}$"):
+            discounted_value_at(m, pi, beta)
+
+
+# ---- reference: Gaussian elimination over rational functions ---------------
+#
+# The solver before the fraction-free rewrite: every entry a reduced
+# RationalFunction, one polynomial gcd per arithmetic operation.  Kept as
+# the oracle the Bareiss solver must match exactly.
+
+def _ref_solve_linear(a, b):
+    n = len(b)
+    a = [row[:] for row in a]
+    b = b[:]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not a[r][col].is_zero)
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        for r in range(n):
+            if r != col and not a[r][col].is_zero:
+                k = a[r][col] / a[col][col]
+                a[r] = [x - k * y for x, y in zip(a[r], a[col])]
+                b[r] = b[r] - k * b[col]
+    return [b[i] / a[i][i] for i in range(n)]
+
+
+def _ref_discounted_value(mdp, pi):
+    ensure_valid(mdp)
+    rows = _policy_rows(mdp, pi)
+    n = len(mdp.states)
+    a = [[RationalFunction.const(1 if i == k else 0)
+          - BETA * RationalFunction.const(rows[i][1][k]) for k in range(n)]
+         for i in range(n)]
+    b = [RationalFunction.const(rows[i][0]) for i in range(n)]
+    v = _ref_solve_linear(a, b)
+    return {s: v[i] for i, s in enumerate(mdp.states)}
+
+
+def _ref_blackwell_policy(mdp):
+    choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
+    while True:
+        pi = stationary(choice)
+        v = _ref_discounted_value(mdp, pi)
+        changed = False
+        for i, s in enumerate(mdp.states):
+            for j, a in enumerate(mdp.actions[i]):
+                if a == choice[s]:
+                    continue
+                q = RationalFunction.const(mdp.rewards[i][j])
+                for k, z in enumerate(mdp.states):
+                    p = mdp.transitions[i][j][k]
+                    if p:
+                        q = q + BETA * RationalFunction.const(p) * v[z]
+                if sign_near_one(q - v[s]) > 0:
+                    choice[s] = a
+                    changed = True
+                    break
+        if not changed:
+            return pi
+
+
+def _ref_average_value(mdp, pi):
+    one_minus = RationalFunction.of(Poly.of(1, -1))
+    out = {}
+    for s, v in _ref_discounted_value(mdp, pi).items():
+        g = one_minus * v
+        if g.den.evaluate(1) == 0:
+            raise PoleAtOne(f"residual pole at 1 for state {s!r}")
+        out[s] = g.evaluate(1)
+    return out
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_solver_matches_reference(seed, n_states, n_actions):
+    m = random_mdp(random.Random(seed), n_states, n_actions)
+    pi = blackwell_policy(m)
+    assert pi == _ref_blackwell_policy(m)
+    v, ref = discounted_value(m, pi), _ref_discounted_value(m, pi)
+    for s in m.states:
+        assert (v[s].num.coeffs, v[s].den.coeffs) == (ref[s].num.coeffs, ref[s].den.coeffs)
+    assert average_value(m, pi) == _ref_average_value(m, pi)
+
+
+# ---- cross-check against sympy ----------------------------------------------
+
+def _fixed_cases():
+    yield even_or_odd_mdp(), stationary({"1": "T", "2": "c", "3": "c"})
+    yield late_switch_mdp(), stationary({"1": "T", "2": "c"})
+    for seed, n, a in ((1, 3, 2), (2, 4, 3), (3, 5, 2), (4, 6, 3)):
+        rng = random.Random(seed)
+        m = random_mdp(rng, n, a)
+        yield m, stationary({s: rng.choice(m.action_list(s)) for s in m.states})
+
+
+def test_det_and_values_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    b = sympy.Symbol("b")
+
+    def poly_expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * b ** i
+                   for i, c in enumerate(p.coeffs))
+
+    for m, pi in _fixed_cases():
+        rows = _policy_rows(m, pi)
+        n = len(rows)
+        a = sympy.Matrix(n, n, lambda i, k: int(i == k) - b * sympy.Rational(
+            rows[i][1][k].numerator, rows[i][1][k].denominator))
+        r = sympy.Matrix([sympy.Rational(q.numerator, q.denominator) for q, _ in rows])
+        # _cramer scales row i by the lcm of its denominators
+        scale = prod(lcm(q.denominator, *(p.denominator for p in dist)) for q, dist in rows)
+        det, _ = _cramer(m, pi)
+        assert sympy.expand(sum(c * b ** i for i, c in enumerate(det)) / scale
+                            - a.det()) == 0
+        want = a.LUsolve(r)
+        v = discounted_value(m, pi)
+        for i, s in enumerate(m.states):
+            diff = poly_expr(v[s].num) / poly_expr(v[s].den) - want[i]
+            assert sympy.cancel(sympy.together(diff)) == 0
