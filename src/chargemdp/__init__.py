@@ -7,10 +7,11 @@ from .charges import (AmbiguousBase, Charge, CValue, DyadicLimit, Frequency,
                       Geometric, IllFormedRestrict, Mix, PointMass, Restrict,
                       integrate, is_diffuse, sandwich_check, value)
 from .mdp import (BudgetExceeded, CycleNotFound, Mdp, MdpValidationError,
-                  PeriodicMarkovStrategy, StationaryStrategy, best_periodic,
-                  build_mdp, ensure_valid, enumerate_pure_periodic,
-                  enumerate_pure_stationary, expected_reward_stream, payoff,
-                  periodic, random_mdp, stationary, validate)
+                  PeriodicMarkovStrategy, StationaryStrategy, StrategyMismatch,
+                  best_periodic, build_mdp, ensure_valid,
+                  enumerate_pure_periodic, enumerate_pure_stationary,
+                  expected_reward_stream, payoff, periodic, random_mdp,
+                  stationary, validate)
 from .periodic_sets import (EventuallyPeriodicSet, arithmetic, complement,
                             contract, density, difference, empty, evens,
                             intersect, is_subset, make, member, multiples,

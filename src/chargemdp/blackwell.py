@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .mdp import Mdp, StationaryStrategy, ensure_valid, stationary
+from .mdp import Mdp, StationaryStrategy, _compile, ensure_valid, stationary
 
 
 class PoleAtOne(ArithmeticError):
@@ -337,10 +337,14 @@ def _solve_linear(a, b):
 
 
 def _policy_rows(mdp: Mdp, pi: StationaryStrategy):
+    """(reward, transition row) of each state's action.  Raises
+    StrategyMismatch where pi names no action of the MDP."""
+    (phase,) = _compile(mdp, pi)[2]
     rows = []
-    for i, s in enumerate(mdp.states):
-        a = pi.action(s)
-        j = mdp.actions[i].index(a)
+    for i, pairs in enumerate(phase):
+        (_, j), *rest = pairs
+        if rest:
+            raise ValueError(f"strategy is randomized at state {mdp.states[i]!r}")
         rows.append((mdp.rewards[i][j], mdp.transitions[i][j]))
     return rows
 

@@ -1,7 +1,7 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error.  All
-numeric output is exact rational text.
+Exit codes: 0 success, 1 verification failure, 2 parse error or a flag
+out of range.  All numeric output is exact rational text.
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ def _cmd_blackwell(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    for flag, got, least in (("--max-period", args.max_period, 1),
+                             ("--max-preperiod", args.max_preperiod, 0), ("--top", args.top, 0)):
+        if got < least:
+            print(f"error: {flag} must be at least {least}, got {got}", file=sys.stderr)
+            return 2
     mdp = ensure_valid(parse_mdp(_read(args.mdp)))
     mu = parse_charge(args.charge)
     result = best_periodic(mdp, mu, args.max_period, args.max_preperiod)

@@ -1,11 +1,19 @@
 """Finite MDPs with exact rational data, and exact payoff evaluation.
 
 Strategies covered: stationary (possibly randomized) and periodic
-Markov (phase- and state-dependent, possibly randomized).  The
-expected-reward stream of such a strategy is computed by iterating the
-exact state distribution until the pair (strategy phase, distribution)
-recurs, which certifies the stream's eventual period.  Payoffs are
-then exact integrals of that stream against a charge expression.
+Markov (phase- and state-dependent, possibly randomized).  Evaluation
+runs on integers: rewards over their lcm R, transition rows over their
+lcm D, and a strategy compiled to (weight, action index) pairs per
+phase and state, the weights over the lcm A of its action
+probabilities.  The state distribution is x / sum(x) for a primitive
+integer vector x, divided by gcd(*x) after every stage, so the first
+repeat of the key (phase, x) certifies the expected-reward stream's
+eventual period; each stage builds one Fraction, its expected reward.
+Payoffs are exact integrals of that stream against a charge expression.
+
+The search enumerates pure strategies as tuples of phase rows of action
+indices in declared order and keeps only the already canonical ones, so
+each strategy comes once, and in declared action order.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .charges import Charge, CValue, integrate
 from .streams import RationalStream, _canonical, stream
@@ -98,10 +107,12 @@ def validate(mdp: Mdp) -> list[Problem]:
             problems.append(Problem("MissingAction", f"state {s!r} has no actions"))
         for j, a in enumerate(mdp.actions[i]):
             row = mdp.transitions[i][j]
-            if any(q < 0 or q > 1 for q in row):
+            D = lcm(*(q.denominator for q in row))  # checked over D, in integers
+            nums = [q.numerator * (D // q.denominator) for q in row]
+            if any(n < 0 or n > D for n in nums):
                 problems.append(Problem(
                     "RowSumError", f"({s!r}, {a!r}): entry outside [0,1]"))
-            elif sum(row) != 1:
+            elif sum(nums) != D:
                 problems.append(Problem(
                     "RowSumError", f"({s!r}, {a!r}): row sums to {sum(row)}"))
     return problems
@@ -170,20 +181,9 @@ class PeriodicMarkovStrategy:
             return stage
         return L + 1 + (stage - L - 1) % self.period
 
-    def dist(self, stage: int, state: str) -> tuple[tuple[str, Fraction], ...]:
-        row = self.rows[self.phase_of(stage) - 1]
-        for s, d in row:
-            if s == state:
-                return d
-        raise KeyError(state)
-
     @property
     def is_pure(self) -> bool:
         return all(len(d) == 1 for row in self.rows for _, d in row)
-
-    def encoding(self) -> tuple:
-        """Lexicographic identity used for deterministic tie-breaking."""
-        return (self.preperiod_length, self.period, self.rows)
 
 
 def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
@@ -206,55 +206,119 @@ def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
 Strategy = StationaryStrategy | PeriodicMarkovStrategy
 
 
-def _dist_at(sigma: Strategy, stage: int, state: str):
-    if isinstance(sigma, StationaryStrategy):
-        return sigma.dist(state)
-    return sigma.dist(stage, state)
+class StrategyMismatch(ValueError):
+    """A strategy gives no action, or an action the MDP does not declare,
+    for a state it is asked about."""
+
+    def __init__(self, phase: int, state: str, action: str | None):
+        self.phase, self.state, self.action = phase, state, action
+        what = "no action given" if action is None else f"unknown action {action!r}"
+        super().__init__(f"phase {phase}, state {state!r}: {what}")
 
 
-def _phase_key(sigma: Strategy, stage: int):
+class _Unresolved:
+    """A strategy cell that names no action the MDP declares there.
+    Iterating it raises StrategyMismatch, so a state that is never
+    reached may stay unresolved."""
+
+    def __init__(self, phase: int, state: str, action: str | None):
+        self.args = (phase, state, action)
+
+    def __iter__(self):
+        raise StrategyMismatch(*self.args)
+
+
+def _compile(mdp: Mdp, sigma: Strategy) -> tuple[int, int, list[list]]:
+    """(L, A, phases): the strategy resolved against the MDP, the one
+    place where a strategy's names meet the MDP's.
+
+    phases[k][i] lists the (weight, action index) pairs of state i at
+    phase k + 1, the weights over A, the lcm of the strategy's action
+    probabilities; L phases are the preperiod and the rest repeat.
+    """
     if isinstance(sigma, StationaryStrategy):
-        return 0
-    return sigma.phase_of(stage)
+        L, rows = 0, (sigma.choices,)
+    else:
+        L, rows = sigma.preperiod_length, sigma.rows
+    A = lcm(*(p.denominator for row in rows for _, dist in row for _, p in dist))
+    phases = []
+    for k, row in enumerate(rows, start=1):
+        given = dict(row)
+        cells = []
+        for s, acts in zip(mdp.states, mdp.actions):
+            pairs = []
+            for a, p in given.get(s, ((None, 1),)):  # a state left out: action None
+                if a not in acts:
+                    pairs = _Unresolved(k, s, a)
+                    break
+                pairs.append((p.numerator * (A // p.denominator), acts.index(a)))
+            cells.append(pairs)
+        phases.append(cells)
+    return L, A, phases
+
+
+def _integer_form(mdp: Mdp) -> tuple[int, list[list[tuple]]]:
+    """(R, cells): cells[i][j] = (R * reward, sparse row of D * P) for
+    action j at state i, R and D the lcms of the reward and of the
+    transition denominators.  Raises MdpValidationError on an invalid MDP."""
+    ensure_valid(mdp)
+    R = lcm(*(r.denominator for rs in mdp.rewards for r in rs))
+    D = lcm(*(p.denominator for per in mdp.transitions for row in per for p in row))
+    return R, [[(r.numerator * (R // r.denominator),
+                 tuple((z, p.numerator * (D // p.denominator)) for z, p in enumerate(row) if p))
+                for r, row in zip(rs, per)]
+               for rs, per in zip(mdp.rewards, mdp.transitions)]
 
 
 DEFAULT_HORIZON = 4096
+
+
+def _reward_stream(cells: list, start: int, scale: int, phases: list, L: int,
+                   max_horizon: int) -> RationalStream:
+    """The expected-reward stream from state ``start``, for the integer
+    form's ``cells`` and a compiled strategy's ``phases``; rewards are
+    over ``scale``, which is R * A.  The distribution is x / sum(x)."""
+    n = len(phases[0])
+    x = tuple(int(i == start) for i in range(n))
+    seen: dict[tuple, int] = {}
+    rewards: list[Fraction] = []
+    k = 0
+    for _ in range(max_horizon):
+        key = (k, x)
+        if key in seen:
+            i0 = seen[key]
+            return stream(rewards[:i0], rewards[i0:])
+        seen[key] = len(rewards)
+        num = 0
+        nxt = [0] * n
+        for xi, pairs, opts in zip(x, phases[k], cells):
+            if xi:
+                for w, j in pairs:
+                    r, row = opts[j]
+                    w *= xi
+                    num += w * r
+                    for z, c in row:
+                        nxt[z] += w * c
+        rewards.append(Fraction(num, scale * sum(x)))
+        g = gcd(*nxt)
+        x = tuple([v // g for v in nxt])
+        k = k + 1 if k + 1 < len(phases) else L
+    raise CycleNotFound(
+        f"no exact recurrence of (phase, state distribution) within {max_horizon} stages")
 
 
 def expected_reward_stream(mdp: Mdp, sigma: Strategy,
                            max_horizon: int = DEFAULT_HORIZON) -> RationalStream:
     """Exact stream of expected stage rewards.
 
-    Iterates the state distribution; an exact recurrence of
-    (phase, distribution) certifies the cycle.  Raises CycleNotFound if
-    no recurrence shows up within the horizon.
+    Iterates the state distribution as a primitive integer vector; an
+    exact recurrence of (phase, distribution) certifies the cycle.
+    Raises CycleNotFound if no recurrence shows up within the horizon,
+    and StrategyMismatch if a reached state has no known action.
     """
-    n = len(mdp.states)
-    index = {s: i for i, s in enumerate(mdp.states)}
-    dist: dict[int, Fraction] = {index[mdp.initial]: Fraction(1)}
-    seen: dict[tuple, int] = {}
-    rewards: list[Fraction] = []
-    for stage in range(1, max_horizon + 1):
-        key = (_phase_key(sigma, stage), tuple(sorted(dist.items())))
-        if key in seen:
-            i0 = seen[key]
-            return stream(rewards[:i0], rewards[i0:])
-        seen[key] = len(rewards)
-        r = Fraction(0)
-        nxt: dict[int, Fraction] = {}
-        for i, q in dist.items():
-            s = mdp.states[i]
-            for a, pa in _dist_at(sigma, stage, s):
-                j = mdp.actions[i].index(a)
-                w = q * pa
-                r += w * mdp.rewards[i][j]
-                for z, pz in enumerate(mdp.transitions[i][j]):
-                    if pz:
-                        nxt[z] = nxt.get(z, Fraction(0)) + w * pz
-        rewards.append(r)
-        dist = nxt
-    raise CycleNotFound(
-        f"no exact recurrence of (phase, state distribution) within {max_horizon} stages")
+    R, cells = _integer_form(mdp)
+    L, A, phases = _compile(mdp, sigma)
+    return _reward_stream(cells, mdp.states.index(mdp.initial), R * A, phases, L, max_horizon)
 
 
 def payoff(mdp: Mdp, sigma: Strategy, mu: Charge,
@@ -269,43 +333,39 @@ class SearchResult:
     ranking: tuple[tuple[PeriodicMarkovStrategy, CValue], ...] = field(repr=False)
 
 
+def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
+    """(compiled phases, strategy) for every canonical pure periodic
+    strategy within the bounds.
+
+    Raw combinations of phase rows of action indices run in declared
+    action order, and only those that ``_canonical`` leaves unchanged are
+    kept: each strategy comes once, at its own (L, q), in that order.
+    """
+    if max_period < 1 or max_preperiod < 0:
+        raise ValueError("search bounds need max_period >= 1 and max_preperiod >= 0, "
+                         f"got {max_period} and {max_preperiod}")
+    bounds = [(L, q) for L in range(max_preperiod + 1) for q in range(1, max_period + 1)]
+    per_phase = prod(len(acts) for acts in mdp.actions)
+    total = sum(per_phase ** (L + q) for L, q in bounds)
+    if total > cap:  # before anything is built: rows alone has per_phase entries
+        raise BudgetExceeded(f"{total} raw strategies exceeds cap {cap}")
+    rows = list(itertools.product(*(range(len(acts)) for acts in mdp.actions)))
+    by_name = sorted(range(len(mdp.states)), key=mdp.states.__getitem__)
+    choices = [[(s, ((a, Fraction(1)),)) for a in acts]
+               for s, acts in zip(mdp.states, mdp.actions)]
+    named = [tuple(choices[i][row[i]] for i in by_name) for row in rows]
+    pairs = [[((1, j),) for j in row] for row in rows]
+    return (([pairs[k] for k in c], PeriodicMarkovStrategy(L, q, tuple(named[k] for k in c)))
+            for L, q in bounds
+            for c in itertools.product(range(len(rows)), repeat=L + q)
+            if _canonical(c[:L], c[L:]) == (c[:L], c[L:]))
+
+
 def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
                             cap: int = 2_000_000):
-    """All distinct canonical pure periodic Markov strategies within bounds."""
-    total = 0
-    per_phase = 1
-    for acts in mdp.actions:
-        per_phase *= len(acts)
-    for L in range(max_preperiod + 1):
-        for q in range(1, max_period + 1):
-            total += per_phase ** (L + q)
-    if total > cap:
-        raise BudgetExceeded(f"{total} raw strategies exceeds cap {cap}")
-    seen = set()
-    for L in range(max_preperiod + 1):
-        for q in range(1, max_period + 1):
-            slots = [(phase, s) for phase in range(L + q) for s in mdp.states]
-            options = [mdp.action_list(s) for _, s in slots]
-            for combo in itertools.product(*options):
-                rows: list[dict] = [{} for _ in range(L + q)]
-                for (phase, s), a in zip(slots, combo):
-                    rows[phase][s] = a
-                strat = periodic(rows[:L], rows[L:])
-                key = (strat.preperiod_length, strat.period, strat.rows)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield strat
-
-
-def _declared_order_key(mdp: Mdp, strat: PeriodicMarkovStrategy) -> tuple:
-    """Lexicographic encoding using the MDP's declared action order."""
-    order = []
-    for row in strat.rows:
-        lookup = dict(row)
-        for i, s in enumerate(mdp.states):
-            order.append(tuple((mdp.actions[i].index(a), p) for a, p in lookup[s]))
-    return (strat.preperiod_length, strat.period, tuple(order))
+    """All distinct canonical pure periodic Markov strategies within
+    bounds, in declared action order."""
+    return (strat for _, strat in _canonical_pure(mdp, max_period, max_preperiod, cap))
 
 
 def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
@@ -318,16 +378,19 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     action order.  This lower-bounds the value of the MDP under the
     charge.
     """
+    R, cells = _integer_form(mdp)
+    start = mdp.states.index(mdp.initial)
     by_stream: dict[RationalStream, CValue] = {}
     entries: list[tuple[PeriodicMarkovStrategy, CValue]] = []
-    for strat in enumerate_pure_periodic(mdp, max_period, max_preperiod, cap):
-        f = expected_reward_stream(mdp, strat, max_horizon)
+    for phases, strat in _canonical_pure(mdp, max_period, max_preperiod, cap):
+        f = _reward_stream(cells, start, R, phases, strat.preperiod_length, max_horizon)
         val = by_stream.get(f)
         if val is None:
             val = integrate(mu, f)
             by_stream[f] = val
         entries.append((strat, val))
-    entries.sort(key=lambda e: (-e[1].low, _declared_order_key(mdp, e[0])))
+    # enumeration order is the tie-break order, and this sort is stable
+    entries.sort(key=lambda e: e[1].low, reverse=True)
     best, best_value = entries[0]
     return SearchResult(best, best_value, tuple(entries))
 

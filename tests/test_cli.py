@@ -1,5 +1,9 @@
 """Command-line interface: output text and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from chargemdp.cli import run
@@ -90,6 +94,28 @@ def test_search(capsys, eo_mdp_file):
     out = capsys.readouterr().out
     assert "value=3/4" in out
     assert "period=4" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-period", "0"), ("--max-preperiod", "-1"), ("--top", "-1"),
+])
+def test_search_rejects_bad_bounds(capsys, eo_mdp_file, flag, value):
+    argv = {"--max-period": "2", "--max-preperiod": "1", "--top": "3", flag: value}
+    code = run(["search", "--mdp", eo_mdp_file, "--charge", "frequency",
+                *(x for item in argv.items() for x in item)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_python_dash_m_entry_point(eo_mdp_file):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "chargemdp", "search", "--mdp", eo_mdp_file,
+            "--charge", "frequency", "--max-period", "2", "--max-preperiod", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("best: preperiod=0 period=")
 
 
 def test_verify_all(capsys):

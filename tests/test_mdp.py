@@ -1,5 +1,6 @@
 """MDP construction, validation, exact reward streams, payoffs, enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,17 +8,110 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargemdp.charges import Frequency, Geometric, integrate
+from chargemdp.blackwell import (average_value, discounted_value,
+                                 discounted_value_at)
+from chargemdp.charges import DyadicLimit, Frequency, Geometric, integrate
 from chargemdp.counterexamples import (alternating_strategy, block_strategy,
                                        even_or_odd_mdp, late_switch_mdp,
                                        stay_strategy, switch_at,
                                        top_probability)
 from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
-                           best_periodic, build_mdp, ensure_valid,
-                           enumerate_pure_periodic, enumerate_pure_stationary,
-                           expected_reward_stream, payoff, periodic,
-                           random_mdp, stationary, validate)
+                           StationaryStrategy, StrategyMismatch, best_periodic,
+                           build_mdp, ensure_valid, enumerate_pure_periodic,
+                           enumerate_pure_stationary, expected_reward_stream,
+                           payoff, periodic, random_mdp, stationary, validate)
 from chargemdp.streams import stream
+
+
+# ---- references: the Fraction-dict stream loop and the raw enumeration ----
+
+def reference_stream(mdp, sigma, max_horizon=4096):
+    """Iterates the state distribution as a dict of Fractions and looks
+    each action up by name at every stage."""
+    def dist_at(stage, state):
+        if isinstance(sigma, StationaryStrategy):
+            return sigma.dist(state)
+        row = sigma.rows[sigma.phase_of(stage) - 1]
+        return dict(row)[state]
+
+    index = {s: i for i, s in enumerate(mdp.states)}
+    dist = {index[mdp.initial]: Fraction(1)}
+    seen = {}
+    rewards = []
+    for stage in range(1, max_horizon + 1):
+        phase = 0 if isinstance(sigma, StationaryStrategy) else sigma.phase_of(stage)
+        key = (phase, tuple(sorted(dist.items())))
+        if key in seen:
+            return stream(rewards[:seen[key]], rewards[seen[key]:])
+        seen[key] = len(rewards)
+        r = Fraction(0)
+        nxt = {}
+        for i, q in dist.items():
+            for a, pa in dist_at(stage, mdp.states[i]):
+                j = mdp.actions[i].index(a)
+                r += q * pa * mdp.rewards[i][j]
+                for z, pz in enumerate(mdp.transitions[i][j]):
+                    if pz:
+                        nxt[z] = nxt.get(z, Fraction(0)) + q * pa * pz
+        rewards.append(r)
+        dist = nxt
+    raise CycleNotFound(f"no recurrence within {max_horizon} stages")
+
+
+def reference_enumeration(mdp, max_period, max_preperiod):
+    """Every raw combination through periodic(), deduplicated by a seen set."""
+    seen = set()
+    for L in range(max_preperiod + 1):
+        for q in range(1, max_period + 1):
+            slots = [(phase, s) for phase in range(L + q) for s in mdp.states]
+            for combo in itertools.product(*(mdp.action_list(s) for _, s in slots)):
+                rows = [{} for _ in range(L + q)]
+                for (phase, s), a in zip(slots, combo):
+                    rows[phase][s] = a
+                strat = periodic(rows[:L], rows[L:])
+                if strat not in seen:
+                    seen.add(strat)
+                    yield strat
+
+
+def reference_ranking(mdp, mu, max_period, max_preperiod):
+    """Sorted by (-low, lexicographic encoding in declared action order)."""
+    def declared_order_key(strat):
+        order = []
+        for row in strat.rows:
+            lookup = dict(row)
+            for i, s in enumerate(mdp.states):
+                order.append(tuple((mdp.actions[i].index(a), p) for a, p in lookup[s]))
+        return (strat.preperiod_length, strat.period, tuple(order))
+
+    entries = [(strat, integrate(mu, reference_stream(mdp, strat)))
+               for strat in reference_enumeration(mdp, max_period, max_preperiod)]
+    entries.sort(key=lambda e: (-e[1].low, declared_order_key(e[0])))
+    return entries
+
+
+def _random_dist(rng, acts):
+    chosen = rng.sample(acts, rng.randint(1, len(acts)))
+    d = rng.randint(len(chosen), 6)
+    cuts = sorted(rng.sample(range(1, d), len(chosen) - 1))
+    return {a: Fraction(b - c, d) for a, c, b in zip(chosen, [0] + cuts, cuts + [d])}
+
+
+def _random_strategy(rng, m, pure):
+    def row():
+        return {s: rng.choice(m.action_list(s)) if pure
+                else _random_dist(rng, list(m.action_list(s))) for s in m.states}
+    if rng.random() < 0.5:
+        return stationary(row())
+    return periodic([row() for _ in range(rng.randint(0, 2))],
+                    [row() for _ in range(rng.randint(1, 3))])
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CycleNotFound:
+        return CycleNotFound
 
 
 # ---- construction and validation -----------------------------------------
@@ -145,6 +239,41 @@ def test_cycle_not_found_on_tiny_horizon():
         expected_reward_stream(even_or_odd_mdp(), block_strategy(4), max_horizon=3)
 
 
+@given(st.integers(0, 10**9), st.integers(1, 4), st.integers(1, 3), st.booleans(),
+       st.sampled_from([1, 2, 3, 6, 60]))
+@settings(max_examples=300, deadline=None)
+def test_stream_equals_fraction_reference(seed, n_states, n_actions, pure, horizon):
+    rng = random.Random(seed)
+    m = random_mdp(rng, n_states, n_actions, rng.choice([1, 2, 3, 6]))
+    sigma = _random_strategy(rng, m, pure)
+    assert (_outcome(expected_reward_stream, m, sigma, max_horizon=horizon)
+            == _outcome(reference_stream, m, sigma, max_horizon=horizon))
+
+
+def test_unreached_unnamed_state_still_evaluates():
+    # state 2 is never reached when state 1 plays B
+    f = expected_reward_stream(even_or_odd_mdp(), stationary({"1": "B", "3": "c"}))
+    assert f == stream([], [0, 1])
+
+
+@pytest.mark.parametrize("choices, state, action", [
+    ({"1": "T"}, "2", None),
+    ({"1": "X", "2": "c", "3": "c"}, "1", "X"),
+])
+@pytest.mark.parametrize("evaluate", [
+    expected_reward_stream,
+    lambda m, s: payoff(m, s, Frequency()),
+    discounted_value,
+    average_value,
+    lambda m, s: discounted_value_at(m, s, Fraction(1, 2)),
+])
+def test_strategy_mismatch_is_typed(choices, state, action, evaluate):
+    with pytest.raises(StrategyMismatch) as info:
+        evaluate(even_or_odd_mdp(), stationary(choices))
+    assert (info.value.phase, info.value.state, info.value.action) == (1, state, action)
+    assert f"state {state!r}" in str(info.value)
+
+
 # ---- payoffs -------------------------------------------------------------
 
 def test_payoff_frequency_is_cycle_mean():
@@ -188,6 +317,65 @@ def test_enumerate_pure_periodic_dedup():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_pure_periodic(even_or_odd_mdp(), 8, 8, cap=10))
+
+
+def test_budget_fails_before_building_rows():
+    """A wide MDP has 2**18 action rows per phase; the cap check must
+    come before any of them is built."""
+    import tracemalloc
+    states = tuple(f"s{i}" for i in range(18))
+    m = build_mdp(states, states[0], {s: ("x", "y") for s in states},
+                  {(s, a): 0 for s in states for a in "xy"},
+                  {(s, a): {s: 1} for s in states for a in "xy"})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            enumerate_pure_periodic(m, 2, 0)
+        with pytest.raises(BudgetExceeded):
+            best_periodic(m, Frequency(), 2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("max_period, max_preperiod", [(0, 0), (0, 2), (2, -1)])
+def test_search_bounds_raise_value_error(max_period, max_preperiod):
+    with pytest.raises(ValueError, match="search bounds"):
+        enumerate_pure_periodic(even_or_odd_mdp(), max_period, max_preperiod)
+    with pytest.raises(ValueError, match="search bounds"):
+        best_periodic(even_or_odd_mdp(), Frequency(), max_period, max_preperiod)
+
+
+@given(st.integers(0, 10**9), st.integers(1, 3), st.integers(1, 2),
+       st.integers(1, 3), st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_equals_reference(seed, n_states, n_actions, max_period, max_preperiod):
+    m = random_mdp(random.Random(seed), n_states, n_actions)
+    assert (list(enumerate_pure_periodic(m, max_period, max_preperiod))
+            == list(reference_enumeration(m, max_period, max_preperiod)))
+
+
+@given(st.integers(0, 10**9), st.sampled_from([Frequency(), Geometric(Fraction(1, 2)),
+                                              DyadicLimit()]))
+@settings(max_examples=40, deadline=None)
+def test_best_periodic_ranking_equals_reference(seed, mu):
+    """Declared state order differs from the sorted one, and actions are
+    declared out of alphabetical order, so the tie-break is exercised."""
+    rng = random.Random(seed)
+    states = rng.sample(("s10", "s2", "b"), rng.randint(2, 3))
+    actions = {s: tuple(rng.sample(("z", "a", "m"), rng.randint(1, 2 if len(states) > 2 else 3)))
+               for s in states}
+    m = build_mdp(states, states[0], actions,
+                  {(s, a): Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                   for s in states for a in actions[s]},
+                  {(s, a): {rng.choice(states): 1} for s in states for a in actions[s]})
+    max_period, max_preperiod = rng.randint(1, 2), rng.randint(0, 1)
+    result = best_periodic(m, mu, max_period, max_preperiod)
+    expected = reference_ranking(m, mu, max_period, max_preperiod)
+    assert [(s, v.candidates, v.cycle) for s, v in result.ranking] == \
+        [(s, v.candidates, v.cycle) for s, v in expected]
+    assert (result.best, result.best_value) == expected[0]
 
 
 def test_best_periodic_under_frequency():
