@@ -1,7 +1,9 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error or a flag
-out of range.  All numeric output is exact rational text.
+Exit codes: 0 success, 1 verification failure, 2 a parse or I/O error,
+a flag out of range, an invalid MDP, a strategy that does not fit its
+MDP, or a search over its strategy budget.  All numeric output is exact
+rational text.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import sys
 from . import counterexamples as cx
 from .blackwell import average_value, blackwell_policy, discounted_value
 from .charges import integrate, value
-from .mdp import best_periodic, ensure_valid, payoff
+from .mdp import (BudgetExceeded, MdpValidationError, StrategyMismatch,
+                  best_periodic, ensure_valid, payoff)
 from .parsing import (ParseError, parse_charge, parse_mdp, parse_set,
                       parse_strategy, parse_stream)
 
@@ -165,7 +168,7 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MdpValidationError, StrategyMismatch, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -74,11 +74,13 @@ def _canonical(pre, cyc) -> tuple[tuple, tuple]:
 
 
 def stream(preperiod, cycle) -> RationalStream:
-    """Canonicalizing constructor."""
-    cyc = [Fraction(v) for v in cycle]
+    """Canonicalizing constructor.  Values that are already Fractions
+    are kept as they are."""
+    cyc = [v if type(v) is Fraction else Fraction(v) for v in cycle]
     if not cyc:
         raise ValueError("cycle must be nonempty")
-    return RationalStream(*_canonical([Fraction(v) for v in preperiod], cyc))
+    return RationalStream(*_canonical(
+        [v if type(v) is Fraction else Fraction(v) for v in preperiod], cyc))
 
 
 def constant(c) -> RationalStream:

@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from chargemdp.cli import run
+from chargemdp.mdp import CycleNotFound
 
 EO_MDP_TEXT = """mdp
 initial 1
@@ -26,6 +28,24 @@ state 1
   action B reward 0 goto 2
 state 2
   action c reward 3/2 goto 2
+"""
+
+
+HALF_ROW_MDP_TEXT = """mdp
+initial a
+state a
+  action x reward 1 dist b:1/2
+state b
+  action x reward 0 goto a
+"""
+
+TWO_STATE_MDP_TEXT = """mdp
+initial a
+state a
+  action x reward 1 goto b
+  action y reward 0 goto a
+state b
+  action x reward 0 goto a
 """
 
 
@@ -136,3 +156,43 @@ def test_parse_error_exit_code(capsys):
 def test_missing_file_exit_code(capsys, tmp_path):
     assert run(["blackwell", "--mdp", str(tmp_path / "nope.mdp")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["search", "mdp-eval"])
+def test_invalid_mdp_exit_code(capsys, tmp_path, command):
+    mdp = tmp_path / "half.mdp"
+    mdp.write_text(HALF_ROW_MDP_TEXT)
+    strat = tmp_path / "x.strategy"
+    strat.write_text("stationary { a: x }")
+    extra = {"search": ["--max-period", "2", "--max-preperiod", "1"],
+             "mdp-eval": ["--strategy", str(strat)]}[command]
+    assert run([command, "--mdp", str(mdp), "--charge", "frequency", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row sums to 1/2" in err
+    assert err.count("\n") == 1
+
+
+def test_search_budget_exit_code(capsys, tmp_path):
+    mdp = tmp_path / "two.mdp"
+    mdp.write_text(TWO_STATE_MDP_TEXT)
+    start = time.perf_counter()
+    code = run(["search", "--mdp", str(mdp), "--charge", "frequency",
+                "--max-period", "12", "--max-preperiod", "12"])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds cap" in err
+    assert err.count("\n") == 1
+
+
+def test_cycle_not_found_is_not_caught(tmp_path):
+    # an evaluation that runs out of horizon is not a bad input: it stays
+    # an exception out of run
+    mdp = tmp_path / "chain.mdp"
+    mdp.write_text("mdp\ninitial a\nstate a\n  action x reward 1 dist a:1/2 b:1/2\n"
+                   "state b\n  action x reward 0 dist a:1/3 b:2/3\n")
+    strat = tmp_path / "x.strategy"
+    strat.write_text("stationary { a: x b: x }")
+    with pytest.raises(CycleNotFound):
+        run(["mdp-eval", "--mdp", str(mdp), "--strategy", str(strat),
+             "--charge", "frequency", "--horizon", "64"])

@@ -2,15 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargemdp import counterexamples as cx
-from chargemdp.charges import integrate, value
+from chargemdp.charges import CValue, integrate, value
 from chargemdp.mdp import expected_reward_stream, payoff, periodic
-from chargemdp.periodic_sets import arithmetic, multiples, union
+from chargemdp.periodic_sets import (_build, arithmetic, difference, intersect,
+                                     is_subset, make, multiples, naturals, odds,
+                                     shift, union)
 from chargemdp.streams import _canonical, superlevel_set
 
 
@@ -109,6 +112,104 @@ def test_adjacent_stage_rewards_sum_to_one(pre, cyc):
     f = expected_reward_stream(cx.even_or_odd_mdp(), pattern_strategy(pre, cyc))
     for t in range(1, 60, 2):
         assert f.value_at(t) + f.value_at(t + 1) == 1
+
+
+# ---- mask-native sweep helpers vs their set-algebra references -----------
+
+def reference_shift_lemma(w):
+    """Per modulus 2**n, n = 1..8: (w & multiples(2**n)) - 1 lies in the
+    odd stages outside w."""
+    outside = difference(odds(), w)
+    return [is_subset(shift(intersect(w, multiples(2 ** n)), -1), outside)
+            for n in range(1, 9)]
+
+
+def reference_pattern_reward_set(pre, cyc):
+    """The reward set built stage by stage from the pattern."""
+    L, q = len(pre), len(cyc)
+    head = L + 2
+    period = lcm(2, q)
+
+    def bottom(t):
+        return pre[t - 1] if t <= L else cyc[(t - L - 1) % q]
+
+    def reward(t):
+        return bottom(t - 1) if t % 2 == 0 else 1 - bottom(t)
+
+    bits = [reward(t) for t in range(1, head + 1)]
+    residues = {(head + 1 + j) % period
+                for j in range(period) if reward(head + 1 + j)}
+    return make(bits, period, residues)
+
+
+def pairs_at(k):
+    """{t - 1, t} for every t = 2**k * (odd), k >= 1: w & (w + 1) holds
+    exactly the stages t, multiples of 2**n for n <= k and of no higher
+    power."""
+    t = arithmetic(2 ** k, 2 ** (k + 1))
+    return union(t, shift(t, -1))
+
+
+@st.composite
+def lemma_sets(draw):
+    period = draw(st.one_of(st.integers(1, 32), st.sampled_from([64, 256, 512])))
+    pre_len = draw(st.integers(0, 600))
+    s = _build(pre_len, draw(st.integers(0, (1 << pre_len) - 1)),
+               period, draw(st.integers(0, (1 << period) - 1)))
+    kind = draw(st.sampled_from(["raw", "no-pairs", "tail-pairs", "head-pair"]))
+    if kind == "raw":
+        return s
+    x = difference(s, shift(s, 1))
+    if kind == "no-pairs":
+        return x
+    if kind == "tail-pairs":
+        return union(x, pairs_at(draw(st.integers(1, 9))))
+    t = draw(st.integers(2, 600))
+    return union(x, make([0] * (t - 2) + [1, 1], 1, []))
+
+
+@given(lemma_sets())
+@settings(max_examples=300, deadline=None)
+def test_shift_lemma_matches_reference(w):
+    assert cx._shift_lemma(w) == reference_shift_lemma(w)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_shift_lemma_per_modulus(k):
+    got = cx._shift_lemma(pairs_at(k))
+    assert got == [n > k for n in range(1, 9)]
+    assert got == reference_shift_lemma(pairs_at(k))
+
+
+def test_shift_lemma_on_late_head_pair():
+    # one pair {383, 384} in the preperiod: 384 = 2**7 * 3
+    w = make([0] * 382 + [1, 1], 1, [])
+    assert cx._shift_lemma(w) == [False] * 7 + [True]
+    assert cx._shift_lemma(w) == reference_shift_lemma(w)
+
+
+def test_pattern_reward_set_matches_reference_exhaustively():
+    count = 0
+    for L in range(7):
+        for q in range(1, 7):
+            for a in range(1 << L):
+                for b in range(1 << q):
+                    pre = tuple((a >> i) & 1 for i in range(L))
+                    cyc = tuple((b >> i) & 1 for i in range(q))
+                    if _canonical(pre, cyc) != (pre, cyc):
+                        continue
+                    count += 1
+                    assert cx._pattern_reward_set(pre, cyc) == \
+                        reference_pattern_reward_set(pre, cyc), (pre, cyc)
+    assert count == 6784
+
+
+def test_shortfall_rows_flag_a_failing_shift_lemma():
+    rows = {r.check_id: r for r in cx._shortfall_rows("probe", naturals(), CValue.exact(1))}
+    assert not rows["probe-shift-lemma"].passed
+    assert not rows["probe-payoff-below-1"].passed
+    report = cx.VerificationReport("probe", tuple(rows.values()))
+    assert "CASE probe-shift-lemma EXPECT true GOT false FAIL" in report.machine_lines()
 
 
 # ---- no stationary optimum -----------------------------------------------

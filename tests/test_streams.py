@@ -31,6 +31,15 @@ def test_stream_requires_cycle():
         stream([1, 2], [])
 
 
+def test_stream_values_are_plain_fractions():
+    class Quarter(Fraction):
+        pass
+
+    f = stream([1, "1/3"], [Fraction(1, 2), Quarter(1, 4)])
+    assert all(type(v) is Fraction for v in f.preperiod + f.cycle)
+    assert f == stream([Fraction(1), Fraction(1, 3)], ["1/2", 0.25])
+
+
 def test_value_at():
     f = stream([5], [1, 2, 3])
     assert [f.value_at(t) for t in range(1, 8)] == [5, 1, 2, 3, 1, 2, 3]
