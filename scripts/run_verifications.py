@@ -21,6 +21,10 @@ def main() -> int:
     parser.add_argument("--machine", action="store_true",
                         help="emit one CASE line per check instead of tables")
     args = parser.parse_args()
+    for flag, got, least in (("--nmax", args.nmax, 1), ("--max-period", args.max_period, 1),
+                             ("--max-preperiod", args.max_preperiod, 0)):
+        if got < least:
+            parser.error(f"{flag} must be at least {least}, got {got}")
 
     jobs = [
         ("lower bounds", lambda: cx.verify_lower_bounds(args.nmax)),

@@ -73,12 +73,19 @@ def _cmd_blackwell(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    for flag, got, least in (("--max-period", args.max_period, 1),
-                             ("--max-preperiod", args.max_preperiod, 0), ("--top", args.top, 0)):
+def _flags_in_range(*checks) -> bool:
+    """Print a one-line error for the first (flag, value, least) below its least."""
+    for flag, got, least in checks:
         if got < least:
             print(f"error: {flag} must be at least {least}, got {got}", file=sys.stderr)
-            return 2
+            return False
+    return True
+
+
+def _cmd_search(args) -> int:
+    if not _flags_in_range(("--max-period", args.max_period, 1),
+                           ("--max-preperiod", args.max_preperiod, 0), ("--top", args.top, 0)):
+        return 2
     mdp = ensure_valid(parse_mdp(_read(args.mdp)))
     mu = parse_charge(args.charge)
     result = best_periodic(mdp, mu, args.max_period, args.max_preperiod)
@@ -100,6 +107,9 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     if args.what != "all":
         print(f"unknown verification target {args.what!r}", file=sys.stderr)
+        return 2
+    if not _flags_in_range(("--nmax", args.nmax, 1), ("--max-period", args.max_period, 1),
+                           ("--max-preperiod", args.max_preperiod, 0)):
         return 2
     reports = cx.verify_all(args.nmax, args.max_period, args.max_preperiod)
     ok = True

@@ -11,30 +11,39 @@ Three constructions are covered:
 
 Each verifier returns a report with exact expected and computed values.
 
-The first is checked by an exhaustive sweep: for every pure periodic
-strategy within bounds, the set w of stages with reward 1 gives a
-payoff below 1, and the shift lemma holds -- w & (w + 1) contains no
-multiple of 2**n, for n = 1..8, so a reward-1 stage at a multiple of
-2**n follows a reward-0 odd stage.  The sweep reads w straight from the
-strategy's bottom-action bits and runs the lemma on the set kernel's
-masks.
+The first is checked by an exhaustive sweep over pure periodic
+strategies.  A bottom-action pattern b gives the set w of reward-1
+stages: odd t is in w iff b_t = 0, and t + 1 iff b_t = 1.  Let w have
+even period p with 2-part 2**a and residue set R.  The multiples of
+2**n fall on the residues g = gcd(2**n, p) divides, on each with density
+g / (2**n * p), so mu_n(w) = 2**n * density(w & multiples(2**n)) is
+g * #{r in R : g | r} / p.  Once 2**n >= 2**a, g = 2**a: the dyadic
+limit is 2**a * #{r in R : 2**a | r} / p, and each check is an integer
+test on w's stage bits:
+
+* the payoff is below 1 iff 2 * #{odd r in R} + 2**a * #{r in R : 2**a | r} < 2p;
+* the shift lemma -- a reward-1 stage at a multiple of 2**n follows a
+  reward-0 odd stage, n = 1..8 -- holds iff w & (w + 1) misses the
+  multiples of 2**n in its preperiod and the residues gcd(2**n, p) divides;
+* the dichotomy: if mu_1(w) > 0, i.e. R holds an even residue, the odd
+  part has mass 2 * #{odd r in R} / p < 1; else the dyadic limit is 0.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .charges import (CValue, DyadicLimit, Frequency, Geometric, Mix, Restrict,
-                      dyadic_value_sequence, value)
+                      integrate, value)
 from .mdp import (Mdp, PeriodicMarkovStrategy, StationaryStrategy, build_mdp,
-                  payoff, periodic, stationary)
-from .periodic_sets import (EventuallyPeriodicSet, _build, _tail_bits, arithmetic,
-                            density, difference, intersect, multiples, odds,
-                            shift, union)
-from .streams import _canonical, superlevel_set
+                  expected_reward_stream, payoff, periodic, stationary)
+from .periodic_sets import (EventuallyPeriodicSet, _build, _expand, _tail_bits,
+                            arithmetic, difference, multiples, odds, union)
+from .streams import superlevel_set
 
 
 # ---- reports -------------------------------------------------------------
@@ -76,6 +85,13 @@ def _row(check_id: str, expected, got) -> CheckRow:
 
 def _flag(check_id: str, condition: bool, detail: str = "") -> CheckRow:
     return CheckRow(check_id, "true", detail or str(condition).lower(), condition)
+
+
+def _check_bounds(n_max: int = 1, max_period: int = 1, max_preperiod: int = 0) -> None:
+    for name, got, least in (("n_max", n_max, 1), ("max_period", max_period, 1),
+                             ("max_preperiod", max_preperiod, 0)):
+        if got < least:
+            raise ValueError(f"{name} must be at least {least}, got {got}")
 
 
 # ---- builders ------------------------------------------------------------
@@ -168,6 +184,7 @@ def switch_at(n: int) -> PeriodicMarkovStrategy:
 def verify_lower_bounds(n_max: int) -> VerificationReport:
     """Block strategies earn exactly 1 - 2**-n, with both intermediate
     measure computations checked on the way."""
+    _check_bounds(n_max=n_max)
     mdp = even_or_odd_mdp()
     mu = even_or_odd_charge()
     odd_part = Restrict(Frequency(), odds())
@@ -186,78 +203,86 @@ def verify_lower_bounds(n_max: int) -> VerificationReport:
 
 # ---- no-optimum probes ---------------------------------------------------
 
-# The moduli 2, 4, ..., 256 that the shift lemma is checked at.
-_DYADIC_MODULI = tuple(2 ** n for n in range(1, 9))
+_Layout = namedtuple("_Layout", "h p two_a odd odd_res even_res top_res lemma")
+_Shortfall = namedtuple("_Shortfall", "payoff_below_1 lemma dichotomy p odd dyadic mu1")
 
 
 @lru_cache(maxsize=256)
-def _dyadic_masks(m: int, p: int) -> tuple[tuple[int, int], ...]:
-    """Per modulus d in _DYADIC_MODULI, the masks of the multiples of d
-    for a set with preperiod m and period p: bits d-1, 2d-1, ... below m,
-    and the residues mod p divisible by gcd(d, p), which are the residues
-    of the multiples of d."""
-    return tuple((_tail_bits(1, d, 1, m), _tail_bits(1, gcd(d, p), 0, p))
-                 for d in _DYADIC_MODULI)
+def _layout(m: int, p: int) -> _Layout:
+    """Masks for a set w with preperiod at most m and period dividing the
+    even p, read off a word whose bit t - 1 is stage t, t = 1..h + p.  h is
+    the least h >= m + 1 with p | h + 1, so w and w & (w + 1) follow their
+    residue rules from stage h + 1 on and bits h.. are the residue word.
+    The masks: odd stages; odd, even and 2**a-divisible residues; per 2**n,
+    n = 1..8, its multiples in 1..h, then the residues gcd(2**n, p) divides."""
+    h = (m + 1 + p) // p * p - 1
+    two_a = p & -p
+    return _Layout(h, p, two_a, _tail_bits(0b10, 2, 1, h + p),
+                   _tail_bits(0b10, 2, 0, p), _tail_bits(1, 2, 0, p),
+                   _tail_bits(1, two_a, 0, p),
+                   tuple(_tail_bits(1, 2 ** n, 1, h) | _tail_bits(1, gcd(2 ** n, p), 0, p) << h
+                         for n in range(1, 9)))
 
 
-def _shift_lemma(w: EventuallyPeriodicSet) -> list[bool]:
-    """Per modulus d in _DYADIC_MODULI: whether w misses t - 1 for every
-    multiple t of d in w, i.e. whether v = w & (w + 1) contains no
-    multiple of d.  (t >= 2, so t - 1 is a positive odd stage.)"""
-    v = intersect(w, shift(w, 1))
-    return [not (v.pre_mask & pre or v.res_mask & res)
-            for pre, res in _dyadic_masks(v.pre_len, v.period)]
+def _shortfall(reward: int, lay: _Layout) -> _Shortfall:
+    """The three verdicts on the reward set with stage word reward; then
+    the payoff is (2*odd + dyadic) / (2p), the odd-part mass 2*odd / p,
+    the dyadic limit dyadic / p, and mu1 says whether mu_1 > 0."""
+    res = reward >> lay.h
+    v = reward & (reward << 1)
+    odd = (res & lay.odd_res).bit_count()
+    dyadic = lay.two_a * (res & lay.top_res).bit_count()
+    mu1 = (res & lay.even_res) != 0
+    return _Shortfall(2 * odd + dyadic < 2 * lay.p, [not v & mask for mask in lay.lemma],
+                      2 * odd < lay.p if mu1 else dyadic == 0, lay.p, odd, dyadic, mu1)
+
+
+def _set_shortfall(w: EventuallyPeriodicSet) -> _Shortfall:
+    """_shortfall on the masks of w expanded to its layout."""
+    lay = _layout(w.pre_len, lcm(2, w.period))
+    pre, res = _expand(w, lay.h, lay.p)
+    return _shortfall(pre | res << lay.h, lay)
 
 
 def _shortfall_rows(prefix: str, w: EventuallyPeriodicSet,
                     payoff_value: CValue) -> list[CheckRow]:
     """The structural facts forcing the payoff below 1, for the set w of
     stages with expected reward above one half."""
-    rows = [_flag(f"{prefix}-payoff-below-1", payoff_value.high < 1,
-                  f"payoff {payoff_value}")]
-    rows.append(_flag(f"{prefix}-shift-lemma", all(_shift_lemma(w))))
-    seq, cyc = dyadic_value_sequence(w)
-    if any(v > 0 for v in seq):
-        odd_mass = 2 * density(intersect(w, odds()))
-        rows.append(_flag(f"{prefix}-dichotomy", odd_mass < 1,
-                          f"odd-part mass {odd_mass}"))
-    else:
-        rows.append(_flag(f"{prefix}-dichotomy", set(cyc) == {0},
-                          f"dyadic candidates {sorted(set(cyc))}"))
-    return rows
+    s = _set_shortfall(w)
+    detail = (f"odd-part mass {Fraction(2 * s.odd, s.p)}" if s.mu1
+              else f"dyadic candidates {[Fraction(s.dyadic, s.p)]}")
+    return [_flag(f"{prefix}-payoff-below-1", payoff_value.high < 1,
+                  f"payoff {payoff_value}"),
+            _flag(f"{prefix}-shift-lemma", all(s.lemma)),
+            _flag(f"{prefix}-dichotomy", s.dichotomy, detail)]
 
 
 def probe_payoff_shortfall(sigma, max_horizon: int = 4096) -> VerificationReport:
     """Evaluate one strategy on the even-or-odd MDP and check that its
     payoff stays below 1 for the structural reasons."""
-    from .mdp import expected_reward_stream
-    from .charges import integrate
-    mdp = even_or_odd_mdp()
-    mu = even_or_odd_charge()
-    f = expected_reward_stream(mdp, sigma, max_horizon)
-    w = superlevel_set(f, Fraction(1, 2))
-    val = integrate(mu, f)
-    return VerificationReport("shortfall-probe", tuple(_shortfall_rows("probe", w, val)))
+    f = expected_reward_stream(even_or_odd_mdp(), sigma, max_horizon)
+    rows = _shortfall_rows("probe", superlevel_set(f, Fraction(1, 2)),
+                           integrate(even_or_odd_charge(), f))
+    return VerificationReport("shortfall-probe", tuple(rows))
 
 
-def _pattern_reward_set(pre: tuple[int, ...], cyc: tuple[int, ...]) -> EventuallyPeriodicSet:
-    """Stages earning reward 1 under the pure strategy whose bottom-action
-    indicator per stage is the given eventually periodic pattern.
-
-    With b the pattern, an odd stage t earns 1 - b_t and stage t + 1
-    earns b_t.  The reward bits are read over stages 1..h + period, where
-    the preperiod h >= len(pre) + 1 is chosen with h + 1 a multiple of
-    the period, so the last period bits are the residue mask as is.
-    """
-    L, q = len(pre), len(cyc)
-    period = lcm(2, q)
-    h = -(-(L + 2) // period) * period - 1
-    n = h + period
-    bottom = sum(b << i for i, b in enumerate(pre))
-    bottom |= _tail_bits(sum(b << i for i, b in enumerate(cyc)), q, 0, n - L) << L
-    odd = _tail_bits(odds().res_mask, 2, 1, n)
-    reward = (odd & ~bottom) | ((odd & bottom) << 1)
-    return _build(h, reward & ((1 << h) - 1), period, (reward >> h) & ((1 << period) - 1))
+def _pattern_words(max_period: int, max_preperiod: int):
+    """(L, q, pre, cyc), then the layout and stage word of its reward set,
+    for each bottom-action pattern within the bounds that
+    ``streams._canonical`` leaves unchanged (bit i of pre is stage i + 1,
+    bit j of cyc stage L + 1 + j): its cycle has least period q, and its
+    last preperiod bit differs from the last cycle bit.  The reward set
+    has preperiod at most L + 1."""
+    for q in range(1, max_period + 1):
+        cycles = [c for c in range(1 << q) if _build(0, 0, q, c).period == q]
+        for L in range(max_preperiod + 1):
+            lay = _layout(L + 1, lcm(2, q))
+            for cyc in cycles:
+                tail = _tail_bits(cyc, q, 0, lay.h + lay.p - L) << L
+                last = 1 ^ cyc >> (q - 1)
+                for pre in range(last << L >> 1, (last + 1) << L >> 1) if L else (0,):
+                    bottom = pre | tail
+                    yield (L, q, pre, cyc), lay, (lay.odd & ~bottom) | (lay.odd & bottom) << 1
 
 
 def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
@@ -266,44 +291,16 @@ def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
     bounds, plus a grid of randomized stationary strategies: payoffs all
     stay below 1 and the structural facts hold for each.
 
-    The pure sweep runs on the bottom-action indicator patterns
-    directly; a pattern determines the strategy's reward set w exactly
-    (see the unit tests for agreement with the strategy-level probe).
-    Per pattern it checks that the payoff is below 1, the shift lemma
-    (w & (w + 1) contains no multiple of 2**n, for n = 1..8) and the
-    dichotomy between the odd-part mass and the dyadic candidates.
+    Each pattern of :func:`_pattern_words` gets the module docstring's
+    three integer tests on its reward set.
     """
-    half = Fraction(1, 2)
-    count = 0
-    failures: list[str] = []
-    seen = set()
-    for L in range(max_preperiod + 1):
-        for q in range(1, max_period + 1):
-            for pre_bits in range(1 << L):
-                pre = tuple((pre_bits >> i) & 1 for i in range(L))
-                for cyc_bits in range(1 << q):
-                    cyc = tuple((cyc_bits >> i) & 1 for i in range(q))
-                    key = _canonical(pre, cyc)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    count += 1
-                    w = _pattern_reward_set(*key)
-                    odd_mass = 2 * density(intersect(w, odds()))
-                    seq, cyc_vals = dyadic_value_sequence(w)
-                    top = half * odd_mass + half * max(cyc_vals)
-                    if not top < 1:
-                        failures.append(f"payoff {top} for pattern {key}")
-                        continue
-                    if not all(_shift_lemma(w)):
-                        failures.append(f"shift lemma fails for pattern {key}")
-                    if any(v > 0 for v in seq):
-                        if not odd_mass < 1:
-                            failures.append(f"dichotomy fails for pattern {key}")
-                    elif set(cyc_vals) != {0}:
-                        failures.append(f"dichotomy fails for pattern {key}")
+    _check_bounds(max_period=max_period, max_preperiod=max_preperiod)
+    failures = 0
+    for count, (_, lay, reward) in enumerate(_pattern_words(max_period, max_preperiod), 1):
+        s = _shortfall(reward, lay)
+        failures += (not s.payoff_below_1) + (not all(s.lemma)) + (not s.dichotomy)
     rows = [_flag("pure-periodic-sweep", not failures,
-                  f"{count} strategies, {len(failures)} failures")]
+                  f"{count} strategies, {failures} failures")]
     mdp = even_or_odd_mdp()
     mu = even_or_odd_charge()
     if stationary_grid is None:
@@ -337,6 +334,7 @@ def verify_no_stationary_optimum() -> VerificationReport:
 # ---- late-switch example -------------------------------------------------
 
 def verify_late_switch(n_max: int) -> VerificationReport:
+    _check_bounds(n_max=n_max)
     mdp = late_switch_mdp()
     mu = late_switch_charge()
     rows = [_row("stay-forever", CValue.exact(1), payoff(mdp, stay_strategy(), mu))]
@@ -355,6 +353,7 @@ def verify_late_switch(n_max: int) -> VerificationReport:
 
 def verify_all(n_max: int = 12, max_period: int = 8,
                max_preperiod: int = 8) -> list[VerificationReport]:
+    _check_bounds(n_max, max_period, max_preperiod)
     return [
         verify_lower_bounds(n_max),
         sweep_payoff_shortfall(max_period, max_preperiod),

@@ -148,6 +148,19 @@ def test_verify_all(capsys):
     assert "== late-switch: PASS ==" in out
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("--nmax", "0", 1), ("--max-period", "0", 1), ("--max-preperiod", "-1", 0),
+])
+def test_verify_rejects_bad_bounds(capsys, flag, value, least):
+    # before the fix these printed "0 strategies, 0 failures" PASS, or a
+    # traceback from an empty report
+    argv = {"--nmax": "2", "--max-period": "2", "--max-preperiod": "0", flag: value}
+    assert run(["verify", "all", *(x for item in argv.items() for x in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
+
+
 def test_parse_error_exit_code(capsys):
     assert run(["density", "odds |"]) == 2
     assert "parse error" in capsys.readouterr().err
