@@ -17,6 +17,20 @@ which is the set of values in the eventual cycle of the explicitly
 computed sequence ``mu_n`` applied to the query.  On this algebra that
 sequence is always eventually periodic, so the answer is finite and
 exact.
+
+A query is split once into its non-dyadic part and the total weight W
+of its ``DyadicLimit`` parts.  The non-dyadic part is evaluated once
+per level set of the integrand (a ``Restrict`` measures its window once
+per query); each step of the dyadic family then only adds
+W * sum c * density(M) over the halved level sets M, until that state
+repeats.
+
+``Geometric(n/d)`` is one integer closed form.  For a set with
+preperiod m and period p it is
+(d-n) * (P*(d**p - n**p) + n**m * T) / (d**m * (d**p - n**p)), where P
+and T are integer Horner sums over the preperiod word and over the cycle
+word read from stage m+1; the zero runs at either end of each word
+become single powers.
 """
 
 from __future__ import annotations
@@ -26,9 +40,9 @@ from fractions import Fraction
 
 from .periodic_sets import (
     EventuallyPeriodicSet,
+    _tail_bits,
     contract,
     density,
-    first_tail_element,
     intersect,
     member,
 )
@@ -158,30 +172,51 @@ class CValue:
         return "{" + ", ".join(str(q) for q in sorted(self.candidates)) + "}"
 
 
+def _horner(word: int, length: int, n: int, d: int) -> int:
+    """sum of n**j * d**(length-1-j) over the set bits j of a word of
+    length bits; the zero runs below the lowest and above the highest
+    set bit become one power each."""
+    if not word:
+        return 0
+    lo = (word & -word).bit_length() - 1
+    hi = word.bit_length() - 1
+    acc, dpow = 0, 1
+    for bit in bin(word >> lo)[2:]:
+        acc *= n
+        if bit == "1":
+            acc += dpow
+        dpow *= d
+    return acc * n ** lo * d ** (length - 1 - hi)
+
+
 def _geometric_value(beta: Fraction, s: EventuallyPeriodicSet) -> Fraction:
-    total = Fraction(0)
-    for i in range(1, s.pre_len + 1):
-        if (s.pre_mask >> (i - 1)) & 1:
-            total += beta ** (i - 1)
-    tail_denom = 1 - beta ** s.period
-    for r in range(s.period):
-        if (s.res_mask >> r) & 1:
-            total += beta ** (first_tail_element(s, r) - 1) / tail_denom
-    return (1 - beta) * total
+    """With beta = n/d, preperiod m and period p, the charge of s is
+    (d-n) * (P*(d**p - n**p) + n**m * T) / (d**m * (d**p - n**p)), where
+    P and T are the Horner sums of the preperiod word and of the cycle
+    word that starts at stage m+1."""
+    n, d = beta.numerator, beta.denominator
+    m, p = s.pre_len, s.period
+    P = _horner(s.pre_mask, m, n, d)
+    T = _horner(_tail_bits(s.res_mask, p, m + 1, p), p, n, d)
+    gap = d ** p - n ** p
+    return Fraction((d - n) * (P * gap + n ** m * T), d ** m * gap)
 
 
-def _collect_dyadic(mu: Charge, s: EventuallyPeriodicSet, out: list) -> None:
-    """Sets that DyadicLimit gets applied to when evaluating mu at s,
-    in evaluation order.  Restrict is excluded: it resolves internally
-    to an exact rational or raises."""
+def _dyadic_weight(mu: Charge) -> Fraction:
+    """Total weight of the DyadicLimit parts reachable through mixtures.
+    Restrict is excluded: it resolves on its own to an exact rational
+    or raises."""
     if isinstance(mu, DyadicLimit):
-        out.append(s)
-    elif isinstance(mu, Mix):
-        for _, c in mu.parts:
-            _collect_dyadic(c, s, out)
+        return Fraction(1)
+    if isinstance(mu, Mix):
+        return sum((w * _dyadic_weight(c) for w, c in mu.parts), Fraction(0))
+    return Fraction(0)
 
 
-def _eval(mu: Charge, s: EventuallyPeriodicSet, dyadic_vals) -> Fraction:
+def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> Fraction:
+    """mu at s with every DyadicLimit part counted as 0.  ``windows``
+    holds each Restrict's base measure on its window, computed on first
+    use in the query."""
     if isinstance(mu, Frequency):
         return density(s)
     if isinstance(mu, Geometric):
@@ -189,39 +224,43 @@ def _eval(mu: Charge, s: EventuallyPeriodicSet, dyadic_vals) -> Fraction:
     if isinstance(mu, PointMass):
         return Fraction(1 if member(s, mu.stage) else 0)
     if isinstance(mu, DyadicLimit):
-        return next(dyadic_vals)
+        return Fraction(0)
     if isinstance(mu, Restrict):
-        base_on_window = value(mu.base, mu.window)
-        if not base_on_window.is_exact or base_on_window.exact_value <= 0:
-            raise IllFormedRestrict(
-                f"restriction window has base measure {base_on_window}")
+        base_on_window = windows.get(id(mu))
+        if base_on_window is None:
+            base = value(mu.base, mu.window)
+            if not base.is_exact or base.exact_value <= 0:
+                raise IllFormedRestrict(f"restriction window has base measure {base}")
+            base_on_window = windows[id(mu)] = base.exact_value
         num = value(mu.base, intersect(s, mu.window))
         if not num.is_exact:
             raise AmbiguousBase(
                 f"restriction base is ambiguous on the queried set: {num}")
-        return num.exact_value / base_on_window.exact_value
+        return num.exact_value / base_on_window
     if isinstance(mu, Mix):
-        return sum((w * _eval(c, s, dyadic_vals) for w, c in mu.parts), Fraction(0))
+        return sum((w * _eval(c, s, windows) for w, c in mu.parts), Fraction(0))
     raise TypeError(f"not a charge expression: {mu!r}")
 
 
-def _resolve(evaluate, targets: list[EventuallyPeriodicSet]) -> CValue:
+def _resolve(const: Fraction, weight: Fraction,
+             levels: list[tuple[Fraction, EventuallyPeriodicSet]]) -> CValue:
     """Run the dyadic family until its state cycles exactly.
 
-    The n-th member of the family scores each target set T by
-    density(contract(T, 2**n)); iterated halving of the canonical sets
-    must revisit a state, at which point the family's eventual cycle of
-    values is known exactly.
+    The n-th member of the family adds weight * sum c * density(contract(M, 2**n))
+    over the levels (c, M) to the non-dyadic part ``const``; iterated
+    halving of the canonical sets must revisit a state, at which point
+    the family's eventual cycle of values is known exactly.
     """
-    if not targets:
-        return CValue.exact(evaluate(iter(())))
-    state = tuple(contract(t, 2) for t in targets)
+    if not weight or not levels:
+        return CValue.exact(const)
+    state = tuple(contract(m, 2) for _, m in levels)
     seen: dict[tuple, int] = {}
     vals: list[Fraction] = []
     while state not in seen:
         seen[state] = len(vals)
-        vals.append(evaluate(iter(density(c) for c in state)))
-        state = tuple(contract(c, 2) for c in state)
+        vals.append(const + weight * sum(
+            (c * density(t) for (c, _), t in zip(levels, state)), Fraction(0)))
+        state = tuple(contract(t, 2) for t in state)
     cyc = tuple(vals[seen[state]:])
     cands = frozenset(cyc)
     if len(cands) == 1:
@@ -243,23 +282,16 @@ def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tup
 
 
 def value(mu: Charge, s: EventuallyPeriodicSet) -> CValue:
-    targets: list[EventuallyPeriodicSet] = []
-    _collect_dyadic(mu, s, targets)
-    return _resolve(lambda dv: _eval(mu, s, dv), targets)
+    return _resolve(_eval(mu, s, {}), _dyadic_weight(mu), [(Fraction(1), s)])
 
 
 def integrate(mu: Charge, f: RationalStream) -> CValue:
     """Exact integral of the stream: decompose into level sets and
     evaluate the simple function c_1*I(M_1) + ... + c_k*I(M_k)."""
     levels = [(c, m) for c, m in f.level_sets() if c != 0]
-    targets: list[EventuallyPeriodicSet] = []
-    for _, m in levels:
-        _collect_dyadic(mu, m, targets)
-
-    def evaluate(dyadic_vals):
-        return sum((c * _eval(mu, m, dyadic_vals) for c, m in levels), Fraction(0))
-
-    return _resolve(evaluate, targets)
+    windows: dict = {}
+    const = sum((c * _eval(mu, m, windows) for c, m in levels), Fraction(0))
+    return _resolve(const, _dyadic_weight(mu), levels)
 
 
 def sandwich_check(mu: Charge, s: EventuallyPeriodicSet) -> bool:

@@ -2,18 +2,20 @@
 
 Exit codes: 0 success, 1 verification failure, 2 a parse or I/O error,
 a flag out of range, an invalid MDP, a strategy that does not fit its
-MDP, or a search over its strategy budget.  All numeric output is exact
-rational text.
+MDP, a search over its strategy budget, or a restricted charge whose
+window has no positive exact base measure or whose base is ambiguous.
+All numeric output is exact rational text.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import counterexamples as cx
 from .blackwell import average_value, blackwell_policy, discounted_value
-from .charges import integrate, value
+from .charges import AmbiguousBase, IllFormedRestrict, integrate, value
 from .mdp import (BudgetExceeded, MdpValidationError, StrategyMismatch,
                   best_periodic, ensure_valid, payoff)
 from .parsing import (ParseError, parse_charge, parse_mdp, parse_set,
@@ -170,15 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``run`` uses, built on first use."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MdpValidationError, StrategyMismatch, BudgetExceeded) as exc:
+    except (OSError, MdpValidationError, StrategyMismatch, BudgetExceeded,
+            IllFormedRestrict, AmbiguousBase) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -380,19 +380,25 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     """
     R, cells = _integer_form(mdp)
     start = mdp.states.index(mdp.initial)
-    by_stream: dict[RationalStream, CValue] = {}
-    entries: list[tuple[PeriodicMarkovStrategy, CValue]] = []
+    by_stream: dict[RationalStream, int] = {}  # stream -> index into values
+    values: list[CValue] = []
+    found: list[tuple[PeriodicMarkovStrategy, int]] = []
     for phases, strat in _canonical_pure(mdp, max_period, max_preperiod, cap):
         f = _reward_stream(cells, start, R, phases, strat.preperiod_length, max_horizon)
-        val = by_stream.get(f)
-        if val is None:
-            val = integrate(mu, f)
-            by_stream[f] = val
-        entries.append((strat, val))
-    # enumeration order is the tie-break order, and this sort is stable
-    entries.sort(key=lambda e: e[1].low, reverse=True)
+        k = by_stream.get(f)
+        if k is None:
+            k = by_stream[f] = len(values)
+            values.append(integrate(mu, f))
+        found.append((strat, k))
+    # rank each distinct value once; enumeration order is the tie-break
+    # order, and this sort is stable
+    lows = [v.low for v in values]
+    rank = {q: i for i, q in enumerate(sorted(set(lows), reverse=True))}
+    key = [rank[q] for q in lows]
+    found.sort(key=lambda e: key[e[1]])
+    entries = tuple((strat, values[k]) for strat, k in found)
     best, best_value = entries[0]
-    return SearchResult(best, best_value, tuple(entries))
+    return SearchResult(best, best_value, entries)
 
 
 def enumerate_pure_stationary(mdp: Mdp) -> list[StationaryStrategy]:

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from chargemdp.charges import (AmbiguousBase, CValue, DyadicLimit, Frequency,
                                Geometric, IllFormedRestrict, Mix, PointMass,
-                               Restrict, dyadic_value_sequence, integrate,
-                               is_diffuse, sandwich_check, value)
-from chargemdp.periodic_sets import (arithmetic, complement, density,
-                                     difference, empty, evens, intersect,
-                                     make, multiples, naturals, odds, shift,
+                               Restrict, _geometric_value,
+                               dyadic_value_sequence, integrate, is_diffuse,
+                               sandwich_check, value)
+from chargemdp.parsing import parse_set
+from chargemdp.periodic_sets import (arithmetic, complement, contract, density,
+                                     difference, empty, evens,
+                                     first_tail_element, intersect, make,
+                                     member, multiples, naturals, odds, shift,
                                      union)
 from chargemdp.streams import add, indicator, scale, stream
 
@@ -300,3 +303,149 @@ def test_integrate_ignores_zero_level():
     f = stream([0, 0, 5], [0])
     got = integrate(Geometric(Fraction(1, 2)), f).exact_value
     assert got == 5 * Fraction(1, 8)
+
+
+# ---- single-pass evaluation against the per-step reference ---------------
+#
+# The reference below is the evaluator this module replaced: the charge
+# is evaluated whole at every dyadic step, with the dyadic values
+# threaded through an iterator, one contracted set per DyadicLimit part
+# per level set, and the geometric charge summed residue by residue over
+# Fractions.
+
+def ref_geometric_value(beta: Fraction, s) -> Fraction:
+    total = Fraction(0)
+    for i in range(1, s.pre_len + 1):
+        if (s.pre_mask >> (i - 1)) & 1:
+            total += beta ** (i - 1)
+    tail_denom = 1 - beta ** s.period
+    for r in range(s.period):
+        if (s.res_mask >> r) & 1:
+            total += beta ** (first_tail_element(s, r) - 1) / tail_denom
+    return (1 - beta) * total
+
+
+def ref_collect_dyadic(mu, s, out) -> None:
+    if isinstance(mu, DyadicLimit):
+        out.append(s)
+    elif isinstance(mu, Mix):
+        for _, c in mu.parts:
+            ref_collect_dyadic(c, s, out)
+
+
+def ref_eval(mu, s, dyadic_vals) -> Fraction:
+    if isinstance(mu, Frequency):
+        return density(s)
+    if isinstance(mu, Geometric):
+        return ref_geometric_value(mu.beta, s)
+    if isinstance(mu, PointMass):
+        return Fraction(1 if member(s, mu.stage) else 0)
+    if isinstance(mu, DyadicLimit):
+        return next(dyadic_vals)
+    if isinstance(mu, Restrict):
+        base_on_window = ref_value(mu.base, mu.window)
+        if not base_on_window.is_exact or base_on_window.exact_value <= 0:
+            raise IllFormedRestrict(
+                f"restriction window has base measure {base_on_window}")
+        num = ref_value(mu.base, intersect(s, mu.window))
+        if not num.is_exact:
+            raise AmbiguousBase(
+                f"restriction base is ambiguous on the queried set: {num}")
+        return num.exact_value / base_on_window.exact_value
+    if isinstance(mu, Mix):
+        return sum((w * ref_eval(c, s, dyadic_vals) for w, c in mu.parts), Fraction(0))
+    raise TypeError(f"not a charge expression: {mu!r}")
+
+
+def ref_resolve(evaluate, targets) -> CValue:
+    if not targets:
+        return CValue.exact(evaluate(iter(())))
+    state = tuple(contract(t, 2) for t in targets)
+    seen, vals = {}, []
+    while state not in seen:
+        seen[state] = len(vals)
+        vals.append(evaluate(iter(density(c) for c in state)))
+        state = tuple(contract(c, 2) for c in state)
+    cyc = tuple(vals[seen[state]:])
+    cands = frozenset(cyc)
+    if len(cands) == 1:
+        return CValue.exact(next(iter(cands)))
+    return CValue(cands, cycle=cyc)
+
+
+def ref_value(mu, s) -> CValue:
+    targets = []
+    ref_collect_dyadic(mu, s, targets)
+    return ref_resolve(lambda dv: ref_eval(mu, s, dv), targets)
+
+
+def ref_integrate(mu, f) -> CValue:
+    levels = [(c, m) for c, m in f.level_sets() if c != 0]
+    targets = []
+    for _, m in levels:
+        ref_collect_dyadic(mu, m, targets)
+    return ref_resolve(
+        lambda dv: sum((c * ref_eval(mu, m, dv) for c, m in levels), Fraction(0)),
+        targets)
+
+
+def outcome(query, *args):
+    """The candidates and cycle of a query, or the type and message of
+    the error it raises."""
+    try:
+        got = query(*args)
+    except (IllFormedRestrict, AmbiguousBase) as exc:
+        return type(exc), str(exc)
+    return got.candidates, got.cycle
+
+
+BETAS = st.fractions(min_value="1/20", max_value="19/20", max_denominator=20)
+
+
+@st.composite
+def mix_of(draw, parts):
+    parts = draw(parts)
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(parts), max_size=len(parts)))
+    total = sum(weights)
+    return Mix(tuple((Fraction(w, total), c) for w, c in zip(weights, parts)))
+
+
+RANDOM_CHARGES = st.recursive(
+    st.one_of(st.just(Frequency()), st.just(DyadicLimit()),
+              BETAS.map(Geometric), st.integers(1, 20).map(PointMass)),
+    lambda inner: st.one_of(
+        st.builds(Restrict, inner, periodic_sets()),
+        mix_of(st.lists(inner, min_size=1, max_size=3))),
+    max_leaves=6)
+
+
+@given(RANDOM_CHARGES, periodic_sets(), rational_streams())
+def test_single_pass_matches_per_step_reference(mu, s, f):
+    assert outcome(value, mu, s) == outcome(ref_value, mu, s)
+    assert outcome(integrate, mu, f) == outcome(ref_integrate, mu, f)
+
+
+@given(RANDOM_CHARGES, periodic_sets(max_preperiod=20, max_period=48))
+def test_single_pass_matches_reference_on_wide_sets(mu, s):
+    assert outcome(value, mu, s) == outcome(ref_value, mu, s)
+    assert outcome(integrate, mu, indicator(s)) == outcome(ref_integrate, mu, indicator(s))
+
+
+@given(st.lists(RANDOM_CHARGES, max_size=2), periodic_sets(), rational_streams())
+def test_mix_with_two_dyadic_parts_matches_reference(others, s, f):
+    mu = Mix(tuple((Fraction(1, 2 + len(others)), c)
+                   for c in [DyadicLimit(), *others, DyadicLimit()]))
+    assert outcome(value, mu, s) == outcome(ref_value, mu, s)
+    assert outcome(integrate, mu, f) == outcome(ref_integrate, mu, f)
+
+
+@given(BETAS, periodic_sets(max_preperiod=40, max_period=40))
+def test_integer_geometric_matches_per_residue_sum(beta, s):
+    assert _geometric_value(beta, s) == ref_geometric_value(beta, s)
+
+
+@pytest.mark.parametrize("text", ["ap(20050,7)", "(ap(5,16) | ap(20,27)) & !(ap(3,5))"])
+@pytest.mark.parametrize("beta", [Fraction(1, 3), Fraction(9, 10)])
+def test_integer_geometric_on_long_words(text, beta):
+    s = parse_set(text)
+    assert _geometric_value(beta, s) == ref_geometric_value(beta, s)

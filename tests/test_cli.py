@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from chargemdp.cli import run
+from chargemdp.cli import build_parser, run
 from chargemdp.mdp import CycleNotFound
 
 EO_MDP_TEXT = """mdp
@@ -164,6 +164,32 @@ def test_verify_rejects_bad_bounds(capsys, flag, value, least):
 def test_parse_error_exit_code(capsys):
     assert run(["density", "odds |"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("charge", ["restrict(frequency,empty)",
+                                    "mix(1/2: frequency, 1/2: restrict(geometric(1/2), empty))"])
+def test_null_restriction_window_exit_code(capsys, charge):
+    assert run(["charge-eval", charge, "odds"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: restriction window has base measure 0\n"
+
+
+def test_repeated_runs_in_one_process_agree(capsys, eo_mdp_file):
+    argvs = [["charge-eval", "mix(1/2: frequency, 1/2: dyadiclimit)", "multiples(2)"],
+             ["search", "--mdp", eo_mdp_file, "--charge", "frequency",
+              "--max-period", "2", "--max-preperiod", "0"],
+             ["density", "odds |"],
+             ["verify", "all", "--nmax", "0"]]
+    first = []
+    for argv in argvs:
+        first.append((run(argv), capsys.readouterr()))
+    assert [(run(argv), capsys.readouterr()) for argv in argvs] == first
+    assert [code for code, _ in first] == [0, 0, 2, 2]
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_missing_file_exit_code(capsys, tmp_path):
