@@ -1,13 +1,23 @@
-"""Text grammars: set and charge expressions, stream literals, MDP and
-strategy files.  All parsers are recursive descent over a shared token
-stream; errors carry line/column positions.  ``#`` starts a comment
-anywhere.
+r"""Text grammars: set and charge expressions, stream literals, MDP and
+strategy files.  All parsers are recursive descent over one token list;
+errors carry line/column positions.
+
+``tokenize`` matches one regular expression with a group per token kind:
+``INT`` is ``\d+`` (decimal digits), ``NAME`` is ``[^\W\d]\w*``,
+``PUNCT`` is one of ``()[]{}|&!,:;/=-``; newlines, blanks (space, tab,
+CR) and ``#`` comments (to the end of the line) separate tokens, and any
+other character is a ``ParseError``.
+
+Range checks belong to the constructors (``multiples``, ``Geometric``,
+``Mix``, ``stream``, ``stationary``, ...).  ``_Parser.build`` reports a
+constructor's ``ValueError`` as a ``ParseError`` at its token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import periodic_sets as ps
 from .charges import (Charge, DyadicLimit, Frequency, Geometric, Mix, PointMass,
@@ -25,55 +35,33 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME | INT | PUNCT | END
     text: str
     line: int
     col: int
 
 
-_PUNCT = set("()[]{}|&!,:;/=-")
+_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<PUNCT>[()\[\]{}|&!,:;/=-])"
+                    r"|(?P<NEWLINE>\n)|(?P<SKIP>#[^\n]*|[ \t\r]+)|(?P<BAD>.)")
 
 
 def tokenize(text: str) -> list[Token]:
     out = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch in _PUNCT:
-            out.append(Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             line, m.start() - line_start + 1)
+        elif kind != "SKIP":
+            out.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+    # END sits just past the last character outside a comment; a '#' on
+    # the last line can only start a comment that runs to the end
+    stop = text.find("#", line_start)
+    out.append(Token("END", "", line, (len(text) if stop < 0 else stop) - line_start + 1))
     return out
 
 
@@ -93,6 +81,13 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def build(self, tok: Token, fn, *args):
+        """``fn(*args)``, with a ``ValueError`` it raises reported at ``tok``."""
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
 
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
@@ -117,6 +112,10 @@ class _Parser:
             self.fail(f"expected a name, got {tok.text!r}")
         return self.next().text
 
+    def expect_word(self, word: str, message: str) -> None:
+        if self.expect_name() != word:
+            self.fail(message)
+
     def expect_id(self) -> str:
         """State and action identifiers may be words or bare numbers."""
         tok = self.peek()
@@ -131,7 +130,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "INT":
             self.fail(f"expected a number, got {tok.text!r}")
-        return int(self.next().text)
+        return self.build(tok, int, self.next().text)  # int() has a digit limit
 
     def expect_int(self) -> int:
         neg = self.take_punct("-")
@@ -150,6 +149,24 @@ class _Parser:
     def expect_end(self):
         if self.peek().kind != "END":
             self.fail(f"unexpected trailing input {self.peek().text!r}")
+
+    def call(self, table: dict, what: str):
+        """``<name>`` or ``<name>(<arg>, ...)``; ``table`` maps each name to
+        its constructor and one parser method per argument."""
+        tok = self.peek()
+        entry = table.get(self.expect_name())
+        if entry is None:
+            raise ParseError(f"unknown {what} constructor {tok.text!r}", tok.line, tok.col)
+        fn, rules = entry
+        args = []
+        if rules:
+            self.expect_punct("(")
+            for i, rule in enumerate(rules):
+                if i:
+                    self.expect_punct(",")
+                args.append(rule(self))
+            self.expect_punct(")")
+        return self.build(tok, fn, *args)
 
     # ---- set expressions -------------------------------------------------
 
@@ -172,95 +189,23 @@ class _Parser:
             inner = self.set_expr()
             self.expect_punct(")")
             return inner
-        tok = self.peek()
-        name = self.expect_name()
-        if name == "odds":
-            return ps.odds()
-        if name == "evens":
-            return ps.evens()
-        if name == "nat":
-            return ps.naturals()
-        if name == "empty":
-            return ps.empty()
-        if name == "multiples":
-            self.expect_punct("(")
-            d = self.expect_nat()
-            self.expect_punct(")")
-            if d < 1:
-                raise ParseError("multiples() needs d >= 1", tok.line, tok.col)
-            return ps.multiples(d)
-        if name == "ap":
-            self.expect_punct("(")
-            a = self.expect_nat()
-            self.expect_punct(",")
-            d = self.expect_nat()
-            self.expect_punct(")")
-            if a < 1 or d < 1:
-                raise ParseError("ap(a,d) needs a >= 1 and d >= 1", tok.line, tok.col)
-            return ps.arithmetic(a, d)
-        if name == "shift":
-            self.expect_punct("(")
-            s = self.set_expr()
-            self.expect_punct(",")
-            k = self.expect_int()
-            self.expect_punct(")")
-            return ps.shift(s, k)
-        if name == "contract":
-            self.expect_punct("(")
-            s = self.set_expr()
-            self.expect_punct(",")
-            d = self.expect_nat()
-            self.expect_punct(")")
-            if d < 1:
-                raise ParseError("contract() needs d >= 1", tok.line, tok.col)
-            return ps.contract(s, d)
-        raise ParseError(f"unknown set constructor {name!r}", tok.line, tok.col)
+        return self.call(_SETS, "set")
 
     # ---- charge expressions ----------------------------------------------
 
     def charge_expr(self) -> Charge:
         tok = self.peek()
-        name = self.expect_name()
-        if name == "frequency":
-            return Frequency()
-        if name == "dyadiclimit":
-            return DyadicLimit()
-        if name == "geometric":
-            self.expect_punct("(")
-            beta = self.expect_rational()
-            self.expect_punct(")")
-            if not 0 < beta < 1:
-                raise ParseError("geometric factor must lie in (0,1)", tok.line, tok.col)
-            return Geometric(beta)
-        if name == "pointmass":
-            self.expect_punct("(")
-            t = self.expect_nat()
-            self.expect_punct(")")
-            if t < 1:
-                raise ParseError("pointmass stage must be >= 1", tok.line, tok.col)
-            return PointMass(t)
-        if name == "restrict":
-            self.expect_punct("(")
-            base = self.charge_expr()
-            self.expect_punct(",")
-            window = self.set_expr()
-            self.expect_punct(")")
-            return Restrict(base, window)
-        if name == "mix":
-            self.expect_punct("(")
-            parts = []
-            while True:
-                w = self.expect_rational()
-                self.expect_punct(":")
-                parts.append((w, self.charge_expr()))
-                if not self.take_punct(","):
-                    break
-            self.expect_punct(")")
-            try:
-                return Mix(tuple(parts))
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        raise ParseError(f"unknown charge constructor {name!r}", tok.line, tok.col)
+        if tok.text != "mix":  # only a NAME token can read "mix"
+            return self.call(_CHARGES, "charge")
+        self.next()
+        self.expect_punct("(")
+        parts = []
+        while not parts or self.take_punct(","):
+            w = self.expect_rational()
+            self.expect_punct(":")
+            parts.append((w, self.charge_expr()))
+        self.expect_punct(")")
+        return self.build(tok, Mix, tuple(parts))
 
     # ---- stream literals -------------------------------------------------
 
@@ -273,9 +218,7 @@ class _Parser:
         self.expect_punct(";")
         cyc = self.rational_list()
         self.expect_punct(")")
-        if not cyc:
-            raise ParseError("stream cycle must be nonempty", tok.line, tok.col)
-        return stream(pre, cyc)
+        return self.build(tok, stream, pre, cyc)
 
     def rational_list(self) -> list[Fraction]:
         self.expect_punct("[")
@@ -288,32 +231,46 @@ class _Parser:
         return out
 
 
-def parse_set(text: str) -> EventuallyPeriodicSet:
+_SETS = {
+    "odds": (ps.odds, ()),
+    "evens": (ps.evens, ()),
+    "nat": (ps.naturals, ()),
+    "empty": (ps.empty, ()),
+    "multiples": (ps.multiples, (_Parser.expect_nat,)),
+    "ap": (ps.arithmetic, (_Parser.expect_nat, _Parser.expect_nat)),
+    "shift": (ps.shift, (_Parser.set_expr, _Parser.expect_int)),
+    "contract": (ps.contract, (_Parser.set_expr, _Parser.expect_nat)),
+}
+_CHARGES = {
+    "frequency": (Frequency, ()),
+    "dyadiclimit": (DyadicLimit, ()),
+    "geometric": (Geometric, (_Parser.expect_rational,)),
+    "pointmass": (PointMass, (_Parser.expect_nat,)),
+    "restrict": (Restrict, (_Parser.charge_expr, _Parser.set_expr)),
+}
+
+
+def _parse(text: str, rule):
     p = _Parser(tokenize(text))
-    out = p.set_expr()
+    out = rule(p)
     p.expect_end()
     return out
+
+
+def parse_set(text: str) -> EventuallyPeriodicSet:
+    return _parse(text, _Parser.set_expr)
 
 
 def parse_charge(text: str) -> Charge:
-    p = _Parser(tokenize(text))
-    out = p.charge_expr()
-    p.expect_end()
-    return out
+    return _parse(text, _Parser.charge_expr)
 
 
 def parse_stream(text: str) -> RationalStream:
-    p = _Parser(tokenize(text))
-    out = p.stream_literal()
-    p.expect_end()
-    return out
+    return _parse(text, _Parser.stream_literal)
 
 
 def parse_rational(text: str) -> Fraction:
-    p = _Parser(tokenize(text))
-    out = p.expect_rational()
-    p.expect_end()
-    return out
+    return _parse(text, _Parser.expect_rational)
 
 
 # ---- MDP files -----------------------------------------------------------
@@ -331,17 +288,19 @@ def parse_mdp(text: str) -> Mdp:
     if p.peek().kind != "NAME" or p.peek().text != "mdp":
         p.fail("expected 'mdp' header")
     p.next()
-    initial = None
+    initial = None  # the token of the initial state's identifier
     states: list[str] = []
     actions: dict[str, list[str]] = {}
     rewards = {}
     transitions = {}
+    targets = []  # (token, state, action) of each transition target
     current: str | None = None
     while p.peek().kind != "END":
         tok = p.peek()
         word = p.expect_name()
         if word == "initial":
-            initial = p.expect_id()
+            initial = p.peek()
+            p.expect_id()
         elif word == "state":
             current = p.expect_id()
             if current in states:
@@ -358,13 +317,14 @@ def parse_mdp(text: str) -> Mdp:
             kw_tok = p.peek()
             kw = p.expect_name()
             if kw == "goto":
-                dest = p.expect_id()
-                row = {dest: Fraction(1)}
+                targets.append((p.peek(), current, a))
+                row = {p.expect_id(): Fraction(1)}
             elif kw == "dist":
                 row = {}
                 # the next clause starts with one of the file keywords
                 while (p.at_id()
                        and p.peek().text not in ("state", "action", "initial")):
+                    targets.append((p.peek(), current, a))
                     z = p.expect_id()
                     p.expect_punct(":")
                     q = p.expect_rational()
@@ -382,31 +342,35 @@ def parse_mdp(text: str) -> Mdp:
     if initial is None:
         p.fail("missing 'initial' line")
     known = set(states)
-    for (s, a), row in transitions.items():
-        for z in row:
-            if z not in known:
-                p.fail(f"transition from ({s!r}, {a!r}) to unknown state {z!r}")
-    if initial not in known:
-        p.fail(f"unknown initial state {initial!r}")
-    return build_mdp(states, initial,
+    for tok, s, a in targets:
+        if tok.text not in known:
+            raise ParseError(f"transition from ({s!r}, {a!r}) to unknown state {tok.text!r}",
+                             tok.line, tok.col)
+    if initial.text not in known:
+        raise ParseError(f"unknown initial state {initial.text!r}", initial.line, initial.col)
+    return build_mdp(states, initial.text,
                      {s: tuple(v) for s, v in actions.items()}, rewards, transitions)
 
 
 # ---- strategy files ------------------------------------------------------
 
-def _action_dist(p: _Parser, mdp: Mdp, state: str):
-    """``<action-id>[:<rational>]`` pairs; a bare action means prob 1."""
+def _cell(p: _Parser, mdp: Mdp) -> tuple[str, dict]:
+    """``<state>: <action>[:<q>] ...``; a bare action means prob 1
+    and ends the cell."""
+    s = p.expect_id()
+    if s not in mdp.states:
+        p.fail(f"unknown state {s!r}")
+    p.expect_punct(":")
     dist = {}
-    while p.at_id() and p.peek().text in mdp.action_list(state):
+    while p.at_id() and p.peek().text in mdp.action_list(s):
         a = p.expect_id()
-        if p.take_punct(":"):
-            dist[a] = dist.get(a, Fraction(0)) + p.expect_rational()
-        else:
+        if not p.take_punct(":"):
             dist[a] = Fraction(1)
             break
+        dist[a] = dist.get(a, Fraction(0)) + p.expect_rational()
     if not dist:
-        p.fail(f"expected an action of state {state!r}")
-    return dist
+        p.fail(f"expected an action of state {s!r}")
+    return s, dist
 
 
 def parse_strategy(text: str, mdp: Mdp) -> StationaryStrategy | PeriodicMarkovStrategy:
@@ -417,51 +381,33 @@ def parse_strategy(text: str, mdp: Mdp) -> StationaryStrategy | PeriodicMarkovSt
     kind_tok = p.peek()
     kind = p.expect_name()
     if kind == "stationary":
-        p.expect_punct("{")
-        choices = {s: mdp.action_list(s)[0] for s in mdp.states}
-        explicit: dict = {}
-        while not p.at_punct("}"):
-            s = p.expect_id()
-            if s not in mdp.states:
-                p.fail(f"unknown state {s!r}")
-            p.expect_punct(":")
-            explicit[s] = _action_dist(p, mdp, s)
-        p.expect_punct("}")
-        choices.update(explicit)
-        out = stationary(choices)
+        L, q = 0, 1
     elif kind == "periodic":
-        if p.expect_name() != "preperiod":
-            p.fail("expected 'preperiod='")
+        p.expect_word("preperiod", "expected 'preperiod='")
         p.expect_punct("=")
         L = p.expect_nat()
-        if p.expect_name() != "period":
-            p.fail("expected 'period='")
+        p.expect_word("period", "expected 'period='")
         p.expect_punct("=")
         q = p.expect_nat()
-        if q < 1:
-            raise ParseError("period must be >= 1", kind_tok.line, kind_tok.col)
-        rows = [{s: mdp.action_list(s)[0] for s in mdp.states} for _ in range(L + q)]
-        p.expect_punct("{")
-        while not p.at_punct("}"):
-            tok = p.peek()
-            if p.expect_name() != "phase":
-                p.fail("expected 'phase'")
-            k = p.expect_nat()
-            if not 1 <= k <= L + q:
-                raise ParseError(f"phase {k} out of range 1..{L + q}",
-                                 tok.line, tok.col)
-            if p.expect_name() != "state":
-                p.fail("expected 'state'")
-            s = p.expect_id()
-            if s not in mdp.states:
-                p.fail(f"unknown state {s!r}")
-            p.expect_punct(":")
-            rows[k - 1][s] = _action_dist(p, mdp, s)
-        p.expect_punct("}")
-        out = periodic(rows[:L], rows[L:])
     else:
         raise ParseError(f"expected 'stationary' or 'periodic', got {kind!r}",
                          kind_tok.line, kind_tok.col)
+    rows = [{s: mdp.action_list(s)[0] for s in mdp.states} for _ in range(L + q)]
+    p.expect_punct("{")
+    while not p.at_punct("}"):
+        k = 1
+        if kind == "periodic":
+            tok = p.peek()
+            p.expect_word("phase", "expected 'phase'")
+            k = p.expect_nat()
+            if not 1 <= k <= L + q:
+                raise ParseError(f"phase {k} out of range 1..{L + q}", tok.line, tok.col)
+            p.expect_word("state", "expected 'state'")
+        s, dist = _cell(p, mdp)
+        rows[k - 1][s] = dist
+    p.expect_punct("}")
+    out = (p.build(kind_tok, stationary, rows[0]) if kind == "stationary"
+           else p.build(kind_tok, periodic, rows[:L], rows[L:]))
     p.expect_end()
     return out
 

@@ -164,6 +164,21 @@ def test_verify_rejects_bad_bounds(capsys, flag, value, least):
 def test_parse_error_exit_code(capsys):
     assert run(["density", "odds |"]) == 2
     assert "parse error" in capsys.readouterr().err
+    # '²'.isdigit() holds, but it is not a decimal digit
+    assert run(["density", "multiples(²)"]) == 2
+    assert capsys.readouterr().err == "parse error: line 1, col 11: expected a number, got '²'\n"
+
+
+def test_bad_strategy_probabilities_exit_code(capsys, tmp_path):
+    mdp = tmp_path / "two.mdp"
+    mdp.write_text(TWO_STATE_MDP_TEXT)
+    strat = tmp_path / "half.strategy"
+    strat.write_text("stationary { a: x:1/2 }")
+    assert run(["mdp-eval", "--mdp", str(mdp), "--strategy", str(strat),
+                "--charge", "frequency"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 1, col 1: action distribution at state 'a' must sum to 1")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("charge", ["restrict(frequency,empty)",

@@ -3,17 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
                                PointMass, Restrict)
 from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
                                        stay_strategy)
 from chargemdp.mdp import validate
-from chargemdp.parsing import (ParseError, parse_charge, parse_mdp,
+from chargemdp.parsing import (ParseError, Token, parse_charge, parse_mdp,
                                parse_rational, parse_set, parse_strategy,
                                parse_stream, render_charge, render_set,
-                               render_stream)
+                               render_stream, tokenize)
 from chargemdp.periodic_sets import (arithmetic, complement, empty, evens,
                                      intersect, multiples, naturals, odds,
                                      shift, union)
@@ -32,6 +33,96 @@ state 2
 state 3
   action c reward 1 goto 1
 """
+
+
+# ---- tokenizer -----------------------------------------------------------
+
+def ref_tokenize(text):
+    """The character loop that the regular-expression tokenizer replaced."""
+    out = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+        elif ch in "()[]{}|&!,:;/=-":
+            out.append(Token("PUNCT", ch, line, col))
+            i += 1
+            col += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    out.append(Token("END", "", line, col))
+    return out
+
+
+GRAMMAR_CHARS = "abmpxyzAZ_0123456789()[]{}|&!,:;/=-"
+ascii_texts = st.lists(
+    st.one_of(st.sampled_from(GRAMMAR_CHARS + " \t\r\n#@."),
+              st.sampled_from(["odds", "ap", "12", "007", "x_1", " # note", "#", "\n", "  "])),
+    max_size=40).map("".join)
+
+
+@given(ascii_texts)
+def test_tokenize_matches_reference(text):
+    try:
+        expected = ref_tokenize(text)
+    except ParseError as ref_err:
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert (err.value.line, err.value.col, err.value.message) == \
+            (ref_err.line, ref_err.col, ref_err.message)
+    else:
+        assert tokenize(text) == expected
+
+
+def test_tokenize_end_after_trailing_comment():
+    # END sits just past the last character outside the comment
+    assert tokenize("odds  # c")[-1] == Token("END", "", 1, 7)
+    assert tokenize("odds\n# c")[-1] == Token("END", "", 2, 1)
+    assert tokenize("odds # c\n")[-1] == Token("END", "", 2, 1)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_set, "multiples(²)"), (parse_set, "ap(1,²)"), (parse_charge, "geometric(²/3)"),
+    (parse_charge, "pointmass(²)"), (parse_stream, "stream([²];[1])"), (parse_rational, "²"),
+    (parse_mdp, "mdp\ninitial a\nstate a\n  action x reward ² goto a"),
+])
+def test_non_decimal_digits_are_parse_errors(parse, text):
+    # '²'.isdigit() holds, but int() rejects it
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "expected a number, got '²'" in err.value.message
+
+
+def test_integer_literal_over_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_set("odds | multiples(" + "1" * 5000 + ")")
+    assert (err.value.line, err.value.col) == (1, 18)
+    assert "Exceeds the limit" in err.value.message
 
 
 # ---- rationals -----------------------------------------------------------
@@ -218,3 +309,103 @@ def test_parse_strategy_errors():
         parse_strategy("periodic preperiod=0 period=2 { phase 9 state 1: T }", m)
     with pytest.raises(ParseError):
         parse_strategy("wander { }", m)
+
+
+# ---- range errors from the constructors ----------------------------------
+
+def eo_strategy(text):
+    return parse_strategy(text, even_or_odd_mdp())
+
+
+@pytest.mark.parametrize("parse, text, line, col", [
+    (parse_set, "multiples(0)", 1, 1),
+    (parse_set, "ap(0, 1)", 1, 1),
+    (parse_set, "ap(1,0)", 1, 1),
+    (parse_set, "contract(odds, 0)", 1, 1),
+    (parse_set, "odds | multiples(0)", 1, 8),
+    (parse_set, "odds |\n  multiples(0)", 2, 3),
+    (parse_set, "shift(contract(evens, 0), 1)", 1, 7),
+    (parse_charge, "geometric(1)", 1, 1),
+    (parse_charge, "geometric(0)", 1, 1),
+    (parse_charge, "geometric(-1/2)", 1, 1),
+    (parse_charge, "pointmass(0)", 1, 1),
+    (parse_charge, "mix(1/2: frequency)", 1, 1),
+    (parse_charge, "mix(1/2: frequency, -1/2: dyadiclimit, 1: frequency)", 1, 1),
+    (parse_charge, "restrict(geometric(3/2), odds)", 1, 10),
+    (parse_charge, "mix(1: restrict(frequency, multiples(0)))", 1, 28),
+    (parse_stream, "stream([1];[])", 1, 1),
+    (parse_stream, "stream([]; [])", 1, 1),
+    (parse_rational, "1/0 # c", 1, 5),
+    (eo_strategy, "periodic preperiod=0 period=0 { }", 1, 1),
+    (eo_strategy, "periodic preperiod=2 period=0 {\n}", 1, 1),
+])
+def test_range_errors_keep_their_positions(parse, text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("stationary { 1: T:1/2 B:1/3 }", "state '1'"),
+    ("stationary { 1: T:-1/2 B:3/2 }", "state '1'"),
+    ("periodic preperiod=1 period=1 { phase 2 state 1: T:1/2 B:1/3 }", "phase 2, state '1'"),
+])
+def test_parse_strategy_bad_probabilities(text, where):
+    with pytest.raises(ParseError) as err:
+        eo_strategy(text)
+    assert (err.value.line, err.value.col) == (1, 1)
+    assert f"action distribution at {where} must sum to 1" in err.value.message
+
+
+def test_parse_mdp_reports_unknown_states_at_their_token():
+    text = ("mdp\ninitial a\nstate a\n  action x reward 1 goto {}\n"
+            "state b\n  action y reward 0 dist a: 1/2 {}: 1/2\n")
+    with pytest.raises(ParseError) as err:
+        parse_mdp(text.format("zz", "yy"))
+    assert (err.value.line, err.value.col) == (4, 26)
+    assert "unknown state 'zz'" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse_mdp(text.format("b", "yy"))
+    assert (err.value.line, err.value.col) == (6, 33)
+    with pytest.raises(ParseError) as err:
+        parse_mdp("mdp\ninitial zz\nstate a\n  action x reward 1 goto a")
+    assert (err.value.line, err.value.col) == (2, 9)
+    assert "unknown initial state 'zz'" in err.value.message
+
+
+# ---- fuzzing: one-character edits of valid inputs -------------------------
+
+# integers stay small: a large shift or multiples would allocate huge masks
+VALID_INPUTS = [
+    "odds", "multiples(6)", "ap(3, 4)", "shift(evens, -1)", "contract(multiples(6), 2)",
+    "odds | evens & multiples(4)", "!(odds & multiples(4))",
+    "geometric(1/2)", "pointmass(7)", "restrict(frequency, odds)",
+    "mix(1/2: frequency, 1/2: dyadiclimit)", "stream([1, 1/2]; [0, -3/4])", "-2",
+    EO_MDP_TEXT, "stationary { 1: T:1/3 B:2/3 }",
+    "periodic preperiod=0 period=4 { phase 3 state 1: B }",
+]
+PARSERS = [parse_set, parse_charge, parse_stream, parse_rational, parse_mdp, eo_strategy]
+
+
+@st.composite
+def edited_inputs(draw):
+    text = draw(st.sampled_from(VALID_INPUTS))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.one_of(st.sampled_from(GRAMMAR_CHARS + " \n#"), st.sampled_from("²é\t")))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + (ch if op == "replace" else "") + text[i + 1:]
+    return text
+
+
+@settings(max_examples=300)
+@given(edited_inputs())
+def test_parsers_return_or_raise_parse_error(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except ParseError:
+            pass
