@@ -31,15 +31,24 @@ preperiod m and period p it is
 and T are integer Horner sums over the preperiod word and over the cycle
 word read from stage m+1; the zero runs at either end of each word
 become single powers.
+
+On the streams of one shape (L, q) -- preperiod L, cycle q, neither
+necessarily minimal -- every charge in the grammar is one linear
+functional of the L + q stage values.  ``_stage_weights`` gives it as
+integers (W, w), each atom evaluated as ``value`` does, so an exhaustive
+search pays the weights once per shape and one dot product per distinct
+stream instead of a level-set integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .periodic_sets import (
     EventuallyPeriodicSet,
+    _build,
     _tail_bits,
     contract,
     density,
@@ -292,6 +301,28 @@ def integrate(mu: Charge, f: RationalStream) -> CValue:
     windows: dict = {}
     const = sum((c * _eval(mu, m, windows) for c, m in levels), Fraction(0))
     return _resolve(const, _dyadic_weight(mu), levels)
+
+
+def _stage_weights(mu: Charge, L: int, q: int) -> tuple[int, tuple[int, ...]]:
+    """(W, w) with w[t-1] / W the charge of the stage {t} for t <= L, and
+    w[L+j] / W the charge of the stages L+1+j, L+1+j+q, ... for j < q.
+
+    These L + q atoms partition the stages, and a stream of shape (L, q)
+    is the simple function that takes its t-th value on the t-th atom.
+    Every charge in the grammar is finitely additive, so its integral is
+    sum w_t * f_t / W, the value ``integrate`` reaches by level sets.
+    Each atom is evaluated as ``value`` does, with one ``windows`` memo
+    for all of them.  Callers with a zero stream need no weights, and
+    must not ask for them: a null Restrict window raises here.
+    """
+    windows: dict = {}
+    dyadic = _dyadic_weight(mu)
+    atoms = [_build(L, 1 << t, 1, 0) for t in range(L)]
+    atoms += [_build(L, 0, q, 1 << ((L + 1 + j) % q)) for j in range(q)]
+    vals = [_resolve(_eval(mu, a, windows), dyadic, [(Fraction(1), a)]).exact_value
+            for a in atoms]
+    W = lcm(*(v.denominator for v in vals))
+    return W, tuple(v.numerator * (W // v.denominator) for v in vals)
 
 
 def sandwich_check(mu: Charge, s: EventuallyPeriodicSet) -> bool:

@@ -8,12 +8,17 @@ phase and state, the weights over the lcm A of its action
 probabilities.  The state distribution is x / sum(x) for a primitive
 integer vector x, divided by gcd(*x) after every stage, so the first
 repeat of the key (phase, x) certifies the expected-reward stream's
-eventual period; each stage builds one Fraction, its expected reward.
-Payoffs are exact integrals of that stream against a charge expression.
+eventual period.  Each stage's expected reward is a reduced integer pair
+(numerator, denominator).  Payoffs are exact integrals of that stream
+against a charge expression.
 
 The search enumerates pure strategies as tuples of phase rows of action
 indices in declared order and keeps only the already canonical ones, so
-each strategy comes once, and in declared action order.
+each strategy comes once, and in declared action order.  It caches
+payoffs by the canonical word of reward pairs, and values each new word
+of shape (L, q) as one integer dot product with the charge's weights on
+the L + q stage atoms (``charges._stage_weights``), computed once per
+shape and checked once against ``integrate``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .charges import Charge, CValue, integrate
+from .charges import Charge, CValue, _stage_weights, integrate
 from .streams import RationalStream, _canonical, stream
 
 
@@ -274,20 +279,22 @@ DEFAULT_HORIZON = 4096
 
 
 def _reward_stream(cells: list, start: int, scale: int, phases: list, L: int,
-                   max_horizon: int) -> RationalStream:
+                   max_horizon: int) -> tuple[list, list]:
     """The expected-reward stream from state ``start``, for the integer
-    form's ``cells`` and a compiled strategy's ``phases``; rewards are
-    over ``scale``, which is R * A.  The distribution is x / sum(x)."""
+    form's ``cells`` and a compiled strategy's ``phases``, as the word the
+    recurrence found: (preperiod, cycle) lists of reduced (numerator,
+    denominator) pairs, neither necessarily minimal.  Rewards are over
+    ``scale``, which is R * A, and the distribution is x / sum(x)."""
     n = len(phases[0])
     x = tuple(int(i == start) for i in range(n))
     seen: dict[tuple, int] = {}
-    rewards: list[Fraction] = []
+    rewards: list[tuple[int, int]] = []
     k = 0
     for _ in range(max_horizon):
         key = (k, x)
         if key in seen:
             i0 = seen[key]
-            return stream(rewards[:i0], rewards[i0:])
+            return rewards[:i0], rewards[i0:]
         seen[key] = len(rewards)
         num = 0
         nxt = [0] * n
@@ -299,7 +306,9 @@ def _reward_stream(cells: list, start: int, scale: int, phases: list, L: int,
                     num += w * r
                     for z, c in row:
                         nxt[z] += w * c
-        rewards.append(Fraction(num, scale * sum(x)))
+        den = scale * sum(x)
+        g = gcd(num, den)
+        rewards.append((num // g, den // g))
         g = gcd(*nxt)
         x = tuple([v // g for v in nxt])
         k = k + 1 if k + 1 < len(phases) else L
@@ -318,7 +327,12 @@ def expected_reward_stream(mdp: Mdp, sigma: Strategy,
     """
     R, cells = _integer_form(mdp)
     L, A, phases = _compile(mdp, sigma)
-    return _reward_stream(cells, mdp.states.index(mdp.initial), R * A, phases, L, max_horizon)
+    return _pairs_stream(*_reward_stream(cells, mdp.states.index(mdp.initial), R * A,
+                                         phases, L, max_horizon))
+
+
+def _pairs_stream(pre: list, cyc: list) -> RationalStream:
+    return stream([Fraction(n, d) for n, d in pre], [Fraction(n, d) for n, d in cyc])
 
 
 def payoff(mdp: Mdp, sigma: Strategy, mu: Charge,
@@ -368,6 +382,34 @@ def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
     return (strat for _, strat in _canonical_pure(mdp, max_period, max_preperiod, cap))
 
 
+def _stream_value(mu: Charge, f: RationalStream, weights: dict) -> CValue:
+    """integrate(mu, f) for a search stream of shape (L, q), as the dot
+    product sum n_t * (D // d_t) * w_t / (D * W) of its stage values
+    n_t / d_t, D = lcm(d_t), with the shape's weights (W, w).
+
+    The weights are computed on the first nonzero stream of a shape, and
+    that stream is also integrated by level sets: the two must agree, so
+    a charge whose integral is not this linear functional fails here
+    rather than ranking wrongly.  A zero stream is 0 without weights, as
+    ``integrate`` never evaluates the charge on a zero stream.
+    """
+    stages = f.preperiod + f.cycle
+    if not any(stages):
+        return CValue.exact(Fraction(0))
+    shape = (len(f.preperiod), len(f.cycle))
+    first = shape not in weights
+    if first:
+        weights[shape] = _stage_weights(mu, *shape)
+    W, w = weights[shape]
+    D = lcm(*(v.denominator for v in stages))
+    out = CValue.exact(Fraction(
+        sum(v.numerator * (D // v.denominator) * wt for v, wt in zip(stages, w)), D * W))
+    if first and integrate(mu, f) != out:
+        raise ArithmeticError(f"stage weights of shape {shape} give {out}, "
+                              f"level sets give {integrate(mu, f)}")
+    return out
+
+
 def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
                   cap: int = 2_000_000,
                   max_horizon: int = DEFAULT_HORIZON) -> SearchResult:
@@ -380,15 +422,17 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     """
     R, cells = _integer_form(mdp)
     start = mdp.states.index(mdp.initial)
-    by_stream: dict[RationalStream, int] = {}  # stream -> index into values
+    by_word: dict[tuple, int] = {}  # canonical reward word -> index into values
     values: list[CValue] = []
+    weights: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}  # (L, q) -> (W, w)
     found: list[tuple[PeriodicMarkovStrategy, int]] = []
     for phases, strat in _canonical_pure(mdp, max_period, max_preperiod, cap):
-        f = _reward_stream(cells, start, R, phases, strat.preperiod_length, max_horizon)
-        k = by_stream.get(f)
+        pre, cyc = _reward_stream(cells, start, R, phases, strat.preperiod_length, max_horizon)
+        word = _canonical(pre, cyc)
+        k = by_word.get(word)
         if k is None:
-            k = by_stream[f] = len(values)
-            values.append(integrate(mu, f))
+            k = by_word[word] = len(values)
+            values.append(_stream_value(mu, _pairs_stream(pre, cyc), weights))
         found.append((strat, k))
     # rank each distinct value once; enumeration order is the tie-break
     # order, and this sort is stable

@@ -299,6 +299,8 @@ def parse_mdp(text: str) -> Mdp:
         tok = p.peek()
         word = p.expect_name()
         if word == "initial":
+            if initial is not None:
+                raise ParseError("repeated 'initial' line", tok.line, tok.col)
             initial = p.peek()
             p.expect_id()
         elif word == "state":
@@ -310,7 +312,11 @@ def parse_mdp(text: str) -> Mdp:
         elif word == "action":
             if current is None:
                 raise ParseError("action before any state", tok.line, tok.col)
+            a_tok = p.peek()
             a = p.expect_id()
+            if a in actions[current]:
+                raise ParseError(f"duplicate action {a!r} in state {current!r}",
+                                 a_tok.line, a_tok.col)
             if p.expect_name() != "reward":
                 raise ParseError("expected 'reward'", tok.line, tok.col)
             r = p.expect_rational()

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from chargemdp.charges import (AmbiguousBase, CValue, DyadicLimit, Frequency,
                                Geometric, IllFormedRestrict, Mix, PointMass,
-                               Restrict, _geometric_value,
+                               Restrict, _geometric_value, _stage_weights,
                                dyadic_value_sequence, integrate, is_diffuse,
                                sandwich_check, value)
 from chargemdp.parsing import parse_set
@@ -449,3 +449,47 @@ def test_integer_geometric_matches_per_residue_sum(beta, s):
 def test_integer_geometric_on_long_words(text, beta):
     s = parse_set(text)
     assert _geometric_value(beta, s) == ref_geometric_value(beta, s)
+
+
+# ---- per-shape stage weights: one dot product per stream ------------------
+
+WEIGHT_CHARGES = st.one_of(st.sampled_from([
+    Frequency(),
+    Geometric(Fraction(2, 3)),
+    PointMass(2),
+    DyadicLimit(),
+    Restrict(Geometric(Fraction(1, 2)), odds()),
+    Restrict(DyadicLimit(), multiples(4)),
+    Mix(((Fraction(1, 2), Restrict(Geometric(Fraction(1, 2)), odds())),
+         (Fraction(1, 2), DyadicLimit()))),
+]), RANDOM_CHARGES)
+
+
+def dot(mu, f, L, q) -> CValue:
+    """integrate(mu, f) as the dot product of f's first L + q values
+    with the weights of shape (L, q)."""
+    W, w = _stage_weights(mu, L, q)
+    return CValue.exact(sum((f.value_at(t) * w[t - 1] for t in range(1, L + q + 1)),
+                            Fraction(0)) / W)
+
+
+@given(WEIGHT_CHARGES, rational_streams(), st.integers(0, 3), st.integers(1, 3))
+def test_stage_weights_dot_product_is_the_integral(mu, f, extra, k):
+    """At the canonical shape and at a longer preperiod and a multiple
+    of the cycle; a zero stream never needs weights."""
+    assume(any(f.preperiod) or any(f.cycle))
+    L, q = len(f.preperiod), len(f.cycle)
+    expected = outcome(integrate, mu, f)
+    assert outcome(dot, mu, f, L, q) == expected
+    assert outcome(dot, mu, f, L + extra, q * k) == expected
+
+
+@given(st.integers(0, 6), st.integers(1, 24))
+def test_dyadic_stage_weights_are_the_dyadic_values(L, q):
+    W, w = _stage_weights(DyadicLimit(), L, q)
+    for t in range(1, L + 1):
+        singleton = make([i == t for i in range(1, L + 1)], 1, ())
+        assert w[t - 1] == 0 == value(DyadicLimit(), singleton).exact_value
+    for j in range(q):
+        atom = make([0] * L, q, {(L + 1 + j) % q})
+        assert Fraction(w[L + j], W) == value(DyadicLimit(), atom).exact_value

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from chargemdp.blackwell import (average_value, discounted_value,
                                  discounted_value_at)
-from chargemdp.charges import DyadicLimit, Frequency, Geometric, integrate
+from chargemdp.charges import (DyadicLimit, Frequency, Geometric,
+                               IllFormedRestrict, Mix, PointMass, Restrict,
+                               integrate)
 from chargemdp.counterexamples import (alternating_strategy, block_strategy,
                                        even_or_odd_mdp, late_switch_mdp,
                                        stay_strategy, switch_at,
@@ -20,6 +22,7 @@ from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
                            build_mdp, ensure_valid, enumerate_pure_periodic,
                            enumerate_pure_stationary, expected_reward_stream,
                            payoff, periodic, random_mdp, stationary, validate)
+from chargemdp.periodic_sets import empty, multiples, odds
 from chargemdp.streams import stream
 
 
@@ -75,7 +78,8 @@ def reference_enumeration(mdp, max_period, max_preperiod):
 
 
 def reference_ranking(mdp, mu, max_period, max_preperiod):
-    """Sorted by (-low, lexicographic encoding in declared action order)."""
+    """Sorted by (-low, lexicographic encoding in declared action order);
+    each strategy's payoff is a level-set ``integrate`` of its stream."""
     def declared_order_key(strat):
         order = []
         for row in strat.rows:
@@ -356,9 +360,29 @@ def test_enumeration_equals_reference(seed, n_states, n_actions, max_period, max
             == list(reference_enumeration(m, max_period, max_preperiod)))
 
 
-@given(st.integers(0, 10**9), st.sampled_from([Frequency(), Geometric(Fraction(1, 2)),
-                                              DyadicLimit()]))
-@settings(max_examples=40, deadline=None)
+SEARCH_CHARGES = [
+    Frequency(),
+    Geometric(Fraction(1, 2)),
+    DyadicLimit(),
+    PointMass(2),
+    Restrict(Geometric(Fraction(1, 3)), odds()),
+    Restrict(DyadicLimit(), multiples(2)),
+    Mix(((Fraction(1, 2), Restrict(Geometric(Fraction(1, 2)), odds())),
+         (Fraction(1, 2), DyadicLimit()))),
+    Mix(((Fraction(1, 3), PointMass(1)), (Fraction(2, 3), Frequency()))),
+]
+
+
+def assert_ranking_equals_reference(m, mu, max_period, max_preperiod, **kwargs):
+    result = best_periodic(m, mu, max_period, max_preperiod, **kwargs)
+    expected = reference_ranking(m, mu, max_period, max_preperiod)
+    assert [(s, v.candidates, v.cycle) for s, v in result.ranking] == \
+        [(s, v.candidates, v.cycle) for s, v in expected]
+    assert (result.best, result.best_value) == expected[0]
+
+
+@given(st.integers(0, 10**9), st.sampled_from(SEARCH_CHARGES))
+@settings(max_examples=60, deadline=None)
 def test_best_periodic_ranking_equals_reference(seed, mu):
     """Declared state order differs from the sorted one, and actions are
     declared out of alphabetical order, so the tie-break is exercised."""
@@ -370,12 +394,53 @@ def test_best_periodic_ranking_equals_reference(seed, mu):
                   {(s, a): Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                    for s in states for a in actions[s]},
                   {(s, a): {rng.choice(states): 1} for s in states for a in actions[s]})
-    max_period, max_preperiod = rng.randint(1, 2), rng.randint(0, 1)
-    result = best_periodic(m, mu, max_period, max_preperiod)
-    expected = reference_ranking(m, mu, max_period, max_preperiod)
+    assert_ranking_equals_reference(m, mu, rng.randint(1, 2), rng.randint(0, 1))
+
+
+@pytest.mark.parametrize("mu", SEARCH_CHARGES)
+def test_best_periodic_ranking_equals_reference_on_stochastic_mdps(mu):
+    """Stochastic draws whose recurrence finishes for every strategy,
+    so the reward words carry several denominators."""
+    compared = 0
+    for seed in range(200):
+        m = random_mdp(random.Random(seed), 2, 2, 3)
+        if m.is_deterministic or _outcome(best_periodic, m, Frequency(), 2, 1,
+                                          max_horizon=64) is CycleNotFound:
+            continue
+        assert_ranking_equals_reference(m, mu, 2, 1, max_horizon=64)
+        compared += 1
+    assert compared >= 8
+
+
+def test_best_periodic_null_window_raises_only_on_a_nonzero_stream():
+    """As with ``integrate``, a zero stream never evaluates the charge."""
+    mu = Restrict(Frequency(), empty())
+
+    def two_state(reward):
+        return build_mdp(("a", "b"), "a", {"a": ("x", "y"), "b": ("x",)},
+                         {("a", "x"): 0, ("a", "y"): reward, ("b", "x"): 0},
+                         {("a", "x"): {"b": 1}, ("a", "y"): {"a": 1}, ("b", "x"): {"a": 1}})
+
+    result = best_periodic(two_state(0), mu, 2, 1)
     assert [(s, v.candidates, v.cycle) for s, v in result.ranking] == \
-        [(s, v.candidates, v.cycle) for s, v in expected]
-    assert (result.best, result.best_value) == expected[0]
+        [(s, frozenset({0}), None) for s in reference_enumeration(two_state(0), 2, 1)]
+    with pytest.raises(IllFormedRestrict) as got:
+        best_periodic(two_state(1), mu, 2, 1)
+    with pytest.raises(IllFormedRestrict) as expected:
+        reference_ranking(two_state(1), mu, 2, 1)
+    assert str(got.value) == str(expected.value) == "restriction window has base measure 0"
+
+
+def test_best_periodic_checks_each_shape_against_level_sets(monkeypatch):
+    """The first nonzero stream of each shape is integrated by level sets
+    too; weights that disagree stop the search instead of ranking."""
+    import chargemdp.mdp as mdp_module
+
+    def wrong(mu, L, q):
+        return 1, (0,) * (L + q)
+    monkeypatch.setattr(mdp_module, "_stage_weights", wrong)
+    with pytest.raises(ArithmeticError, match="stage weights of shape"):
+        best_periodic(even_or_odd_mdp(), Frequency(), 2, 0)
 
 
 def test_best_periodic_under_frequency():

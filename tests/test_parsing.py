@@ -373,6 +373,21 @@ def test_parse_mdp_reports_unknown_states_at_their_token():
     assert "unknown initial state 'zz'" in err.value.message
 
 
+def test_parse_mdp_rejects_a_repeated_action_or_initial_line():
+    """A second row for one action, or a second initial line, is an
+    error at the repeat, not a silent replacement of the first."""
+    with pytest.raises(ParseError) as err:
+        parse_mdp("mdp\ninitial a\nstate a\n  action x reward 1 goto a\n"
+                  "  action x reward 5 goto a")
+    assert (err.value.line, err.value.col) == (5, 10)
+    assert "duplicate action 'x' in state 'a'" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse_mdp("mdp\ninitial a\nstate a\n  action x reward 1 goto b\n"
+                  "state b\n  action x reward 0 goto a\ninitial b")
+    assert (err.value.line, err.value.col) == (7, 1)
+    assert "repeated 'initial' line" in err.value.message
+
+
 # ---- fuzzing: one-character edits of valid inputs -------------------------
 
 # integers stay small: a large shift or multiples would allocate huge masks
