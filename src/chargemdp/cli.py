@@ -16,7 +16,7 @@ import sys
 from . import counterexamples as cx
 from .blackwell import average_value, blackwell_policy, discounted_value
 from .charges import AmbiguousBase, IllFormedRestrict, integrate, value
-from .mdp import (BudgetExceeded, MdpValidationError, StrategyMismatch,
+from .mdp import (LEAST_HORIZON, BudgetExceeded, MdpValidationError, StrategyMismatch,
                   best_periodic, ensure_valid, payoff)
 from .parsing import (ParseError, parse_charge, parse_mdp, parse_set,
                       parse_strategy, parse_stream)
@@ -51,6 +51,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_mdp_eval(args) -> int:
+    if not _flags_in_range(("--horizon", args.horizon, LEAST_HORIZON)):
+        return 2
     mdp = ensure_valid(parse_mdp(_read(args.mdp)))
     sigma = parse_strategy(_read(args.strategy), mdp)
     mu = parse_charge(args.charge)

@@ -12,13 +12,22 @@ eventual period.  Each stage's expected reward is a reduced integer pair
 (numerator, denominator).  Payoffs are exact integrals of that stream
 against a charge expression.
 
-The search enumerates pure strategies as tuples of phase rows of action
-indices in declared order and keeps only the already canonical ones, so
-each strategy comes once, and in declared action order.  It caches
-payoffs by the canonical word of reward pairs, and values each new word
-of shape (L, q) as one integer dot product with the charge's weights on
-the L + q stage atoms (``charges._stage_weights``), computed once per
-shape and checked once against ``integrate``.
+A step table, built once per MDP, holds for each (state, action) the
+reduced reward r / R and the next state, or -1 where the row splits.
+While x is a point mass, the strategy is pure at that phase and state
+and the row does not split, a stage is one read of that table, with no
+scale: A cancels.  Any other stage runs the integer loop.
+
+The search runs in two passes.  The first enumerates pure strategies as
+tuples of phase rows of action indices in declared order, keeps only
+the already canonical ones, so each strategy comes once, and in
+declared action order, and collects the canonical words of reward
+pairs.  The second values each distinct nonzero word.  A word of shape
+(L, q) is also one of shape (L', q) for every L' >= L, so one vector of
+the charge's weights (``charges._stage_weights``) per cycle length q,
+of shape (Lq, q) with Lq the longest preperiod among the words of that
+q, values each of them as one integer dot product with its first
+Lq + q stages.  Each vector is checked once against ``integrate``.
 """
 
 from __future__ import annotations
@@ -224,13 +233,17 @@ class StrategyMismatch(ValueError):
 class _Unresolved:
     """A strategy cell that names no action the MDP declares there.
     Iterating it raises StrategyMismatch, so a state that is never
-    reached may stay unresolved."""
+    reached may stay unresolved.  Its length is 0, so it is never read
+    as a pure cell."""
 
     def __init__(self, phase: int, state: str, action: str | None):
         self.args = (phase, state, action)
 
     def __iter__(self):
         raise StrategyMismatch(*self.args)
+
+    def __len__(self):
+        return 0
 
 
 def _compile(mdp: Mdp, sigma: Strategy) -> tuple[int, int, list[list]]:
@@ -262,31 +275,58 @@ def _compile(mdp: Mdp, sigma: Strategy) -> tuple[int, int, list[list]]:
     return L, A, phases
 
 
-def _integer_form(mdp: Mdp) -> tuple[int, list[list[tuple]]]:
-    """(R, cells): cells[i][j] = (R * reward, sparse row of D * P) for
-    action j at state i, R and D the lcms of the reward and of the
-    transition denominators.  Raises MdpValidationError on an invalid MDP."""
+def _integer_form(mdp: Mdp) -> tuple[int, list[list[tuple]], list[list[tuple]]]:
+    """(R, cells, table): cells[i][j] = (R * reward, sparse row of D * P)
+    for action j at state i, R and D the lcms of the reward and of the
+    transition denominators; table[i][j] = (numerator, denominator, next
+    state) is one stage from a point mass at i under action j, the reward
+    r / R reduced and the next state -1 where the row splits.  Both are
+    as large as the MDP's sparse rows.  Raises MdpValidationError on an
+    invalid MDP."""
     ensure_valid(mdp)
     R = lcm(*(r.denominator for rs in mdp.rewards for r in rs))
     D = lcm(*(p.denominator for per in mdp.transitions for row in per for p in row))
-    return R, [[(r.numerator * (R // r.denominator),
-                 tuple((z, p.numerator * (D // p.denominator)) for z, p in enumerate(row) if p))
-                for r, row in zip(rs, per)]
-               for rs, per in zip(mdp.rewards, mdp.transitions)]
+    cells, table = [], []
+    for rs, per in zip(mdp.rewards, mdp.transitions):
+        opts, steps = [], []
+        for r, probs in zip(rs, per):
+            r = r.numerator * (R // r.denominator)
+            row = tuple((z, p.numerator * (D // p.denominator)) for z, p in enumerate(probs) if p)
+            g = gcd(r, R)
+            opts.append((r, row))
+            steps.append((r // g, R // g, row[0][0] if len(row) == 1 else -1))
+        cells.append(opts)
+        table.append(steps)
+    return R, cells, table
 
 
 DEFAULT_HORIZON = 4096
 
 
-def _reward_stream(cells: list, start: int, scale: int, phases: list, L: int,
+LEAST_HORIZON = 2  # the first repeat can be seen at the second stage's check
+
+
+def _check_horizon(max_horizon: int) -> None:
+    if max_horizon < LEAST_HORIZON:
+        raise ValueError(f"max_horizon must be at least {LEAST_HORIZON}, got {max_horizon}")
+
+
+def _reward_stream(cells: list, table: list, start: int, scale: int, phases: list, L: int,
                    max_horizon: int) -> tuple[list, list]:
     """The expected-reward stream from state ``start``, for the integer
-    form's ``cells`` and a compiled strategy's ``phases``, as the word the
-    recurrence found: (preperiod, cycle) lists of reduced (numerator,
-    denominator) pairs, neither necessarily minimal.  Rewards are over
-    ``scale``, which is R * A, and the distribution is x / sum(x)."""
-    n = len(phases[0])
-    x = tuple(int(i == start) for i in range(n))
+    form's ``cells`` and ``table`` and a compiled strategy's ``phases``,
+    as the word the recurrence found: (preperiod, cycle) lists of reduced
+    (numerator, denominator) pairs, neither necessarily minimal.  Rewards
+    are over ``scale``, which is R * A, and the distribution is x / sum(x).
+
+    A point mass is held as its state's index, every other distribution
+    as the tuple x, so each distribution has one key.  From a point mass
+    whose cell is pure and whose row does not split a stage is one table
+    read; any other stage runs the integer loop.  The key is checked
+    before each stage, so a repeat is seen within ``max_horizon`` checks
+    only if it comes by stage ``max_horizon - 1``."""
+    n, phase_count = len(cells), len(phases)
+    x: int | tuple = start
     seen: dict[tuple, int] = {}
     rewards: list[tuple[int, int]] = []
     k = 0
@@ -296,6 +336,16 @@ def _reward_stream(cells: list, start: int, scale: int, phases: list, L: int,
             i0 = seen[key]
             return rewards[:i0], rewards[i0:]
         seen[key] = len(rewards)
+        if type(x) is int:
+            pairs = phases[k][x]
+            if len(pairs) == 1:
+                num, den, z = table[x][pairs[0][1]]
+                if z >= 0:
+                    rewards.append((num, den))
+                    x = z
+                    k = k + 1 if k + 1 < phase_count else L
+                    continue
+            x = tuple(int(i == x) for i in range(n))
         num = 0
         nxt = [0] * n
         for xi, pairs, opts in zip(x, phases[k], cells):
@@ -311,7 +361,9 @@ def _reward_stream(cells: list, start: int, scale: int, phases: list, L: int,
         rewards.append((num // g, den // g))
         g = gcd(*nxt)
         x = tuple([v // g for v in nxt])
-        k = k + 1 if k + 1 < len(phases) else L
+        if sum(x) == 1:
+            x = x.index(1)
+        k = k + 1 if k + 1 < phase_count else L
     raise CycleNotFound(
         f"no exact recurrence of (phase, state distribution) within {max_horizon} stages")
 
@@ -322,12 +374,14 @@ def expected_reward_stream(mdp: Mdp, sigma: Strategy,
 
     Iterates the state distribution as a primitive integer vector; an
     exact recurrence of (phase, distribution) certifies the cycle.
-    Raises CycleNotFound if no recurrence shows up within the horizon,
-    and StrategyMismatch if a reached state has no known action.
+    Raises ValueError if ``max_horizon`` is below 2, CycleNotFound if no
+    recurrence shows up within the horizon, and StrategyMismatch if a
+    reached state has no known action.
     """
-    R, cells = _integer_form(mdp)
+    _check_horizon(max_horizon)
+    R, cells, table = _integer_form(mdp)
     L, A, phases = _compile(mdp, sigma)
-    return _pairs_stream(*_reward_stream(cells, mdp.states.index(mdp.initial), R * A,
+    return _pairs_stream(*_reward_stream(cells, table, mdp.states.index(mdp.initial), R * A,
                                          phases, L, max_horizon))
 
 
@@ -382,32 +436,47 @@ def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
     return (strat for _, strat in _canonical_pure(mdp, max_period, max_preperiod, cap))
 
 
-def _stream_value(mu: Charge, f: RationalStream, weights: dict) -> CValue:
-    """integrate(mu, f) for a search stream of shape (L, q), as the dot
-    product sum n_t * (D // d_t) * w_t / (D * W) of its stage values
-    n_t / d_t, D = lcm(d_t), with the shape's weights (W, w).
+_ZERO_WORD = ((), ((0, 1),))
 
-    The weights are computed on the first nonzero stream of a shape, and
-    that stream is also integrated by level sets: the two must agree, so
-    a charge whose integral is not this linear functional fails here
-    rather than ranking wrongly.  A zero stream is 0 without weights, as
+
+def _dot_value(word: tuple, L: int, W: int, w: tuple) -> CValue:
+    """The word's value under the weights (W, w) of shape (L, q), q its
+    cycle length and L at least its preperiod: the dot product
+    sum n_t * (D // d_t) * w_t / (D * W) over its first L + q stages
+    n_t / d_t, the cycle unrolled, with D = lcm(d_t)."""
+    pre, cyc = word
+    m = L + len(cyc) - len(pre)
+    stages = pre + (cyc * -(-m // len(cyc)))[:m]
+    D = lcm(*(d for _, d in stages))
+    return CValue.exact(Fraction(sum(n * (D // d) * wt for (n, d), wt in zip(stages, w)), D * W))
+
+
+def _word_values(mu: Charge, words: list, checks: dict) -> list[CValue]:
+    """integrate(mu, f) for each distinct canonical reward word of a
+    search, f the word's stream; ``checks`` maps each nonzero cycle
+    length q to (index, stream) of its first word.
+
+    The nonzero words of one cycle length q share the weights of shape
+    (Lq, q), Lq their longest preperiod, computed once.  The first word
+    of each q is also integrated by level sets: the two must agree, so a
+    charge whose integral is not this linear functional fails here rather
+    than ranking wrongly.  A zero word is 0 without weights, as
     ``integrate`` never evaluates the charge on a zero stream.
     """
-    stages = f.preperiod + f.cycle
-    if not any(stages):
-        return CValue.exact(Fraction(0))
-    shape = (len(f.preperiod), len(f.cycle))
-    first = shape not in weights
-    if first:
-        weights[shape] = _stage_weights(mu, *shape)
-    W, w = weights[shape]
-    D = lcm(*(v.denominator for v in stages))
-    out = CValue.exact(Fraction(
-        sum(v.numerator * (D // v.denominator) * wt for v, wt in zip(stages, w)), D * W))
-    if first and integrate(mu, f) != out:
-        raise ArithmeticError(f"stage weights of shape {shape} give {out}, "
-                              f"level sets give {integrate(mu, f)}")
-    return out
+    longest = dict.fromkeys(checks, 0)  # q -> Lq; the zero word has no preperiod
+    for pre, cyc in words:
+        if len(cyc) in longest:
+            longest[len(cyc)] = max(longest[len(cyc)], len(pre))
+    weights = {q: (Lq, *_stage_weights(mu, Lq, q)) for q, Lq in longest.items()}
+    zero = CValue.exact(Fraction(0))
+    values = [zero if word == _ZERO_WORD else _dot_value(word, *weights[len(word[1])])
+              for word in words]
+    for q, (k, f) in checks.items():
+        level = integrate(mu, f)
+        if level != values[k]:
+            raise ArithmeticError(f"stage weights of shape {(longest[q], q)} give {values[k]}, "
+                                  f"level sets give {level}")
+    return values
 
 
 def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
@@ -418,22 +487,33 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     Ranking is by guaranteed value (minimum candidate), descending,
     with ties broken by the lexicographic strategy encoding in declared
     action order.  This lower-bounds the value of the MDP under the
-    charge.
+    charge.  Every reward stream is found before the charge is
+    evaluated, so CycleNotFound and StrategyMismatch come before any
+    error of the charge.
     """
-    R, cells = _integer_form(mdp)
+    _check_horizon(max_horizon)
+    R, cells, table = _integer_form(mdp)
     start = mdp.states.index(mdp.initial)
-    by_word: dict[tuple, int] = {}  # canonical reward word -> index into values
-    values: list[CValue] = []
-    weights: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}  # (L, q) -> (W, w)
+    by_word: dict[tuple, int] = {}  # canonical reward word -> index into words
+    words: list[tuple] = []
+    checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
     found: list[tuple[PeriodicMarkovStrategy, int]] = []
     for phases, strat in _canonical_pure(mdp, max_period, max_preperiod, cap):
-        pre, cyc = _reward_stream(cells, start, R, phases, strat.preperiod_length, max_horizon)
+        pre, cyc = _reward_stream(cells, table, start, R, phases, strat.preperiod_length,
+                                  max_horizon)
         word = _canonical(pre, cyc)
         k = by_word.get(word)
         if k is None:
-            k = by_word[word] = len(values)
-            values.append(_stream_value(mu, _pairs_stream(pre, cyc), weights))
+            k = by_word[word] = len(words)
+            words.append(word)
+            # Each distinct word's stream is built, but only the check
+            # streams are kept: bench/tracer.py reads the search's cache
+            # ratio from these calls until it reads it from the result.
+            f = _pairs_stream(pre, cyc)
+            if word != _ZERO_WORD and len(word[1]) not in checks:
+                checks[len(word[1])] = (k, f)
         found.append((strat, k))
+    values = _word_values(mu, words, checks)
     # rank each distinct value once; enumeration order is the tie-break
     # order, and this sort is stable
     lows = [v.low for v in values]

@@ -250,3 +250,29 @@ def test_cycle_not_found_is_not_caught(tmp_path):
     with pytest.raises(CycleNotFound):
         run(["mdp-eval", "--mdp", str(mdp), "--strategy", str(strat),
              "--charge", "frequency", "--horizon", "64"])
+
+
+@pytest.mark.parametrize("horizon", ["1", "0", "-5"])
+def test_mdp_eval_rejects_horizon_below_two(capsys, tmp_path, eo_mdp_file, horizon):
+    # before the range check these printed a CycleNotFound traceback
+    # ("within -5 stages")
+    strat = tmp_path / "top.strategy"
+    strat.write_text("stationary { 1: T }")
+    code = run(["mdp-eval", "--mdp", eo_mdp_file, "--strategy", str(strat),
+                "--charge", "frequency", "--horizon", horizon])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --horizon must be at least 2, got {horizon}\n"
+
+
+def test_mdp_eval_self_loop_at_the_least_horizon(capsys, tmp_path):
+    mdp = tmp_path / "loop.mdp"
+    mdp.write_text("mdp\ninitial a\nstate a\n  action x reward 1/3 goto a\n")
+    strat = tmp_path / "x.strategy"
+    strat.write_text("stationary { a: x }")
+    argv = ["mdp-eval", "--mdp", str(mdp), "--strategy", str(strat), "--charge", "frequency"]
+    assert run(argv + ["--horizon", "1"]) == 2
+    assert capsys.readouterr().err == "error: --horizon must be at least 2, got 1\n"
+    assert run(argv + ["--horizon", "2"]) == 0
+    assert capsys.readouterr().out == "1/3\n"

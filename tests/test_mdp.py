@@ -244,14 +244,96 @@ def test_cycle_not_found_on_tiny_horizon():
 
 
 @given(st.integers(0, 10**9), st.integers(1, 4), st.integers(1, 3), st.booleans(),
-       st.sampled_from([1, 2, 3, 6, 60]))
+       st.sampled_from([1, 2, 3, 6, 60]), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_stream_equals_fraction_reference(seed, n_states, n_actions, pure, horizon):
+def test_stream_equals_fraction_reference(seed, n_states, n_actions, pure, horizon,
+                                          deterministic):
+    """Pure strategies on deterministic MDPs run the step table only,
+    randomized ones the integer loop, and pure ones on split MDPs pass
+    from one to the other and back.  Horizon 1 is rejected: the
+    reference can never find a repeat within it."""
+    from conftest import random_deterministic_mdp
     rng = random.Random(seed)
-    m = random_mdp(rng, n_states, n_actions, rng.choice([1, 2, 3, 6]))
+    if deterministic:
+        m = random_deterministic_mdp(rng, n_states, n_actions)
+    else:
+        m = random_mdp(rng, n_states, n_actions, rng.choice([1, 2, 3, 6]))
     sigma = _random_strategy(rng, m, pure)
+    if horizon < 2:
+        assert _outcome(reference_stream, m, sigma, max_horizon=horizon) is CycleNotFound
+        with pytest.raises(ValueError, match="max_horizon must be at least 2"):
+            expected_reward_stream(m, sigma, max_horizon=horizon)
+        return
     assert (_outcome(expected_reward_stream, m, sigma, max_horizon=horizon)
             == _outcome(reference_stream, m, sigma, max_horizon=horizon))
+
+
+def merge_mdp():
+    """s splits to a and b, which both return to s."""
+    return build_mdp(("s", "a", "b"), "s", {z: ("x",) for z in "sab"},
+                     {("s", "x"): 0, ("a", "x"): 1, ("b", "x"): Fraction(1, 3)},
+                     {("s", "x"): {"a": Fraction(1, 4), "b": Fraction(3, 4)},
+                      ("a", "x"): {"s": 1}, ("b", "x"): {"s": 1}})
+
+
+def test_point_mass_after_a_split_has_one_key():
+    """The start, a point mass read by the table, and its return through
+    the loop are the same key, so the repeat is seen at the third
+    stage's check, as by the reference."""
+    sigma = stationary({z: "x" for z in "sab"})
+    f = expected_reward_stream(merge_mdp(), sigma, max_horizon=3)
+    assert f == reference_stream(merge_mdp(), sigma, max_horizon=3)
+    assert f == stream([], [0, Fraction(1, 2)])
+    with pytest.raises(CycleNotFound):
+        expected_reward_stream(merge_mdp(), sigma, max_horizon=2)
+
+
+def self_loop_mdp():
+    return build_mdp(("a",), "a", {"a": ("x",)}, {("a", "x"): Fraction(1, 3)},
+                     {("a", "x"): {"a": 1}})
+
+
+@pytest.mark.parametrize("horizon", [1, 0, -5])
+def test_horizon_below_two_raises_value_error(horizon):
+    m, sigma = even_or_odd_mdp(), block_strategy(1)
+    for evaluate in (expected_reward_stream,
+                     lambda m, s, max_horizon: payoff(m, s, Frequency(), max_horizon)):
+        with pytest.raises(ValueError, match="max_horizon must be at least 2"):
+            evaluate(m, sigma, max_horizon=horizon)
+    with pytest.raises(ValueError, match="max_horizon must be at least 2"):
+        best_periodic(m, Frequency(), 2, 0, max_horizon=horizon)
+
+
+def test_least_horizon_finds_a_self_loop():
+    """The repeat of a self-loop is seen at the second stage's check, so
+    horizon 2 is the least that can succeed."""
+    m, sigma = self_loop_mdp(), stationary({"a": "x"})
+    assert expected_reward_stream(m, sigma, max_horizon=2) == stream([], [Fraction(1, 3)])
+    result = best_periodic(m, Frequency(), 1, 0, max_horizon=2)
+    assert result.best_value.exact_value == Fraction(1, 3)
+
+
+def chain_mdp(n):
+    """States 0 .. n-1; state 0 alternates with 1, and each later state
+    steps down to the one before, so from 0 only two states are reached."""
+    states = tuple(str(i) for i in range(n))
+    return build_mdp(states, "0", {s: ("x",) for s in states},
+                     {(s, "x"): Fraction(i % 3, 2) for i, s in enumerate(states)},
+                     {(s, "x"): {states[1] if i == 0 else states[i - 1]: 1}
+                      for i, s in enumerate(states)})
+
+
+def test_step_table_is_as_large_as_the_sparse_rows():
+    """Each table entry is three ints, with no dense next-state vector:
+    the table adds nothing of size n per row of a sparse chain."""
+    from chargemdp.mdp import _integer_form
+    m = chain_mdp(300)
+    _, cells, table = _integer_form(m)
+    assert all(len(step) == 3 and all(type(v) is int for v in step)
+               for steps in table for step in steps)
+    assert sum(len(row) for opts in cells for _, row in opts) == 300
+    sigma = stationary({s: "x" for s in m.states})
+    assert expected_reward_stream(m, sigma, max_horizon=3) == stream([], [0, Fraction(1, 2)])
 
 
 def test_unreached_unnamed_state_still_evaluates():
@@ -432,8 +514,8 @@ def test_best_periodic_null_window_raises_only_on_a_nonzero_stream():
 
 
 def test_best_periodic_checks_each_shape_against_level_sets(monkeypatch):
-    """The first nonzero stream of each shape is integrated by level sets
-    too; weights that disagree stop the search instead of ranking."""
+    """The first nonzero word of each cycle length is integrated by level
+    sets too; weights that disagree stop the search instead of ranking."""
     import chargemdp.mdp as mdp_module
 
     def wrong(mu, L, q):
@@ -441,6 +523,57 @@ def test_best_periodic_checks_each_shape_against_level_sets(monkeypatch):
     monkeypatch.setattr(mdp_module, "_stage_weights", wrong)
     with pytest.raises(ArithmeticError, match="stage weights of shape"):
         best_periodic(even_or_odd_mdp(), Frequency(), 2, 0)
+
+
+def preperiod_mdp():
+    """Each stage of waiting at a (reward 0) delays the move to b (reward
+    1), where staying pays 1/2 a stage: words of cycle length 1 with
+    preperiods 1 to 3.  Alternating stay and flip at b gives words of
+    cycle length 2."""
+    return build_mdp(("a", "b"), "a", {"a": ("w", "go"), "b": ("stay", "flip")},
+                     {("a", "w"): 0, ("a", "go"): 1, ("b", "stay"): Fraction(1, 2),
+                      ("b", "flip"): Fraction(-1, 3)},
+                     {("a", "w"): {"a": 1}, ("a", "go"): {"b": 1},
+                      ("b", "stay"): {"b": 1}, ("b", "flip"): {"b": 1}})
+
+
+@pytest.mark.parametrize("mu", SEARCH_CHARGES)
+def test_one_weight_vector_values_every_preperiod_of_a_cycle_length(mu):
+    m = preperiod_mdp()
+    result = best_periodic(m, mu, 2, 2)
+    shapes = set()
+    for strat, val in result.ranking:
+        f = expected_reward_stream(m, strat)
+        assert val == integrate(mu, f)
+        shapes.add((len(f.preperiod), len(f.cycle)))
+    assert {L for L, q in shapes if q == 1} >= {1, 2, 3}
+
+
+def test_weights_and_checks_once_per_nonzero_cycle_length(monkeypatch):
+    import chargemdp.mdp as mdp_module
+    weights_asked, integrated = [], []
+    stage_weights, level_sets = mdp_module._stage_weights, mdp_module.integrate
+
+    def counted_weights(mu, L, q):
+        weights_asked.append((L, q))
+        return stage_weights(mu, L, q)
+
+    def counted_integrate(mu, f):
+        integrated.append(len(f.cycle))
+        return level_sets(mu, f)
+
+    monkeypatch.setattr(mdp_module, "_stage_weights", counted_weights)
+    monkeypatch.setattr(mdp_module, "integrate", counted_integrate)
+    m, mu = preperiod_mdp(), Geometric(Fraction(2, 3))
+    result = best_periodic(m, mu, 3, 2)
+    longest = {}
+    for strat, _ in result.ranking:
+        f = expected_reward_stream(m, strat)
+        if f != stream([], [0]):
+            longest[len(f.cycle)] = max(longest.get(len(f.cycle), 0), len(f.preperiod))
+    assert sorted(weights_asked) == sorted((L, q) for q, L in longest.items())
+    assert sorted(integrated) == sorted(longest)
+    assert len(longest) >= 2 and max(longest.values()) >= 3
 
 
 def test_best_periodic_under_frequency():
