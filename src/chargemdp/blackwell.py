@@ -1,21 +1,37 @@
 """Blackwell-optimal pure stationary policies via symbolic policy iteration.
 
 A pure stationary policy's discounted value solves (I - bP) v = r.
-Each row is scaled by the lcm of its denominators, so every entry is an
-integer polynomial in b of degree at most 1, and one fraction-free
-Gauss-Jordan elimination (Bareiss) over Z[b] returns det(I - bP) and
-the Cramer numerators N_i, with v_i(b) = N_i(b) / det(b).  Every
-division inside the elimination is exact, so no polynomial gcd runs;
-``discounted_value`` reduces each N_i / det once, to a
-``RationalFunction`` with a monic denominator.
+Each row is scaled by the lcm L_i of its denominators, so every entry is
+an integer polynomial in b of degree at most 1, and one fraction-free
+Gauss-Jordan elimination (Bareiss) returns det(I - bP) and the Cramer
+numerators N_i, with v_i(b) = N_i(b) / det(b).
+
+The elimination runs on plain ints at the single point b = X = 2**k
+(Kronecker substitution).  Every entry it forms is, up to sign, a minor
+of the scaled augmented matrix (I - bP | r), so its coefficients have
+1-norm at most B = prod_i (2*L_i + |L_i*r_i|), the product of the rows'
+1-norms.  With X > 2B each coefficient lies below X/2 in absolute value,
+and the polynomial is read back from its value at X as balanced base-X
+digits.  Evaluation at X is a ring map, so each exact polynomial
+division of the elimination is an exact integer ``//``; its divisor, a
+previous pivot, is a nonzero polynomial with coefficients below X/2, so
+its value at X is nonzero.
+
+``discounted_value`` reduces each N_i / det in integers: a primitive
+remainder sequence gives their gcd, exact integer division removes it,
+and one Fraction per coefficient makes the denominator monic.  Reduced
+with a monic denominator, the form is unique, so it is the one
+rational-function arithmetic gives; ``RationalFunction.of`` takes the
+same path after clearing denominators.
 
 "Optimal for every discount factor close enough to 1" becomes a sign
 test near b = 1.  Dividing a polynomial by (b - 1) until the remainder
 at 1 is nonzero gives p = (b - 1)^m q with q(1) != 0, so p has the sign
 (-1)^m * sign(q(1)) just below 1.  Policy iteration applies this test
 to the integer numerator of each one-step improvement, straight from
-the unreduced pair (det, N).  The long-run average reward is the
-residue of (1-b)*v(b) at b=1, read off the same orders and values.
+the unreduced pair (det, N), also packed at X.  The long-run average
+reward is the residue of (1-b)*v(b) at b=1, read off the same orders
+and values.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .mdp import Mdp, StationaryStrategy, _compile, ensure_valid, stationary
 
@@ -40,16 +56,6 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _mul_add(acc: list[int], p: list[int], q: list[int]) -> list[int]:
-    """acc + p*q, in place; acc grows as needed."""
-    acc += [0] * (len(p) + len(q) - 1 - len(acc))
-    for i, a in enumerate(p):
-        if a:
-            for j, c in enumerate(q):
-                acc[i + j] += a * c
-    return acc
-
-
 def _primitive(cs) -> list[int]:
     """Coefficients cs (rationals or ints, low order first, trimmed) scaled
     to coprime integers."""
@@ -57,6 +63,39 @@ def _primitive(cs) -> list[int]:
     ints = [c.numerator * (den // c.denominator) for c in cs]
     g = gcd(*ints)
     return [x // g for x in ints]
+
+
+def _int_gcd(x: list[int], y: list[int]) -> list[int]:
+    """Primitive gcd in Z[b] of two polynomials with integer or rational
+    coefficients, by a primitive remainder sequence; [] when both are
+    zero.  Its sign is arbitrary."""
+    x, y = _primitive(x), _primitive(y)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        # pseudo-remainder: lead(y)^k * x mod y stays in Z[b]
+        lead = y[-1]
+        while len(x) >= len(y):
+            top, shift = x[-1], len(x) - len(y)
+            x = [c * lead for c in x]
+            for i, c in enumerate(y):
+                x[shift + i] -= top * c
+            _trim(x)
+        x, y = y, _primitive(x) if x else x
+    return x
+
+
+def _exact_quotient(p: list[int], g: list[int]) -> list[int]:
+    """p / g for integer polynomials where g divides p in Z[b]."""
+    rem = p[:]
+    quo = [0] * (len(p) - len(g) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        k = rem[shift + len(g) - 1] // g[-1]
+        if k:
+            quo[shift] = k
+            for i, c in enumerate(g):
+                rem[shift + i] -= k * c
+    return quo
 
 
 def _order_at_one(cs) -> tuple[int, object]:
@@ -144,11 +183,19 @@ class Poly:
         return Poly.of(*quo), Poly.of(*rem)
 
     def evaluate(self, x) -> Fraction:
+        """Horner over the integers: with x = p/q and the coefficients over
+        their lcm d, d * q^deg * self(x) is an integer; one Fraction at the end."""
+        if not self.coeffs:
+            return Fraction(0)
         x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        p, q = x.numerator, x.denominator
+        d = lcm(*(c.denominator for c in self.coeffs))
+        *low, top = (c.numerator * (d // c.denominator) for c in self.coeffs)
+        acc, scale = top, 1
+        for c in reversed(low):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, d * scale)
 
     def at_one_minus_eps(self) -> "Poly":
         """The polynomial p(1 - e) as a polynomial in e."""
@@ -180,22 +227,8 @@ class Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd, by a primitive remainder sequence over the integers."""
-    x, y = _primitive(a.coeffs), _primitive(b.coeffs)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        # pseudo-remainder: lead(y)^k * x mod y stays in Z[b]
-        lead = y[-1]
-        while len(x) >= len(y):
-            top, shift = x[-1], len(x) - len(y)
-            x = [c * lead for c in x]
-            for i, c in enumerate(y):
-                x[shift + i] -= top * c
-            _trim(x)
-        x, y = y, _primitive(x) if x else x
-    if not x:
-        return Poly(())
-    return Poly.of(*(Fraction(c, x[-1]) for c in x))
+    g = _int_gcd(list(a.coeffs), list(b.coeffs))
+    return Poly(tuple(Fraction(c, g[-1]) for c in g))
 
 
 @dataclass(frozen=True)
@@ -209,14 +242,9 @@ class RationalFunction:
     def of(num: Poly, den: Poly = Poly.of(1)) -> "RationalFunction":
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            return RationalFunction(Poly(()), Poly.of(1))
-        g = poly_gcd(num, den)
-        if not g.is_zero and g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead = den.coeffs[-1]
-        return RationalFunction(num.scaled(1 / lead), den.scaled(1 / lead))
+        d = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        return _reduced([c.numerator * (d // c.denominator) for c in num.coeffs],
+                        [c.numerator * (d // c.denominator) for c in den.coeffs])
 
     @staticmethod
     def const(q) -> "RationalFunction":
@@ -253,6 +281,19 @@ class RationalFunction:
         return f"({self.num.render(var)})/({self.den.render(var)})"
 
 
+def _reduced(num: list[int], den: list[int]) -> RationalFunction:
+    """num / den, integer polynomials with den nonzero, in lowest terms with
+    a monic denominator."""
+    if not num:
+        return RationalFunction(Poly(()), Poly.of(1))
+    g = _int_gcd(num, den)
+    if len(g) > 1:
+        num, den = _exact_quotient(num, g), _exact_quotient(den, g)
+    lead = den[-1]
+    return RationalFunction(Poly(tuple(Fraction(c, lead) for c in num)),
+                            Poly(tuple(Fraction(c, lead) for c in den)))
+
+
 BETA = RationalFunction.of(Poly.of(0, 1))
 
 
@@ -263,31 +304,63 @@ def sign_near_one(f: RationalFunction) -> int:
     return f.num.leading_sign_at_one() * f.den.leading_sign_at_one()
 
 
-# ---- Bareiss elimination over Z[b] ------------------------------------------
+# ---- Bareiss elimination at b = 2**k ----------------------------------------
 
-def _cross_exact(a: list[int], d: list[int], c: list[int], e: list[int],
-                 prev: list[int]) -> list[int]:
-    """(a*d - c*e) / prev in Z[b]; the caller guarantees prev divides it."""
-    rem = _trim(_mul_add(_mul_add([], a, d), [-x for x in c], e))
-    lead = prev[-1]
-    quo = [0] * (len(rem) - len(prev) + 1)
-    for shift in range(len(quo) - 1, -1, -1):
-        k = rem[shift + len(prev) - 1] // lead
-        if k:
-            quo[shift] = k
-            for i, x in enumerate(prev):
-                rem[shift + i] -= k * x
-    return quo
-
-
-def _scaled_row(i: int, reward: Fraction, dist) -> list[list[int]]:
-    """Row i of (I - bP | r) for one action, scaled by the lcm of its
-    denominators to integer polynomials."""
+def _scaled(reward: Fraction, dist) -> tuple[int, int, list[tuple[int, int]]]:
+    """One action's row of (I - bP | r), scaled by the lcm L of its
+    denominators: (L, L*r, [(z, L*p_z) for p_z != 0])."""
     scale = lcm(reward.denominator, *(p.denominator for p in dist))
-    row = [_trim([scale if i == k else 0, -(scale // p.denominator) * p.numerator])
-           for k, p in enumerate(dist)]
-    row.append(_trim([scale // reward.denominator * reward.numerator]))
-    return row
+    return (scale, scale // reward.denominator * reward.numerator,
+            [(z, scale // p.denominator * p.numerator) for z, p in enumerate(dist) if p])
+
+
+def _norm(row) -> int:
+    """1-norm of a scaled row's coefficients: L + sum(L*p_z) + |L*r|."""
+    return 2 * row[0] + abs(row[1])
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """Coefficients, low order first and trimmed, of the polynomial whose
+    value at X = 2**k is v, given each coefficient is below X/2 in
+    absolute value (balanced base-X digits)."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> k
+    return out
+
+
+def _bareiss_at(rows, k: int) -> tuple[int, list[int]]:
+    """det and the Cramer numerators N_i of the scaled rows, as their
+    values at b = 2**k, which must exceed twice every minor's 1-norm.
+
+    Fraction-free Gauss-Jordan: the step-j update of every other row
+    divides exactly by the step-(j-1) pivot.  No pivoting is needed: the
+    step-j pivot is a leading principal minor of the scaled I - bP, a
+    nonzero polynomial because its value at b = 0 is a product of the L_i.
+    """
+    n = len(rows)
+    m = []
+    for i, (scale, rhs, sparse) in enumerate(rows):
+        row = [0] * n + [rhs]
+        row[i] = scale
+        for z, w in sparse:
+            row[z] -= w << k
+        m.append(row)
+    prev = 1
+    for j, pivot_row in enumerate(m):
+        pivot = pivot_row[j]
+        for i, row in enumerate(m):
+            if i != j:
+                lead = row[j]
+                for c in range(j + 1, n + 1):
+                    row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
+        prev = pivot
+    return prev, [row[n] for row in m]
 
 
 def _cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[list[int], list[list[int]]]:
@@ -295,25 +368,14 @@ def _cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[list[int], list[list[int]
     integer polynomials, with v_i = N_i / det.
 
     Row i is scaled by the lcm L_i of its denominators, so both come out
-    multiplied by prod(L_i).  Fraction-free Gauss-Jordan (Bareiss): the
-    step-k update of every other row divides exactly by the step-(k-1)
-    pivot.  No pivoting is needed: the step-k pivot is a leading
-    principal minor of the scaled I - bP, a nonzero polynomial because
-    its value at b = 0 is a product of the L_i.
+    multiplied by prod(L_i).  Both are minors of the scaled augmented
+    matrix, of 1-norm at most the product B of the rows' 1-norms, so
+    2**k > 2B recovers them from one elimination at b = 2**k.
     """
-    rows = [_scaled_row(i, reward, dist)
-            for i, (reward, dist) in enumerate(_policy_rows(mdp, pi))]
-    n = len(rows)
-    prev = [1]
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                lead = row[k]
-                for j in range(k + 1, n + 1):
-                    row[j] = _cross_exact(pivot, row[j], lead, pivot_row[j], prev)
-        prev = pivot
-    return prev, [row[n] for row in rows]
+    rows = [_scaled(reward, dist) for reward, dist in _policy_rows(mdp, pi)]
+    k = prod(map(_norm, rows)).bit_length() + 1
+    det, nums = _bareiss_at(rows, k)
+    return _unpack(det, k), [_unpack(num, k) for num in nums]
 
 
 def _solve_linear(a, b):
@@ -338,8 +400,13 @@ def _solve_linear(a, b):
 
 def _policy_rows(mdp: Mdp, pi: StationaryStrategy):
     """(reward, transition row) of each state's action.  Raises
-    StrategyMismatch where pi names no action of the MDP."""
-    (phase,) = _compile(mdp, pi)[2]
+    StrategyMismatch where pi names no action of the MDP, and ValueError
+    for a strategy with more than one phase."""
+    pre, _, phases = _compile(mdp, pi)
+    if len(phases) != 1:
+        raise ValueError("discounted and average values take a stationary strategy, "
+                         f"not one of preperiod {pre} and period {len(phases) - pre}")
+    (phase,) = phases
     rows = []
     for i, pairs in enumerate(phase):
         (_, j), *rest = pairs
@@ -353,9 +420,7 @@ def discounted_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, RationalFunc
     """Per-state discounted value v(b) solving v = r + b*P*v, symbolically."""
     ensure_valid(mdp)
     det, nums = _cramer(mdp, pi)
-    den = Poly.of(*det)
-    return {s: RationalFunction.of(Poly.of(*num), den)
-            for s, num in zip(mdp.states, nums)}
+    return {s: _reduced(num, det) for s, num in zip(mdp.states, nums)}
 
 
 def discounted_value_at(mdp: Mdp, pi: StationaryStrategy, beta) -> dict[str, Fraction]:
@@ -389,24 +454,31 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
     With v = N / det, the difference for action a at state s is
     (r_a*det + b*sum_z p_az*N_z - N_s) / det.  Its numerator, scaled to
     integers, is the residual r_a*det - row_a . N of the action's scaled
-    row of (I - bP | r), tested directly with no rational function built.
+    row of (I - bP | r), of 1-norm at most the row's 1-norm times B.  The
+    elimination runs at b = 2**k with 2**k > 2B times the widest row's
+    1-norm, so each residual is one packed integer, unpacked and tested
+    with no rational function built.
     """
     ensure_valid(mdp)
+    table = [[_scaled(reward, dist) for reward, dist in zip(rewards, dists)]
+             for rewards, dists in zip(mdp.rewards, mdp.transitions)]
+    widest = max(_norm(row) for cell in table for row in cell)
     choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
     while True:
         pi = stationary(choice)
-        det, nums = _cramer(mdp, pi)
-        det_sign = _sign_near_one(det)
+        rows = [table[i][acts.index(choice[s])]
+                for i, (s, acts) in enumerate(zip(mdp.states, mdp.actions))]
+        k = (prod(map(_norm, rows)) * widest).bit_length() + 1
+        det, nums = _bareiss_at(rows, k)
+        det_sign = _sign_near_one(_unpack(det, k))
         changed = False
         for i, s in enumerate(mdp.states):
-            for j, a in enumerate(mdp.actions[i]):
+            for a, (scale, rhs, sparse) in zip(mdp.actions[i], table[i]):
                 if a == choice[s]:
                     continue
-                row = _scaled_row(i, mdp.rewards[i][j], mdp.transitions[i][j])
-                diff = _mul_add([], row[-1], det)
-                for entry, num in zip(row, nums):
-                    _mul_add(diff, [-x for x in entry], num)
-                if _sign_near_one(diff) * det_sign > 0:
+                ahead = sum(w * nums[z] for z, w in sparse)
+                residual = rhs * det - scale * nums[i] + (ahead << k)
+                if _sign_near_one(_unpack(residual, k)) * det_sign > 0:
                     choice[s] = a
                     changed = True
                     break

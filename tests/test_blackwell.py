@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from chargemdp.blackwell import (BETA, Poly, PoleAtOne, RationalFunction,
                                  _cramer, _order_at_one, _policy_rows,
-                                 average_value, blackwell_policy,
+                                 _unpack, average_value, blackwell_policy,
                                  discounted_value, discounted_value_at,
                                  poly_gcd, sign_near_one)
 from chargemdp.counterexamples import even_or_odd_mdp, late_switch_mdp
-from chargemdp.mdp import (enumerate_pure_stationary, ensure_valid,
-                           expected_reward_stream, random_mdp, stationary)
+from chargemdp.mdp import (build_mdp, enumerate_pure_stationary, ensure_valid,
+                           expected_reward_stream, periodic, random_mdp,
+                           stationary)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
@@ -248,6 +249,20 @@ def test_blackwell_policy_dominates(seed):
             assert sign_near_one(v[s] - w[s]) >= 0
 
 
+@pytest.mark.parametrize("solve", [
+    discounted_value, average_value,
+    lambda m, sigma: discounted_value_at(m, sigma, Fraction(1, 2))])
+def test_values_take_a_stationary_strategy(solve):
+    m = even_or_odd_mdp()
+    sigma = periodic([{"1": "B", "2": "c", "3": "c"}], [{"1": "T", "2": "c", "3": "c"}])
+    with pytest.raises(ValueError, match="take a stationary strategy, "
+                                         "not one of preperiod 1 and period 1$"):
+        solve(m, sigma)
+    # one phase is a stationary strategy, whatever its type
+    one_phase = periodic([], [{"1": "T", "2": "c", "3": "c"}])
+    assert solve(m, one_phase) == solve(m, stationary({"1": "T", "2": "c", "3": "c"}))
+
+
 def test_discounted_value_at_singular_factor():
     # I - bP is singular at b = 1 for every policy, and at b = -1 when the
     # chain has a cycle of even length (here 1 -> 2 -> 1)
@@ -336,6 +351,105 @@ def test_solver_matches_reference(seed, n_states, n_actions):
     for s in m.states:
         assert (v[s].num.coeffs, v[s].den.coeffs) == (ref[s].num.coeffs, ref[s].den.coeffs)
     assert average_value(m, pi) == _ref_average_value(m, pi)
+
+
+# ---- reference: Bareiss over Z[b] on integer-polynomial lists ------------
+#
+# The elimination before packing at b = 2**k: every entry an int list, low
+# order first, and each exact division a polynomial long division.  Kept as
+# the oracle the packed _cramer must match exactly.
+
+def _ref_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_mul_add(acc, p, q):
+    acc += [0] * (len(p) + len(q) - 1 - len(acc))
+    for i, a in enumerate(p):
+        if a:
+            for j, c in enumerate(q):
+                acc[i + j] += a * c
+    return acc
+
+
+def _ref_cross_exact(a, d, c, e, prev):
+    # (a*d - c*e) / prev in Z[b]
+    rem = _ref_trim(_ref_mul_add(_ref_mul_add([], a, d), [-x for x in c], e))
+    lead = prev[-1]
+    quo = [0] * (len(rem) - len(prev) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        k = rem[shift + len(prev) - 1] // lead
+        if k:
+            quo[shift] = k
+            for i, x in enumerate(prev):
+                rem[shift + i] -= k * x
+    return quo
+
+
+def _ref_scaled_row(i, reward, dist):
+    scale = lcm(reward.denominator, *(p.denominator for p in dist))
+    row = [_ref_trim([scale if i == k else 0, -(scale // p.denominator) * p.numerator])
+           for k, p in enumerate(dist)]
+    row.append(_ref_trim([scale // reward.denominator * reward.numerator]))
+    return row
+
+
+def _ref_cramer(mdp, pi):
+    rows = [_ref_scaled_row(i, reward, dist)
+            for i, (reward, dist) in enumerate(_policy_rows(mdp, pi))]
+    n = len(rows)
+    prev = [1]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                lead = row[k]
+                for j in range(k + 1, n + 1):
+                    row[j] = _ref_cross_exact(pivot, row[j], lead, pivot_row[j], prev)
+        prev = pivot
+    return prev, [row[n] for row in rows]
+
+
+@st.composite
+def wide_chains(draw):
+    """A one-action MDP of 1-8 states with denominators up to 10**6 and
+    rewards up to 10**9 in absolute value; some rows absorbing, and on
+    some draws every reward 0."""
+    n = draw(st.integers(1, 8))
+    states = [f"s{i}" for i in range(n)]
+    silent = draw(st.booleans())
+    rewards, transitions = {}, {}
+    for s in states:
+        rewards[(s, "a")] = 0 if silent else Fraction(
+            draw(st.integers(-10 ** 9, 10 ** 9)), draw(st.integers(1, 10 ** 6)))
+        if draw(st.integers(0, 3)) == 0:
+            transitions[(s, "a")] = {s: 1}
+            continue
+        d = draw(st.integers(1, 10 ** 6))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+        transitions[(s, "a")] = {z: Fraction(hi - lo, d)
+                                 for z, lo, hi in zip(states, [0] + cuts, cuts + [d])}
+    m = build_mdp(states, states[0], {s: ("a",) for s in states}, rewards, transitions)
+    return m, stationary({s: "a" for s in states}), silent
+
+
+@given(wide_chains())
+@settings(max_examples=60, deadline=None)
+def test_packed_cramer_matches_polynomial_bareiss(case):
+    m, pi, silent = case
+    det, nums = _cramer(m, pi)
+    assert (det, nums) == _ref_cramer(m, pi)
+    if silent:
+        assert nums == [[]] * len(m.states)
+
+
+@given(st.integers(2, 80), st.data())
+def test_unpack_round_trips_balanced_digits(k, data):
+    bound = (1 << (k - 1)) - 1   # |c| < 2**k / 2
+    cs = _ref_trim(data.draw(st.lists(st.integers(-bound, bound), max_size=12)))
+    assert _unpack(sum(c << (k * i) for i, c in enumerate(cs)), k) == cs
 
 
 # ---- cross-check against sympy ----------------------------------------------
