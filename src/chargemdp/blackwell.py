@@ -1,10 +1,10 @@
 """Blackwell-optimal pure stationary policies via symbolic policy iteration.
 
 A pure stationary policy's discounted value solves (I - bP) v = r.
-Each row is scaled by the lcm L_i of its denominators, so every entry is
-an integer polynomial in b of degree at most 1, and one fraction-free
-Gauss-Jordan elimination (Bareiss) returns det(I - bP) and the Cramer
-numerators N_i, with v_i(b) = N_i(b) / det(b).
+Each row is scaled by the lcm L_i of its denominators, as ``Mdp.rows``
+stores it, so every entry is an integer polynomial in b of degree at
+most 1, and one fraction-free Gauss-Jordan elimination (Bareiss) returns
+det(I - bP) and the Cramer numerators N_i, with v_i(b) = N_i(b) / det(b).
 
 The elimination runs on plain ints at the single point b = X = 2**k
 (Kronecker substitution).  Every entry it forms is, up to sign, a minor
@@ -306,14 +306,6 @@ def sign_near_one(f: RationalFunction) -> int:
 
 # ---- Bareiss elimination at b = 2**k ----------------------------------------
 
-def _scaled(reward: Fraction, dist) -> tuple[int, int, list[tuple[int, int]]]:
-    """One action's row of (I - bP | r), scaled by the lcm L of its
-    denominators: (L, L*r, [(z, L*p_z) for p_z != 0])."""
-    scale = lcm(reward.denominator, *(p.denominator for p in dist))
-    return (scale, scale // reward.denominator * reward.numerator,
-            [(z, scale // p.denominator * p.numerator) for z, p in enumerate(dist) if p])
-
-
 def _norm(row) -> int:
     """1-norm of a scaled row's coefficients: L + sum(L*p_z) + |L*r|."""
     return 2 * row[0] + abs(row[1])
@@ -367,12 +359,12 @@ def _cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[list[int], list[list[int]
     """det(I - bP) and the Cramer numerators N_i of (I - bP) v = r, as
     integer polynomials, with v_i = N_i / det.
 
-    Row i is scaled by the lcm L_i of its denominators, so both come out
-    multiplied by prod(L_i).  Both are minors of the scaled augmented
-    matrix, of 1-norm at most the product B of the rows' 1-norms, so
-    2**k > 2B recovers them from one elimination at b = 2**k.
+    Row i is scaled by the lcm L_i of its denominators, as ``Mdp.rows``
+    stores it, so both come out multiplied by prod(L_i).  Both are minors of
+    the scaled augmented matrix, of 1-norm at most the product B of the
+    rows' 1-norms, so 2**k > 2B recovers them from one elimination there.
     """
-    rows = [_scaled(reward, dist) for reward, dist in _policy_rows(mdp, pi)]
+    rows = _policy_rows(mdp, pi)
     k = prod(map(_norm, rows)).bit_length() + 1
     det, nums = _bareiss_at(rows, k)
     return _unpack(det, k), [_unpack(num, k) for num in nums]
@@ -398,8 +390,8 @@ def _solve_linear(a, b):
     return [b[i] / a[i][i] for i in range(n)]
 
 
-def _policy_rows(mdp: Mdp, pi: StationaryStrategy):
-    """(reward, transition row) of each state's action.  Raises
+def _policy_rows(mdp: Mdp, pi: StationaryStrategy) -> list[tuple]:
+    """The row in ``Mdp.rows`` of each state's action.  Raises
     StrategyMismatch where pi names no action of the MDP, and ValueError
     for a strategy with more than one phase."""
     pre, _, phases = _compile(mdp, pi)
@@ -412,7 +404,7 @@ def _policy_rows(mdp: Mdp, pi: StationaryStrategy):
         (_, j), *rest = pairs
         if rest:
             raise ValueError(f"strategy is randomized at state {mdp.states[i]!r}")
-        rows.append((mdp.rewards[i][j], mdp.transitions[i][j]))
+        rows.append(mdp.rows[i][j])
     return rows
 
 
@@ -430,11 +422,11 @@ def discounted_value_at(mdp: Mdp, pi: StationaryStrategy, beta) -> dict[str, Fra
     """
     ensure_valid(mdp)
     beta = Fraction(beta)
-    rows = _policy_rows(mdp, pi)
-    n = len(mdp.states)
-    a = [[(1 if i == k else Fraction(0)) - beta * rows[i][1][k] for k in range(n)]
-         for i in range(n)]
-    b = [rows[i][0] for i in range(n)]
+    rows = _policy_rows(mdp, pi)  # row i of I - beta*P and of r, times L_i
+    zero = dict.fromkeys(range(len(mdp.states)), 0)
+    a = [[int(i == z) * scale - beta * w for z, w in (zero | dict(sparse)).items()]
+         for i, (scale, _, sparse) in enumerate(rows)]
+    b = [rhs for _, rhs, _ in rows]
     try:
         v = _solve_linear(a, b)
     except ZeroDivisionError:
@@ -460,20 +452,17 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
     with no rational function built.
     """
     ensure_valid(mdp)
-    table = [[_scaled(reward, dist) for reward, dist in zip(rewards, dists)]
-             for rewards, dists in zip(mdp.rewards, mdp.transitions)]
-    widest = max(_norm(row) for cell in table for row in cell)
+    widest = max(_norm(row) for cell in mdp.rows for row in cell)
     choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
     while True:
         pi = stationary(choice)
-        rows = [table[i][acts.index(choice[s])]
-                for i, (s, acts) in enumerate(zip(mdp.states, mdp.actions))]
+        rows = _policy_rows(mdp, pi)
         k = (prod(map(_norm, rows)) * widest).bit_length() + 1
         det, nums = _bareiss_at(rows, k)
         det_sign = _sign_near_one(_unpack(det, k))
         changed = False
         for i, s in enumerate(mdp.states):
-            for a, (scale, rhs, sparse) in zip(mdp.actions[i], table[i]):
+            for a, (scale, rhs, sparse) in zip(mdp.actions[i], mdp.rows[i]):
                 if a == choice[s]:
                     continue
                 ahead = sum(w * nums[z] for z, w in sparse)

@@ -2,8 +2,8 @@
 
 Strategies covered: stationary (possibly randomized) and periodic
 Markov (phase- and state-dependent, possibly randomized).  Evaluation
-runs on integers: rewards over their lcm R, transition rows over their
-lcm D, and a strategy compiled to (weight, action index) pairs per
+runs on integers: the rows of ``Mdp.rows`` over the lcm M of their
+scales, and a strategy compiled to (weight, action index) pairs per
 phase and state, the weights over the lcm A of its action
 probabilities.  The state distribution is x / sum(x) for a primitive
 integer vector x, divided by gcd(*x) after every stage, so the first
@@ -13,7 +13,7 @@ eventual period.  Each stage's expected reward is a reduced integer pair
 against a charge expression.
 
 A step table, built once per MDP, holds for each (state, action) the
-reduced reward r / R and the next state, or -1 where the row splits.
+reduced reward r / M and the next state, or -1 where the row splits.
 While x is a point mass, the strategy is pure at that phase and state
 and the row does not split, a stage is one read of that table, with no
 scale: A cancels.  Any other stage runs the integer loop.
@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .charges import Charge, CValue, _stage_weights, integrate
@@ -51,7 +52,7 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Problem:
-    kind: str  # RowSumError | MissingAction | UnknownState
+    kind: str  # RowSumError | MissingAction | UnknownState | DuplicateState
     where: str
 
     def __str__(self) -> str:
@@ -66,11 +67,14 @@ class MdpValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Mdp:
+    """``rows[i][j]`` is action j at state i, (L, L*r, ((z, L*p_z), ...)):
+    L the lcm of its denominators, nonzero p_z only, in state order.  Every
+    reader uses it; ``rewards`` and ``transitions`` are views of it."""
+
     states: tuple[str, ...]
     initial: str
     actions: tuple[tuple[str, ...], ...]  # parallel to states
-    rewards: tuple[tuple[Fraction, ...], ...]  # [state][action]
-    transitions: tuple[tuple[tuple[Fraction, ...], ...], ...]  # [state][action][next]
+    rows: tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]  # [state][action]
 
     def state_index(self, s: str) -> int:
         return self.states.index(s)
@@ -79,18 +83,26 @@ class Mdp:
         return self.actions[self.state_index(s)]
 
     def reward(self, s: str, a: str) -> Fraction:
-        i = self.state_index(s)
-        return self.rewards[i][self.actions[i].index(a)]
+        return self.rewards[self.state_index(s)][self.action_list(s).index(a)]
 
     def transition(self, s: str, a: str) -> dict[str, Fraction]:
         i = self.state_index(s)
-        row = self.transitions[i][self.actions[i].index(a)]
-        return {z: q for z, q in zip(self.states, row) if q}
+        scale, _, sparse = self.rows[i][self.actions[i].index(a)]
+        return {self.states[z]: Fraction(w, scale) for z, w in sparse}
+
+    @cached_property
+    def rewards(self) -> tuple[tuple[Fraction, ...], ...]:  # [state][action]
+        return tuple(tuple(Fraction(rhs, scale) for scale, rhs, _ in per) for per in self.rows)
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:  # [state][action][next]
+        zero = dict.fromkeys(range(len(self.states)), Fraction(0))
+        return tuple(tuple(tuple((zero | {z: Fraction(w, scale) for z, w in sparse}).values())
+                           for scale, _, sparse in per) for per in self.rows)
 
     @property
     def is_deterministic(self) -> bool:
-        return all(max(row) == 1 and sum(row) == 1
-                   for per_state in self.transitions for row in per_state)
+        return all(len(row) == 1 and row[0][1] == L for per in self.rows for L, _, row in per)
 
 
 def build_mdp(states, initial, actions, rewards, transitions) -> Mdp:
@@ -99,16 +111,26 @@ def build_mdp(states, initial, actions, rewards, transitions) -> Mdp:
     ``actions``: state -> iterable of action ids;
     ``rewards``: (state, action) -> rational;
     ``transitions``: (state, action) -> {next state: probability}.
-    Missing transition entries default to probability 0.
+    Missing transition entries default to probability 0; a nonzero one
+    to a state not in ``states`` raises MdpValidationError.
     """
     states = tuple(states)
+    index = {s: z for z, s in enumerate(states)}
     acts = tuple(tuple(actions.get(s, ())) for s in states)
-    rews = tuple(tuple(Fraction(rewards[(s, a)]) for a in acts[i])
-                 for i, s in enumerate(states))
-    trans = tuple(tuple(tuple(Fraction(transitions[(s, a)].get(z, 0)) for z in states)
-                        for a in acts[i])
-                  for i, s in enumerate(states))
-    return Mdp(states, initial, acts, rews, trans)
+
+    def row(s, a):
+        reward = Fraction(rewards[(s, a)])
+        dist = {t: q for t, p in transitions[(s, a)].items() if (q := Fraction(p))}
+        if unknown := [t for t in dist if t not in index]:
+            raise MdpValidationError([Problem("UnknownState", f"transition from ({s!r}, "
+                                              f"{a!r}) to unknown state {t!r}") for t in unknown])
+        probs = sorted([(index[t], q) for t, q in dist.items()])
+        scale = lcm(reward.denominator, *[q.denominator for _, q in probs])
+        return (scale, scale // reward.denominator * reward.numerator,
+                tuple([(z, scale // q.denominator * q.numerator) for z, q in probs]))
+
+    return Mdp(states, initial, acts, tuple(tuple(row(s, a) for a in acts[i])
+                                            for i, s in enumerate(states)))
 
 
 def validate(mdp: Mdp) -> list[Problem]:
@@ -116,19 +138,18 @@ def validate(mdp: Mdp) -> list[Problem]:
     problems: list[Problem] = []
     if mdp.initial not in mdp.states:
         problems.append(Problem("UnknownState", f"initial state {mdp.initial!r}"))
-    for i, s in enumerate(mdp.states):
-        if not mdp.actions[i]:
+    if len(set(mdp.states)) < len(mdp.states):  # the count() below runs only then
+        repeated = sorted({s for s in mdp.states if mdp.states.count(s) > 1})
+        problems.append(Problem("DuplicateState", f"states declared twice: {repeated}"))
+    for s, acts, per in zip(mdp.states, mdp.actions, mdp.rows):
+        if not acts:
             problems.append(Problem("MissingAction", f"state {s!r} has no actions"))
-        for j, a in enumerate(mdp.actions[i]):
-            row = mdp.transitions[i][j]
-            D = lcm(*(q.denominator for q in row))  # checked over D, in integers
-            nums = [q.numerator * (D // q.denominator) for q in row]
-            if any(n < 0 or n > D for n in nums):
+        for a, (scale, _, sparse) in zip(acts, per):
+            if any(w < 0 or w > scale for _, w in sparse):
+                problems.append(Problem("RowSumError", f"({s!r}, {a!r}): entry outside [0,1]"))
+            elif (total := sum(w for _, w in sparse)) != scale:
                 problems.append(Problem(
-                    "RowSumError", f"({s!r}, {a!r}): entry outside [0,1]"))
-            elif sum(nums) != D:
-                problems.append(Problem(
-                    "RowSumError", f"({s!r}, {a!r}): row sums to {sum(row)}"))
+                    "RowSumError", f"({s!r}, {a!r}): row sums to {Fraction(total, scale)}"))
     return problems
 
 
@@ -276,28 +297,18 @@ def _compile(mdp: Mdp, sigma: Strategy) -> tuple[int, int, list[list]]:
 
 
 def _integer_form(mdp: Mdp) -> tuple[int, list[list[tuple]], list[list[tuple]]]:
-    """(R, cells, table): cells[i][j] = (R * reward, sparse row of D * P)
-    for action j at state i, R and D the lcms of the reward and of the
-    transition denominators; table[i][j] = (numerator, denominator, next
-    state) is one stage from a point mass at i under action j, the reward
-    r / R reduced and the next state -1 where the row splits.  Both are
-    as large as the MDP's sparse rows.  Raises MdpValidationError on an
-    invalid MDP."""
+    """(M, cells, table): cells[i][j] = (M * reward, sparse row of M * P)
+    for action j at state i, M the lcm of the rows' scales; table[i][j] =
+    (numerator, denominator, next state), one stage from a point mass at i
+    under action j: the reward r / M reduced, next state -1 where the row
+    splits.  Both are as large as the rows.  Raises MdpValidationError."""
     ensure_valid(mdp)
-    R = lcm(*(r.denominator for rs in mdp.rewards for r in rs))
-    D = lcm(*(p.denominator for per in mdp.transitions for row in per for p in row))
-    cells, table = [], []
-    for rs, per in zip(mdp.rewards, mdp.transitions):
-        opts, steps = [], []
-        for r, probs in zip(rs, per):
-            r = r.numerator * (R // r.denominator)
-            row = tuple((z, p.numerator * (D // p.denominator)) for z, p in enumerate(probs) if p)
-            g = gcd(r, R)
-            opts.append((r, row))
-            steps.append((r // g, R // g, row[0][0] if len(row) == 1 else -1))
-        cells.append(opts)
-        table.append(steps)
-    return R, cells, table
+    M = lcm(*(scale for per in mdp.rows for scale, _, _ in per))
+    cells = [[(M // scale * rhs, tuple((z, M // scale * w) for z, w in sparse))
+              for scale, rhs, sparse in per] for per in mdp.rows]
+    table = [[(r // gcd(r, M), M // gcd(r, M), row[0][0] if len(row) == 1 else -1)
+              for r, row in opts] for opts in cells]
+    return M, cells, table
 
 
 DEFAULT_HORIZON = 4096
@@ -317,7 +328,7 @@ def _reward_stream(cells: list, table: list, start: int, scale: int, phases: lis
     form's ``cells`` and ``table`` and a compiled strategy's ``phases``,
     as the word the recurrence found: (preperiod, cycle) lists of reduced
     (numerator, denominator) pairs, neither necessarily minimal.  Rewards
-    are over ``scale``, which is R * A, and the distribution is x / sum(x).
+    are over ``scale``, which is M * A, and the distribution is x / sum(x).
 
     A point mass is held as its state's index, every other distribution
     as the tuple x, so each distribution has one key.  From a point mass
@@ -379,9 +390,9 @@ def expected_reward_stream(mdp: Mdp, sigma: Strategy,
     reached state has no known action.
     """
     _check_horizon(max_horizon)
-    R, cells, table = _integer_form(mdp)
+    M, cells, table = _integer_form(mdp)
     L, A, phases = _compile(mdp, sigma)
-    return _pairs_stream(*_reward_stream(cells, table, mdp.states.index(mdp.initial), R * A,
+    return _pairs_stream(*_reward_stream(cells, table, mdp.states.index(mdp.initial), M * A,
                                          phases, L, max_horizon))
 
 
@@ -492,14 +503,14 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     error of the charge.
     """
     _check_horizon(max_horizon)
-    R, cells, table = _integer_form(mdp)
+    M, cells, table = _integer_form(mdp)
     start = mdp.states.index(mdp.initial)
     by_word: dict[tuple, int] = {}  # canonical reward word -> index into words
     words: list[tuple] = []
     checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
     found: list[tuple[PeriodicMarkovStrategy, int]] = []
     for phases, strat in _canonical_pure(mdp, max_period, max_preperiod, cap):
-        pre, cyc = _reward_stream(cells, table, start, R, phases, strat.preperiod_length,
+        pre, cyc = _reward_stream(cells, table, start, M, phases, strat.preperiod_length,
                                   max_horizon)
         word = _canonical(pre, cyc)
         k = by_word.get(word)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargemdp.blackwell import (BETA, Poly, PoleAtOne, RationalFunction,
-                                 _cramer, _order_at_one, _policy_rows,
-                                 _unpack, average_value, blackwell_policy,
+                                 _cramer, _order_at_one, _unpack,
+                                 average_value, blackwell_policy,
                                  discounted_value, discounted_value_at,
                                  poly_gcd, sign_near_one)
 from chargemdp.counterexamples import even_or_odd_mdp, late_switch_mdp
@@ -295,9 +295,19 @@ def _ref_solve_linear(a, b):
     return [b[i] / a[i][i] for i in range(n)]
 
 
+def _dense_policy_rows(mdp, pi):
+    """(reward, dense transition row) of each state's action under the
+    pure stationary pi, read from the public Fraction views."""
+    rows = []
+    for i, s in enumerate(mdp.states):
+        j = mdp.actions[i].index(pi.action(s))
+        rows.append((mdp.rewards[i][j], mdp.transitions[i][j]))
+    return rows
+
+
 def _ref_discounted_value(mdp, pi):
     ensure_valid(mdp)
-    rows = _policy_rows(mdp, pi)
+    rows = _dense_policy_rows(mdp, pi)
     n = len(mdp.states)
     a = [[RationalFunction.const(1 if i == k else 0)
           - BETA * RationalFunction.const(rows[i][1][k]) for k in range(n)]
@@ -398,7 +408,7 @@ def _ref_scaled_row(i, reward, dist):
 
 def _ref_cramer(mdp, pi):
     rows = [_ref_scaled_row(i, reward, dist)
-            for i, (reward, dist) in enumerate(_policy_rows(mdp, pi))]
+            for i, (reward, dist) in enumerate(_dense_policy_rows(mdp, pi))]
     n = len(rows)
     prev = [1]
     for k, pivot_row in enumerate(rows):
@@ -472,7 +482,7 @@ def test_det_and_values_match_sympy():
                    for i, c in enumerate(p.coeffs))
 
     for m, pi in _fixed_cases():
-        rows = _policy_rows(m, pi)
+        rows = _dense_policy_rows(m, pi)
         n = len(rows)
         a = sympy.Matrix(n, n, lambda i, k: int(i == k) - b * sympy.Rational(
             rows[i][1][k].numerator, rows[i][1][k].denominator))

@@ -2,10 +2,13 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargemdp.blackwell import (average_value, discounted_value,
@@ -18,7 +21,7 @@ from chargemdp.counterexamples import (alternating_strategy, block_strategy,
                                        stay_strategy, switch_at,
                                        top_probability)
 from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
-                           StationaryStrategy, StrategyMismatch, best_periodic,
+                           Problem, StationaryStrategy, StrategyMismatch, best_periodic,
                            build_mdp, ensure_valid, enumerate_pure_periodic,
                            enumerate_pure_stationary, expected_reward_stream,
                            payoff, periodic, random_mdp, stationary, validate)
@@ -161,6 +164,117 @@ def test_validate_unknown_initial():
     m = build_mdp(("a",), "zz", {"a": ("x",)}, {("a", "x"): 0},
                   {("a", "x"): {"a": 1}})
     assert [p.kind for p in validate(m)] == ["UnknownState"]
+
+
+def test_validate_duplicate_state():
+    m = build_mdp(("a", "b", "a"), "a", {"a": ("x",), "b": ("x",)}, {("a", "x"): 0, ("b", "x"): 0},
+                  {("a", "x"): {"b": 1}, ("b", "x"): {"a": 1}})
+    assert validate(m) == [Problem("DuplicateState", "states declared twice: ['a']")]
+
+
+def test_build_rejects_a_transition_to_an_unknown_state():
+    with pytest.raises(MdpValidationError) as err:
+        build_mdp(("a",), "a", {"a": ("x",)}, {("a", "x"): 0}, {("a", "x"): {"zz": 1}})
+    assert err.value.problems == [
+        Problem("UnknownState", "transition from ('a', 'x') to unknown state 'zz'")]
+    # a zero entry is no transition, whatever it names
+    m = build_mdp(("a",), "a", {"a": ("x",)}, {("a", "x"): 0}, {("a", "x"): {"a": 1, "zz": 0}})
+    assert validate(m) == [] and m.transition("a", "x") == {"a": 1}
+
+
+# ---- references: dense Fraction rows, as Mdp stored them before sparse rows ----
+
+def dense_build(states, initial, actions, rewards, transitions):
+    """(states, initial, actions, rewards, transitions) with every
+    transition row dense over ``states``."""
+    states = tuple(states)
+    acts = tuple(tuple(actions.get(s, ())) for s in states)
+    rews = tuple(tuple(Fraction(rewards[(s, a)]) for a in acts[i])
+                 for i, s in enumerate(states))
+    trans = tuple(tuple(tuple(Fraction(transitions[(s, a)].get(z, 0)) for z in states)
+                        for a in acts[i])
+                  for i, s in enumerate(states))
+    return states, initial, acts, rews, trans
+
+
+def dense_scaled(reward, row):
+    """A dense row over the lcm L of its denominators, in the form of
+    ``Mdp.rows``: (L, L*r, ((z, L*p_z) for nonzero p_z))."""
+    L = lcm(reward.denominator, *(q.denominator for q in row))
+    return L, int(L * reward), tuple((z, int(L * q)) for z, q in enumerate(row) if q)
+
+
+def dense_validate(dense):
+    states, initial, actions, _, transitions = dense
+    problems = []
+    if initial not in states:
+        problems.append(Problem("UnknownState", f"initial state {initial!r}"))
+    for i, s in enumerate(states):
+        if not actions[i]:
+            problems.append(Problem("MissingAction", f"state {s!r} has no actions"))
+        for j, a in enumerate(actions[i]):
+            row = transitions[i][j]
+            D = lcm(*(q.denominator for q in row))
+            nums = [q.numerator * (D // q.denominator) for q in row]
+            if any(n < 0 or n > D for n in nums):
+                problems.append(Problem(
+                    "RowSumError", f"({s!r}, {a!r}): entry outside [0,1]"))
+            elif sum(nums) != D:
+                problems.append(Problem(
+                    "RowSumError", f"({s!r}, {a!r}): row sums to {sum(row)}"))
+    return problems
+
+
+@st.composite
+def mapping_data(draw):
+    """build_mdp arguments: 1-4 states, rewards of either sign, rows that
+    are distributions, and sometimes a zero entry for a state not in the
+    MDP.  Half of the draws also have states without actions, an unknown
+    initial state, and rows with zero, negative, above-1 or non-summing
+    entries."""
+    well_formed = draw(st.booleans())
+    states = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    initial = draw(st.sampled_from(states if well_formed else states + ["zz"]))
+    prob = st.fractions(min_value=-1, max_value=2, max_denominator=4)
+    actions, rewards, transitions = {}, {}, {}
+    for s in states:
+        actions[s] = [f"a{j}" for j in range(draw(st.integers(int(well_formed), 3)))]
+        for a in actions[s]:
+            rewards[(s, a)] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+            if well_formed or draw(st.booleans()):
+                d = draw(st.integers(1, 6))
+                cuts = sorted(draw(st.lists(st.integers(0, d), min_size=len(states) - 1,
+                                            max_size=len(states) - 1)))
+                row = {z: Fraction(hi - lo, d)
+                       for z, lo, hi in zip(states, [0] + cuts, cuts + [d])}
+            else:
+                row = draw(st.dictionaries(st.sampled_from(states), prob, max_size=4))
+            if draw(st.booleans()):
+                row["zz"] = 0
+            transitions[(s, a)] = row
+    return states, initial, actions, rewards, transitions
+
+
+@given(mapping_data())
+@example((["s0", "s1", "s2"], "s0", {"s0": ["a0"], "s1": [], "s2": ["a0"]},
+          {("s0", "a0"): -1, ("s2", "a0"): Fraction(1, 2)},
+          {("s0", "a0"): {"s0": 1, "s1": -1, "s2": 1}, ("s2", "a0"): {"s2": 1}}))
+@settings(max_examples=200, deadline=None)
+def test_sparse_rows_match_dense_reference(data):
+    m, dense = build_mdp(*data), dense_build(*data)
+    _, _, acts, rews, trans = dense
+    assert (m.states, m.initial, m.actions) == dense[:3]
+    assert (m.rewards, m.transitions) == (rews, trans)
+    assert m.rows == tuple(tuple(map(dense_scaled, rs, ps)) for rs, ps in zip(rews, trans))
+    for i, s in enumerate(m.states):
+        for j, a in enumerate(acts[i]):
+            assert m.reward(s, a) == rews[i][j]
+            assert m.transition(s, a) == {z: q for z, q in zip(m.states, trans[i][j]) if q}
+    # the dense test called a row such as (1, -1, 1) deterministic
+    dense_det = all(max(row) == 1 and sum(row) == 1 for per in trans for row in per)
+    nonnegative = all(q >= 0 for per in trans for row in per for q in row)
+    assert m.is_deterministic == (dense_det and nonnegative)
+    assert validate(m) == dense_validate(dense)
 
 
 @given(st.integers(0, 10_000))
@@ -334,6 +448,30 @@ def test_step_table_is_as_large_as_the_sparse_rows():
     assert sum(len(row) for opts in cells for _, row in opts) == 300
     sigma = stationary({s: "x" for s in m.states})
     assert expected_reward_stream(m, sigma, max_horizon=3) == stream([], [0, Fraction(1, 2)])
+
+
+def test_large_sparse_chain_is_built_and_evaluated_in_linear_space():
+    """A 2000-state goto cycle, every state reached: building, a payoff
+    and a search hold nothing of size n per row.  With dense rows this
+    took 263 MB and several seconds."""
+    n = 2000
+    states = [str(i) for i in range(n)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        m = build_mdp(states, "0", {s: ("x",) for s in states},
+                      {(s, "x"): Fraction(i % 3, 2) for i, s in enumerate(states)},
+                      {(s, "x"): {states[(i + 1) % n]: 1} for i, s in enumerate(states)})
+        value = payoff(m, stationary({s: "x" for s in states}), Frequency())
+        result = best_periodic(m, Frequency(), 1, 0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == result.best_value
+    assert value.exact_value == Fraction(sum(i % 3 for i in range(n)), 2 * n)
+    assert peak < 30 * 2 ** 20, peak
+    assert elapsed < 2, elapsed
 
 
 def test_unreached_unnamed_state_still_evaluates():
