@@ -10,20 +10,19 @@ A charge expression is built from:
   ``mu_n(W) = 2**n * Frequency(W & multiples(2**n))``,
 * ``Mix(...)``         -- a convex combination.
 
-Everything except ``DyadicLimit`` evaluates to a single exact rational.
-``DyadicLimit`` is not a single charge but a family of admissible
-selections; a query returns the set of values realizable across them,
-which is the set of values in the eventual cycle of the explicitly
-computed sequence ``mu_n`` applied to the query.  On this algebra that
-sequence is always eventually periodic, so the answer is finite and
-exact.
+Every query has exactly one value.  For ``DyadicLimit`` this is because
+the family is eventually constant on this algebra: let M have period p
+and residue set R, and let 2**a be the 2-part of p.  For 2**n >= 2**a,
+lcm(p, 2**n) = 2**n * p / 2**a, and by the Chinese remainder theorem the
+multiples of 2**n modulo that lcm map one to one onto the residues mod p
+that 2**a divides.  So mu_n(M) = 2**a * #{r in R : 2**a | r} / p for
+every such n.  ``DyadicLimit`` at M is the one value on the cycle of the
+halving walk M, contract(M, 2), contract(M, 4), ... which
+``dyadic_value_sequence`` follows to its first repeated state.
 
-A query is split once into its non-dyadic part and the total weight W
-of its ``DyadicLimit`` parts.  The non-dyadic part is evaluated once
-per level set of the integrand (a ``Restrict`` measures its window once
-per query); each step of the dyadic family then only adds
-W * sum c * density(M) over the halved level sets M, until that state
-repeats.
+``_eval`` gives every charge one exact rational.  A ``Restrict``
+recurses through ``_eval`` with the query's one memo, so each window is
+measured once per query however deep the restrictions nest.
 
 ``Geometric(n/d)`` is one integer closed form.  For a set with
 preperiod m and period p it is
@@ -63,7 +62,7 @@ class IllFormedRestrict(ValueError):
 
 
 class AmbiguousBase(ValueError):
-    """Restriction numerator is ambiguous; candidate-wise division is not defined."""
+    """Kept for imports; no query raises it, since every query has one value."""
 
 
 class Charge:
@@ -138,12 +137,9 @@ def is_diffuse(mu: Charge) -> bool:
 class CValue:
     """Result of a charge query: a nonempty finite set of exact rationals.
 
-    A single candidate means the query is determined (Exact); several
-    candidates mean the answer depends on which accumulation-point
-    selection realizes the dyadic limit.  When ambiguous, the eventual
-    cycle that produced the candidates is kept as a non-identity
-    annotation (its mean is the value pinned by averaging the family
-    with the frequency charge).
+    Every query of this library returns one candidate (``is_exact``).
+    Several candidates, with ``cycle`` as a non-identity annotation,
+    arise only when a caller builds them.
     """
 
     candidates: frozenset[Fraction]
@@ -211,21 +207,9 @@ def _geometric_value(beta: Fraction, s: EventuallyPeriodicSet) -> Fraction:
     return Fraction((d - n) * (P * gap + n ** m * T), d ** m * gap)
 
 
-def _dyadic_weight(mu: Charge) -> Fraction:
-    """Total weight of the DyadicLimit parts reachable through mixtures.
-    Restrict is excluded: it resolves on its own to an exact rational
-    or raises."""
-    if isinstance(mu, DyadicLimit):
-        return Fraction(1)
-    if isinstance(mu, Mix):
-        return sum((w * _dyadic_weight(c) for w, c in mu.parts), Fraction(0))
-    return Fraction(0)
-
-
 def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> Fraction:
-    """mu at s with every DyadicLimit part counted as 0.  ``windows``
-    holds each Restrict's base measure on its window, computed on first
-    use in the query."""
+    """The one value of mu at s.  ``windows`` holds each Restrict's base
+    measure on its window, computed on first use in the query."""
     if isinstance(mu, Frequency):
         return density(s)
     if isinstance(mu, Geometric):
@@ -233,53 +217,24 @@ def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> Fraction:
     if isinstance(mu, PointMass):
         return Fraction(1 if member(s, mu.stage) else 0)
     if isinstance(mu, DyadicLimit):
-        return Fraction(0)
+        return dyadic_value_sequence(s)[1][0]  # the cycle holds one value
     if isinstance(mu, Restrict):
         base_on_window = windows.get(id(mu))
         if base_on_window is None:
-            base = value(mu.base, mu.window)
-            if not base.is_exact or base.exact_value <= 0:
-                raise IllFormedRestrict(f"restriction window has base measure {base}")
-            base_on_window = windows[id(mu)] = base.exact_value
-        num = value(mu.base, intersect(s, mu.window))
-        if not num.is_exact:
-            raise AmbiguousBase(
-                f"restriction base is ambiguous on the queried set: {num}")
-        return num.exact_value / base_on_window
+            base_on_window = _eval(mu.base, mu.window, windows)
+            if base_on_window <= 0:
+                raise IllFormedRestrict(f"restriction window has base measure {base_on_window}")
+            windows[id(mu)] = base_on_window
+        return _eval(mu.base, intersect(s, mu.window), windows) / base_on_window
     if isinstance(mu, Mix):
         return sum((w * _eval(c, s, windows) for w, c in mu.parts), Fraction(0))
     raise TypeError(f"not a charge expression: {mu!r}")
 
 
-def _resolve(const: Fraction, weight: Fraction,
-             levels: list[tuple[Fraction, EventuallyPeriodicSet]]) -> CValue:
-    """Run the dyadic family until its state cycles exactly.
-
-    The n-th member of the family adds weight * sum c * density(contract(M, 2**n))
-    over the levels (c, M) to the non-dyadic part ``const``; iterated
-    halving of the canonical sets must revisit a state, at which point
-    the family's eventual cycle of values is known exactly.
-    """
-    if not weight or not levels:
-        return CValue.exact(const)
-    state = tuple(contract(m, 2) for _, m in levels)
-    seen: dict[tuple, int] = {}
-    vals: list[Fraction] = []
-    while state not in seen:
-        seen[state] = len(vals)
-        vals.append(const + weight * sum(
-            (c * density(t) for (c, _), t in zip(levels, state)), Fraction(0)))
-        state = tuple(contract(t, 2) for t in state)
-    cyc = tuple(vals[seen[state]:])
-    cands = frozenset(cyc)
-    if len(cands) == 1:
-        return CValue.exact(next(iter(cands)))
-    return CValue(cands, cycle=cyc)
-
-
 def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tuple[Fraction, ...]]:
-    """All computed values of the dyadic family at s (from index 1)
-    and the eventual cycle."""
+    """All computed values of the dyadic family at s (from index 1) and
+    the values on the cycle of the walk, which are all one value (see
+    the module docstring)."""
     state = contract(s, 2)
     seen: dict[EventuallyPeriodicSet, int] = {}
     vals: list[Fraction] = []
@@ -291,16 +246,15 @@ def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tup
 
 
 def value(mu: Charge, s: EventuallyPeriodicSet) -> CValue:
-    return _resolve(_eval(mu, s, {}), _dyadic_weight(mu), [(Fraction(1), s)])
+    return CValue.exact(_eval(mu, s, {}))
 
 
 def integrate(mu: Charge, f: RationalStream) -> CValue:
     """Exact integral of the stream: decompose into level sets and
     evaluate the simple function c_1*I(M_1) + ... + c_k*I(M_k)."""
-    levels = [(c, m) for c, m in f.level_sets() if c != 0]
     windows: dict = {}
-    const = sum((c * _eval(mu, m, windows) for c, m in levels), Fraction(0))
-    return _resolve(const, _dyadic_weight(mu), levels)
+    return CValue.exact(sum((c * _eval(mu, m, windows) for c, m in f.level_sets() if c != 0),
+                            Fraction(0)))
 
 
 def _stage_weights(mu: Charge, L: int, q: int) -> tuple[int, tuple[int, ...]]:
@@ -316,20 +270,17 @@ def _stage_weights(mu: Charge, L: int, q: int) -> tuple[int, tuple[int, ...]]:
     must not ask for them: a null Restrict window raises here.
     """
     windows: dict = {}
-    dyadic = _dyadic_weight(mu)
     atoms = [_build(L, 1 << t, 1, 0) for t in range(L)]
     atoms += [_build(L, 0, q, 1 << ((L + 1 + j) % q)) for j in range(q)]
-    vals = [_resolve(_eval(mu, a, windows), dyadic, [(Fraction(1), a)]).exact_value
-            for a in atoms]
+    vals = [_eval(mu, a, windows) for a in atoms]
     W = lcm(*(v.denominator for v in vals))
     return W, tuple(v.numerator * (W // v.denominator) for v in vals)
 
 
 def sandwich_check(mu: Charge, s: EventuallyPeriodicSet) -> bool:
-    """Whether every candidate agrees with the limiting frequency of s.
+    """Whether the value agrees with the limiting frequency of s.
 
     On this algebra liminf and limsup of the frequency ratio coincide
     with the density, so the admissible band is a single point.
     """
-    d = density(s)
-    return all(c == d for c in value(mu, s).candidates)
+    return value(mu, s).exact_value == density(s)

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 a parse or I/O error,
 a flag out of range, an invalid MDP, a strategy that does not fit its
 MDP, a search over its strategy budget, or a restricted charge whose
-window has no positive exact base measure or whose base is ambiguous.
+window has no positive exact base measure.
 All numeric output is exact rational text.
 """
 
@@ -15,7 +15,7 @@ import sys
 
 from . import counterexamples as cx
 from .blackwell import average_value, blackwell_policy, discounted_value
-from .charges import AmbiguousBase, IllFormedRestrict, integrate, value
+from .charges import IllFormedRestrict, integrate, value
 from .mdp import (LEAST_HORIZON, BudgetExceeded, MdpValidationError, StrategyMismatch,
                   best_periodic, ensure_valid, payoff)
 from .parsing import (ParseError, parse_charge, parse_mdp, parse_set,
@@ -27,13 +27,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _print_cvalue(val) -> None:
-    print(val)
-    if not val.is_exact and val.cycle is not None:
-        mean = sum(val.cycle) / len(val.cycle)
-        print(f"# cycle mean {mean}")
-
-
 def _cmd_density(args) -> int:
     from .periodic_sets import density
     print(density(parse_set(args.set)))
@@ -41,12 +34,12 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_charge_eval(args) -> int:
-    _print_cvalue(value(parse_charge(args.charge), parse_set(args.set)))
+    print(value(parse_charge(args.charge), parse_set(args.set)))
     return 0
 
 
 def _cmd_integrate(args) -> int:
-    _print_cvalue(integrate(parse_charge(args.charge), parse_stream(args.stream)))
+    print(integrate(parse_charge(args.charge), parse_stream(args.stream)))
     return 0
 
 
@@ -56,7 +49,7 @@ def _cmd_mdp_eval(args) -> int:
     mdp = ensure_valid(parse_mdp(_read(args.mdp)))
     sigma = parse_strategy(_read(args.strategy), mdp)
     mu = parse_charge(args.charge)
-    _print_cvalue(payoff(mdp, sigma, mu, max_horizon=args.horizon))
+    print(payoff(mdp, sigma, mu, max_horizon=args.horizon))
     return 0
 
 
@@ -188,7 +181,7 @@ def run(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MdpValidationError, StrategyMismatch, BudgetExceeded,
-            IllFormedRestrict, AmbiguousBase) as exc:
+            IllFormedRestrict) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -251,7 +251,7 @@ def _shortfall_rows(prefix: str, w: EventuallyPeriodicSet,
     s = _set_shortfall(w)
     detail = (f"odd-part mass {Fraction(2 * s.odd, s.p)}" if s.mu1
               else f"dyadic candidates {[Fraction(s.dyadic, s.p)]}")
-    return [_flag(f"{prefix}-payoff-below-1", payoff_value.high < 1,
+    return [_flag(f"{prefix}-payoff-below-1", payoff_value.exact_value < 1,
                   f"payoff {payoff_value}"),
             _flag(f"{prefix}-shift-lemma", all(s.lemma)),
             _flag(f"{prefix}-dichotomy", s.dichotomy, detail)]
@@ -307,7 +307,7 @@ def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
         stationary_grid = [Fraction(k, 8) for k in range(9)]
     for q in stationary_grid:
         val = payoff(mdp, top_probability(q), mu)
-        rows.append(_flag(f"stationary-{q}", val.high < 1, f"payoff {val}"))
+        rows.append(_flag(f"stationary-{q}", val.exact_value < 1, f"payoff {val}"))
     return VerificationReport("payoff-shortfall-sweep", tuple(rows))
 
 

@@ -495,12 +495,11 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
                   max_horizon: int = DEFAULT_HORIZON) -> SearchResult:
     """Exhaustive search over pure periodic Markov strategies.
 
-    Ranking is by guaranteed value (minimum candidate), descending,
-    with ties broken by the lexicographic strategy encoding in declared
-    action order.  This lower-bounds the value of the MDP under the
-    charge.  Every reward stream is found before the charge is
-    evaluated, so CycleNotFound and StrategyMismatch come before any
-    error of the charge.
+    Ranking is by value, descending, with ties broken by the
+    lexicographic strategy encoding in declared action order.  This
+    lower-bounds the value of the MDP under the charge.  Every reward
+    stream is found before the charge is evaluated, so CycleNotFound and
+    StrategyMismatch come before any error of the charge.
     """
     _check_horizon(max_horizon)
     M, cells, table = _integer_form(mdp)
@@ -527,9 +526,9 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     values = _word_values(mu, words, checks)
     # rank each distinct value once; enumeration order is the tie-break
     # order, and this sort is stable
-    lows = [v.low for v in values]
-    rank = {q: i for i, q in enumerate(sorted(set(lows), reverse=True))}
-    key = [rank[q] for q in lows]
+    exact = [v.exact_value for v in values]
+    rank = {q: i for i, q in enumerate(sorted(set(exact), reverse=True))}
+    key = [rank[q] for q in exact]
     found.sort(key=lambda e: key[e[1]])
     entries = tuple((strat, values[k]) for strat, k in found)
     best, best_value = entries[0]

@@ -8,6 +8,12 @@ errors carry line/column positions.
 CR) and ``#`` comments (to the end of the line) separate tokens, and any
 other character is a ``ParseError``.
 
+Set and charge expressions nest at most ``MAX_NESTING`` (100) levels
+deep.  A parenthesis, a ``!``, a ``mix`` and a constructor's argument
+list each open one level; past the bound the parser raises a
+``ParseError`` at the token that opens the level, so deep input never
+exhausts the interpreter's stack in parsing or in evaluation.
+
 Range checks belong to the constructors (``multiples``, ``Geometric``,
 ``Mix``, ``stream``, ``stationary``, ...).  ``_Parser.build`` reports a
 constructor's ``ValueError`` as a ``ParseError`` at its token.
@@ -65,10 +71,14 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -81,6 +91,12 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def nest(self, tok: Token) -> None:
+        """Open one nesting level at ``tok``; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
 
     def build(self, tok: Token, fn, *args):
         """``fn(*args)``, with a ``ValueError`` it raises reported at ``tok``."""
@@ -160,12 +176,14 @@ class _Parser:
         fn, rules = entry
         args = []
         if rules:
+            self.nest(tok)
             self.expect_punct("(")
             for i, rule in enumerate(rules):
                 if i:
                     self.expect_punct(",")
                 args.append(rule(self))
             self.expect_punct(")")
+            self.depth -= 1
         return self.build(tok, fn, *args)
 
     # ---- set expressions -------------------------------------------------
@@ -183,13 +201,18 @@ class _Parser:
         return left
 
     def set_factor(self) -> EventuallyPeriodicSet:
+        tok = self.peek()
         if self.take_punct("!"):
-            return ps.complement(self.set_factor())
-        if self.take_punct("("):
-            inner = self.set_expr()
+            self.nest(tok)
+            out = ps.complement(self.set_factor())
+        elif self.take_punct("("):
+            self.nest(tok)
+            out = self.set_expr()
             self.expect_punct(")")
-            return inner
-        return self.call(_SETS, "set")
+        else:
+            return self.call(_SETS, "set")
+        self.depth -= 1
+        return out
 
     # ---- charge expressions ----------------------------------------------
 
@@ -198,6 +221,7 @@ class _Parser:
         if tok.text != "mix":  # only a NAME token can read "mix"
             return self.call(_CHARGES, "charge")
         self.next()
+        self.nest(tok)
         self.expect_punct("(")
         parts = []
         while not parts or self.take_punct(","):
@@ -205,6 +229,7 @@ class _Parser:
             self.expect_punct(":")
             parts.append((w, self.charge_expr()))
         self.expect_punct(")")
+        self.depth -= 1
         return self.build(tok, Mix, tuple(parts))
 
     # ---- stream literals -------------------------------------------------

@@ -1,5 +1,6 @@
 """Charge evaluation and exact integration."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,29 @@ def test_dyadic_value_sequence_matches_contractions(s):
     assert set(cyc) <= set(vals)
 
 
+def dyadic_closed_form(s) -> Fraction:
+    """2**a * #{r in R : 2**a | r} / p, with 2**a the 2-part of the period
+    p and R the residues, read from the residue mask."""
+    p = s.period
+    step = p & -p
+    divisible = sum(1 << r for r in range(0, p, step))
+    return Fraction(step * (s.res_mask & divisible).bit_count(), p)
+
+
+@given(st.one_of(periodic_sets(), periodic_sets(max_preperiod=20, max_period=48)))
+def test_dyadic_cycle_is_one_value_in_closed_form(s):
+    _, cyc = dyadic_value_sequence(s)
+    assert set(cyc) == {dyadic_closed_form(s)}
+    assert value(DyadicLimit(), s).exact_value == dyadic_closed_form(s)
+
+
+def test_dyadic_cycle_of_a_residue_mod_11():
+    # halving walks the residue 3 through all ten nonzero residues mod 11
+    _, cyc = dyadic_value_sequence(arithmetic(3, 11))
+    assert cyc == (Fraction(1, 11),) * 10
+    assert value(DyadicLimit(), arithmetic(3, 11)) == CValue.exact(Fraction(1, 11))
+
+
 @given(periodic_sets())
 def test_dyadic_candidates_come_from_the_sequence(s):
     vals, cyc = dyadic_value_sequence(s)
@@ -437,6 +461,26 @@ def test_mix_with_two_dyadic_parts_matches_reference(others, s, f):
                    for c in [DyadicLimit(), *others, DyadicLimit()]))
     assert outcome(value, mu, s) == outcome(ref_value, mu, s)
     assert outcome(integrate, mu, f) == outcome(ref_integrate, mu, f)
+
+
+@given(RANDOM_CHARGES, periodic_sets(), rational_streams())
+def test_every_query_has_one_value(mu, s, f):
+    for query, arg in ((value, s), (integrate, f)):
+        try:
+            assert query(mu, arg).is_exact
+        except IllFormedRestrict:
+            pass
+
+
+def test_nested_restrictions_cost_one_window_each():
+    # each level re-measured its window with a fresh memo: about 24 s at
+    # depth 20, doubling with every level
+    mu = Frequency()
+    for _ in range(20):
+        mu = Restrict(mu, naturals())
+    start = time.perf_counter()
+    assert value(mu, odds()) == CValue.exact(Fraction(1, 2))
+    assert time.perf_counter() - start < 2
 
 
 @given(BETAS, periodic_sets(max_preperiod=40, max_period=40))

@@ -276,3 +276,35 @@ def test_mdp_eval_self_loop_at_the_least_horizon(capsys, tmp_path):
     assert capsys.readouterr().err == "error: --horizon must be at least 2, got 1\n"
     assert run(argv + ["--horizon", "2"]) == 0
     assert capsys.readouterr().out == "1/3\n"
+
+
+# (command, opening, closing, innermost) for each construct that opens a
+# nesting level; every expression below evaluates to 1/2 at any depth
+NESTED = [("density", "(", ")", "odds"),
+          ("density", "!", "", "odds"),
+          ("density", "shift(", ",2)", "odds"),
+          ("density", "contract(", ",1)", "odds"),
+          ("charge-eval", "mix(1:", ")", "frequency"),
+          ("charge-eval", "restrict(", ", nat)", "frequency")]
+
+
+def nested_argv(command, opening, closing, inner, depth):
+    text = opening * depth + inner + closing * depth
+    return [command, text] + (["odds"] if command == "charge-eval" else [])
+
+
+@pytest.mark.parametrize("command, opening, closing, inner", NESTED)
+def test_nesting_at_the_bound_evaluates(capsys, command, opening, closing, inner):
+    assert run(nested_argv(command, opening, closing, inner, 100)) == 0
+    assert capsys.readouterr() == ("1/2\n", "")
+
+
+@pytest.mark.parametrize("depth", [101, 5000])
+@pytest.mark.parametrize("command, opening, closing, inner", NESTED)
+def test_nesting_past_the_bound_exits_2(capsys, command, opening, closing, inner, depth):
+    # deep input used to end in a RecursionError traceback with exit 1
+    assert run(nested_argv(command, opening, closing, inner, depth)) == 2
+    captured = capsys.readouterr()
+    col = 100 * len(opening) + 1  # the token that opens level 101
+    assert captured == ("", f"parse error: line 1, col {col}: nesting deeper than 100 levels\n")
+
