@@ -17,12 +17,25 @@ division of the elimination is an exact integer ``//``; its divisor, a
 previous pivot, is a nonzero polynomial with coefficients below X/2, so
 its value at X is nonzero.
 
-``discounted_value`` reduces each N_i / det in integers: a primitive
-remainder sequence gives their gcd, exact integer division removes it,
-and one Fraction per coefficient makes the denominator monic.  Reduced
-with a monic denominator, the form is unique, so it is the one
-rational-function arithmetic gives; ``RationalFunction.of`` takes the
-same path after clearing denominators.
+``discounted_value`` reduces each N_i / det in integers: it divides
+both by their gcd, and one Fraction per coefficient makes the
+denominator monic.  Reduced with a monic denominator, the form is
+unique, so it is the one rational-function arithmetic gives.
+
+The gcd comes from the packed values the elimination already computed
+(the heuristic gcd of Char, Geddes & Gonnet, J. Symbolic Computation,
+1989).  Let h be the primitive part of the polynomial whose balanced
+base-X digits are gamma = gcd(N_i(X), det(X)).  If h divides N_i and
+det, it is their gcd: their primitive gcd is h*q, and q(X) divides the
+content c of those digits, so |q(X)| <= |c| <= X/2; but every root of a
+factor q of det lies below 1 + ||det||_inf in absolute value (Cauchy),
+so X >= 2*||det||_inf + 2 makes |q(X)| > X/2 unless q is a constant.
+The bound holds: X = 2**k > 2B >= 2*||det||_1, and X is even.  So a
+constant h means the gcd is 1; otherwise h is accepted only after both
+exact divisions (``_quotient``) succeed, their quotients are the reduced
+pair, and a failed division falls back to a primitive remainder sequence
+(``_int_gcd``).  ``RationalFunction.of``, which has no packed values,
+takes that sequence after clearing denominators.
 
 "Optimal for every discount factor close enough to 1" becomes a sign
 test near b = 1.  Dividing a polynomial by (b - 1) until the remainder
@@ -85,17 +98,22 @@ def _int_gcd(x: list[int], y: list[int]) -> list[int]:
     return x
 
 
-def _exact_quotient(p: list[int], g: list[int]) -> list[int]:
-    """p / g for integer polynomials where g divides p in Z[b]."""
+def _quotient(p: list[int], g: list[int]) -> list[int] | None:
+    """p / g for integer polynomials with g primitive and nonzero, or None
+    when g does not divide p.  By Gauss's lemma a quotient over the
+    rationals has integer coefficients, so a remainder in any step's
+    coefficient division already rules it out."""
     rem = p[:]
-    quo = [0] * (len(p) - len(g) + 1)
+    quo = [0] * max(len(p) - len(g) + 1, 0)
     for shift in range(len(quo) - 1, -1, -1):
-        k = rem[shift + len(g) - 1] // g[-1]
+        k, r = divmod(rem[shift + len(g) - 1], g[-1])
+        if r:
+            return None
         if k:
             quo[shift] = k
             for i, c in enumerate(g):
                 rem[shift + i] -= k * c
-    return quo
+    return None if any(rem) else quo
 
 
 def _order_at_one(cs) -> tuple[int, object]:
@@ -166,22 +184,6 @@ class Poly:
         k = Fraction(k)
         return Poly.of(*(k * c for c in self.coeffs))
 
-    def __divmod__(self, other: "Poly"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.coeffs
-        if len(rem) < len(d):
-            return Poly(()), self
-        quo = [Fraction(0)] * (len(rem) - len(d) + 1)
-        for shift in range(len(rem) - len(d), -1, -1):
-            k = rem[shift + len(d) - 1] / d[-1]
-            if k:
-                quo[shift] = k
-                for i, c in enumerate(d):
-                    rem[shift + i] -= k * c
-        return Poly.of(*quo), Poly.of(*rem)
-
     def evaluate(self, x) -> Fraction:
         """Horner over the integers: with x = p/q and the coefficients over
         their lcm d, d * q^deg * self(x) is an integer; one Fraction at the end."""
@@ -223,12 +225,6 @@ class Poly:
             else:
                 terms.append(f"{c}*{var}^{i}")
         return " + ".join(terms)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd, by a primitive remainder sequence over the integers."""
-    g = _int_gcd(list(a.coeffs), list(b.coeffs))
-    return Poly(tuple(Fraction(c, g[-1]) for c in g))
 
 
 @dataclass(frozen=True)
@@ -281,14 +277,33 @@ class RationalFunction:
         return f"({self.num.render(var)})/({self.den.render(var)})"
 
 
-def _reduced(num: list[int], den: list[int]) -> RationalFunction:
+def _packed_cofactors(num: list[int], den: list[int], gamma: int,
+                      k: int) -> tuple[list[int], list[int]] | None:
+    """(num / g, den / g) for g the gcd of integer polynomials num and den,
+    den nonzero, from gamma = gcd(num(X), den(X)) at X = 2**k with
+    X >= 2*||den||_inf + 2; None when the candidate from gamma's balanced
+    base-X digits fails to divide both (see the module docstring)."""
+    h = _unpack(gamma, k)
+    if len(h) == 1:
+        return num, den
+    h = _primitive(h)
+    if (num_quo := _quotient(num, h)) is None or (den_quo := _quotient(den, h)) is None:
+        return None
+    return num_quo, den_quo
+
+
+def _reduced(num: list[int], den: list[int], packed: tuple[int, int] | None = None
+             ) -> RationalFunction:
     """num / den, integer polynomials with den nonzero, in lowest terms with
-    a monic denominator."""
+    a monic denominator.  ``packed`` = (gamma, k), as ``_packed_cofactors``
+    takes them, is tried before the remainder sequence."""
     if not num:
         return RationalFunction(Poly(()), Poly.of(1))
-    g = _int_gcd(num, den)
-    if len(g) > 1:
-        num, den = _exact_quotient(num, g), _exact_quotient(den, g)
+    pair = _packed_cofactors(num, den, *packed) if packed else None
+    if pair is None:
+        g = _int_gcd(num, den)
+        pair = (_quotient(num, g), _quotient(den, g)) if len(g) > 1 else (num, den)
+    num, den = pair
     lead = den[-1]
     return RationalFunction(Poly(tuple(Fraction(c, lead) for c in num)),
                             Poly(tuple(Fraction(c, lead) for c in den)))
@@ -355,9 +370,9 @@ def _bareiss_at(rows, k: int) -> tuple[int, list[int]]:
     return prev, [row[n] for row in m]
 
 
-def _cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[list[int], list[list[int]]]:
-    """det(I - bP) and the Cramer numerators N_i of (I - bP) v = r, as
-    integer polynomials, with v_i = N_i / det.
+def _packed_cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[int, int, list[int]]:
+    """(k, det, nums): det(I - bP) and the Cramer numerators N_i of
+    (I - bP) v = r, with v_i = N_i / det, as their values at b = 2**k.
 
     Row i is scaled by the lcm L_i of its denominators, as ``Mdp.rows``
     stores it, so both come out multiplied by prod(L_i).  Both are minors of
@@ -366,7 +381,12 @@ def _cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[list[int], list[list[int]
     """
     rows = _policy_rows(mdp, pi)
     k = prod(map(_norm, rows)).bit_length() + 1
-    det, nums = _bareiss_at(rows, k)
+    return k, *_bareiss_at(rows, k)
+
+
+def _cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[list[int], list[list[int]]]:
+    """det(I - bP) and the Cramer numerators N_i as integer polynomials."""
+    k, det, nums = _packed_cramer(mdp, pi)
     return _unpack(det, k), [_unpack(num, k) for num in nums]
 
 
@@ -411,8 +431,10 @@ def _policy_rows(mdp: Mdp, pi: StationaryStrategy) -> list[tuple]:
 def discounted_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, RationalFunction]:
     """Per-state discounted value v(b) solving v = r + b*P*v, symbolically."""
     ensure_valid(mdp)
-    det, nums = _cramer(mdp, pi)
-    return {s: _reduced(num, det) for s, num in zip(mdp.states, nums)}
+    k, det, nums = _packed_cramer(mdp, pi)
+    den = _unpack(det, k)
+    return {s: _reduced(_unpack(num, k), den, (gcd(num, det), k))
+            for s, num in zip(mdp.states, nums)}
 
 
 def discounted_value_at(mdp: Mdp, pi: StationaryStrategy, beta) -> dict[str, Fraction]:
@@ -441,7 +463,8 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
     each round switches every improvable state to its lowest-indexed
     improving action, judged by the sign of the one-step action-value
     difference near b = 1.  Terminates because each switch strictly
-    improves the policy in the Blackwell order.
+    improves the policy in the Blackwell order.  The policy is a list of
+    action indices, its rows read straight from ``Mdp.rows``.
 
     With v = N / det, the difference for action a at state s is
     (r_a*det + b*sum_z p_az*N_z - N_s) / det.  Its numerator, scaled to
@@ -453,22 +476,22 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
     """
     ensure_valid(mdp)
     widest = max(_norm(row) for cell in mdp.rows for row in cell)
-    choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
+    choice = [0] * len(mdp.states)
     while True:
-        pi = stationary(choice)
-        rows = _policy_rows(mdp, pi)
+        pi = stationary({s: acts[j] for s, acts, j in zip(mdp.states, mdp.actions, choice)})
+        rows = [per[j] for per, j in zip(mdp.rows, choice)]
         k = (prod(map(_norm, rows)) * widest).bit_length() + 1
         det, nums = _bareiss_at(rows, k)
         det_sign = _sign_near_one(_unpack(det, k))
         changed = False
-        for i, s in enumerate(mdp.states):
-            for a, (scale, rhs, sparse) in zip(mdp.actions[i], mdp.rows[i]):
-                if a == choice[s]:
+        for i, per in enumerate(mdp.rows):
+            for j, (scale, rhs, sparse) in enumerate(per):
+                if j == choice[i]:
                     continue
                 ahead = sum(w * nums[z] for z, w in sparse)
                 residual = rhs * det - scale * nums[i] + (ahead << k)
                 if _sign_near_one(_unpack(residual, k)) * det_sign > 0:
-                    choice[s] = a
+                    choice[i] = j
                     changed = True
                     break
         if not changed:

@@ -69,7 +69,9 @@ class MdpValidationError(ValueError):
 class Mdp:
     """``rows[i][j]`` is action j at state i, (L, L*r, ((z, L*p_z), ...)):
     L the lcm of its denominators, nonzero p_z only, in state order.  Every
-    reader uses it; ``rewards`` and ``transitions`` are views of it."""
+    reader uses it; ``rewards`` and ``transitions`` are views of it.  An
+    Mdp is immutable, so ``ensure_valid`` computes its validity once and
+    reads it back on every later call."""
 
     states: tuple[str, ...]
     initial: str
@@ -99,6 +101,10 @@ class Mdp:
         zero = dict.fromkeys(range(len(self.states)), Fraction(0))
         return tuple(tuple(tuple((zero | {z: Fraction(w, scale) for z, w in sparse}).values())
                            for scale, _, sparse in per) for per in self.rows)
+
+    @cached_property
+    def _problems(self) -> tuple[Problem, ...]:
+        return tuple(validate(self))
 
     @property
     def is_deterministic(self) -> bool:
@@ -154,9 +160,11 @@ def validate(mdp: Mdp) -> list[Problem]:
 
 
 def ensure_valid(mdp: Mdp) -> Mdp:
-    problems = validate(mdp)
-    if problems:
-        raise MdpValidationError(problems)
+    """mdp itself, or MdpValidationError with every problem ``validate``
+    finds.  ``validate`` runs once per Mdp object; later calls read its
+    result back, and each raise gets a fresh list of the same problems."""
+    if mdp._problems:
+        raise MdpValidationError(list(mdp._problems))
     return mdp
 
 

@@ -2,21 +2,25 @@
 
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargemdp import mdp as mdp_module
 from chargemdp.blackwell import (BETA, Poly, PoleAtOne, RationalFunction,
-                                 _cramer, _order_at_one, _unpack,
-                                 average_value, blackwell_policy,
+                                 _bareiss_at, _cramer, _int_gcd, _norm,
+                                 _order_at_one, _packed_cofactors,
+                                 _policy_rows, _reduced, _sign_near_one,
+                                 _unpack, average_value, blackwell_policy,
                                  discounted_value, discounted_value_at,
-                                 poly_gcd, sign_near_one)
+                                 sign_near_one)
 from chargemdp.counterexamples import even_or_odd_mdp, late_switch_mdp
-from chargemdp.mdp import (build_mdp, enumerate_pure_stationary, ensure_valid,
+from chargemdp.mdp import (Mdp, MdpValidationError, build_mdp,
+                           enumerate_pure_stationary, ensure_valid,
                            expected_reward_stream, periodic, random_mdp,
-                           stationary)
+                           stationary, validate)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
@@ -43,15 +47,39 @@ def test_poly_ring_identities(p, q):
         assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
 
 
+def _ref_divmod(p, q):
+    """Quotient and remainder of Poly long division over the rationals."""
+    if q.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, d = list(p.coeffs), q.coeffs
+    quo = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        k = rem[shift + len(d) - 1] / d[-1]
+        quo[shift] = k
+        for i, c in enumerate(d):
+            rem[shift + i] -= k * c
+    return Poly.of(*quo), Poly.of(*rem)
+
+
 @given(polys, polys)
 def test_poly_divmod_identity(p, q):
     if q.is_zero:
         with pytest.raises(ZeroDivisionError):
-            divmod(p, q)
+            _ref_divmod(p, q)
         return
-    quo, rem = divmod(p, q)
+    quo, rem = _ref_divmod(p, q)
     assert quo * q + rem == p
     assert rem.is_zero or rem.degree < q.degree
+
+
+def poly_gcd(a, b):
+    """Monic gcd, by the integer remainder sequence ``_int_gcd``."""
+    g = _int_gcd(list(a.coeffs), list(b.coeffs))
+    return Poly(tuple(Fraction(c, g[-1]) for c in g))
+
+
+def _monic(p):
+    return p.scaled(1 / p.coeffs[-1]) if not p.is_zero else p
 
 
 @given(polys, polys)
@@ -61,22 +89,106 @@ def test_poly_gcd_divides_both(p, q):
         assert p.is_zero and q.is_zero
         return
     assert g.coeffs[-1] == 1  # monic
-    assert divmod(p, g)[1].is_zero
-    assert divmod(q, g)[1].is_zero
+    assert _ref_divmod(p, g)[1].is_zero
+    assert _ref_divmod(q, g)[1].is_zero
 
 
 def _ref_poly_gcd(a, b):
     # Euclid over the rationals, the gcd before the integer remainder sequence
     while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.scaled(1 / a.coeffs[-1])
+        a, b = b, _ref_divmod(a, b)[1]
+    return _monic(a)
 
 
 @given(polys, polys, polys)
 def test_poly_gcd_matches_euclid(p, q, common):
     assert poly_gcd(p * common, q * common) == _ref_poly_gcd(p * common, q * common)
+
+
+# ---- the gcd from packed values --------------------------------------------
+
+small_ints = st.lists(st.integers(-6, 6), max_size=4)
+
+
+def _int_mul(p, q):
+    return _ref_trim(_ref_mul_add([], p, q))
+
+
+def _at(p, k):
+    """The value of an integer polynomial at b = 2**k."""
+    return sum(c << (k * i) for i, c in enumerate(p))
+
+
+def _packed_gcd_case(num, den, k):
+    """The cofactors by the packed path at 2**k (None when it declines),
+    and those by the remainder sequence."""
+    packed = _packed_cofactors(num, den, gcd(_at(num, k), _at(den, k)), k)
+    g = _int_gcd(num, den)
+    by_sequence = (_ref_exact(num, g), _ref_exact(den, g))
+    return packed, by_sequence
+
+
+def _ref_exact(p, g):
+    quo, rem = _ref_divmod(Poly.of(*p), Poly.of(*g))
+    assert rem.is_zero
+    return [int(c) for c in quo.coeffs]
+
+
+def _same_up_to_sign(pair, other):
+    return pair == other or pair == tuple([-c for c in p] for p in other)
+
+
+@given(small_ints, small_ints, small_ints, st.integers(0, 3),
+       st.integers(1, 12), st.integers(1, 12), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_packed_gcd_matches_remainder_sequence(a, b, c, m, content_a, content_b, zero_num):
+    # num = content_a * a * C, den = content_b * b * C with C = c * (b-1)**m
+    common = [1]
+    for _ in range(m):
+        common = _int_mul(common, [-1, 1])
+    common = _int_mul(common, c or [1])
+    num = [] if zero_num else _int_mul([content_a], _int_mul(a, common))
+    den = _int_mul([content_b], _int_mul(b, common))
+    if not den:
+        return
+    # 2**k > 2 * max 1-norm, as _packed_cramer sizes k from the rows' 1-norms
+    k = max(sum(map(abs, num)), sum(map(abs, den))).bit_length() + 1
+    packed, by_sequence = _packed_gcd_case(num, den, k)
+    assert _reduced(num, den, (gcd(_at(num, k), _at(den, k)), k)) == _reduced(num, den)
+    if packed is None:  # the heuristic may decline; the fallback is checked above
+        return
+    assert _same_up_to_sign(packed, by_sequence)
+    # gcd = den / (den / g), compared with Euclid up to sign and content
+    g = _ref_divmod(Poly.of(*den), Poly.of(*packed[1]))[0]
+    assert _monic(g) == _ref_poly_gcd(Poly.of(*num), Poly.of(*den))
+
+
+def test_packed_gcd_reads_a_planted_factor():
+    # (b-1)**2 * (b+2) and (b-1)**2 * (2b-1): the packed candidate is (b-1)**2
+    num = _int_mul([1, -2, 1], [2, 1])
+    den = _int_mul([1, -2, 1], [-1, 2])
+    k = sum(map(abs, num)).bit_length() + 1
+    packed, by_sequence = _packed_gcd_case(num, den, k)
+    assert packed == ([2, 1], [-1, 2])
+    assert _same_up_to_sign(packed, by_sequence)
+
+
+def test_packed_gcd_below_the_bound_falls_back():
+    # (b-1)(b+2) and (b-1)(2b+1) at X = 4, below the bound
+    # 2*min(||num||_inf, ||den||_inf) + 2 = 6: gcd(18, 27) = 9 reads as
+    # (b-1)**2, which divides neither; the true gcd is b - 1.
+    num, den, k = [-2, 1, 1], [-1, -1, 2], 2
+    gamma = gcd(_at(num, k), _at(den, k))
+    assert _unpack(gamma, k) == [1, -2, 1]
+    assert _packed_cofactors(num, den, gamma, k) is None
+    f = _reduced(num, den, (gamma, k))
+    assert f == _reduced(num, den)
+    assert poly_gcd(f.num, f.den) == Poly.of(1)  # lowest terms
+    g = _ref_poly_gcd(Poly.of(*num), Poly.of(*den))
+    want_num = _ref_divmod(Poly.of(*num), g)[0]
+    want_den = _ref_divmod(Poly.of(*den), g)[0]
+    lead = want_den.coeffs[-1]
+    assert (f.num, f.den) == (want_num.scaled(1 / lead), want_den.scaled(1 / lead))
 
 
 @given(polys)
@@ -116,7 +228,7 @@ def test_order_at_one(p, extra):
         assert (m, at_one) == (0, 0)
         return
     assert m >= extra and at_one != 0
-    quo, rem = divmod(p, _b_minus_one_to(m))
+    quo, rem = _ref_divmod(p, _b_minus_one_to(m))
     assert rem.is_zero
     assert quo.evaluate(1) == at_one
 
@@ -459,7 +571,7 @@ def test_packed_cramer_matches_polynomial_bareiss(case):
 def test_unpack_round_trips_balanced_digits(k, data):
     bound = (1 << (k - 1)) - 1   # |c| < 2**k / 2
     cs = _ref_trim(data.draw(st.lists(st.integers(-bound, bound), max_size=12)))
-    assert _unpack(sum(c << (k * i) for i, c in enumerate(cs)), k) == cs
+    assert _unpack(_at(cs, k), k) == cs
 
 
 # ---- cross-check against sympy ----------------------------------------------
@@ -497,3 +609,137 @@ def test_det_and_values_match_sympy():
         for i, s in enumerate(m.states):
             diff = poly_expr(v[s].num) / poly_expr(v[s].den) - want[i]
             assert sympy.cancel(sympy.together(diff)) == 0
+
+
+# ---- policy iteration on action indices; validity once per Mdp ------------
+
+def _ref_named_blackwell_policy(mdp):
+    """The packed loop before it iterated on action indices: the policy a
+    mapping from state names to action names, compiled to rows by
+    ``_policy_rows`` every round."""
+    ensure_valid(mdp)
+    widest = max(_norm(row) for cell in mdp.rows for row in cell)
+    choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
+    while True:
+        pi = stationary(choice)
+        rows = _policy_rows(mdp, pi)
+        k = (prod(map(_norm, rows)) * widest).bit_length() + 1
+        det, nums = _bareiss_at(rows, k)
+        det_sign = _sign_near_one(_unpack(det, k))
+        changed = False
+        for i, s in enumerate(mdp.states):
+            for a, (scale, rhs, sparse) in zip(mdp.actions[i], mdp.rows[i]):
+                if a == choice[s]:
+                    continue
+                ahead = sum(w * nums[z] for z, w in sparse)
+                residual = rhs * det - scale * nums[i] + (ahead << k)
+                if _sign_near_one(_unpack(residual, k)) * det_sign > 0:
+                    choice[s] = a
+                    changed = True
+                    break
+        if not changed:
+            return pi
+
+
+@st.composite
+def mdps_with_twins(draw):
+    """1-5 states with 1-4 actions each, probabilities over 2, 6 or 30;
+    an action may repeat an earlier action's row under its own name."""
+    n = draw(st.integers(1, 5))
+    states = [f"s{i}" for i in range(n)]
+    actions, rewards, transitions = {}, {}, {}
+    for s in states:
+        actions[s] = [f"a{j}" for j in range(draw(st.integers(1, 4)))]
+        for j, a in enumerate(actions[s]):
+            if j and draw(st.booleans()):
+                twin = (s, actions[s][draw(st.integers(0, j - 1))])
+                rewards[(s, a)], transitions[(s, a)] = rewards[twin], transitions[twin]
+                continue
+            d = draw(st.sampled_from([2, 6, 30]))
+            rewards[(s, a)] = Fraction(draw(st.integers(-d, d)), d)
+            cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+            transitions[(s, a)] = {z: Fraction(hi - lo, d)
+                                   for z, lo, hi in zip(states, [0] + cuts, cuts + [d])}
+    return build_mdp(states, states[0], actions, rewards, transitions)
+
+
+@given(mdps_with_twins())
+@settings(max_examples=150, deadline=None)
+def test_index_policy_iteration_matches_named_loop(m):
+    assert blackwell_policy(m) == _ref_named_blackwell_policy(m)
+
+
+def test_twin_actions_tie_to_the_lowest_index():
+    # a1 and a2 are the same row and both beat a0; a3 repeats a0
+    rows = {"a0": (0, "s"), "a1": (1, "s"), "a2": (1, "s"), "a3": (0, "s")}
+    m = build_mdp(["s"], "s", {"s": list(rows)},
+                  {("s", a): r for a, (r, _) in rows.items()},
+                  {("s", a): {z: 1} for a, (_, z) in rows.items()})
+    assert blackwell_policy(m) == stationary({"s": "a1"})
+    assert blackwell_policy(m) == _ref_named_blackwell_policy(m)
+    # no twin of the starting action improves on it
+    m = build_mdp(["s"], "s", {"s": ["a0", "a1"]}, {("s", "a0"): 1, ("s", "a1"): 1},
+                  {("s", "a0"): {"s": 1}, ("s", "a1"): {"s": 1}})
+    assert blackwell_policy(m) == stationary({"s": "a0"})
+
+
+def _count_validate(monkeypatch) -> list:
+    calls = []
+    real = mdp_module.validate
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(mdp_module, "validate", counted)
+    return calls
+
+
+def _late_switch_twin():
+    # late_switch_mdp's data, built afresh so no validity is cached yet
+    m = late_switch_mdp()
+    return Mdp(m.states, m.initial, m.actions, m.rows)
+
+
+def test_ensure_valid_validates_each_mdp_once(monkeypatch):
+    calls = _count_validate(monkeypatch)
+    m = _late_switch_twin()
+    for _ in range(3):
+        assert ensure_valid(m) is m
+    pi = blackwell_policy(m)
+    discounted_value(m, pi)
+    average_value(m, pi)
+    discounted_value_at(m, pi, Fraction(1, 2))
+    assert calls == [m]
+    other = _late_switch_twin()  # equal, but another object
+    assert other == m and ensure_valid(other) is other
+    assert len(calls) == 2 and calls[1] is other
+
+
+def test_invalid_mdp_raises_the_same_problems_every_call(monkeypatch):
+    calls = _count_validate(monkeypatch)
+    m = Mdp(("a", "a"), "z", (("x",), ()), (((2, 0, ((0, 1),)),), ()))
+    raised = []
+    for solve in (ensure_valid, ensure_valid, blackwell_policy):
+        with pytest.raises(MdpValidationError) as info:
+            solve(m)
+        raised.append(info.value)
+    assert len(calls) == 1
+    want = mdp_module.validate(m)
+    assert [p.kind for p in want] == ["UnknownState", "DuplicateState", "RowSumError",
+                                      "MissingAction"]
+    for err in raised:
+        assert err.problems == want and str(err) == str(raised[0])
+    raised[0].problems.clear()  # each raise has its own list
+    assert raised[1].problems == want
+    with pytest.raises(MdpValidationError, match="RowSumError"):
+        ensure_valid(m)
+
+
+def test_validate_returns_a_fresh_list():
+    m = late_switch_mdp()
+    assert ensure_valid(m) is m
+    first = validate(m)
+    assert first == [] and first is not validate(m)
+    first.append("not a problem")
+    assert validate(m) == [] and ensure_valid(m) is m

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from chargemdp import mdp as mdp_module
 from chargemdp.cli import build_parser, run
 from chargemdp.mdp import CycleNotFound
 
@@ -104,6 +105,14 @@ def test_blackwell(capsys, late_mdp_file):
     assert "1: B" in out
     assert "average value:" in out
     assert "1: 3/2" in out
+
+
+def test_blackwell_validates_its_mdp_once(monkeypatch, capsys, late_mdp_file):
+    calls = []
+    real = mdp_module.validate
+    monkeypatch.setattr(mdp_module, "validate", lambda m: calls.append(m) or real(m))
+    assert run(["blackwell", "--mdp", late_mdp_file]) == 0
+    assert len(calls) == 1
 
 
 def test_search(capsys, eo_mdp_file):
