@@ -45,6 +45,25 @@ to the integer numerator of each one-step improvement, straight from
 the unreduced pair (det, N), also packed at X.  The long-run average
 reward is the residue of (1-b)*v(b) at b=1, read off the same orders
 and values.
+
+Both read the order at 1 from the packed integer (``_packed_order``).
+X = 2**k is 1 mod X - 1, so p(1) is congruent to p(X) mod X - 1, and is
+its balanced residue when |p(1)| < (X - 1)/2.  When p(1) = 0, p = (b - 1)q
+and p(X) // (X - 1) is exactly q(X).  Every polynomial here has degree at
+most n, the number of states (det at most n, each N_i at most n - 1, each
+residual at most n), and the coefficients of q are suffix sums of p's, so
+|q(1)| <= ||q||_1 <= n*||p||_1.  So k is sized with 2**k > 2n times the
+1-norm bound: the first two orders are two residues, and after two exact
+divisions every coefficient is still at most n*||p||_1 < X/2, so the rare
+order >= 2 unpacks that quotient and finishes by synthetic division.
+
+The last policy-iteration round holds (k, det, N) for the policy it
+returns, and keeps them on the Mdp (``Mdp._solved``, one entry keyed by
+the policy's action indices).  ``discounted_value`` and ``average_value``
+read that entry when their strategy compiles to the same indices, and
+otherwise eliminate afresh and replace it, so a query sequence on one
+policy eliminates it once.  The strategy is compiled on every call, so a
+randomized, multi-phase or mismatched one raises as before.
 """
 
 from __future__ import annotations
@@ -133,7 +152,11 @@ def _order_at_one(cs) -> tuple[int, object]:
 
 def _sign_near_one(cs) -> int:
     """Sign of the polynomial with coefficients cs for all b < 1 close enough to 1."""
-    m, at_one = _order_at_one(cs)
+    return _sign_of_order(*_order_at_one(cs))
+
+
+def _sign_of_order(m: int, at_one) -> int:
+    """Sign just below 1 of (b-1)^m * q, with q(1) = at_one."""
     return (-1) ** m * ((at_one > 0) - (at_one < 0))
 
 
@@ -341,6 +364,23 @@ def _unpack(v: int, k: int) -> list[int]:
     return out
 
 
+def _packed_order(v: int, k: int) -> tuple[int, int]:
+    """``_order_at_one`` of the polynomial p whose value at X = 2**k is v,
+    given X > 2*n*||p||_1 for some n >= max(deg p, 1): p(1) and, when
+    p(1) = 0, q(1) for p = (b-1)*q are balanced residues mod X - 1 (see
+    the module docstring)."""
+    if not v:
+        return 0, 0
+    mod = (1 << k) - 1
+    for m in (0, 1):
+        at_one = v % mod
+        if at_one:
+            return m, at_one - mod if at_one > mod >> 1 else at_one
+        v //= mod
+    m, at_one = _order_at_one(_unpack(v, k))
+    return m + 2, at_one
+
+
 def _bareiss_at(rows, k: int) -> tuple[int, list[int]]:
     """det and the Cramer numerators N_i of the scaled rows, as their
     values at b = 2**k, which must exceed twice every minor's 1-norm.
@@ -373,21 +413,29 @@ def _bareiss_at(rows, k: int) -> tuple[int, list[int]]:
 def _packed_cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[int, int, list[int]]:
     """(k, det, nums): det(I - bP) and the Cramer numerators N_i of
     (I - bP) v = r, with v_i = N_i / det, as their values at b = 2**k.
+    The caller must not change nums.
 
     Row i is scaled by the lcm L_i of its denominators, as ``Mdp.rows``
     stores it, so both come out multiplied by prod(L_i).  Both are minors of
     the scaled augmented matrix, of 1-norm at most the product B of the
-    rows' 1-norms, so 2**k > 2B recovers them from one elimination there.
+    rows' 1-norms, and of degree at most n, so 2**k > 2nB recovers them
+    from one elimination there and reads their orders at 1 by residues.
+    The result is ``mdp._solved``'s when pi's action indices match it, and
+    replaces it otherwise.
     """
-    rows = _policy_rows(mdp, pi)
-    k = prod(map(_norm, rows)).bit_length() + 1
-    return k, *_bareiss_at(rows, k)
+    choice = _policy_choice(mdp, pi)
+    if (solved := mdp._solved.get(choice)) is None:
+        rows = [per[j] for per, j in zip(mdp.rows, choice)]
+        k = (prod(map(_norm, rows)) * len(rows)).bit_length() + 1
+        solved = k, *_bareiss_at(rows, k)
+        _keep(mdp, choice, solved)
+    return solved
 
 
-def _cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[list[int], list[list[int]]]:
-    """det(I - bP) and the Cramer numerators N_i as integer polynomials."""
-    k, det, nums = _packed_cramer(mdp, pi)
-    return _unpack(det, k), [_unpack(num, k) for num in nums]
+def _keep(mdp: Mdp, choice: tuple[int, ...], solved: tuple[int, int, list[int]]) -> None:
+    """Make solved, the elimination of the policy choice, mdp's one entry."""
+    mdp._solved.clear()
+    mdp._solved[choice] = solved
 
 
 def _solve_linear(a, b):
@@ -410,22 +458,22 @@ def _solve_linear(a, b):
     return [b[i] / a[i][i] for i in range(n)]
 
 
-def _policy_rows(mdp: Mdp, pi: StationaryStrategy) -> list[tuple]:
-    """The row in ``Mdp.rows`` of each state's action.  Raises
+def _policy_choice(mdp: Mdp, pi: StationaryStrategy) -> tuple[int, ...]:
+    """The index in ``Mdp.rows`` of each state's action.  Raises
     StrategyMismatch where pi names no action of the MDP, and ValueError
-    for a strategy with more than one phase."""
+    for a strategy with more than one phase or a randomized one."""
     pre, _, phases = _compile(mdp, pi)
     if len(phases) != 1:
         raise ValueError("discounted and average values take a stationary strategy, "
                          f"not one of preperiod {pre} and period {len(phases) - pre}")
     (phase,) = phases
-    rows = []
+    choice = []
     for i, pairs in enumerate(phase):
         (_, j), *rest = pairs
         if rest:
             raise ValueError(f"strategy is randomized at state {mdp.states[i]!r}")
-        rows.append(mdp.rows[i][j])
-    return rows
+        choice.append(j)
+    return tuple(choice)
 
 
 def discounted_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, RationalFunction]:
@@ -444,7 +492,8 @@ def discounted_value_at(mdp: Mdp, pi: StationaryStrategy, beta) -> dict[str, Fra
     """
     ensure_valid(mdp)
     beta = Fraction(beta)
-    rows = _policy_rows(mdp, pi)  # row i of I - beta*P and of r, times L_i
+    # row i of I - beta*P and of r, times L_i
+    rows = [per[j] for per, j in zip(mdp.rows, _policy_choice(mdp, pi))]
     zero = dict.fromkeys(range(len(mdp.states)), 0)
     a = [[int(i == z) * scale - beta * w for z, w in (zero | dict(sparse)).items()]
          for i, (scale, _, sparse) in enumerate(rows)]
@@ -469,20 +518,23 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
     With v = N / det, the difference for action a at state s is
     (r_a*det + b*sum_z p_az*N_z - N_s) / det.  Its numerator, scaled to
     integers, is the residual r_a*det - row_a . N of the action's scaled
-    row of (I - bP | r), of 1-norm at most the row's 1-norm times B.  The
-    elimination runs at b = 2**k with 2**k > 2B times the widest row's
-    1-norm, so each residual is one packed integer, unpacked and tested
-    with no rational function built.
+    row of (I - bP | r), of 1-norm at most the row's 1-norm times B, and
+    of degree at most n.  The elimination runs at b = 2**k with
+    2**k > 2nB times the widest row's 1-norm, so each residual is one
+    packed integer whose sign near 1 is read by residues (``_packed_order``)
+    with no rational function built.  The last round's elimination is
+    kept on the Mdp for ``discounted_value`` and ``average_value``.
     """
     ensure_valid(mdp)
+    n = len(mdp.states)
     widest = max(_norm(row) for cell in mdp.rows for row in cell)
-    choice = [0] * len(mdp.states)
+    choice = [0] * n
     while True:
         pi = stationary({s: acts[j] for s, acts, j in zip(mdp.states, mdp.actions, choice)})
         rows = [per[j] for per, j in zip(mdp.rows, choice)]
-        k = (prod(map(_norm, rows)) * widest).bit_length() + 1
+        k = (prod(map(_norm, rows)) * widest * n).bit_length() + 1
         det, nums = _bareiss_at(rows, k)
-        det_sign = _sign_near_one(_unpack(det, k))
+        det_sign = _sign_of_order(*_packed_order(det, k))
         changed = False
         for i, per in enumerate(mdp.rows):
             for j, (scale, rhs, sparse) in enumerate(per):
@@ -490,11 +542,12 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
                     continue
                 ahead = sum(w * nums[z] for z, w in sparse)
                 residual = rhs * det - scale * nums[i] + (ahead << k)
-                if _sign_near_one(_unpack(residual, k)) * det_sign > 0:
+                if _sign_of_order(*_packed_order(residual, k)) * det_sign > 0:
                     choice[i] = j
                     changed = True
                     break
         if not changed:
+            _keep(mdp, tuple(choice), (k, det, nums))
             return pi
 
 
@@ -505,11 +558,11 @@ def average_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, Fraction]:
     -(b-1)^(k+1-m) * M / D: a pole at 1 if k+1 < m, else its value at 1.
     """
     ensure_valid(mdp)
-    det, nums = _cramer(mdp, pi)
-    m, det_at_one = _order_at_one(det)
+    bits, det, nums = _packed_cramer(mdp, pi)
+    m, det_at_one = _packed_order(det, bits)
     out = {}
     for s, num in zip(mdp.states, nums):
-        k, num_at_one = _order_at_one(num)
+        k, num_at_one = _packed_order(num, bits)
         if not num_at_one or k + 1 > m:
             out[s] = Fraction(0)
         elif k + 1 == m:

@@ -71,7 +71,8 @@ class Mdp:
     L the lcm of its denominators, nonzero p_z only, in state order.  Every
     reader uses it; ``rewards`` and ``transitions`` are views of it.  An
     Mdp is immutable, so ``ensure_valid`` computes its validity once and
-    reads it back on every later call."""
+    reads it back on every later call, and ``blackwell`` keeps its last
+    policy's elimination on the object."""
 
     states: tuple[str, ...]
     initial: str
@@ -105,6 +106,12 @@ class Mdp:
     @cached_property
     def _problems(self) -> tuple[Problem, ...]:
         return tuple(validate(self))
+
+    @cached_property
+    def _solved(self) -> dict:
+        """``blackwell``'s last elimination on this object, at most one
+        entry: a policy's action indices -> (k, det, nums)."""
+        return {}
 
     @property
     def is_deterministic(self) -> bool:

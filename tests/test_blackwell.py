@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargemdp import blackwell as blackwell_module
 from chargemdp import mdp as mdp_module
 from chargemdp.blackwell import (BETA, Poly, PoleAtOne, RationalFunction,
-                                 _bareiss_at, _cramer, _int_gcd, _norm,
-                                 _order_at_one, _packed_cofactors,
-                                 _policy_rows, _reduced, _sign_near_one,
-                                 _unpack, average_value, blackwell_policy,
-                                 discounted_value, discounted_value_at,
-                                 sign_near_one)
+                                 _bareiss_at, _int_gcd, _norm, _order_at_one,
+                                 _packed_cofactors, _packed_cramer,
+                                 _packed_order, _policy_choice, _reduced,
+                                 _sign_near_one, _unpack, average_value,
+                                 blackwell_policy, discounted_value,
+                                 discounted_value_at, sign_near_one)
 from chargemdp.counterexamples import even_or_odd_mdp, late_switch_mdp
-from chargemdp.mdp import (Mdp, MdpValidationError, build_mdp,
-                           enumerate_pure_stationary, ensure_valid,
+from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
+                           build_mdp, enumerate_pure_stationary, ensure_valid,
                            expected_reward_stream, periodic, random_mdp,
                            stationary, validate)
 
@@ -231,6 +232,57 @@ def test_order_at_one(p, extra):
     quo, rem = _ref_divmod(p, _b_minus_one_to(m))
     assert rem.is_zero
     assert quo.evaluate(1) == at_one
+
+
+@st.composite
+def orders_at_one(draw):
+    """(p, n, m, q(1)): p = (b-1)^m * q of degree d <= n with q(1) != 0,
+    m from 0 to d, coefficients as lists; p = 0 on some draws."""
+    n = draw(st.integers(1, 8))
+    if draw(st.integers(0, 9)) == 0:
+        return [], n, 0, 0
+    d = draw(st.sampled_from([n, draw(st.integers(0, n))]))
+    m = draw(st.integers(0, d))
+    top = draw(st.sampled_from([3, 10 ** 6, 10 ** 30]))
+    q = draw(st.lists(st.integers(-top, top), min_size=d - m + 1, max_size=d - m + 1))
+    q[-1] = q[-1] or 1
+    if not sum(q):  # so len(q) > 1, and q keeps its degree
+        q[0] += 1
+    p = q
+    for _ in range(m):
+        p = _int_mul(p, [-1, 1])
+    return p, n, m, sum(q)
+
+
+def _smallest_k(p, n):
+    """The least k with 2**k > 2 * n * ||p||_1, and at least 1."""
+    return (n * sum(map(abs, p))).bit_length() + 1
+
+
+@given(orders_at_one())
+@settings(max_examples=300)
+def test_packed_order_reads_residues_mod_base_minus_one(case):
+    p, n, m, q_at_one = case
+    assert len(p) - 1 <= n and _order_at_one(p) == (m, q_at_one)
+    k = _smallest_k(p, n)
+    v = _at(p, k)
+    assert _unpack(v, k) == p
+    assert _packed_order(v, k) == _order_at_one(_unpack(v, k)) == (m, q_at_one)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_packed_order_unpacks_only_past_order_one(monkeypatch, m):
+    # p = (b-1)^m * (2 + b): the first two orders are residues, order 2
+    # and up unpack the second quotient once
+    p = [2, 1]
+    for _ in range(m):
+        p = _int_mul(p, [-1, 1])
+    unpacked = []
+    monkeypatch.setattr(blackwell_module, "_unpack",
+                        lambda v, k: unpacked.append(v) or _unpack(v, k))
+    k = _smallest_k(p, len(p) - 1)
+    assert _packed_order(_at(p, k), k) == (m, 3)
+    assert len(unpacked) == (m >= 2)
 
 
 # ---- rational functions --------------------------------------------------
@@ -481,6 +533,13 @@ def test_solver_matches_reference(seed, n_states, n_actions):
 # order first, and each exact division a polynomial long division.  Kept as
 # the oracle the packed _cramer must match exactly.
 
+def _cramer(mdp, pi):
+    """det(I - bP) and the Cramer numerators N_i as integer polynomials,
+    unpacked from ``_packed_cramer``."""
+    k, det, nums = _packed_cramer(mdp, pi)
+    return _unpack(det, k), [_unpack(num, k) for num in nums]
+
+
 def _ref_trim(p):
     while p and not p[-1]:
         p.pop()
@@ -616,13 +675,14 @@ def test_det_and_values_match_sympy():
 def _ref_named_blackwell_policy(mdp):
     """The packed loop before it iterated on action indices: the policy a
     mapping from state names to action names, compiled to rows by
-    ``_policy_rows`` every round."""
+    ``_policy_choice`` every round, and each sign read from the
+    unpacked residual."""
     ensure_valid(mdp)
     widest = max(_norm(row) for cell in mdp.rows for row in cell)
     choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
     while True:
         pi = stationary(choice)
-        rows = _policy_rows(mdp, pi)
+        rows = [mdp.rows[i][j] for i, j in enumerate(_policy_choice(mdp, pi))]
         k = (prod(map(_norm, rows)) * widest).bit_length() + 1
         det, nums = _bareiss_at(rows, k)
         det_sign = _sign_near_one(_unpack(det, k))
@@ -743,3 +803,81 @@ def test_validate_returns_a_fresh_list():
     assert first == [] and first is not validate(m)
     first.append("not a problem")
     assert validate(m) == [] and ensure_valid(m) is m
+
+
+# ---- one elimination per policy: the Mdp keeps its last -------------------
+
+def _count_eliminations(monkeypatch) -> list:
+    calls = []
+    real = blackwell_module._bareiss_at
+
+    def counted(rows, k):
+        calls.append(k)
+        return real(rows, k)
+
+    monkeypatch.setattr(blackwell_module, "_bareiss_at", counted)
+    return calls
+
+
+def _fresh(m):
+    """m's data in a new object, with nothing kept on it yet."""
+    return Mdp(m.states, m.initial, m.actions, m.rows)
+
+
+def test_a_query_sequence_eliminates_its_policy_once(monkeypatch):
+    eliminations = _count_eliminations(monkeypatch)
+    rounds = []
+    real_stationary = blackwell_module.stationary
+    monkeypatch.setattr(blackwell_module, "stationary",
+                        lambda choice: rounds.append(choice) or real_stationary(choice))
+    most_rounds = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        m = random_mdp(rng, rng.randint(1, 5), rng.randint(1, 3))
+        eliminations.clear()
+        rounds.clear()
+        pi = blackwell_policy(m)
+        v, g = discounted_value(m, pi), average_value(m, pi)
+        assert len(eliminations) == len(rounds)
+        most_rounds = max(most_rounds, len(rounds))
+        twin = _fresh(m)
+        assert (v, g) == (discounted_value(twin, pi), average_value(twin, pi))
+    assert most_rounds > 1
+
+
+def test_the_kept_elimination_serves_only_its_own_policy_and_mdp(monkeypatch):
+    m = random_mdp(random.Random(3), 4, 3)
+    pi = blackwell_policy(m)
+    other = stationary({s: acts[-1] if pi.action(s) == acts[0] else acts[0]
+                        for s, acts in zip(m.states, m.actions)})
+    assert discounted_value(_fresh(m), other) != discounted_value(_fresh(m), pi)
+    # another policy on the same Mdp: solved afresh, then the kept one again
+    assert discounted_value(m, other) == discounted_value(_fresh(m), other)
+    assert average_value(m, other) == average_value(_fresh(m), other)
+    assert discounted_value(m, pi) == discounted_value(_fresh(m), pi)
+    assert average_value(m, pi) == average_value(_fresh(m), pi)
+    # an equal Mdp in another object keeps its own
+    twin = _fresh(m)
+    assert twin == m
+    eliminations = _count_eliminations(monkeypatch)
+    assert discounted_value(twin, pi) == discounted_value(m, pi)
+    assert len(eliminations) == 1
+    assert average_value(m, pi) == average_value(twin, pi)
+    assert len(eliminations) == 1
+
+
+@pytest.mark.parametrize("solve", [discounted_value, average_value])
+def test_the_kept_elimination_still_checks_the_strategy(solve):
+    m = even_or_odd_mdp()
+    pi = blackwell_policy(m)
+    solve(m, pi)
+    assert m._solved  # the policy's elimination is kept
+    rest = {"2": "c", "3": "c"}
+    with pytest.raises(ValueError, match="randomized at state '1'$"):
+        solve(m, stationary({"1": {"T": Fraction(1, 2), "B": Fraction(1, 2)}, **rest}))
+    with pytest.raises(ValueError, match="take a stationary strategy"):
+        solve(m, periodic([{"1": pi.action("1"), **rest}],
+                          [{"1": {"T": "B", "B": "T"}[pi.action("1")], **rest}]))
+    with pytest.raises(StrategyMismatch):
+        solve(m, stationary({"1": "X", **rest}))
+    assert solve(m, pi) == solve(_fresh(m), pi)
