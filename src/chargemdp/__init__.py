@@ -3,9 +3,9 @@
 from .blackwell import (BETA, Poly, RationalFunction, average_value,
                         blackwell_policy, discounted_value, discounted_value_at,
                         sign_near_one)
-from .charges import (AmbiguousBase, Charge, CValue, DyadicLimit, Frequency,
-                      Geometric, IllFormedRestrict, Mix, PointMass, Restrict,
-                      integrate, is_diffuse, sandwich_check, value)
+from .charges import (Charge, CValue, DyadicLimit, Frequency, Geometric,
+                      IllFormedRestrict, Mix, PointMass, Restrict, integrate,
+                      is_diffuse, sandwich_check, value)
 from .mdp import (BudgetExceeded, CycleNotFound, Mdp, MdpValidationError,
                   PeriodicMarkovStrategy, StationaryStrategy, StrategyMismatch,
                   best_periodic, build_mdp, ensure_valid,

@@ -61,10 +61,6 @@ class IllFormedRestrict(ValueError):
     """Restriction window has non-exact or non-positive base measure."""
 
 
-class AmbiguousBase(ValueError):
-    """Kept for imports; no query raises it, since every query has one value."""
-
-
 class Charge:
     """Marker base class for charge expressions."""
 
@@ -166,10 +162,6 @@ class CValue:
     @property
     def low(self) -> Fraction:
         return min(self.candidates)
-
-    @property
-    def high(self) -> Fraction:
-        return max(self.candidates)
 
     def __str__(self) -> str:
         if self.is_exact:

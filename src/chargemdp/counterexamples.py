@@ -37,13 +37,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .charges import (CValue, DyadicLimit, Frequency, Geometric, Mix, Restrict,
-                      integrate, value)
-from .mdp import (Mdp, PeriodicMarkovStrategy, StationaryStrategy, build_mdp,
-                  expected_reward_stream, payoff, periodic, stationary)
-from .periodic_sets import (EventuallyPeriodicSet, _build, _expand, _tail_bits,
-                            arithmetic, difference, multiples, odds, union)
-from .streams import superlevel_set
+from .charges import CValue, DyadicLimit, Frequency, Geometric, Mix, Restrict, value
+from .mdp import (Mdp, PeriodicMarkovStrategy, StationaryStrategy, build_mdp, payoff,
+                  periodic, stationary)
+from .periodic_sets import _build, _tail_bits, arithmetic, difference, multiples, odds, union
 
 
 # ---- reports -------------------------------------------------------------
@@ -235,35 +232,6 @@ def _shortfall(reward: int, lay: _Layout) -> _Shortfall:
     mu1 = (res & lay.even_res) != 0
     return _Shortfall(2 * odd + dyadic < 2 * lay.p, [not v & mask for mask in lay.lemma],
                       2 * odd < lay.p if mu1 else dyadic == 0, lay.p, odd, dyadic, mu1)
-
-
-def _set_shortfall(w: EventuallyPeriodicSet) -> _Shortfall:
-    """_shortfall on the masks of w expanded to its layout."""
-    lay = _layout(w.pre_len, lcm(2, w.period))
-    pre, res = _expand(w, lay.h, lay.p)
-    return _shortfall(pre | res << lay.h, lay)
-
-
-def _shortfall_rows(prefix: str, w: EventuallyPeriodicSet,
-                    payoff_value: CValue) -> list[CheckRow]:
-    """The structural facts forcing the payoff below 1, for the set w of
-    stages with expected reward above one half."""
-    s = _set_shortfall(w)
-    detail = (f"odd-part mass {Fraction(2 * s.odd, s.p)}" if s.mu1
-              else f"dyadic candidates {[Fraction(s.dyadic, s.p)]}")
-    return [_flag(f"{prefix}-payoff-below-1", payoff_value.exact_value < 1,
-                  f"payoff {payoff_value}"),
-            _flag(f"{prefix}-shift-lemma", all(s.lemma)),
-            _flag(f"{prefix}-dichotomy", s.dichotomy, detail)]
-
-
-def probe_payoff_shortfall(sigma, max_horizon: int = 4096) -> VerificationReport:
-    """Evaluate one strategy on the even-or-odd MDP and check that its
-    payoff stays below 1 for the structural reasons."""
-    f = expected_reward_stream(even_or_odd_mdp(), sigma, max_horizon)
-    rows = _shortfall_rows("probe", superlevel_set(f, Fraction(1, 2)),
-                           integrate(even_or_odd_charge(), f))
-    return VerificationReport("shortfall-probe", tuple(rows))
 
 
 def _pattern_words(max_period: int, max_preperiod: int):

@@ -18,16 +18,19 @@ While x is a point mass, the strategy is pure at that phase and state
 and the row does not split, a stage is one read of that table, with no
 scale: A cancels.  Any other stage runs the integer loop.
 
-The search runs in two passes.  The first enumerates pure strategies as
-tuples of phase rows of action indices in declared order, keeps only
-the already canonical ones, so each strategy comes once, and in
-declared action order, and collects the canonical words of reward
-pairs.  The second values each distinct nonzero word.  A word of shape
-(L, q) is also one of shape (L', q) for every L' >= L, so one vector of
-the charge's weights (``charges._stage_weights``) per cycle length q,
-of shape (Lq, q) with Lq the longest preperiod among the words of that
-q, values each of them as one integer dot product with its first
-Lq + q stages.  Each vector is checked once against ``integrate``.
+The search runs in two passes.  The first generates the canonical pure
+strategies directly, as tuples of phase rows of action indices in
+declared order: each length's primitive cycles are found once, and each
+preperiod is followed by those ending in a row other than its own last,
+so each strategy comes once.  It collects the canonical words of reward
+pairs, canonicalising each distinct raw word the walk returns once: a
+later strategy with the same raw word reads its index back.  The
+second values each distinct nonzero word.  A word of shape (L, q) is
+also one of shape (L', q) for every L' >= L, so one vector of the
+charge's weights (``charges._stage_weights``) per cycle length q, of
+shape (Lq, q) with Lq the longest preperiod among the words of that q,
+values each of them as one integer dot product with its first Lq + q
+stages.  Each vector is checked once against ``integrate``.
 """
 
 from __future__ import annotations
@@ -429,11 +432,15 @@ class SearchResult:
 
 def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     """(compiled phases, strategy) for every canonical pure periodic
-    strategy within the bounds.
+    strategy within the bounds: each comes once, at its own (L, q), in
+    the product order of its tuple of phase rows of action indices, so in
+    declared action order.
 
-    Raw combinations of phase rows of action indices run in declared
-    action order, and only those that ``_canonical`` leaves unchanged are
-    kept: each strategy comes once, at its own (L, q), in that order.
+    Such a tuple is canonical when its cycle is primitive, the power of
+    no shorter word, and a preperiod, if any, ends in a row other than
+    the cycle's last.  So the primitive cycles of each length are found
+    once, and each preperiod tuple is followed by those of them with
+    another last row: no tuple is built to be dropped.
     """
     if max_period < 1 or max_preperiod < 0:
         raise ValueError("search bounds need max_period >= 1 and max_preperiod >= 0, "
@@ -449,10 +456,13 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
                for s, acts in zip(mdp.states, mdp.actions)]
     named = [tuple(choices[i][row[i]] for i in by_name) for row in rows]
     pairs = [[((1, j),) for j in row] for row in rows]
-    return (([pairs[k] for k in c], PeriodicMarkovStrategy(L, q, tuple(named[k] for k in c)))
+    ids = range(len(rows))
+    primitive = {q: [c for c in itertools.product(ids, repeat=q) if _canonical((), c)[1] == c]
+                 for q in range(1, max_period + 1)}
+    return (([pairs[k] for k in c], PeriodicMarkovStrategy(L, q, tuple([named[k] for k in c])))
             for L, q in bounds
-            for c in itertools.product(range(len(rows)), repeat=L + q)
-            if _canonical(c[:L], c[L:]) == (c[:L], c[L:]))
+            for pre in itertools.product(ids, repeat=L)
+            for c in (pre + cyc for cyc in primitive[q] if not L or cyc[-1] != pre[-1]))
 
 
 def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
@@ -519,24 +529,29 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     _check_horizon(max_horizon)
     M, cells, table = _integer_form(mdp)
     start = mdp.states.index(mdp.initial)
-    by_word: dict[tuple, int] = {}  # canonical reward word -> index into words
+    by_word: dict[tuple, int] = {}  # reward word, raw or canonical -> its canonical one's index
     words: list[tuple] = []
     checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
     found: list[tuple[PeriodicMarkovStrategy, int]] = []
     for phases, strat in _canonical_pure(mdp, max_period, max_preperiod, cap):
         pre, cyc = _reward_stream(cells, table, start, M, phases, strat.preperiod_length,
                                   max_horizon)
-        word = _canonical(pre, cyc)
-        k = by_word.get(word)
+        raw = (tuple(pre), tuple(cyc))
+        k = by_word.get(raw)
         if k is None:
-            k = by_word[word] = len(words)
-            words.append(word)
-            # Each distinct word's stream is built, but only the check
-            # streams are kept: bench/tracer.py reads the search's cache
-            # ratio from these calls until it reads it from the result.
-            f = _pairs_stream(pre, cyc)
-            if word != _ZERO_WORD and len(word[1]) not in checks:
-                checks[len(word[1])] = (k, f)
+            word = _canonical(pre, cyc)
+            k = by_word.get(word)
+            if k is None:
+                k = by_word[word] = len(words)
+                words.append(word)
+                # Each distinct word's stream is built, from the first raw
+                # word that reaches it, but only the check streams are kept:
+                # bench/tracer.py reads the search's cache ratio from these
+                # calls until it reads it from the result.
+                f = _pairs_stream(pre, cyc)
+                if word != _ZERO_WORD and len(word[1]) not in checks:
+                    checks[len(word[1])] = (k, f)
+            by_word[raw] = k
         found.append((strat, k))
     values = _word_values(mu, words, checks)
     # rank each distinct value once; enumeration order is the tie-break

@@ -294,10 +294,6 @@ def parse_stream(text: str) -> RationalStream:
     return _parse(text, _Parser.stream_literal)
 
 
-def parse_rational(text: str) -> Fraction:
-    return _parse(text, _Parser.expect_rational)
-
-
 # ---- MDP files -----------------------------------------------------------
 
 def parse_mdp(text: str) -> Mdp:
@@ -482,9 +478,3 @@ def render_charge(mu: Charge) -> str:
         inner = ", ".join(f"{w}:{render_charge(c)}" for w, c in mu.parts)
         return f"mix({inner})"
     raise TypeError(f"not a charge expression: {mu!r}")
-
-
-def render_stream(f: RationalStream) -> str:
-    pre = ",".join(str(v) for v in f.preperiod)
-    cyc = ",".join(str(v) for v in f.cycle)
-    return f"stream([{pre}];[{cyc}])"

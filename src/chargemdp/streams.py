@@ -42,9 +42,6 @@ class RationalStream:
             out.append((c, make(bits, q, residues)))
         return out
 
-    def cycle_mean(self) -> Fraction:
-        return sum(self.cycle, Fraction(0)) / len(self.cycle)
-
     def values(self, n: int) -> list[Fraction]:
         """The first n values, materialized."""
         L, q = len(self.preperiod), len(self.cycle)
@@ -111,14 +108,6 @@ def scale(f: RationalStream, a) -> RationalStream:
 
 def add(f: RationalStream, g: RationalStream) -> RationalStream:
     return combine(f, g, lambda x, y: x + y)
-
-
-def pointwise_leq(f: RationalStream, g: RationalStream) -> bool:
-    """f <= g at every stage (checked over preperiods plus one full
-    common cycle, which is exhaustive)."""
-    L = max(len(f.preperiod), len(g.preperiod))
-    q = lcm(len(f.cycle), len(g.cycle))
-    return all(f.value_at(t) <= g.value_at(t) for t in range(1, L + q + 1))
 
 
 def superlevel_set(f: RationalStream, threshold) -> EventuallyPeriodicSet:

@@ -1,6 +1,7 @@
 """Shared hypothesis strategies and helpers for the test suite."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
@@ -26,6 +27,19 @@ def rational_streams(draw, max_preperiod=4, max_period=6):
     pre = draw(st.lists(_small_fractions, max_size=max_preperiod))
     cyc = draw(st.lists(_small_fractions, min_size=1, max_size=max_period))
     return stream(pre, cyc)
+
+
+def cycle_mean(f) -> Fraction:
+    """The mean of a stream's cycle: its frequency integral."""
+    return sum(f.cycle, Fraction(0)) / len(f.cycle)
+
+
+def pointwise_leq(f, g) -> bool:
+    """f <= g at every stage (checked over preperiods plus one full
+    common cycle, which is exhaustive)."""
+    L = max(len(f.preperiod), len(g.preperiod))
+    q = lcm(len(f.cycle), len(g.cycle))
+    return all(f.value_at(t) <= g.value_at(t) for t in range(1, L + q + 1))
 
 
 def random_set(rng, max_preperiod=8, max_period=12) -> EventuallyPeriodicSet:

@@ -380,12 +380,12 @@ def test_average_value_late_switch():
 @given(st.integers(0, 300))
 @settings(max_examples=30, deadline=None)
 def test_average_value_is_cycle_mean_from_initial(seed):
-    from conftest import random_deterministic_mdp
+    from conftest import cycle_mean, random_deterministic_mdp
     rng = random.Random(seed)
     m = random_deterministic_mdp(rng)
     pi = stationary({s: rng.choice(m.action_list(s)) for s in m.states})
     f = expected_reward_stream(m, pi)
-    assert average_value(m, pi)[m.initial] == f.cycle_mean()
+    assert average_value(m, pi)[m.initial] == cycle_mean(f)
 
 
 # ---- Blackwell optimality ------------------------------------------------

@@ -59,13 +59,13 @@ def test_block_strategy_validation():
 def test_probe_block_strategies():
     for n in (1, 2, 3):
         q = 2 ** n
-        rep = cx.probe_payoff_shortfall(cx.block_strategy(n),
-                                        max_horizon=2 * q + 8)
+        rep = probe_payoff_shortfall(cx.block_strategy(n),
+                                     max_horizon=2 * q + 8)
         assert rep.passed
 
 
 def test_probe_alternating():
-    assert cx.probe_payoff_shortfall(cx.alternating_strategy()).passed
+    assert probe_payoff_shortfall(cx.alternating_strategy()).passed
 
 
 def test_sweep_small():
@@ -99,6 +99,33 @@ def set_word(w):
     lay = cx._layout(w.pre_len, lcm(2, w.period))
     pre, res = _expand(w, lay.h, lay.p)
     return lay, pre | res << lay.h
+
+
+def set_shortfall(w):
+    """The sweep's verdicts on the set w, from its stage word."""
+    lay, word = set_word(w)
+    return cx._shortfall(word, lay)
+
+
+def shortfall_rows(prefix, w, payoff_value):
+    """The structural facts forcing the payoff below 1, for the set w of
+    stages with expected reward above one half."""
+    s = set_shortfall(w)
+    detail = (f"odd-part mass {Fraction(2 * s.odd, s.p)}" if s.mu1
+              else f"dyadic candidates {[Fraction(s.dyadic, s.p)]}")
+    return [cx._flag(f"{prefix}-payoff-below-1", payoff_value.exact_value < 1,
+                     f"payoff {payoff_value}"),
+            cx._flag(f"{prefix}-shift-lemma", all(s.lemma)),
+            cx._flag(f"{prefix}-dichotomy", s.dichotomy, detail)]
+
+
+def probe_payoff_shortfall(sigma, max_horizon=4096):
+    """Evaluate one strategy on the even-or-odd MDP and check that its
+    payoff stays below 1 for the structural reasons."""
+    f = expected_reward_stream(cx.even_or_odd_mdp(), sigma, max_horizon)
+    rows = shortfall_rows("probe", superlevel_set(f, Fraction(1, 2)),
+                          integrate(cx.even_or_odd_charge(), f))
+    return cx.VerificationReport("shortfall-probe", tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -251,12 +278,12 @@ def lemma_sets(draw):
 @given(lemma_sets())
 @settings(max_examples=300, deadline=None)
 def test_shift_lemma_matches_reference(w):
-    assert cx._set_shortfall(w).lemma == reference_shift_lemma(w)
+    assert set_shortfall(w).lemma == reference_shift_lemma(w)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_shift_lemma_per_modulus(k):
-    got = cx._set_shortfall(pairs_at(k)).lemma
+    got = set_shortfall(pairs_at(k)).lemma
     assert got == [n > k for n in range(1, 9)]
     assert got == reference_shift_lemma(pairs_at(k))
 
@@ -264,8 +291,8 @@ def test_shift_lemma_per_modulus(k):
 def test_shift_lemma_on_late_head_pair():
     # one pair {383, 384} in the preperiod: 384 = 2**7 * 3
     w = make([0] * 382 + [1, 1], 1, [])
-    assert cx._set_shortfall(w).lemma == [False] * 7 + [True]
-    assert cx._set_shortfall(w).lemma == reference_shift_lemma(w)
+    assert set_shortfall(w).lemma == [False] * 7 + [True]
+    assert set_shortfall(w).lemma == reference_shift_lemma(w)
 
 
 @st.composite
@@ -281,7 +308,7 @@ def dyadic_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_closed_form_dyadic_limit_matches_contraction_chain(s):
     seq, cyc = dyadic_value_sequence(s)
-    got = cx._set_shortfall(s)
+    got = set_shortfall(s)
     assert set(cyc) == {Fraction(got.dyadic, got.p)}
     assert got.mu1 == any(v > 0 for v in seq)
 
@@ -309,7 +336,7 @@ def test_sweep_counts_failing_words(monkeypatch, k):
 
 
 def test_shortfall_rows_flag_a_failing_shift_lemma():
-    rows = {r.check_id: r for r in cx._shortfall_rows("probe", naturals(), CValue.exact(1))}
+    rows = {r.check_id: r for r in shortfall_rows("probe", naturals(), CValue.exact(1))}
     assert not rows["probe-shift-lemma"].passed
     assert not rows["probe-payoff-below-1"].passed
     report = cx.VerificationReport("probe", tuple(rows.values()))
@@ -318,9 +345,9 @@ def test_shortfall_rows_flag_a_failing_shift_lemma():
 
 def test_shortfall_rows_details():
     # the dichotomy's two branches keep their detail strings
-    rows = cx._shortfall_rows("probe", odds(), CValue.exact(Fraction(1, 2)))
+    rows = shortfall_rows("probe", odds(), CValue.exact(Fraction(1, 2)))
     assert rows[2].got == "dyadic candidates [Fraction(0, 1)]" and rows[2].passed
-    rows = cx._shortfall_rows("probe", multiples(4), CValue.exact(Fraction(1, 2)))
+    rows = shortfall_rows("probe", multiples(4), CValue.exact(Fraction(1, 2)))
     assert rows[2].got == "odd-part mass 0" and rows[2].passed
 
 

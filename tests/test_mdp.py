@@ -514,12 +514,12 @@ def test_payoff_discounted_stay():
 @given(st.integers(0, 500))
 @settings(max_examples=25, deadline=None)
 def test_stationary_payoff_equals_cycle_mean(seed):
-    from conftest import random_deterministic_mdp
+    from conftest import cycle_mean, random_deterministic_mdp
     rng = random.Random(seed)
     m = random_deterministic_mdp(rng)
     sigma = stationary({s: rng.choice(m.action_list(s)) for s in m.states})
     f = expected_reward_stream(m, sigma)
-    assert payoff(m, sigma, Frequency()).exact_value == f.cycle_mean()
+    assert payoff(m, sigma, Frequency()).exact_value == cycle_mean(f)
 
 
 # ---- enumeration and search ----------------------------------------------
@@ -571,11 +571,21 @@ def test_search_bounds_raise_value_error(max_period, max_preperiod):
         best_periodic(even_or_odd_mdp(), Frequency(), max_period, max_preperiod)
 
 
-@given(st.integers(0, 10**9), st.integers(1, 3), st.integers(1, 2),
-       st.integers(1, 3), st.integers(0, 1))
+@given(st.integers(0, 10**9), st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
+                                                (3, 1), (3, 2)]),
+       st.integers(1, 3), st.integers(0, 2))
 @settings(max_examples=60, deadline=None)
-def test_enumeration_equals_reference(seed, n_states, n_actions, max_period, max_preperiod):
+def test_enumeration_equals_reference(seed, shape, max_period, max_preperiod):
+    """Up to two preperiod rows, so a cycle is kept or dropped by how its
+    last row compares with the last of several preperiod rows.  The
+    period shrinks until at most 5000 raw tuples are left to the
+    reference."""
+    n_states, n_actions = shape
     m = random_mdp(random.Random(seed), n_states, n_actions)
+    rows = n_actions ** n_states
+    while max_period > 1 and sum(rows ** (L + q) for L in range(max_preperiod + 1)
+                                 for q in range(1, max_period + 1)) > 5000:
+        max_period -= 1
     assert (list(enumerate_pure_periodic(m, max_period, max_preperiod))
             == list(reference_enumeration(m, max_period, max_preperiod)))
 
@@ -615,6 +625,34 @@ def test_best_periodic_ranking_equals_reference(seed, mu):
                    for s in states for a in actions[s]},
                   {(s, a): {rng.choice(states): 1} for s in states for a in actions[s]})
     assert_ranking_equals_reference(m, mu, rng.randint(1, 2), rng.randint(0, 1))
+
+
+@pytest.mark.parametrize("mu", SEARCH_CHARGES[1::3])
+def test_ranking_equals_reference_when_most_strategies_share_a_raw_word(mu, monkeypatch):
+    """Once at b, the search never returns to a, so a's action at later
+    phases leaves the reward word unchanged: 1216 strategies reach 99
+    raw words at bounds (3, 2), and no raw word is canonicalised twice."""
+    import chargemdp.mdp as mdp_module
+    raw, canonicalised = [], []
+    reward_stream, canonical = mdp_module._reward_stream, mdp_module._canonical
+
+    def recorded_stream(*args):
+        pre, cyc = reward_stream(*args)
+        raw.append((tuple(pre), tuple(cyc)))
+        return pre, cyc
+
+    def counted_canonical(pre, cyc):
+        if isinstance(cyc[0], tuple):  # a reward word, not a cycle of row indices
+            canonicalised.append((tuple(pre), tuple(cyc)))
+        return canonical(pre, cyc)
+
+    monkeypatch.setattr(mdp_module, "_reward_stream", recorded_stream)
+    monkeypatch.setattr(mdp_module, "_canonical", counted_canonical)
+    best_periodic(preperiod_mdp(), mu, 3, 2)
+    monkeypatch.undo()
+    assert (len(raw), len(set(raw))) == (1216, 99)
+    assert len(canonicalised) == len(set(canonicalised)) and set(canonicalised) <= set(raw)
+    assert_ranking_equals_reference(preperiod_mdp(), mu, 3, 2)
 
 
 @pytest.mark.parametrize("mu", SEARCH_CHARGES)

@@ -11,16 +11,29 @@ from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
 from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
                                        stay_strategy)
 from chargemdp.mdp import validate
-from chargemdp.parsing import (ParseError, Token, parse_charge, parse_mdp,
-                               parse_rational, parse_set, parse_strategy,
-                               parse_stream, render_charge, render_set,
-                               render_stream, tokenize)
+from chargemdp.parsing import (ParseError, Token, _parse, _Parser,
+                               parse_charge, parse_mdp, parse_set,
+                               parse_strategy, parse_stream, render_charge,
+                               render_set, tokenize)
 from chargemdp.periodic_sets import (arithmetic, complement, empty, evens,
                                      intersect, multiples, naturals, odds,
                                      shift, union)
 from chargemdp.streams import stream
 
 from conftest import periodic_sets, rational_streams
+
+
+def parse_rational(text: str) -> Fraction:
+    """A lone rational literal, as the MDP and strategy files read them."""
+    return _parse(text, _Parser.expect_rational)
+
+
+def render_stream(f) -> str:
+    """The stream literal ``parse_stream`` reads back as f."""
+    pre = ",".join(str(v) for v in f.preperiod)
+    cyc = ",".join(str(v) for v in f.cycle)
+    return f"stream([{pre}];[{cyc}])"
+
 
 EO_MDP_TEXT = """
 mdp  # three states, top/bottom choice at state 1

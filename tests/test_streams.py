@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from chargemdp.periodic_sets import density, member
 from chargemdp.streams import (RationalStream, _canonical, add, combine,
-                               constant, indicator, pointwise_leq, scale,
-                               stream, superlevel_set)
+                               constant, indicator, scale, stream,
+                               superlevel_set)
 
-from conftest import periodic_sets, rational_streams
+from conftest import cycle_mean, periodic_sets, pointwise_leq, rational_streams
 
 
 def test_stream_canonical_cycle():
@@ -53,8 +53,8 @@ def test_values_matches_value_at():
 
 
 def test_cycle_mean():
-    assert stream([9], [1, 2, 3, 6]).cycle_mean() == 3
-    assert constant(Fraction(2, 7)).cycle_mean() == Fraction(2, 7)
+    assert cycle_mean(stream([9], [1, 2, 3, 6])) == 3
+    assert cycle_mean(constant(Fraction(2, 7))) == Fraction(2, 7)
 
 
 def ref_canonical(pre, cyc):
