@@ -108,12 +108,3 @@ def scale(f: RationalStream, a) -> RationalStream:
 
 def add(f: RationalStream, g: RationalStream) -> RationalStream:
     return combine(f, g, lambda x, y: x + y)
-
-
-def superlevel_set(f: RationalStream, threshold) -> EventuallyPeriodicSet:
-    """Stages where the stream is strictly greater than the threshold."""
-    thr = Fraction(threshold)
-    L, q = len(f.preperiod), len(f.cycle)
-    bits = [1 if v > thr else 0 for v in f.preperiod]
-    residues = {(L + 1 + j) % q for j, v in enumerate(f.cycle) if v > thr}
-    return make(bits, q, residues)

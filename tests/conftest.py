@@ -42,6 +42,15 @@ def pointwise_leq(f, g) -> bool:
     return all(f.value_at(t) <= g.value_at(t) for t in range(1, L + q + 1))
 
 
+def superlevel_set(f, threshold) -> EventuallyPeriodicSet:
+    """Stages where the stream is strictly greater than the threshold."""
+    thr = Fraction(threshold)
+    L, q = len(f.preperiod), len(f.cycle)
+    bits = [1 if v > thr else 0 for v in f.preperiod]
+    residues = {(L + 1 + j) % q for j, v in enumerate(f.cycle) if v > thr}
+    return make(bits, q, residues)
+
+
 def random_set(rng, max_preperiod=8, max_period=12) -> EventuallyPeriodicSet:
     """Seeded random.Random twin of :func:`periodic_sets` for bulk sweeps."""
     period = rng.randint(1, max_period)

@@ -15,7 +15,9 @@ from chargemdp.mdp import expected_reward_stream, payoff, periodic
 from chargemdp.periodic_sets import (_build, _expand, arithmetic, density, difference,
                                      intersect, is_subset, make, multiples, naturals,
                                      odds, shift, union)
-from chargemdp.streams import _canonical, superlevel_set
+from chargemdp.streams import _canonical
+
+from conftest import superlevel_set
 
 
 # ---- reports -------------------------------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from chargemdp.periodic_sets import density, member
 from chargemdp.streams import (RationalStream, _canonical, add, combine,
-                               constant, indicator, scale, stream,
-                               superlevel_set)
+                               constant, indicator, scale, stream)
 
-from conftest import cycle_mean, periodic_sets, pointwise_leq, rational_streams
+from conftest import (cycle_mean, periodic_sets, pointwise_leq, rational_streams,
+                      superlevel_set)
 
 
 def test_stream_canonical_cycle():
