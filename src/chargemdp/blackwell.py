@@ -461,7 +461,16 @@ def _solve_linear(a, b):
 def _policy_choice(mdp: Mdp, pi: StationaryStrategy) -> tuple[int, ...]:
     """The index in ``Mdp.rows`` of each state's action.  Raises
     StrategyMismatch where pi names no action of the MDP, and ValueError
-    for a strategy with more than one phase or a randomized one."""
+    for a strategy with more than one phase or a randomized one.
+
+    A pure stationary pi that names a declared action at every state is
+    read off ``Mdp.actions``; any other goes through ``_compile``, which
+    finds the fault."""
+    if isinstance(pi, StationaryStrategy):
+        given = dict(pi.choices)
+        dists = [given.get(s, ()) for s in mdp.states]
+        if all(len(d) == 1 and d[0][0] in acts for d, acts in zip(dists, mdp.actions)):
+            return tuple([acts.index(d[0][0]) for d, acts in zip(dists, mdp.actions)])
     pre, _, phases = _compile(mdp, pi)
     if len(phases) != 1:
         raise ValueError("discounted and average values take a stationary strategy, "

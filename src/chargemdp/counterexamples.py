@@ -27,6 +27,10 @@ test on w's stage bits:
   multiples of 2**n in its preperiod and the residues gcd(2**n, p) divides;
 * the dichotomy: if mu_1(w) > 0, i.e. R holds an even residue, the odd
   part has mass 2 * #{odd r in R} / p < 1; else the dyadic limit is 0.
+
+The payoff and the dichotomy read only R, which the preperiod of the
+pattern cannot reach, so they run once per cycle pattern; the shift lemma
+runs once per pattern, as one AND with the union of its eight masks.
 """
 
 from __future__ import annotations
@@ -201,7 +205,7 @@ def verify_lower_bounds(n_max: int) -> VerificationReport:
 # ---- no-optimum probes ---------------------------------------------------
 
 _Layout = namedtuple("_Layout", "h p two_a odd odd_res even_res top_res lemma")
-_Shortfall = namedtuple("_Shortfall", "payoff_below_1 lemma dichotomy p odd dyadic mu1")
+_Shortfall = namedtuple("_Shortfall", "payoff_below_1 lemma_failures dichotomy p odd dyadic mu1")
 
 
 @lru_cache(maxsize=256)
@@ -210,47 +214,68 @@ def _layout(m: int, p: int) -> _Layout:
     even p, read off a word whose bit t - 1 is stage t, t = 1..h + p.  h is
     the least h >= m + 1 with p | h + 1, so w and w & (w + 1) follow their
     residue rules from stage h + 1 on and bits h.. are the residue word.
-    The masks: odd stages; odd, even and 2**a-divisible residues; per 2**n,
-    n = 1..8, its multiples in 1..h, then the residues gcd(2**n, p) divides."""
+    The masks: odd stages; odd, even and 2**a-divisible residues; and the
+    lemma's, the union over 2**n, n = 1..8, of its multiples in 1..h and
+    the residues gcd(2**n, p) divides."""
     h = (m + 1 + p) // p * p - 1
     two_a = p & -p
+    lemma = 0
+    for n in range(1, 9):
+        lemma |= _tail_bits(1, 2 ** n, 1, h) | _tail_bits(1, gcd(2 ** n, p), 0, p) << h
     return _Layout(h, p, two_a, _tail_bits(0b10, 2, 1, h + p),
                    _tail_bits(0b10, 2, 0, p), _tail_bits(1, 2, 0, p),
-                   _tail_bits(1, two_a, 0, p),
-                   tuple(_tail_bits(1, 2 ** n, 1, h) | _tail_bits(1, gcd(2 ** n, p), 0, p) << h
-                         for n in range(1, 9)))
+                   _tail_bits(1, two_a, 0, p), lemma)
 
 
-def _shortfall(reward: int, lay: _Layout) -> _Shortfall:
-    """The three verdicts on the reward set with stage word reward; then
-    the payoff is (2*odd + dyadic) / (2p), the odd-part mass 2*odd / p,
-    the dyadic limit dyadic / p, and mu1 says whether mu_1 > 0."""
-    res = reward >> lay.h
-    v = reward & (reward << 1)
+def _shortfall(words: list[int], lay: _Layout) -> _Shortfall:
+    """The verdicts on the reward sets with stage words ``words``, which
+    share their residue word: the payoff and the dichotomy read only that,
+    so they hold for all of them or for none, and lemma_failures counts
+    the words the shift lemma fails on.  The payoff is (2*odd + dyadic) /
+    (2p), the odd-part mass 2*odd / p, the dyadic limit dyadic / p, and
+    mu1 says whether mu_1 > 0."""
+    res = words[0] >> lay.h
     odd = (res & lay.odd_res).bit_count()
     dyadic = lay.two_a * (res & lay.top_res).bit_count()
     mu1 = (res & lay.even_res) != 0
-    return _Shortfall(2 * odd + dyadic < 2 * lay.p, [not v & mask for mask in lay.lemma],
+    lemma = lay.lemma
+    return _Shortfall(2 * odd + dyadic < 2 * lay.p,
+                      sum(1 for r in words if r & (r << 1) & lemma),
                       2 * odd < lay.p if mu1 else dyadic == 0, lay.p, odd, dyadic, mu1)
 
 
-def _pattern_words(max_period: int, max_preperiod: int):
-    """(L, q, pre, cyc), then the layout and stage word of its reward set,
-    for each bottom-action pattern within the bounds that
-    ``streams._canonical`` leaves unchanged (bit i of pre is stage i + 1,
-    bit j of cyc stage L + 1 + j): its cycle has least period q, and its
-    last preperiod bit differs from the last cycle bit.  The reward set
-    has preperiod at most L + 1."""
+def _reward_word(bottom: int, odd: int) -> int:
+    """The stage word of the reward set on the stages of ``odd``, for the
+    bottom-action word ``bottom``: odd t is rewarded iff b_t = 0, t + 1 iff
+    b_t = 1."""
+    return (odd & ~bottom) | (odd & bottom) << 1
+
+
+def _cycle_groups(max_period: int, max_preperiod: int):
+    """(layout, words) per cycle group (q, L, cyc) of the bottom-action
+    patterns within the bounds that ``streams._canonical`` leaves
+    unchanged (bit i of pre is stage i + 1, bit j of cyc stage L + 1 + j):
+    the cycle has least period q, and the last preperiod bit differs from
+    the last cycle bit.  words holds the stage words of the group's reward
+    sets, one per pre in increasing order; each set has preperiod at most
+    L + 1.  Reward bit t reads only bottom bits t and t - 1, and pre < 2**L
+    while h >= L + 2, so the words share their residue word.  Each word is
+    the OR of the rewards around the odd stages 1..L, which read only pre,
+    and those around the later odd stages, which read only the cycle."""
+    lows = []  # per L: the preperiod parts for pre ending in 0, then in 1
+    for L in range(max_preperiod + 1):
+        odd = _tail_bits(0b10, 2, 1, L)
+        parts = [_reward_word(pre, odd) for pre in range(1 << L)]
+        half = len(parts) // 2
+        lows.append((parts[:half], parts[half:]) if L else (parts, parts))
     for q in range(1, max_period + 1):
         cycles = [c for c in range(1 << q) if _build(0, 0, q, c).period == q]
         for L in range(max_preperiod + 1):
             lay = _layout(L + 1, lcm(2, q))
+            odd = lay.odd >> L << L
             for cyc in cycles:
-                tail = _tail_bits(cyc, q, 0, lay.h + lay.p - L) << L
-                last = 1 ^ cyc >> (q - 1)
-                for pre in range(last << L >> 1, (last + 1) << L >> 1) if L else (0,):
-                    bottom = pre | tail
-                    yield (L, q, pre, cyc), lay, (lay.odd & ~bottom) | (lay.odd & bottom) << 1
+                high = _reward_word(_tail_bits(cyc, q, 0, lay.h + lay.p - L) << L, odd)
+                yield lay, [high | part for part in lows[L][1 ^ cyc >> (q - 1)]]
 
 
 def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
@@ -259,14 +284,18 @@ def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
     bounds, plus a grid of randomized stationary strategies: payoffs all
     stay below 1 and the structural facts hold for each.
 
-    Each pattern of :func:`_pattern_words` gets the module docstring's
-    three integer tests on its reward set.
+    The module docstring's three integer tests run on the reward sets of
+    :func:`_cycle_groups`: the payoff and the dichotomy once per group,
+    each failure counted once per pattern, and the shift lemma once per
+    pattern, as one mask.
     """
     _check_bounds(max_period=max_period, max_preperiod=max_preperiod)
-    failures = 0
-    for count, (_, lay, reward) in enumerate(_pattern_words(max_period, max_preperiod), 1):
-        s = _shortfall(reward, lay)
-        failures += (not s.payoff_below_1) + (not all(s.lemma)) + (not s.dichotomy)
+    count = failures = 0
+    for lay, words in _cycle_groups(max_period, max_preperiod):
+        s = _shortfall(words, lay)
+        count += len(words)
+        failures += (len(words) * ((not s.payoff_below_1) + (not s.dichotomy))
+                     + s.lemma_failures)
     rows = [_flag("pure-periodic-sweep", not failures,
                   f"{count} strategies, {failures} failures")]
     mdp = even_or_odd_mdp()

@@ -430,6 +430,17 @@ class SearchResult:
     ranking: tuple[tuple[PeriodicMarkovStrategy, CValue], ...] = field(repr=False)
 
 
+def _primitive_cycles(n: int, max_period: int) -> dict[int, list[tuple[int, ...]]]:
+    """Per length q = 1..max_period, the tuples over range(n) that are no
+    power u**(q/d) of a shorter one, in product order: each q's list drops
+    the powers of the primitive tuples of the lengths d < q dividing it."""
+    primitive: dict[int, list[tuple[int, ...]]] = {}
+    for q in range(1, max_period + 1):
+        powers = {u * (q // d) for d in primitive if q % d == 0 for u in primitive[d]}
+        primitive[q] = [c for c in itertools.product(range(n), repeat=q) if c not in powers]
+    return primitive
+
+
 def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     """(compiled phases, strategy) for every canonical pure periodic
     strategy within the bounds: each comes once, at its own (L, q), in
@@ -457,8 +468,7 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     named = [tuple(choices[i][row[i]] for i in by_name) for row in rows]
     pairs = [[((1, j),) for j in row] for row in rows]
     ids = range(len(rows))
-    primitive = {q: [c for c in itertools.product(ids, repeat=q) if _canonical((), c)[1] == c]
-                 for q in range(1, max_period + 1)}
+    primitive = _primitive_cycles(len(rows), max_period)
     return (([pairs[k] for k in c], PeriodicMarkovStrategy(L, q, tuple([named[k] for k in c])))
             for L, q in bounds
             for pre in itertools.product(ids, repeat=L)

@@ -881,3 +881,42 @@ def test_the_kept_elimination_still_checks_the_strategy(solve):
     with pytest.raises(StrategyMismatch):
         solve(m, stationary({"1": "X", **rest}))
     assert solve(m, pi) == solve(_fresh(m), pi)
+
+
+_REST = {"2": "c", "3": "c"}
+_HALF = {"T": Fraction(1, 2), "B": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("pi, error, message", [
+    (stationary({"1": _HALF, **_REST}), ValueError, "strategy is randomized at state '1'"),
+    # the first fault in state order is the one named
+    (stationary({"1": _HALF, "2": "zz", "3": "c"}), ValueError,
+     "strategy is randomized at state '1'"),
+    (stationary({"1": "X", **_REST}), StrategyMismatch, "phase 1, state '1': unknown action 'X'"),
+    (stationary({"1": "T", "3": "c"}), StrategyMismatch, "phase 1, state '2': no action given"),
+    (periodic([], [{"1": "T", **_REST}, {"1": "B", **_REST}]), ValueError,
+     "discounted and average values take a stationary strategy, "
+     "not one of preperiod 0 and period 2"),
+    (periodic([{"1": "T", **_REST}], [{"1": "B", **_REST}]), ValueError,
+     "discounted and average values take a stationary strategy, "
+     "not one of preperiod 1 and period 1"),
+])
+def test_policy_choice_names_the_fault(pi, error, message):
+    with pytest.raises(error) as info:
+        _policy_choice(even_or_odd_mdp(), pi)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_policy_choice_reads_declared_actions():
+    m = even_or_odd_mdp()
+    assert _policy_choice(m, stationary({"1": "B", **_REST})) == (1, 0, 0)
+    # states the MDP does not declare are ignored, and a one-phase
+    # periodic strategy is read like a stationary one
+    assert _policy_choice(m, stationary({"1": "B", "9": "z", **_REST})) == (1, 0, 0)
+    assert _policy_choice(m, periodic([], [{"1": "B", **_REST}])) == (1, 0, 0)
+    for seed in range(20):
+        m = random_mdp(random.Random(seed), 4, 3)
+        for pi in enumerate_pure_stationary(m):
+            assert _policy_choice(m, pi) == tuple(
+                acts.index(pi.action(s)) for s, acts in zip(m.states, m.actions))

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import lcm
 
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from chargemdp import counterexamples as cx
 from chargemdp.charges import CValue, dyadic_value_sequence, integrate, value
 from chargemdp.mdp import expected_reward_stream, payoff, periodic
-from chargemdp.periodic_sets import (_build, _expand, arithmetic, density, difference,
-                                     intersect, is_subset, make, multiples, naturals,
-                                     odds, shift, union)
+from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, density,
+                                     difference, intersect, is_subset, make, multiples,
+                                     naturals, odds, shift, union)
 from chargemdp.streams import _canonical
 
 from conftest import superlevel_set
@@ -106,7 +107,11 @@ def set_word(w):
 def set_shortfall(w):
     """The sweep's verdicts on the set w, from its stage word."""
     lay, word = set_word(w)
-    return cx._shortfall(word, lay)
+    return cx._shortfall([word], lay)
+
+
+def lemma_holds(w):
+    return not set_shortfall(w).lemma_failures
 
 
 def shortfall_rows(prefix, w, payoff_value):
@@ -117,7 +122,7 @@ def shortfall_rows(prefix, w, payoff_value):
               else f"dyadic candidates {[Fraction(s.dyadic, s.p)]}")
     return [cx._flag(f"{prefix}-payoff-below-1", payoff_value.exact_value < 1,
                      f"payoff {payoff_value}"),
-            cx._flag(f"{prefix}-shift-lemma", all(s.lemma)),
+            cx._flag(f"{prefix}-shift-lemma", not s.lemma_failures),
             cx._flag(f"{prefix}-dichotomy", s.dichotomy, detail)]
 
 
@@ -130,11 +135,30 @@ def probe_payoff_shortfall(sigma, max_horizon=4096):
     return cx.VerificationReport("shortfall-probe", tuple(rows))
 
 
+def reference_pattern_words(max_period, max_preperiod):
+    """(L, q, pre, cyc), then the layout and stage word of its reward set,
+    for each bottom-action pattern within the bounds that
+    ``streams._canonical`` leaves unchanged (bit i of pre is stage i + 1,
+    bit j of cyc stage L + 1 + j), one pattern at a time, in the order of
+    ``counterexamples._cycle_groups``: its cycle has least period q, and
+    its last preperiod bit differs from the last cycle bit."""
+    for q in range(1, max_period + 1):
+        cycles = [c for c in range(1 << q) if _build(0, 0, q, c).period == q]
+        for L in range(max_preperiod + 1):
+            lay = cx._layout(L + 1, lcm(2, q))
+            for cyc in cycles:
+                tail = _tail_bits(cyc, q, 0, lay.h + lay.p - L) << L
+                last = 1 ^ cyc >> (q - 1)
+                for pre in range(last << L >> 1, (last + 1) << L >> 1) if L else (0,):
+                    bottom = pre | tail
+                    yield (L, q, pre, cyc), lay, (lay.odd & ~bottom) | (lay.odd & bottom) << 1
+
+
 @lru_cache(maxsize=None)
 def pattern_words(max_period, max_preperiod):
     """The sweep's (layout, word) per canonical pattern, keyed by its bit tuples."""
-    return {(bits(pre, L), bits(cyc, q)): (lay, reward)
-            for (L, q, pre, cyc), lay, reward in cx._pattern_words(max_period, max_preperiod)}
+    return {(bits(pre, L), bits(cyc, q)): (lay, reward) for (L, q, pre, cyc), lay, reward
+            in reference_pattern_words(max_period, max_preperiod)}
 
 
 def pattern_strategy(pre, cyc):
@@ -176,13 +200,13 @@ def reference_verdicts(w):
     seq, cyc = dyadic_value_sequence(w)
     top = odd_mass / 2 + max(cyc) / 2
     dichotomy = odd_mass < 1 if any(v > 0 for v in seq) else set(cyc) == {0}
-    return top, reference_shift_lemma(w), dichotomy
+    return top, all(reference_shift_lemma(w)), dichotomy
 
 
 def integer_verdicts(lay, reward):
-    s = cx._shortfall(reward, lay)
+    s = cx._shortfall([reward], lay)
     assert s.payoff_below_1 == (2 * s.odd + s.dyadic < 2 * s.p)
-    return Fraction(2 * s.odd + s.dyadic, 2 * s.p), s.lemma, s.dichotomy
+    return Fraction(2 * s.odd + s.dyadic, 2 * s.p), not s.lemma_failures, s.dichotomy
 
 
 def reference_canonical_keys(max_period, max_preperiod):
@@ -225,7 +249,7 @@ def test_adjacent_stage_rewards_sum_to_one(pre, cyc):
 
 def test_pattern_reward_set_matches_reference_exhaustively():
     count = 0
-    for (L, q, pre, cyc), lay, reward in cx._pattern_words(6, 6):
+    for (L, q, pre, cyc), lay, reward in reference_pattern_words(6, 6):
         count += 1
         assert word_set(lay, reward) == \
             reference_pattern_reward_set(bits(pre, L), bits(cyc, q)), (L, q, pre, cyc)
@@ -233,10 +257,10 @@ def test_pattern_reward_set_matches_reference_exhaustively():
 
 
 def test_integer_verdicts_match_set_reference_exhaustively():
-    # every canonical pattern at 6/6: exact payoff, the eight lemma
-    # booleans and the dichotomy, against the set algebra and the
+    # every canonical pattern at 6/6: exact payoff, the shift lemma over
+    # its eight moduli and the dichotomy, against the set algebra and the
     # charges' dyadic contraction chain
-    for (L, q, pre, cyc), lay, reward in cx._pattern_words(6, 6):
+    for (L, q, pre, cyc), lay, reward in reference_pattern_words(6, 6):
         w = reference_pattern_reward_set(bits(pre, L), bits(cyc, q))
         assert integer_verdicts(lay, reward) == reference_verdicts(w), (L, q, pre, cyc)
 
@@ -244,11 +268,53 @@ def test_integer_verdicts_match_set_reference_exhaustively():
 @pytest.mark.parametrize("bound, count", [(4, 352), (5, 1664), (6, 6784)])
 def test_canonical_enumeration_matches_raw_loop(bound, count):
     keys = [(bits(pre, L), bits(cyc, q))
-            for (L, q, pre, cyc), _, _ in cx._pattern_words(bound, bound)]
+            for (L, q, pre, cyc), _, _ in reference_pattern_words(bound, bound)]
     assert len(keys) == len(set(keys)) == count
     assert set(keys) == reference_canonical_keys(bound, bound)
     # each pattern is met at its own canonical form
     assert all(_canonical(*k) == k for k in keys)
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_cycle_groups_flatten_to_the_per_pattern_reference(bound):
+    got = [(lay, word) for lay, words in cx._cycle_groups(bound, bound) for word in words]
+    assert got == [(lay, word) for _, lay, word in reference_pattern_words(bound, bound)]
+
+
+def reference_failures():
+    """(L, q, failed checks) per canonical pattern at 8/8, each pattern
+    judged on its own."""
+    out = []
+    for (L, q, _, _), lay, reward in reference_pattern_words(8, 8):
+        s = cx._shortfall([reward], lay)
+        out.append((L, q, (not s.payoff_below_1) + bool(s.lemma_failures)
+                    + (not s.dichotomy)))
+    return out
+
+
+def test_sweep_counts_match_the_per_pattern_reference():
+    ref = reference_failures()
+    for P in range(1, 9):
+        for L in range(9):
+            kept = [f for l, q, f in ref if q <= P and l <= L]
+            got = cx.sweep_payoff_shortfall(P, L, stationary_grid=[]).rows[0].got
+            assert got == f"{len(kept)} strategies, {sum(kept)} failures", (P, L)
+
+
+def test_residue_word_does_not_depend_on_preperiod():
+    # reward bit t reads only bottom bits t and t - 1, pre < 2**L, and
+    # the residue word starts at bit h >= L + 2
+    def group_key(pattern):
+        (L, q, _, cyc), _, _ = pattern
+        return L, q, cyc
+    for (L, q, cyc), group in groupby(reference_pattern_words(8, 8), key=group_key):
+        group = list(group)
+        lay = group[0][1]
+        assert lay.h >= L + 2
+        assert len(group) == max(1, 1 << L >> 1)
+        assert len({reward >> lay.h for _, _, reward in group}) == 1, (L, q, cyc)
+    for lay, words in cx._cycle_groups(8, 8):
+        assert len({word >> lay.h for word in words}) == 1
 
 
 def pairs_at(k):
@@ -280,21 +346,29 @@ def lemma_sets(draw):
 @given(lemma_sets())
 @settings(max_examples=300, deadline=None)
 def test_shift_lemma_matches_reference(w):
-    assert set_shortfall(w).lemma == reference_shift_lemma(w)
+    assert lemma_holds(w) == all(reference_shift_lemma(w))
 
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_shift_lemma_per_modulus(k):
-    got = set_shortfall(pairs_at(k)).lemma
-    assert got == [n > k for n in range(1, 9)]
-    assert got == reference_shift_lemma(pairs_at(k))
+    assert reference_shift_lemma(pairs_at(k)) == [n > k for n in range(1, 9)]
+    assert not lemma_holds(pairs_at(k))
 
 
 def test_shift_lemma_on_late_head_pair():
     # one pair {383, 384} in the preperiod: 384 = 2**7 * 3
     w = make([0] * 382 + [1, 1], 1, [])
-    assert set_shortfall(w).lemma == [False] * 7 + [True]
-    assert set_shortfall(w).lemma == reference_shift_lemma(w)
+    assert reference_shift_lemma(w) == [False] * 7 + [True]
+    assert not lemma_holds(w)
+
+
+@pytest.mark.parametrize("m, p", [(0, 2), (1, 6), (3, 10), (9, 16), (40, 512), (700, 24)])
+def test_lemma_mask_is_the_union_of_the_moduli_masks(m, p):
+    # every multiple of 2**n is even, and the residues gcd(2**n, p)
+    # divides are even as p is: the union is the n = 1 mask, the even stages
+    lay = cx._layout(m, p)
+    pre, res = _expand(multiples(2), lay.h, lay.p)
+    assert lay.lemma == pre | res << lay.h
 
 
 @st.composite
@@ -317,10 +391,10 @@ def test_closed_form_dyadic_limit_matches_contraction_chain(s):
 
 def test_shortfall_flags_an_all_ones_word():
     lay = cx._layout(0, 2)
-    s = cx._shortfall((1 << (lay.h + lay.p)) - 1, lay)
+    s = cx._shortfall([(1 << (lay.h + lay.p)) - 1], lay)
     assert Fraction(2 * s.odd + s.dyadic, 2 * s.p) == 1
     assert not s.payoff_below_1
-    assert not any(s.lemma)
+    assert s.lemma_failures == 1
     assert not s.dichotomy
 
 
@@ -330,11 +404,26 @@ def test_sweep_counts_failing_words(monkeypatch, k):
     # vacuously: an all-ones word fails all three checks, and the pairs
     # at 2**k (payoff 1/2**(k + 1)) fail the shift lemma only
     lay = cx._layout(0, 2)
-    words = [(None, lay, (1 << (lay.h + lay.p)) - 1), (None, *set_word(pairs_at(k)))]
-    monkeypatch.setattr(cx, "_pattern_words", lambda *bounds: iter(words))
+    pairs_lay, pairs_word = set_word(pairs_at(k))
+    groups = [(lay, [(1 << (lay.h + lay.p)) - 1]), (pairs_lay, [pairs_word])]
+    monkeypatch.setattr(cx, "_cycle_groups", lambda *bounds: iter(groups))
     rep = cx.sweep_payoff_shortfall(1, 0, stationary_grid=[])
     assert not rep.passed
     assert rep.rows[0].got == "2 strategies, 4 failures"
+
+
+def test_sweep_counts_a_group_once_per_pattern(monkeypatch):
+    # preperiod 2, period 2: bits 0-1 are free, bit 2 follows the odd
+    # residue (bit 4), bits 3-4 are the residue word.  With every residue
+    # rewarded, each of 4 words fails all three checks; with only the
+    # even residue, the payoff and the dichotomy hold, and the lemma
+    # fails only where stages 1 and 2 are both rewarded
+    lay = cx._layout(2, 2)
+    assert (lay.h, lay.p) == (3, 2)
+    groups = [(lay, [0b11100 | x for x in range(4)]), (lay, [0b01000 | x for x in range(4)])]
+    monkeypatch.setattr(cx, "_cycle_groups", lambda *bounds: iter(groups))
+    rep = cx.sweep_payoff_shortfall(1, 0, stationary_grid=[])
+    assert rep.rows[0].got == "8 strategies, 13 failures"
 
 
 def test_shortfall_rows_flag_a_failing_shift_lemma():

@@ -24,9 +24,10 @@ from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
                            Problem, StationaryStrategy, StrategyMismatch, best_periodic,
                            build_mdp, ensure_valid, enumerate_pure_periodic,
                            enumerate_pure_stationary, expected_reward_stream,
-                           payoff, periodic, random_mdp, stationary, validate)
+                           _primitive_cycles, payoff, periodic, random_mdp, stationary,
+                           validate)
 from chargemdp.periodic_sets import empty, multiples, odds
-from chargemdp.streams import stream
+from chargemdp.streams import _canonical, stream
 
 
 # ---- references: the Fraction-dict stream loop and the raw enumeration ----
@@ -592,6 +593,14 @@ def test_enumeration_equals_reference(seed, shape, max_period, max_preperiod):
         max_period -= 1
     assert (list(enumerate_pure_periodic(m, max_period, max_preperiod))
             == list(reference_enumeration(m, max_period, max_preperiod)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_primitive_cycles_equal_the_canonical_filter(n):
+    # the tuples _canonical leaves unchanged, one cycle length at a time
+    assert _primitive_cycles(n, 6) == {
+        q: [c for c in itertools.product(range(n), repeat=q) if _canonical((), c)[1] == c]
+        for q in range(1, 7)}
 
 
 SEARCH_CHARGES = [
