@@ -42,9 +42,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .charges import CValue, DyadicLimit, Frequency, Geometric, Mix, Restrict, value
-from .mdp import (Mdp, PeriodicMarkovStrategy, StationaryStrategy, build_mdp, payoff,
-                  periodic, stationary)
-from .periodic_sets import _build, _tail_bits, arithmetic, difference, multiples, odds, union
+from .mdp import (Mdp, PeriodicMarkovStrategy, StationaryStrategy, _primitive_cycles, build_mdp,
+                  payoff, periodic, stationary)
+from .periodic_sets import _tail_bits, arithmetic, difference, multiples, odds, union
 
 
 # ---- reports -------------------------------------------------------------
@@ -261,15 +261,19 @@ def _cycle_groups(max_period: int, max_preperiod: int):
     L + 1.  Reward bit t reads only bottom bits t and t - 1, and pre < 2**L
     while h >= L + 2, so the words share their residue word.  Each word is
     the OR of the rewards around the odd stages 1..L, which read only pre,
-    and those around the later odd stages, which read only the cycle."""
+    and those around the later odd stages, which read only the cycle.
+    The cycles of each q are the search's primitive cycles over two
+    actions (``mdp._primitive_cycles``), each read as an int with bit j
+    for phase j, in increasing order."""
     lows = []  # per L: the preperiod parts for pre ending in 0, then in 1
     for L in range(max_preperiod + 1):
         odd = _tail_bits(0b10, 2, 1, L)
         parts = [_reward_word(pre, odd) for pre in range(1 << L)]
         half = len(parts) // 2
         lows.append((parts[:half], parts[half:]) if L else (parts, parts))
+    primitive = _primitive_cycles(2, max_period)
     for q in range(1, max_period + 1):
-        cycles = [c for c in range(1 << q) if _build(0, 0, q, c).period == q]
+        cycles = sorted(sum(b << j for j, b in enumerate(c)) for c in primitive[q])
         for L in range(max_preperiod + 1):
             lay = _layout(L + 1, lcm(2, q))
             odd = lay.odd >> L << L

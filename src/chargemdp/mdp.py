@@ -14,23 +14,23 @@ against a charge expression.
 
 A step table, built once per MDP, holds for each (state, action) the
 reduced reward r / M and the next state, or -1 where the row splits.
-While x is a point mass, the strategy is pure at that phase and state
-and the row does not split, a stage is one read of that table, with no
-scale: A cancels.  Any other stage runs the integer loop.
+A walk reads a strategy as rows plus its phase -> row order; a row holds
+per state the (weight, action index) pairs and, where the cell is pure
+and the row does not split, the table's step, so from a point mass a
+stage is one read, with no scale: A cancels.  Any other stage runs the
+integer loop.
 
-The search runs in two passes.  The first generates the canonical pure
-strategies directly, as tuples of phase rows of action indices in
-declared order: each length's primitive cycles are found once, and each
-preperiod is followed by those ending in a row other than its own last,
-so each strategy comes once.  It collects the canonical words of reward
-pairs, canonicalising each distinct raw word the walk returns once: a
-later strategy with the same raw word reads its index back.  The
-second values each distinct nonzero word.  A word of shape (L, q) is
-also one of shape (L', q) for every L' >= L, so one vector of the
-charge's weights (``charges._stage_weights``) per cycle length q, of
-shape (Lq, q) with Lq the longest preperiod among the words of that q,
-values each of them as one integer dot product with its first Lq + q
-stages.  Each vector is checked once against ``integrate``.
+The search generates the canonical pure strategies directly, as tuples
+of row ids (each row a tuple of action indices, in declared order): each
+length's primitive cycles are found once, and each preperiod is followed
+by those ending in a row other than its own last.  It walks each tuple
+against one table of rows, and canonicalises each distinct raw word
+once.  A word of shape (L, q) is also one of shape (L', q) for L' >= L,
+so one vector of the charge's weights (``charges._stage_weights``) per
+cycle length q, of shape (Lq, q) with Lq the longest preperiod among the
+words of that q, values each as one integer dot product, a reduced
+integer pair.  Each vector is checked once against ``integrate``.  The
+distinct values are ranked once, with one CValue each.
 """
 
 from __future__ import annotations
@@ -340,50 +340,58 @@ def _check_horizon(max_horizon: int) -> None:
         raise ValueError(f"max_horizon must be at least {LEAST_HORIZON}, got {max_horizon}")
 
 
-def _reward_stream(cells: list, table: list, start: int, scale: int, phases: list, L: int,
-                   max_horizon: int) -> tuple[list, list]:
-    """The expected-reward stream from state ``start``, for the integer
-    form's ``cells`` and ``table`` and a compiled strategy's ``phases``,
-    as the word the recurrence found: (preperiod, cycle) lists of reduced
-    (numerator, denominator) pairs, neither necessarily minimal.  Rewards
-    are over ``scale``, which is M * A, and the distribution is x / sum(x).
+def _row(table: list, cells: list) -> tuple[list, list]:
+    """(cells, steps) for one phase row of (weight, action index) pairs
+    per state: steps[i] = ((numerator, denominator), next state), one
+    stage from a point mass at i, read off the integer form's ``table``
+    where the cell is pure and its row does not split, else None."""
+    steps = [None] * len(cells)
+    for i, cell in enumerate(cells):
+        if len(cell) == 1:
+            num, den, z = table[i][cell[0][1]]
+            if z >= 0:
+                steps[i] = ((num, den), z)
+    return cells, steps
 
-    A point mass is held as its state's index, every other distribution
-    as the tuple x, so each distribution has one key.  From a point mass
-    whose cell is pure and whose row does not split a stage is one table
-    read; any other stage runs the integer loop.  The key is checked
-    before each stage, so a repeat is seen within ``max_horizon`` checks
-    only if it comes by stage ``max_horizon - 1``."""
-    n, phase_count = len(cells), len(phases)
+
+def _reward_stream(cells: list, rows: list, order, L: int, start: int, scale: int,
+                   max_horizon: int) -> tuple[int, list]:
+    """The expected-reward stream from state ``start`` as (i0, rewards):
+    reduced (numerator, denominator) pairs over ``scale`` (M * A) up to
+    the first repeat, the cycle from index i0, neither part necessarily
+    minimal.  Phase k plays ``rows[order[k]]``, (cells, steps) from
+    ``_row``; the last len(order) - L phases repeat.  A point mass at x
+    is keyed by k * n + x, any other distribution x / sum(x) by (k, x).
+    The key is checked before each stage, so a repeat is seen within
+    ``max_horizon`` checks only if it comes by stage ``max_horizon - 1``."""
+    n, phase_count = len(cells), len(order)
     x: int | tuple = start
-    seen: dict[tuple, int] = {}
+    seen: dict = {}
     rewards: list[tuple[int, int]] = []
     k = 0
     for _ in range(max_horizon):
-        key = (k, x)
+        key = k * n + x if type(x) is int else (k, x)
         if key in seen:
-            i0 = seen[key]
-            return rewards[:i0], rewards[i0:]
+            return seen[key], rewards
         seen[key] = len(rewards)
+        row = rows[order[k]]
         if type(x) is int:
-            pairs = phases[k][x]
-            if len(pairs) == 1:
-                num, den, z = table[x][pairs[0][1]]
-                if z >= 0:
-                    rewards.append((num, den))
-                    x = z
-                    k = k + 1 if k + 1 < phase_count else L
-                    continue
+            step = row[1][x]
+            if step is not None:
+                reward, x = step
+                rewards.append(reward)
+                k = k + 1 if k + 1 < phase_count else L
+                continue
             x = tuple(int(i == x) for i in range(n))
         num = 0
         nxt = [0] * n
-        for xi, pairs, opts in zip(x, phases[k], cells):
+        for xi, cell, opts in zip(x, row[0], cells):
             if xi:
-                for w, j in pairs:
-                    r, row = opts[j]
+                for w, j in cell:
+                    r, sparse = opts[j]
                     w *= xi
                     num += w * r
-                    for z, c in row:
+                    for z, c in sparse:
                         nxt[z] += w * c
         den = scale * sum(x)
         g = gcd(num, den)
@@ -410,12 +418,11 @@ def expected_reward_stream(mdp: Mdp, sigma: Strategy,
     _check_horizon(max_horizon)
     M, cells, table = _integer_form(mdp)
     L, A, phases = _compile(mdp, sigma)
-    return _pairs_stream(*_reward_stream(cells, table, mdp.states.index(mdp.initial), M * A,
-                                         phases, L, max_horizon))
-
-
-def _pairs_stream(pre: list, cyc: list) -> RationalStream:
-    return stream([Fraction(n, d) for n, d in pre], [Fraction(n, d) for n, d in cyc])
+    rows = [_row(table, phase) for phase in phases]
+    i0, rewards = _reward_stream(cells, rows, range(len(rows)), L, mdp.states.index(mdp.initial),
+                                 M * A, max_horizon)
+    values = [Fraction(n, d) for n, d in rewards]
+    return stream(values[:i0], values[i0:])
 
 
 def payoff(mdp: Mdp, sigma: Strategy, mu: Charge,
@@ -442,10 +449,11 @@ def _primitive_cycles(n: int, max_period: int) -> dict[int, list[tuple[int, ...]
 
 
 def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
-    """(compiled phases, strategy) for every canonical pure periodic
-    strategy within the bounds: each comes once, at its own (L, q), in
-    the product order of its tuple of phase rows of action indices, so in
-    declared action order.
+    """(rows, pairs): the phase rows of action indices, in product order,
+    and a generator of (row ids, strategy) for every canonical pure
+    periodic strategy within the bounds: each comes once, at its own
+    (L, q), in the product order of its tuple of row ids, so in declared
+    action order.
 
     Such a tuple is canonical when its cycle is primitive, the power of
     no shorter word, and a preperiod, if any, ends in a row other than
@@ -466,47 +474,50 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     choices = [[(s, ((a, Fraction(1)),)) for a in acts]
                for s, acts in zip(mdp.states, mdp.actions)]
     named = [tuple(choices[i][row[i]] for i in by_name) for row in rows]
-    pairs = [[((1, j),) for j in row] for row in rows]
     ids = range(len(rows))
     primitive = _primitive_cycles(len(rows), max_period)
-    return (([pairs[k] for k in c], PeriodicMarkovStrategy(L, q, tuple([named[k] for k in c])))
-            for L, q in bounds
-            for pre in itertools.product(ids, repeat=L)
-            for c in (pre + cyc for cyc in primitive[q] if not L or cyc[-1] != pre[-1]))
+    return rows, ((c, PeriodicMarkovStrategy(L, q, tuple([named[k] for k in c])))
+                  for L, q in bounds
+                  for pre in itertools.product(ids, repeat=L)
+                  for c in (pre + cyc for cyc in primitive[q] if not L or cyc[-1] != pre[-1]))
 
 
 def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
                             cap: int = 2_000_000):
     """All distinct canonical pure periodic Markov strategies within
     bounds, in declared action order."""
-    return (strat for _, strat in _canonical_pure(mdp, max_period, max_preperiod, cap))
+    return (strat for _, strat in _canonical_pure(mdp, max_period, max_preperiod, cap)[1])
 
 
 _ZERO_WORD = ((), ((0, 1),))
 
 
-def _dot_value(word: tuple, L: int, W: int, w: tuple) -> CValue:
+def _dot_value(word: tuple, L: int, W: int, w: tuple) -> tuple[int, int]:
     """The word's value under the weights (W, w) of shape (L, q), q its
-    cycle length and L at least its preperiod: the dot product
-    sum n_t * (D // d_t) * w_t / (D * W) over its first L + q stages
-    n_t / d_t, the cycle unrolled, with D = lcm(d_t)."""
+    cycle length and L at least its preperiod, as a reduced (numerator,
+    denominator) pair: the dot product sum n_t * (D // d_t) * w_t / (D * W)
+    over its first L + q stages n_t / d_t, the cycle unrolled, with
+    D = lcm(d_t)."""
     pre, cyc = word
     m = L + len(cyc) - len(pre)
     stages = pre + (cyc * -(-m // len(cyc)))[:m]
     D = lcm(*(d for _, d in stages))
-    return CValue.exact(Fraction(sum(n * (D // d) * wt for (n, d), wt in zip(stages, w)), D * W))
+    num, den = sum(n * (D // d) * wt for (n, d), wt in zip(stages, w)), D * W
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _word_values(mu: Charge, words: list, checks: dict) -> list[CValue]:
+def _word_values(mu: Charge, words: list, checks: dict) -> list[tuple[int, int]]:
     """integrate(mu, f) for each distinct canonical reward word of a
-    search, f the word's stream; ``checks`` maps each nonzero cycle
-    length q to (index, stream) of its first word.
+    search, f the word's stream, as a reduced (numerator, denominator)
+    pair; ``checks`` maps each nonzero cycle length q to (index, stream)
+    of its first word.
 
     The nonzero words of one cycle length q share the weights of shape
     (Lq, q), Lq their longest preperiod, computed once.  The first word
     of each q is also integrated by level sets: the two must agree, so a
     charge whose integral is not this linear functional fails here rather
-    than ranking wrongly.  A zero word is 0 without weights, as
+    than ranking wrongly.  A zero word is (0, 1) without weights, as
     ``integrate`` never evaluates the charge on a zero stream.
     """
     longest = dict.fromkeys(checks, 0)  # q -> Lq; the zero word has no preperiod
@@ -514,13 +525,12 @@ def _word_values(mu: Charge, words: list, checks: dict) -> list[CValue]:
         if len(cyc) in longest:
             longest[len(cyc)] = max(longest[len(cyc)], len(pre))
     weights = {q: (Lq, *_stage_weights(mu, Lq, q)) for q, Lq in longest.items()}
-    zero = CValue.exact(Fraction(0))
-    values = [zero if word == _ZERO_WORD else _dot_value(word, *weights[len(word[1])])
+    values = [(0, 1) if word == _ZERO_WORD else _dot_value(word, *weights[len(word[1])])
               for word in words]
     for q, (k, f) in checks.items():
-        level = integrate(mu, f)
-        if level != values[k]:
-            raise ArithmeticError(f"stage weights of shape {(longest[q], q)} give {values[k]}, "
+        level, got = integrate(mu, f), Fraction(*values[k])
+        if level != CValue.exact(got):
+            raise ArithmeticError(f"stage weights of shape {(longest[q], q)} give {got}, "
                                   f"level sets give {level}")
     return values
 
@@ -534,21 +544,28 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     lexicographic strategy encoding in declared action order.  This
     lower-bounds the value of the MDP under the charge.  Every reward
     stream is found before the charge is evaluated, so CycleNotFound and
-    StrategyMismatch come before any error of the charge.
+    StrategyMismatch come before any error of the charge.  Strategies
+    are walked as row-id tuples, and values kept as reduced integer
+    pairs until ranking.
     """
     _check_horizon(max_horizon)
     M, cells, table = _integer_form(mdp)
+    actions, strategies = _canonical_pure(mdp, max_period, max_preperiod, cap)
+    rows = [_row(table, [((1, j),) for j in row]) for row in actions]
     start = mdp.states.index(mdp.initial)
     by_word: dict[tuple, int] = {}  # reward word, raw or canonical -> its canonical one's index
     words: list[tuple] = []
     checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
-    found: list[tuple[PeriodicMarkovStrategy, int]] = []
-    for phases, strat in _canonical_pure(mdp, max_period, max_preperiod, cap):
-        pre, cyc = _reward_stream(cells, table, start, M, phases, strat.preperiod_length,
-                                  max_horizon)
-        raw = (tuple(pre), tuple(cyc))
+    fractions: dict[tuple[int, int], Fraction] = {}  # reward pair -> its Fraction
+    found: list[PeriodicMarkovStrategy] = []
+    found_word: list[int] = []  # parallel to found
+    for ids, strat in strategies:
+        i0, rewards = _reward_stream(cells, rows, ids, strat.preperiod_length, start, M,
+                                     max_horizon)
+        raw = (i0, tuple(rewards))
         k = by_word.get(raw)
         if k is None:
+            pre, cyc = rewards[:i0], rewards[i0:]
             word = _canonical(pre, cyc)
             k = by_word.get(word)
             if k is None:
@@ -558,21 +575,28 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
                 # word that reaches it, but only the check streams are kept:
                 # bench/tracer.py reads the search's cache ratio from these
                 # calls until it reads it from the result.
-                f = _pairs_stream(pre, cyc)
+                for pair in rewards:
+                    if pair not in fractions:
+                        fractions[pair] = Fraction(*pair)
+                f = stream([fractions[p] for p in pre], [fractions[p] for p in cyc])
                 if word != _ZERO_WORD and len(word[1]) not in checks:
                     checks[len(word[1])] = (k, f)
             by_word[raw] = k
-        found.append((strat, k))
+        found.append(strat)
+        found_word.append(k)
     values = _word_values(mu, words, checks)
-    # rank each distinct value once; enumeration order is the tie-break
-    # order, and this sort is stable
-    exact = [v.exact_value for v in values]
-    rank = {q: i for i, q in enumerate(sorted(set(exact), reverse=True))}
-    key = [rank[q] for q in exact]
-    found.sort(key=lambda e: key[e[1]])
-    entries = tuple((strat, values[k]) for strat, k in found)
-    best, best_value = entries[0]
-    return SearchResult(best, best_value, entries)
+    # rank each distinct value once, then deal the strategies into one list
+    # per rank in enumeration order, the tie-break order
+    exact = {v: Fraction(*v) for v in set(values)}
+    per_rank = {v: [] for v in sorted(exact, key=exact.__getitem__, reverse=True)}
+    per_word = [per_rank[v] for v in values]
+    for strat, k in zip(found, found_word):
+        per_word[k].append(strat)
+    entries = []
+    for v, strats in per_rank.items():
+        value = CValue.exact(exact[v])
+        entries += [(strat, value) for strat in strats]
+    return SearchResult(*entries[0], tuple(entries))
 
 
 def enumerate_pure_stationary(mdp: Mdp) -> list[StationaryStrategy]:

@@ -650,9 +650,9 @@ def test_ranking_equals_reference_when_most_strategies_share_a_raw_word(mu, monk
     reward_stream, canonical = mdp_module._reward_stream, mdp_module._canonical
 
     def recorded_stream(*args):
-        pre, cyc = reward_stream(*args)
-        raw.append((tuple(pre), tuple(cyc)))
-        return pre, cyc
+        i0, rewards = reward_stream(*args)
+        raw.append((tuple(rewards[:i0]), tuple(rewards[i0:])))
+        return i0, rewards
 
     def counted_canonical(pre, cyc):
         if isinstance(cyc[0], tuple):  # a reward word, not a cycle of row indices
@@ -724,6 +724,43 @@ def preperiod_mdp():
                       ("b", "flip"): Fraction(-1, 3)},
                      {("a", "w"): {"a": 1}, ("a", "go"): {"b": 1},
                       ("b", "stay"): {"b": 1}, ("b", "flip"): {"b": 1}})
+
+
+def split_mdp():
+    """s splits to a and b under either action, and a and b are goto
+    rows: a walk passes from a point mass (an int key) to spread
+    distributions (tuple keys), and a pure strategy's phases read both
+    the step table and the integer loop."""
+    return build_mdp(("s", "a", "b"), "s", {z: ("x", "y") for z in "sab"},
+                     {("s", "x"): 0, ("s", "y"): 0, ("a", "x"): 1, ("a", "y"): 0,
+                      ("b", "x"): 0, ("b", "y"): Fraction(1, 2)},
+                     {("s", "x"): {"a": Fraction(1, 2), "b": Fraction(1, 2)},
+                      ("s", "y"): {"a": Fraction(1, 3), "b": Fraction(2, 3)},
+                      ("a", "x"): {"b": 1}, ("a", "y"): {"a": 1},
+                      ("b", "x"): {"a": 1}, ("b", "y"): {"b": 1}})
+
+
+@pytest.mark.parametrize("make, bounds", [(preperiod_mdp, (3, 2)), (split_mdp, (2, 1))])
+def test_search_walk_and_payoff_walk_agree_at_every_horizon(make, bounds):
+    """The search walks row ids against one step table, a payoff walks a
+    compiled strategy's phases.  At every horizon from 2 up to the first
+    at which the search succeeds, the search raises CycleNotFound exactly
+    when some strategy it enumerates raises it on its own; at that
+    horizon every strategy's value is the integral of its own stream."""
+    m = make()
+    strategies = list(enumerate_pure_periodic(m, *bounds))
+    for horizon in range(2, 65):
+        result = _outcome(best_periodic, m, Frequency(), *bounds, max_horizon=horizon)
+        alone = [_outcome(expected_reward_stream, m, s, max_horizon=horizon)
+                 for s in strategies]
+        assert (result is CycleNotFound) == any(f is CycleNotFound for f in alone), horizon
+        if result is not CycleNotFound:
+            break
+    else:
+        pytest.fail("the search never succeeded")
+    assert horizon > 2  # some horizon raised
+    values = dict(result.ranking)
+    assert [values[s] for s in strategies] == [integrate(Frequency(), f) for f in alone]
 
 
 @pytest.mark.parametrize("mu", SEARCH_CHARGES)
