@@ -57,13 +57,13 @@ residual at most n), and the coefficients of q are suffix sums of p's, so
 divisions every coefficient is still at most n*||p||_1 < X/2, so the rare
 order >= 2 unpacks that quotient and finishes by synthetic division.
 
-The last policy-iteration round holds (k, det, N) for the policy it
-returns, and keeps them on the Mdp (``Mdp._solved``, one entry keyed by
-the policy's action indices).  ``discounted_value`` and ``average_value``
-read that entry when their strategy compiles to the same indices, and
-otherwise eliminate afresh and replace it, so a query sequence on one
-policy eliminates it once.  The strategy is compiled on every call, so a
-randomized, multi-phase or mismatched one raises as before.
+One function, ``_packed_cramer``, eliminates: it sizes k for the
+improvement residuals too (2**k past 2nB times the widest row's 1-norm)
+and keeps (k, det, N) on the Mdp (``Mdp._solved``, one entry keyed by
+the policy's action indices), so a query sequence on the policy that
+policy iteration returns eliminates nothing again.  ``_policy_choice``
+resolves a strategy to those indices on every call, so a randomized,
+multi-phase or mismatched one raises.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
 
-from .mdp import Mdp, StationaryStrategy, _compile, ensure_valid, stationary
+from .mdp import Mdp, StationaryStrategy, Strategy, StrategyMismatch, ensure_valid, stationary
 
 
 class PoleAtOne(ArithmeticError):
@@ -410,32 +410,32 @@ def _bareiss_at(rows, k: int) -> tuple[int, list[int]]:
     return prev, [row[n] for row in m]
 
 
-def _packed_cramer(mdp: Mdp, pi: StationaryStrategy) -> tuple[int, int, list[int]]:
+def _packed_cramer(mdp: Mdp, choice: tuple[int, ...],
+                   widest: int | None = None) -> tuple[int, int, list[int]]:
     """(k, det, nums): det(I - bP) and the Cramer numerators N_i of
-    (I - bP) v = r, with v_i = N_i / det, as their values at b = 2**k.
-    The caller must not change nums.
+    (I - bP) v = r under the policy of action indices ``choice``, with
+    v_i = N_i / det, as their values at b = 2**k.  The caller must not
+    change nums.  ``widest`` is the largest 1-norm of any row of the MDP,
+    found here when not given.
 
     Row i is scaled by the lcm L_i of its denominators, as ``Mdp.rows``
     stores it, so both come out multiplied by prod(L_i).  Both are minors of
     the scaled augmented matrix, of 1-norm at most the product B of the
-    rows' 1-norms, and of degree at most n, so 2**k > 2nB recovers them
-    from one elimination there and reads their orders at 1 by residues.
-    The result is ``mdp._solved``'s when pi's action indices match it, and
+    rows' 1-norms, and of degree at most n, and so is every improvement
+    residual after one more factor ``widest``: 2**k > 2nB * widest recovers
+    all of them from one elimination there and reads their orders at 1 by
+    residues.  The result is ``mdp._solved``'s when choice matches it, and
     replaces it otherwise.
     """
-    choice = _policy_choice(mdp, pi)
     if (solved := mdp._solved.get(choice)) is None:
+        if widest is None:
+            widest = max(_norm(row) for per in mdp.rows for row in per)
         rows = [per[j] for per, j in zip(mdp.rows, choice)]
-        k = (prod(map(_norm, rows)) * len(rows)).bit_length() + 1
+        k = (prod(map(_norm, rows)) * widest * len(rows)).bit_length() + 1
         solved = k, *_bareiss_at(rows, k)
-        _keep(mdp, choice, solved)
+        mdp._solved.clear()
+        mdp._solved[choice] = solved
     return solved
-
-
-def _keep(mdp: Mdp, choice: tuple[int, ...], solved: tuple[int, int, list[int]]) -> None:
-    """Make solved, the elimination of the policy choice, mdp's one entry."""
-    mdp._solved.clear()
-    mdp._solved[choice] = solved
 
 
 def _solve_linear(a, b):
@@ -458,37 +458,35 @@ def _solve_linear(a, b):
     return [b[i] / a[i][i] for i in range(n)]
 
 
-def _policy_choice(mdp: Mdp, pi: StationaryStrategy) -> tuple[int, ...]:
+def _policy_choice(mdp: Mdp, pi: Strategy) -> tuple[int, ...]:
     """The index in ``Mdp.rows`` of each state's action.  Raises
-    StrategyMismatch where pi names no action of the MDP, and ValueError
-    for a strategy with more than one phase or a randomized one.
-
-    A pure stationary pi that names a declared action at every state is
-    read off ``Mdp.actions``; any other goes through ``_compile``, which
-    finds the fault."""
+    ValueError for a strategy with more than one phase; then, at the
+    first faulty state in state order, StrategyMismatch where pi names no
+    action of the MDP, or else ValueError where it is randomized."""
     if isinstance(pi, StationaryStrategy):
-        given = dict(pi.choices)
-        dists = [given.get(s, ()) for s in mdp.states]
-        if all(len(d) == 1 and d[0][0] in acts for d, acts in zip(dists, mdp.actions)):
-            return tuple([acts.index(d[0][0]) for d, acts in zip(dists, mdp.actions)])
-    pre, _, phases = _compile(mdp, pi)
-    if len(phases) != 1:
+        pre, rows = 0, (pi.choices,)
+    else:
+        pre, rows = pi.preperiod_length, pi.rows
+    if len(rows) != 1:
         raise ValueError("discounted and average values take a stationary strategy, "
-                         f"not one of preperiod {pre} and period {len(phases) - pre}")
-    (phase,) = phases
+                         f"not one of preperiod {pre} and period {len(rows) - pre}")
+    given = dict(rows[0])
     choice = []
-    for i, pairs in enumerate(phase):
-        (_, j), *rest = pairs
-        if rest:
-            raise ValueError(f"strategy is randomized at state {mdp.states[i]!r}")
-        choice.append(j)
+    for s, acts in zip(mdp.states, mdp.actions):
+        dist = given.get(s, ((None, 1),))  # a state left out: action None
+        for a, _ in dist:
+            if a not in acts:
+                raise StrategyMismatch(1, s, a)
+        if len(dist) > 1:
+            raise ValueError(f"strategy is randomized at state {s!r}")
+        choice.append(acts.index(dist[0][0]))
     return tuple(choice)
 
 
 def discounted_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, RationalFunction]:
     """Per-state discounted value v(b) solving v = r + b*P*v, symbolically."""
     ensure_valid(mdp)
-    k, det, nums = _packed_cramer(mdp, pi)
+    k, det, nums = _packed_cramer(mdp, _policy_choice(mdp, pi))
     den = _unpack(det, k)
     return {s: _reduced(_unpack(num, k), den, (gcd(num, det), k))
             for s, num in zip(mdp.states, nums)}
@@ -528,11 +526,10 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
     (r_a*det + b*sum_z p_az*N_z - N_s) / det.  Its numerator, scaled to
     integers, is the residual r_a*det - row_a . N of the action's scaled
     row of (I - bP | r), of 1-norm at most the row's 1-norm times B, and
-    of degree at most n.  The elimination runs at b = 2**k with
-    2**k > 2nB times the widest row's 1-norm, so each residual is one
-    packed integer whose sign near 1 is read by residues (``_packed_order``)
-    with no rational function built.  The last round's elimination is
-    kept on the Mdp for ``discounted_value`` and ``average_value``.
+    of degree at most n.  ``_packed_cramer`` eliminates at b = 2**k past
+    2nB times the widest row's 1-norm, so each residual is one packed
+    integer whose sign near 1 is read by residues (``_packed_order``)
+    with no rational function built.
     """
     ensure_valid(mdp)
     n = len(mdp.states)
@@ -540,9 +537,7 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
     choice = [0] * n
     while True:
         pi = stationary({s: acts[j] for s, acts, j in zip(mdp.states, mdp.actions, choice)})
-        rows = [per[j] for per, j in zip(mdp.rows, choice)]
-        k = (prod(map(_norm, rows)) * widest * n).bit_length() + 1
-        det, nums = _bareiss_at(rows, k)
+        k, det, nums = _packed_cramer(mdp, tuple(choice), widest)
         det_sign = _sign_of_order(*_packed_order(det, k))
         changed = False
         for i, per in enumerate(mdp.rows):
@@ -556,7 +551,6 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
                     changed = True
                     break
         if not changed:
-            _keep(mdp, tuple(choice), (k, det, nums))
             return pi
 
 
@@ -567,7 +561,7 @@ def average_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, Fraction]:
     -(b-1)^(k+1-m) * M / D: a pole at 1 if k+1 < m, else its value at 1.
     """
     ensure_valid(mdp)
-    bits, det, nums = _packed_cramer(mdp, pi)
+    bits, det, nums = _packed_cramer(mdp, _policy_choice(mdp, pi))
     m, det_at_one = _packed_order(det, bits)
     out = {}
     for s, num in zip(mdp.states, nums):

@@ -102,9 +102,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.what != "all":
-        print(f"unknown verification target {args.what!r}", file=sys.stderr)
-        return 2
     if not _flags_in_range(("--nmax", args.nmax, 1), ("--max-period", args.max_period, 1),
                            ("--max-preperiod", args.max_preperiod, 0)):
         return 2

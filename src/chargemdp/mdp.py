@@ -2,23 +2,22 @@
 
 Strategies covered: stationary (possibly randomized) and periodic
 Markov (phase- and state-dependent, possibly randomized).  Evaluation
-runs on integers: the rows of ``Mdp.rows`` over the lcm M of their
-scales, and a strategy compiled to (weight, action index) pairs per
-phase and state, the weights over the lcm A of its action
-probabilities.  The state distribution is x / sum(x) for a primitive
-integer vector x, divided by gcd(*x) after every stage, so the first
-repeat of the key (phase, x) certifies the expected-reward stream's
-eventual period.  Each stage's expected reward is a reduced integer pair
-(numerator, denominator).  Payoffs are exact integrals of that stream
-against a charge expression.
+runs on integers: ``Mdp.rows`` read over the lcm M of their scales,
+and a strategy compiled to (weight, action index) pairs per phase and
+state, the weights over the lcm A of its action probabilities.  The
+state distribution is x / sum(x) for a primitive integer vector x,
+divided by gcd(*x) after every stage, so the first repeat of the key
+(phase, x) certifies the expected-reward stream's eventual period.
+Each stage's expected reward is a reduced integer pair (numerator,
+denominator).  Payoffs are exact integrals of that stream against a
+charge expression.
 
-A step table, built once per MDP, holds for each (state, action) the
-reduced reward r / M and the next state, or -1 where the row splits.
-A walk reads a strategy as rows plus its phase -> row order; a row holds
-per state the (weight, action index) pairs and, where the cell is pure
-and the row does not split, the table's step, so from a point mass a
-stage is one read, with no scale: A cancels.  Any other stage runs the
-integer loop.
+``Mdp._integer_form``, cached on the Mdp, is M and a step table: per
+(state, action) the reduced reward and the next state, or None where
+the row splits.  A walk reads a strategy as rows plus its phase -> row
+order; a row holds per state the (weight, action index) pairs and, where
+the cell is pure, the table's step, so from a point mass a stage is one
+read.  Any other stage runs the integer loop over ``Mdp.rows``.
 
 The search generates the canonical pure strategies directly, as tuples
 of row ids (each row a tuple of action indices, in declared order): each
@@ -109,6 +108,18 @@ class Mdp:
     @cached_property
     def _problems(self) -> tuple[Problem, ...]:
         return tuple(validate(self))
+
+    @cached_property
+    def _integer_form(self) -> tuple[int, list[list]]:
+        """(M, table), M the lcm of the rows' scales: table[i][j] = ((num,
+        den), next state), one stage from a point mass at i under action j,
+        its reward reduced, or None where the row splits.  Raises
+        MdpValidationError, on every call, for an invalid Mdp."""
+        ensure_valid(self)
+        return (lcm(*(scale for per in self.rows for scale, _, _ in per)),
+                [[((rhs // gcd(rhs, scale), scale // gcd(rhs, scale)), sparse[0][0])
+                  if len(sparse) == 1 else None for scale, rhs, sparse in per]
+                 for per in self.rows])
 
     @cached_property
     def _solved(self) -> dict:
@@ -286,8 +297,7 @@ class _Unresolved:
 
 
 def _compile(mdp: Mdp, sigma: Strategy) -> tuple[int, int, list[list]]:
-    """(L, A, phases): the strategy resolved against the MDP, the one
-    place where a strategy's names meet the MDP's.
+    """(L, A, phases): the strategy resolved against the MDP for a walk.
 
     phases[k][i] lists the (weight, action index) pairs of state i at
     phase k + 1, the weights over A, the lcm of the strategy's action
@@ -314,21 +324,6 @@ def _compile(mdp: Mdp, sigma: Strategy) -> tuple[int, int, list[list]]:
     return L, A, phases
 
 
-def _integer_form(mdp: Mdp) -> tuple[int, list[list[tuple]], list[list[tuple]]]:
-    """(M, cells, table): cells[i][j] = (M * reward, sparse row of M * P)
-    for action j at state i, M the lcm of the rows' scales; table[i][j] =
-    (numerator, denominator, next state), one stage from a point mass at i
-    under action j: the reward r / M reduced, next state -1 where the row
-    splits.  Both are as large as the rows.  Raises MdpValidationError."""
-    ensure_valid(mdp)
-    M = lcm(*(scale for per in mdp.rows for scale, _, _ in per))
-    cells = [[(M // scale * rhs, tuple((z, M // scale * w) for z, w in sparse))
-              for scale, rhs, sparse in per] for per in mdp.rows]
-    table = [[(r // gcd(r, M), M // gcd(r, M), row[0][0] if len(row) == 1 else -1)
-              for r, row in opts] for opts in cells]
-    return M, cells, table
-
-
 DEFAULT_HORIZON = 4096
 
 
@@ -342,29 +337,24 @@ def _check_horizon(max_horizon: int) -> None:
 
 def _row(table: list, cells: list) -> tuple[list, list]:
     """(cells, steps) for one phase row of (weight, action index) pairs
-    per state: steps[i] = ((numerator, denominator), next state), one
-    stage from a point mass at i, read off the integer form's ``table``
-    where the cell is pure and its row does not split, else None."""
-    steps = [None] * len(cells)
-    for i, cell in enumerate(cells):
-        if len(cell) == 1:
-            num, den, z = table[i][cell[0][1]]
-            if z >= 0:
-                steps[i] = ((num, den), z)
-    return cells, steps
+    per state: steps[i] is table[i][j] where the cell is action j alone,
+    else None."""
+    return cells, [table[i][cell[0][1]] if len(cell) == 1 else None
+                   for i, cell in enumerate(cells)]
 
 
-def _reward_stream(cells: list, rows: list, order, L: int, start: int, scale: int,
+def _reward_stream(mdp: Mdp, rows: list, order, L: int, start: int, A: int,
                    max_horizon: int) -> tuple[int, list]:
     """The expected-reward stream from state ``start`` as (i0, rewards):
-    reduced (numerator, denominator) pairs over ``scale`` (M * A) up to
-    the first repeat, the cycle from index i0, neither part necessarily
-    minimal.  Phase k plays ``rows[order[k]]``, (cells, steps) from
+    reduced (numerator, denominator) pairs over M * A (M from
+    ``Mdp._integer_form``) up to the first repeat, the cycle from index
+    i0, neither part necessarily minimal.  Phase k plays ``rows[order[k]]``, (cells, steps) from
     ``_row``; the last len(order) - L phases repeat.  A point mass at x
     is keyed by k * n + x, any other distribution x / sum(x) by (k, x).
     The key is checked before each stage, so a repeat is seen within
     ``max_horizon`` checks only if it comes by stage ``max_horizon - 1``."""
-    n, phase_count = len(cells), len(order)
+    M = mdp._integer_form[0]
+    n, phase_count = len(mdp.states), len(order)
     x: int | tuple = start
     seen: dict = {}
     rewards: list[tuple[int, int]] = []
@@ -385,15 +375,15 @@ def _reward_stream(cells: list, rows: list, order, L: int, start: int, scale: in
             x = tuple(int(i == x) for i in range(n))
         num = 0
         nxt = [0] * n
-        for xi, cell, opts in zip(x, row[0], cells):
+        for xi, cell, opts in zip(x, row[0], mdp.rows):
             if xi:
                 for w, j in cell:
-                    r, sparse = opts[j]
-                    w *= xi
-                    num += w * r
+                    scale, rhs, sparse = opts[j]
+                    w *= xi * (M // scale)
+                    num += w * rhs
                     for z, c in sparse:
                         nxt[z] += w * c
-        den = scale * sum(x)
+        den = M * A * sum(x)
         g = gcd(num, den)
         rewards.append((num // g, den // g))
         g = gcd(*nxt)
@@ -416,11 +406,11 @@ def expected_reward_stream(mdp: Mdp, sigma: Strategy,
     reached state has no known action.
     """
     _check_horizon(max_horizon)
-    M, cells, table = _integer_form(mdp)
+    table = mdp._integer_form[1]
     L, A, phases = _compile(mdp, sigma)
     rows = [_row(table, phase) for phase in phases]
-    i0, rewards = _reward_stream(cells, rows, range(len(rows)), L, mdp.states.index(mdp.initial),
-                                 M * A, max_horizon)
+    i0, rewards = _reward_stream(mdp, rows, range(len(rows)), L, mdp.states.index(mdp.initial),
+                                 A, max_horizon)
     values = [Fraction(n, d) for n, d in rewards]
     return stream(values[:i0], values[i0:])
 
@@ -549,7 +539,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     pairs until ranking.
     """
     _check_horizon(max_horizon)
-    M, cells, table = _integer_form(mdp)
+    table = mdp._integer_form[1]
     actions, strategies = _canonical_pure(mdp, max_period, max_preperiod, cap)
     rows = [_row(table, [((1, j),) for j in row]) for row in actions]
     start = mdp.states.index(mdp.initial)
@@ -560,7 +550,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     found: list[PeriodicMarkovStrategy] = []
     found_word: list[int] = []  # parallel to found
     for ids, strat in strategies:
-        i0, rewards = _reward_stream(cells, rows, ids, strat.preperiod_length, start, M,
+        i0, rewards = _reward_stream(mdp, rows, ids, strat.preperiod_length, start, 1,
                                      max_horizon)
         raw = (i0, tuple(rewards))
         k = by_word.get(raw)

@@ -536,7 +536,7 @@ def test_solver_matches_reference(seed, n_states, n_actions):
 def _cramer(mdp, pi):
     """det(I - bP) and the Cramer numerators N_i as integer polynomials,
     unpacked from ``_packed_cramer``."""
-    k, det, nums = _packed_cramer(mdp, pi)
+    k, det, nums = _packed_cramer(mdp, _policy_choice(mdp, pi))
     return _unpack(det, k), [_unpack(num, k) for num in nums]
 
 
@@ -900,6 +900,9 @@ _HALF = {"T": Fraction(1, 2), "B": Fraction(1, 2)}
     (periodic([{"1": "T", **_REST}], [{"1": "B", **_REST}]), ValueError,
      "discounted and average values take a stationary strategy, "
      "not one of preperiod 1 and period 1"),
+    # an undeclared action is named before the randomization is
+    (stationary({"1": {"T": Fraction(1, 2), "X": Fraction(1, 2)}, **_REST}), StrategyMismatch,
+     "phase 1, state '1': unknown action 'X'"),
 ])
 def test_policy_choice_names_the_fault(pi, error, message):
     with pytest.raises(error) as info:

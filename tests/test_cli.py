@@ -145,6 +145,11 @@ def test_python_dash_m_entry_point(eo_mdp_file):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("best: preperiod=0 period=")
+    # argparse rejects an unknown verification target before _cmd_verify runs
+    proc = subprocess.run([sys.executable, "-m", "chargemdp", "verify", "nope"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "invalid choice: 'nope'" in proc.stderr
 
 
 def test_verify_all(capsys):

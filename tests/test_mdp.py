@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from chargemdp.blackwell import (average_value, discounted_value,
                                  discounted_value_at)
-from chargemdp.charges import (DyadicLimit, Frequency, Geometric,
+from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric,
                                IllFormedRestrict, Mix, PointMass, Restrict,
                                integrate)
 from chargemdp.counterexamples import (alternating_strategy, block_strategy,
@@ -439,16 +440,50 @@ def chain_mdp(n):
 
 
 def test_step_table_is_as_large_as_the_sparse_rows():
-    """Each table entry is three ints, with no dense next-state vector:
-    the table adds nothing of size n per row of a sparse chain."""
-    from chargemdp.mdp import _integer_form
+    """Each table entry is a reduced pair and a next state, with no dense
+    next-state vector, and the integer loop reads ``Mdp.rows`` itself:
+    the walk form adds nothing of size n per row of a sparse chain."""
     m = chain_mdp(300)
-    _, cells, table = _integer_form(m)
-    assert all(len(step) == 3 and all(type(v) is int for v in step)
+    M, table = m._integer_form
+    assert M == 2
+    assert all(len(step) == 2 and type(step[1]) is int
+               and len(step[0]) == 2 and all(type(v) is int for v in step[0])
                for steps in table for step in steps)
-    assert sum(len(row) for opts in cells for _, row in opts) == 300
     sigma = stationary({s: "x" for s in m.states})
     assert expected_reward_stream(m, sigma, max_horizon=3) == stream([], [0, Fraction(1, 2)])
+
+
+def test_the_walk_form_is_built_once_per_mdp(monkeypatch):
+    """Two payoffs and a search on one Mdp build its integer form once;
+    an equal Mdp in another object builds its own."""
+    import chargemdp.mdp as mdp_module
+    built = []
+    real = mdp_module.Mdp._integer_form.func
+
+    def counted(self):
+        built.append(self)
+        return real(self)
+
+    form = cached_property(counted)
+    form.__set_name__(mdp_module.Mdp, "_integer_form")
+    monkeypatch.setattr(mdp_module.Mdp, "_integer_form", form)
+    m = even_or_odd_mdp()
+    assert payoff(m, block_strategy(1), Frequency()) == CValue.exact(Fraction(1, 2))
+    assert payoff(m, top_probability(Fraction(1, 3)), Frequency()) \
+        == payoff(even_or_odd_mdp(), top_probability(Fraction(1, 3)), Frequency())
+    best_periodic(m, Frequency(), 2, 1)
+    assert len(built) == 2 and built[0] is m and built[1] is not m
+
+
+def test_an_invalid_mdp_raises_on_every_walk():
+    """A cached_property caches no exception, so each call validates anew."""
+    m = build_mdp(("a",), "a", {"a": ("x",)}, {("a", "x"): 0}, {("a", "x"): {"a": Fraction(1, 2)}})
+    sigma = stationary({"a": "x"})
+    for _ in range(2):
+        with pytest.raises(MdpValidationError, match="row sums to 1/2"):
+            payoff(m, sigma, Frequency())
+        with pytest.raises(MdpValidationError, match="row sums to 1/2"):
+            best_periodic(m, Frequency(), 1, 0)
 
 
 def test_large_sparse_chain_is_built_and_evaluated_in_linear_space():
