@@ -7,7 +7,7 @@ from .charges import (Charge, CValue, DyadicLimit, Frequency, Geometric,
                       IllFormedRestrict, Mix, PointMass, Restrict, integrate,
                       is_diffuse, sandwich_check, value)
 from .mdp import (BudgetExceeded, CycleNotFound, Mdp, MdpValidationError,
-                  PeriodicMarkovStrategy, StationaryStrategy, StrategyMismatch,
+                  PeriodicMarkovStrategy, StrategyMismatch,
                   best_periodic, build_mdp, ensure_valid,
                   enumerate_pure_periodic, enumerate_pure_stationary,
                   expected_reward_stream, payoff, periodic, random_mdp,

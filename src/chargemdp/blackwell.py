@@ -73,7 +73,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
 
-from .mdp import Mdp, StationaryStrategy, Strategy, StrategyMismatch, ensure_valid, stationary
+from .mdp import Mdp, PeriodicMarkovStrategy, StrategyMismatch, ensure_valid, stationary
 
 
 class PoleAtOne(ArithmeticError):
@@ -234,7 +234,7 @@ class Poly:
         """Sign of the lowest-order nonzero coefficient of p(1 - e)."""
         return _sign_near_one(self.coeffs)
 
-    def render(self, var: str = "b") -> str:
+    def render(self) -> str:
         if self.is_zero:
             return "0"
         terms = []
@@ -244,9 +244,9 @@ class Poly:
             if i == 0:
                 terms.append(str(c))
             elif i == 1:
-                terms.append(f"{c}*{var}")
+                terms.append(f"{c}*b")
             else:
-                terms.append(f"{c}*{var}^{i}")
+                terms.append(f"{c}*b^{i}")
         return " + ".join(terms)
 
 
@@ -296,8 +296,8 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.evaluate(x) / d
 
-    def render(self, var: str = "b") -> str:
-        return f"({self.num.render(var)})/({self.den.render(var)})"
+    def render(self) -> str:
+        return f"({self.num.render()})/({self.den.render()})"
 
 
 def _packed_cofactors(num: list[int], den: list[int], gamma: int,
@@ -458,15 +458,12 @@ def _solve_linear(a, b):
     return [b[i] / a[i][i] for i in range(n)]
 
 
-def _policy_choice(mdp: Mdp, pi: Strategy) -> tuple[int, ...]:
+def _policy_choice(mdp: Mdp, pi: PeriodicMarkovStrategy) -> tuple[int, ...]:
     """The index in ``Mdp.rows`` of each state's action.  Raises
     ValueError for a strategy with more than one phase; then, at the
     first faulty state in state order, StrategyMismatch where pi names no
     action of the MDP, or else ValueError where it is randomized."""
-    if isinstance(pi, StationaryStrategy):
-        pre, rows = 0, (pi.choices,)
-    else:
-        pre, rows = pi.preperiod_length, pi.rows
+    pre, rows = pi.preperiod_length, pi.rows
     if len(rows) != 1:
         raise ValueError("discounted and average values take a stationary strategy, "
                          f"not one of preperiod {pre} and period {len(rows) - pre}")
@@ -483,7 +480,7 @@ def _policy_choice(mdp: Mdp, pi: Strategy) -> tuple[int, ...]:
     return tuple(choice)
 
 
-def discounted_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, RationalFunction]:
+def discounted_value(mdp: Mdp, pi: PeriodicMarkovStrategy) -> dict[str, RationalFunction]:
     """Per-state discounted value v(b) solving v = r + b*P*v, symbolically."""
     ensure_valid(mdp)
     k, det, nums = _packed_cramer(mdp, _policy_choice(mdp, pi))
@@ -492,7 +489,7 @@ def discounted_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, RationalFunc
             for s, num in zip(mdp.states, nums)}
 
 
-def discounted_value_at(mdp: Mdp, pi: StationaryStrategy, beta) -> dict[str, Fraction]:
+def discounted_value_at(mdp: Mdp, pi: PeriodicMarkovStrategy, beta) -> dict[str, Fraction]:
     """Numeric twin of discounted_value at a fixed rational discount factor.
 
     Raises ZeroDivisionError if I - beta*P is singular (always at beta = 1).
@@ -512,7 +509,7 @@ def discounted_value_at(mdp: Mdp, pi: StationaryStrategy, beta) -> dict[str, Fra
     return {s: v[i] for i, s in enumerate(mdp.states)}
 
 
-def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
+def blackwell_policy(mdp: Mdp) -> PeriodicMarkovStrategy:
     """Policy iteration in the Blackwell order.
 
     Starts from the lexicographically first pure stationary policy;
@@ -554,7 +551,7 @@ def blackwell_policy(mdp: Mdp) -> StationaryStrategy:
             return pi
 
 
-def average_value(mdp: Mdp, pi: StationaryStrategy) -> dict[str, Fraction]:
+def average_value(mdp: Mdp, pi: PeriodicMarkovStrategy) -> dict[str, Fraction]:
     """Long-run average reward per state: lim_{b->1} (1-b) * v(b).
 
     With det = (b-1)^m * D and N_s = (b-1)^k * M, (1-b) * N_s / det is

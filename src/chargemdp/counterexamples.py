@@ -42,7 +42,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .charges import CValue, DyadicLimit, Frequency, Geometric, Mix, Restrict, value
-from .mdp import (Mdp, PeriodicMarkovStrategy, StationaryStrategy, _primitive_cycles, build_mdp,
+from .mdp import (Mdp, PeriodicMarkovStrategy, _primitive_cycles, build_mdp,
                   payoff, periodic, stationary)
 from .periodic_sets import _tail_bits, arithmetic, difference, multiples, odds, union
 
@@ -137,7 +137,7 @@ def alternating_strategy() -> PeriodicMarkovStrategy:
     return periodic([], rows)
 
 
-def top_probability(q) -> StationaryStrategy:
+def top_probability(q) -> PeriodicMarkovStrategy:
     """Stationary strategy playing the top action with probability q."""
     q = Fraction(q)
     return stationary({"1": {"T": q, "B": 1 - q}, "2": "c", "3": "c"})
@@ -167,7 +167,7 @@ def late_switch_charge() -> Mix:
                 (Fraction(1, 2), Frequency())))
 
 
-def stay_strategy() -> StationaryStrategy:
+def stay_strategy() -> PeriodicMarkovStrategy:
     return stationary({"1": "T", "2": "c"})
 
 

@@ -1,16 +1,15 @@
 """Finite MDPs with exact rational data, and exact payoff evaluation.
 
-Strategies covered: stationary (possibly randomized) and periodic
-Markov (phase- and state-dependent, possibly randomized).  Evaluation
-runs on integers: ``Mdp.rows`` read over the lcm M of their scales,
-and a strategy compiled to (weight, action index) pairs per phase and
-state, the weights over the lcm A of its action probabilities.  The
-state distribution is x / sum(x) for a primitive integer vector x,
-divided by gcd(*x) after every stage, so the first repeat of the key
-(phase, x) certifies the expected-reward stream's eventual period.
-Each stage's expected reward is a reduced integer pair (numerator,
-denominator).  Payoffs are exact integrals of that stream against a
-charge expression.
+Strategies are periodic Markov, possibly randomized; a stationary one
+has one phase.  Evaluation runs on integers: ``Mdp.rows`` read over the
+lcm M of their scales, and a strategy compiled to (weight, action index)
+pairs per phase and state, the weights over the lcm A of its action
+probabilities.  The state distribution is x / sum(x) for a primitive
+integer vector x, divided by gcd(*x) after every stage, so the first
+repeat of the key (phase, x) certifies the expected-reward stream's
+eventual period.  Each stage's expected reward is a reduced integer pair
+(numerator, denominator).  Payoffs are exact integrals of that stream
+against a charge expression.
 
 ``Mdp._integer_form``, cached on the Mdp, is M and a step table: per
 (state, action) the reduced reward and the next state, or None where
@@ -199,35 +198,6 @@ def _normalize_dist(dist, where: str) -> tuple[tuple[str, Fraction], ...]:
 
 
 @dataclass(frozen=True)
-class StationaryStrategy:
-    """Per-state action distribution."""
-
-    choices: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...]
-
-    @property
-    def is_pure(self) -> bool:
-        return all(len(dist) == 1 for _, dist in self.choices)
-
-    def dist(self, state: str) -> tuple[tuple[str, Fraction], ...]:
-        for s, d in self.choices:
-            if s == state:
-                return d
-        raise KeyError(state)
-
-    def action(self, state: str) -> str:
-        d = self.dist(state)
-        if len(d) != 1:
-            raise ValueError(f"strategy is randomized at state {state!r}")
-        return d[0][0]
-
-
-def stationary(choices) -> StationaryStrategy:
-    """``choices``: state -> action id, or state -> {action: prob}."""
-    return StationaryStrategy(tuple(sorted(
-        (s, _normalize_dist(d, f"state {s!r}")) for s, d in dict(choices).items())))
-
-
-@dataclass(frozen=True)
 class PeriodicMarkovStrategy:
     """Phase- and state-dependent action distributions.
 
@@ -249,6 +219,21 @@ class PeriodicMarkovStrategy:
     def is_pure(self) -> bool:
         return all(len(d) == 1 for row in self.rows for _, d in row)
 
+    def action(self, state: str) -> str:
+        """The action at ``state`` of a one-phase pure strategy."""
+        if len(self.rows) != 1:
+            raise ValueError(f"strategy of {len(self.rows)} phases has no single action per state")
+        d = dict(self.rows[0])[state]
+        if len(d) != 1:
+            raise ValueError(f"strategy is randomized at state {state!r}")
+        return d[0][0]
+
+
+def stationary(choices) -> PeriodicMarkovStrategy:
+    """``choices``: state -> action id, or state -> {action: prob}."""
+    return PeriodicMarkovStrategy(0, 1, (tuple(sorted(
+        (s, _normalize_dist(d, f"state {s!r}")) for s, d in dict(choices).items())),))
+
 
 def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
     """Canonicalizing constructor.
@@ -265,9 +250,6 @@ def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
         raise ValueError("cycle must have at least one phase")
     pre, cyc = _canonical(pre, cyc)
     return PeriodicMarkovStrategy(len(pre), len(cyc), pre + cyc)
-
-
-Strategy = StationaryStrategy | PeriodicMarkovStrategy
 
 
 class StrategyMismatch(ValueError):
@@ -296,17 +278,14 @@ class _Unresolved:
         return 0
 
 
-def _compile(mdp: Mdp, sigma: Strategy) -> tuple[int, int, list[list]]:
+def _compile(mdp: Mdp, sigma: PeriodicMarkovStrategy) -> tuple[int, int, list[list]]:
     """(L, A, phases): the strategy resolved against the MDP for a walk.
 
     phases[k][i] lists the (weight, action index) pairs of state i at
     phase k + 1, the weights over A, the lcm of the strategy's action
     probabilities; L phases are the preperiod and the rest repeat.
     """
-    if isinstance(sigma, StationaryStrategy):
-        L, rows = 0, (sigma.choices,)
-    else:
-        L, rows = sigma.preperiod_length, sigma.rows
+    L, rows = sigma.preperiod_length, sigma.rows
     A = lcm(*(p.denominator for row in rows for _, dist in row for _, p in dist))
     phases = []
     for k, row in enumerate(rows, start=1):
@@ -395,7 +374,7 @@ def _reward_stream(mdp: Mdp, rows: list, order, L: int, start: int, A: int,
         f"no exact recurrence of (phase, state distribution) within {max_horizon} stages")
 
 
-def expected_reward_stream(mdp: Mdp, sigma: Strategy,
+def expected_reward_stream(mdp: Mdp, sigma: PeriodicMarkovStrategy,
                            max_horizon: int = DEFAULT_HORIZON) -> RationalStream:
     """Exact stream of expected stage rewards.
 
@@ -415,7 +394,7 @@ def expected_reward_stream(mdp: Mdp, sigma: Strategy,
     return stream(values[:i0], values[i0:])
 
 
-def payoff(mdp: Mdp, sigma: Strategy, mu: Charge,
+def payoff(mdp: Mdp, sigma: PeriodicMarkovStrategy, mu: Charge,
            max_horizon: int = DEFAULT_HORIZON) -> CValue:
     return integrate(mu, expected_reward_stream(mdp, sigma, max_horizon))
 
@@ -589,12 +568,9 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     return SearchResult(*entries[0], tuple(entries))
 
 
-def enumerate_pure_stationary(mdp: Mdp) -> list[StationaryStrategy]:
-    """All pure stationary strategies, in lexicographic action order."""
-    out = []
-    for combo in itertools.product(*(mdp.actions[i] for i in range(len(mdp.states)))):
-        out.append(stationary({s: a for s, a in zip(mdp.states, combo)}))
-    return out
+def enumerate_pure_stationary(mdp: Mdp) -> list[PeriodicMarkovStrategy]:
+    """``enumerate_pure_periodic(mdp, 1, 0)`` as a list, under its cap."""
+    return list(enumerate_pure_periodic(mdp, 1, 0))
 
 
 def random_mdp(rng, n_states: int = 3, n_actions: int = 2,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import periodic_sets as ps
 from .charges import (Charge, DyadicLimit, Frequency, Geometric, Mix, PointMass,
                       Restrict)
-from .mdp import Mdp, PeriodicMarkovStrategy, StationaryStrategy, build_mdp, periodic, stationary
+from .mdp import Mdp, PeriodicMarkovStrategy, build_mdp, periodic, stationary
 from .periodic_sets import EventuallyPeriodicSet
 from .streams import RationalStream, stream
 
@@ -400,7 +400,7 @@ def _cell(p: _Parser, mdp: Mdp) -> tuple[str, dict]:
     return s, dist
 
 
-def parse_strategy(text: str, mdp: Mdp) -> StationaryStrategy | PeriodicMarkovStrategy:
+def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     """``stationary { s: a ... }`` or
     ``periodic preperiod=<L> period=<q> { phase <k> state <s>: a ... }``.
     Omitted entries default to the first declared action."""

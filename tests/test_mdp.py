@@ -22,7 +22,7 @@ from chargemdp.counterexamples import (alternating_strategy, block_strategy,
                                        stay_strategy, switch_at,
                                        top_probability)
 from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
-                           Problem, StationaryStrategy, StrategyMismatch, best_periodic,
+                           Problem, StrategyMismatch, best_periodic,
                            build_mdp, ensure_valid, enumerate_pure_periodic,
                            enumerate_pure_stationary, expected_reward_stream,
                            _primitive_cycles, payoff, periodic, random_mdp, stationary,
@@ -37,8 +37,6 @@ def reference_stream(mdp, sigma, max_horizon=4096):
     """Iterates the state distribution as a dict of Fractions and looks
     each action up by name at every stage."""
     def dist_at(stage, state):
-        if isinstance(sigma, StationaryStrategy):
-            return sigma.dist(state)
         row = sigma.rows[sigma.phase_of(stage) - 1]
         return dict(row)[state]
 
@@ -47,7 +45,7 @@ def reference_stream(mdp, sigma, max_horizon=4096):
     seen = {}
     rewards = []
     for stage in range(1, max_horizon + 1):
-        phase = 0 if isinstance(sigma, StationaryStrategy) else sigma.phase_of(stage)
+        phase = sigma.phase_of(stage)
         key = (phase, tuple(sorted(dist.items())))
         if key in seen:
             return stream(rewards[:seen[key]], rewards[seen[key]:])
@@ -291,15 +289,34 @@ def test_stationary_strategy():
     assert sigma.is_pure
     assert sigma.action("1") == "T"
     with pytest.raises(KeyError):
-        sigma.dist("zz")
+        dict(sigma.rows[0])["zz"]
 
 
 def test_randomized_stationary():
     sigma = top_probability(Fraction(1, 3))
     assert not sigma.is_pure
-    assert sigma.dist("1") == (("B", Fraction(2, 3)), ("T", Fraction(1, 3)))
+    assert dict(sigma.rows[0])["1"] == (("B", Fraction(2, 3)), ("T", Fraction(1, 3)))
     with pytest.raises(ValueError):
         sigma.action("1")
+
+
+@pytest.mark.parametrize("choices", [{"1": "T", "2": "c", "3": "c"},
+                                     {"1": {"T": Fraction(1, 3), "B": Fraction(2, 3)}, "2": "c"}])
+def test_stationary_is_the_one_phase_periodic_strategy(choices):
+    sigma = stationary(choices)
+    assert sigma == periodic([], [choices])
+    assert hash(sigma) == hash(periodic([], [choices]))
+    assert (sigma.preperiod_length, sigma.period) == (0, 1)
+
+
+def test_action_names_its_fault():
+    with pytest.raises(ValueError, match="2 phases"):
+        block_strategy(1).action("1")
+    with pytest.raises(KeyError):
+        stay_strategy().action("zz")
+    with pytest.raises(ValueError, match="strategy is randomized at state '1'"):
+        top_probability(Fraction(1, 2)).action("1")
+    assert [stay_strategy().action(s) for s in ("1", "2")] == ["T", "c"]
 
 
 def test_stationary_rejects_bad_distribution():
@@ -564,6 +581,29 @@ def test_enumerate_pure_stationary():
     out = enumerate_pure_stationary(even_or_odd_mdp())
     assert len(out) == 2
     assert [sigma.action("1") for sigma in out] == ["T", "B"]
+
+
+@pytest.mark.parametrize("states", [("s10", "s2", "b"), ("b", "s2", "s10"), ("s2", "s10")])
+def test_enumerate_pure_stationary_is_the_one_phase_enumeration(states):
+    """State names that sort apart from their declared order: the
+    strategies still come in declared action order, state by state."""
+    acts = {s: ("y", "x", "z")[:len(states) - i] for i, s in enumerate(states)}
+    m = build_mdp(states, states[0], acts, {(s, a): 0 for s in states for a in acts[s]},
+                  {(s, a): {s: 1} for s in states for a in acts[s]})
+    out = enumerate_pure_stationary(m)
+    assert out == list(enumerate_pure_periodic(m, 1, 0))
+    assert out == [stationary(dict(zip(states, combo)))
+                   for combo in itertools.product(*(acts[s] for s in states))]
+
+
+def test_enumerate_pure_stationary_budget():
+    """2**21 strategies: over the cap, raised before any is built."""
+    states = tuple(f"s{i}" for i in range(21))
+    m = build_mdp(states, states[0], {s: ("x", "y") for s in states},
+                  {(s, a): 0 for s in states for a in "xy"},
+                  {(s, a): {s: 1} for s in states for a in "xy"})
+    with pytest.raises(BudgetExceeded, match="2097152 raw strategies exceeds cap 2000000"):
+        enumerate_pure_stationary(m)
 
 
 def test_enumerate_pure_periodic_dedup():

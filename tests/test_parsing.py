@@ -10,7 +10,7 @@ from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
                                PointMass, Restrict)
 from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
                                        stay_strategy)
-from chargemdp.mdp import validate
+from chargemdp.mdp import payoff, validate
 from chargemdp.parsing import (ParseError, Token, _parse, _Parser,
                                parse_charge, parse_mdp, parse_set,
                                parse_strategy, parse_stream, render_charge,
@@ -302,7 +302,33 @@ def stay_like(m):
 def test_parse_randomized_strategy():
     m = even_or_odd_mdp()
     sigma = parse_strategy("stationary { 1: T:1/3 B:2/3 }", m)
-    assert sigma.dist("1") == (("B", Fraction(2, 3)), ("T", Fraction(1, 3)))
+    assert dict(sigma.rows[0])["1"] == (("B", Fraction(2, 3)), ("T", Fraction(1, 3)))
+
+
+SPLIT_MDP_TEXT = """
+mdp
+initial s
+state s
+  action x reward 0 dist a:1/2 b:1/2
+  action y reward 0 dist a:1/3 b:2/3
+state a
+  action x reward 1 goto b
+  action y reward 0 goto a
+state b
+  action x reward 0 goto a
+  action y reward 1/2 goto b
+"""
+
+
+def test_stationary_file_is_the_one_phase_periodic_file():
+    m = parse_mdp(SPLIT_MDP_TEXT)
+    sigma = parse_strategy("stationary { s: x:1/2 y:1/2 a: x b: x }", m)
+    assert sigma == parse_strategy(
+        "periodic preperiod=0 period=1 { phase 1 state s: x:1/2 y:1/2 "
+        "phase 1 state a: x phase 1 state b: x }", m)
+    got = [payoff(m, sigma, parse_charge(mu)).exact_value
+           for mu in ("frequency", "dyadiclimit", "geometric(2/3)")]
+    assert got == [Fraction(1, 2), Fraction(5, 12), Fraction(29, 90)]
 
 
 def test_parse_periodic_strategy():
