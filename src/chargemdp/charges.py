@@ -34,20 +34,20 @@ become single powers.
 On the streams of one shape (L, q) -- preperiod L, cycle q, neither
 necessarily minimal -- every charge in the grammar is one linear
 functional of the L + q stage values.  ``_stage_weights`` gives it as
-integers (W, w), each atom evaluated as ``value`` does, so an exhaustive
-search pays the weights once per shape and one dot product per distinct
-stream instead of a level-set integral.
+integers (W, w), read from the atoms' masks with no set query, so an
+exhaustive search pays the weights once per shape and one dot product
+per distinct stream instead of a level-set integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .periodic_sets import (
     EventuallyPeriodicSet,
-    _build,
+    _expand,
     _tail_bits,
     contract,
     density,
@@ -192,11 +192,16 @@ def _geometric_value(beta: Fraction, s: EventuallyPeriodicSet) -> Fraction:
     P and T are the Horner sums of the preperiod word and of the cycle
     word that starts at stage m+1."""
     n, d = beta.numerator, beta.denominator
-    m, p = s.pre_len, s.period
-    P = _horner(s.pre_mask, m, n, d)
-    T = _horner(_tail_bits(s.res_mask, p, m + 1, p), p, n, d)
-    gap = d ** p - n ** p
-    return Fraction((d - n) * (P * gap + n ** m * T), d ** m * gap)
+    gap = d ** s.period - n ** s.period
+    return Fraction(_geometric_mass(n, d, s.pre_len, s.period, gap, s.pre_mask, s.res_mask),
+                    d ** s.pre_len * gap)
+
+
+def _geometric_mass(n: int, d: int, m: int, p: int, gap: int, pre: int, res: int) -> int:
+    """The numerator above, for the masks (pre, res) on the shape (m, p)."""
+    P = _horner(pre, m, n, d)
+    T = _horner(_tail_bits(res, p, m + 1, p), p, n, d)
+    return (d - n) * (P * gap + n ** m * T)
 
 
 def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> Fraction:
@@ -249,6 +254,42 @@ def integrate(mu: Charge, f: RationalStream) -> CValue:
                             Fraction(0)))
 
 
+def _masses(mu: Charge, m: int, p: int, parts: list) -> tuple[int, list[int]]:
+    """(D, x): x[i] / D is the charge of the set with the masks
+    parts[i] = (pre, res) on the shape (m, p), neither minimal.  A
+    Restrict ands the parts with its window and measures it as one more."""
+    if isinstance(mu, Frequency):
+        return p, [res.bit_count() for _, res in parts]
+    if isinstance(mu, DyadicLimit):
+        two_a = p & -p  # the closed form of the module docstring
+        mults = _tail_bits(1, two_a, 0, p)
+        return p, [two_a * (res & mults).bit_count() for _, res in parts]
+    if isinstance(mu, PointMass):
+        k = mu.stage
+        return 1, [(pre >> (k - 1)) & 1 if k <= m else (res >> (k % p)) & 1
+                   for pre, res in parts]
+    if isinstance(mu, Geometric):
+        n, d = mu.beta.numerator, mu.beta.denominator
+        gap = d ** p - n ** p
+        return d ** m * gap, [_geometric_mass(n, d, m, p, gap, pre, res) for pre, res in parts]
+    if isinstance(mu, Restrict):
+        M, Q = max(m, mu.window.pre_len), lcm(p, mu.window.period)
+        wpre, wres = _expand(mu.window, M, Q)
+        cut = [((pre | _tail_bits(res, p, m + 1, M - m) << m) & wpre,
+                _tail_bits(res, p, 0, Q) & wres) for pre, res in parts]
+        D, x = _masses(mu.base, M, Q, cut + [(wpre, wres)])
+        if x[-1] <= 0:
+            raise IllFormedRestrict(
+                f"restriction window has base measure {Fraction(x[-1], D)}")
+        return x[-1], x[:-1]
+    if isinstance(mu, Mix):
+        got = [(w, *_masses(c, m, p, parts)) for w, c in mu.parts]
+        D = lcm(*(w.denominator * Dc for w, Dc, _ in got))
+        scaled = [(w.numerator * (D // (w.denominator * Dc)), x) for w, Dc, x in got]
+        return D, [sum(k * x[i] for k, x in scaled) for i in range(len(parts))]
+    raise TypeError(f"not a charge expression: {mu!r}")
+
+
 def _stage_weights(mu: Charge, L: int, q: int) -> tuple[int, tuple[int, ...]]:
     """(W, w) with w[t-1] / W the charge of the stage {t} for t <= L, and
     w[L+j] / W the charge of the stages L+1+j, L+1+j+q, ... for j < q.
@@ -257,16 +298,15 @@ def _stage_weights(mu: Charge, L: int, q: int) -> tuple[int, tuple[int, ...]]:
     is the simple function that takes its t-th value on the t-th atom.
     Every charge in the grammar is finitely additive, so its integral is
     sum w_t * f_t / W, the value ``integrate`` reaches by level sets.
-    Each atom is evaluated as ``value`` does, with one ``windows`` memo
-    for all of them.  Callers with a zero stream need no weights, and
-    must not ask for them: a null Restrict window raises here.
+    The atoms are read as masks (``_masses``), and W is the lcm of the
+    reduced denominators.  Callers with a zero stream need no weights,
+    and must not ask for them: a null Restrict window raises here.
     """
-    windows: dict = {}
-    atoms = [_build(L, 1 << t, 1, 0) for t in range(L)]
-    atoms += [_build(L, 0, q, 1 << ((L + 1 + j) % q)) for j in range(q)]
-    vals = [_eval(mu, a, windows) for a in atoms]
-    W = lcm(*(v.denominator for v in vals))
-    return W, tuple(v.numerator * (W // v.denominator) for v in vals)
+    atoms = [(1 << t, 0) for t in range(L)]
+    atoms += [(0, 1 << ((L + 1 + j) % q)) for j in range(q)]
+    D, x = _masses(mu, L, q, atoms)
+    g = gcd(D, *x)
+    return D // g, tuple(v // g for v in x)
 
 
 def sandwich_check(mu: Charge, s: EventuallyPeriodicSet) -> bool:

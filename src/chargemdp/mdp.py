@@ -24,11 +24,12 @@ length's primitive cycles are found once, and each preperiod is followed
 by those ending in a row other than its own last.  It walks each tuple
 against one table of rows, and canonicalises each distinct raw word
 once.  A word of shape (L, q) is also one of shape (L', q) for L' >= L,
-so one vector of the charge's weights (``charges._stage_weights``) per
-cycle length q, of shape (Lq, q) with Lq the longest preperiod among the
-words of that q, values each as one integer dot product, a reduced
-integer pair.  Each vector is checked once against ``integrate``.  The
-distinct values are ranked once, with one CValue each.
+so one vector of the charge's weights (``charges._stage_weights``, read
+from masks) per cycle length q, of shape (Lq, q) with Lq the longest
+preperiod among the words of that q, values each as one integer dot
+product, a reduced integer pair.  Each vector is checked once against
+``integrate``'s level sets.  The distinct values are ranked once, with
+one CValue each.
 """
 
 from __future__ import annotations
@@ -484,10 +485,11 @@ def _word_values(mu: Charge, words: list, checks: dict) -> list[tuple[int, int]]
 
     The nonzero words of one cycle length q share the weights of shape
     (Lq, q), Lq their longest preperiod, computed once.  The first word
-    of each q is also integrated by level sets: the two must agree, so a
-    charge whose integral is not this linear functional fails here rather
-    than ranking wrongly.  A zero word is (0, 1) without weights, as
-    ``integrate`` never evaluates the charge on a zero stream.
+    of each q is also integrated by level sets, an independent
+    computation: the two must agree, so a charge whose integral is not
+    this linear functional fails here rather than ranking wrongly.  A
+    zero word is (0, 1) without weights, as ``integrate`` never
+    evaluates the charge on a zero stream.
     """
     longest = dict.fromkeys(checks, 0)  # q -> Lq; the zero word has no preperiod
     for pre, cyc in words:

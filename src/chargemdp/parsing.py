@@ -311,6 +311,7 @@ def parse_mdp(text: str) -> Mdp:
     p.next()
     initial = None  # the token of the initial state's identifier
     states: list[str] = []
+    known: set[str] = set()
     actions: dict[str, list[str]] = {}
     rewards = {}
     transitions = {}
@@ -326,9 +327,10 @@ def parse_mdp(text: str) -> Mdp:
             p.expect_id()
         elif word == "state":
             current = p.expect_id()
-            if current in states:
+            if current in known:
                 raise ParseError(f"duplicate state {current!r}", tok.line, tok.col)
             states.append(current)
+            known.add(current)
             actions[current] = []
         elif word == "action":
             if current is None:
@@ -368,7 +370,6 @@ def parse_mdp(text: str) -> Mdp:
             raise ParseError(f"unexpected keyword {word!r}", tok.line, tok.col)
     if initial is None:
         p.fail("missing 'initial' line")
-    known = set(states)
     for tok, s, a in targets:
         if tok.text not in known:
             raise ParseError(f"transition from ({s!r}, {a!r}) to unknown state {tok.text!r}",
@@ -381,15 +382,15 @@ def parse_mdp(text: str) -> Mdp:
 
 # ---- strategy files ------------------------------------------------------
 
-def _cell(p: _Parser, mdp: Mdp) -> tuple[str, dict]:
+def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, dict]:
     """``<state>: <action>[:<q>] ...``; a bare action means prob 1
-    and ends the cell."""
+    and ends the cell.  ``acts`` maps each state to its actions."""
     s = p.expect_id()
-    if s not in mdp.states:
+    if s not in acts:
         p.fail(f"unknown state {s!r}")
     p.expect_punct(":")
     dist = {}
-    while p.at_id() and p.peek().text in mdp.action_list(s):
+    while p.at_id() and p.peek().text in acts[s]:
         a = p.expect_id()
         if not p.take_punct(":"):
             dist[a] = Fraction(1)
@@ -419,7 +420,8 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     else:
         raise ParseError(f"expected 'stationary' or 'periodic', got {kind!r}",
                          kind_tok.line, kind_tok.col)
-    rows = [{s: mdp.action_list(s)[0] for s in mdp.states} for _ in range(L + q)]
+    acts = dict(zip(mdp.states, mdp.actions))
+    rows = [{s: acts[s][0] for s in mdp.states} for _ in range(L + q)]
     p.expect_punct("{")
     while not p.at_punct("}"):
         k = 1
@@ -430,7 +432,7 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
             if not 1 <= k <= L + q:
                 raise ParseError(f"phase {k} out of range 1..{L + q}", tok.line, tok.col)
             p.expect_word("state", "expected 'state'")
-        s, dist = _cell(p, mdp)
+        s, dist = _cell(p, acts)
         rows[k - 1][s] = dist
     p.expect_punct("}")
     out = (p.build(kind_tok, stationary, rows[0]) if kind == "stationary"

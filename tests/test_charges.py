@@ -1,19 +1,22 @@
 """Charge evaluation and exact integration."""
 
 import time
+import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from chargemdp import charges, periodic_sets as periodic_sets_module
 from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric,
                                IllFormedRestrict, Mix, PointMass, Restrict,
-                               _geometric_value, _stage_weights,
+                               _eval, _geometric_value, _stage_weights,
                                dyadic_value_sequence, integrate, is_diffuse,
                                sandwich_check, value)
 from chargemdp.parsing import parse_set
-from chargemdp.periodic_sets import (arithmetic, complement, contract, density,
+from chargemdp.periodic_sets import (_build, arithmetic, complement, contract, density,
                                      difference, empty, evens,
                                      first_tail_element, intersect, make,
                                      member, multiples, naturals, odds, shift,
@@ -541,3 +544,62 @@ def test_dyadic_stage_weights_are_the_dyadic_values(L, q):
     for j in range(q):
         atom = make([0] * L, q, {(L + 1 + j) % q})
         assert Fraction(w[L + j], W) == value(DyadicLimit(), atom).exact_value
+
+
+# ---- stage weights from masks against the atom-by-atom reference ----------
+#
+# The reference is the construction ``_stage_weights`` replaced: every
+# atom is built as a set and evaluated as ``value`` does, with one
+# window memo for all of them.
+
+def ref_stage_weights(mu, L, q):
+    windows: dict = {}
+    atoms = [_build(L, 1 << t, 1, 0) for t in range(L)]
+    atoms += [_build(L, 0, q, 1 << ((L + 1 + j) % q)) for j in range(q)]
+    vals = [_eval(mu, a, windows) for a in atoms]
+    W = lcm(*(v.denominator for v in vals))
+    return W, tuple(v.numerator * (W // v.denominator) for v in vals)
+
+
+def weights_outcome(weights, mu, L, q):
+    """The weights, or the message of the IllFormedRestrict raised."""
+    try:
+        return weights(mu, L, q)
+    except IllFormedRestrict as exc:
+        return str(exc)
+
+
+@given(RANDOM_CHARGES, st.integers(0, 6), st.integers(1, 12))
+def test_stage_weights_match_atom_by_atom_reference(mu, L, q):
+    expected = weights_outcome(ref_stage_weights, mu, L, q)
+    assert weights_outcome(_stage_weights, mu, L, q) == expected
+
+
+def _no_set_query(*args):
+    raise AssertionError("stage weights made a set query")
+
+
+@given(RANDOM_CHARGES, st.integers(0, 6), st.integers(1, 12))
+def test_stage_weights_make_no_set_query(mu, L, q):
+    expected = weights_outcome(ref_stage_weights, mu, L, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charges, "_eval", _no_set_query)
+        mp.setattr(periodic_sets_module, "_build", _no_set_query)
+        assert weights_outcome(_stage_weights, mu, L, q) == expected
+
+
+def test_stage_weights_of_a_wide_geometric_window_stay_small():
+    """The window refines the shape (1, 3) to (3, 12288).  Each part's
+    mass is read from its own mask, so no per-atom weights of the refined
+    shape (each an O(Q)-bit integer) are held at once."""
+    window = make([1, 0, 1], 4096, {r for r in range(4096) if r % 7 in (2, 5) or r % 11 == 0})
+    mu = Restrict(Geometric(Fraction(9, 10)), window)
+    expected = ref_stage_weights(mu, 1, 3)
+    tracemalloc.start()
+    try:
+        got = _stage_weights(mu, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 1 << 20

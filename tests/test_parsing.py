@@ -1,5 +1,6 @@
 """Text grammars: round trips, precedence, file formats, error positions."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -425,6 +426,26 @@ def test_parse_mdp_rejects_a_repeated_action_or_initial_line():
                   "state b\n  action x reward 0 goto a\ninitial b")
     assert (err.value.line, err.value.col) == (7, 1)
     assert "repeated 'initial' line" in err.value.message
+
+
+def test_large_files_parse_in_linear_time():
+    """Duplicate states were found by scanning the list of states, and
+    every strategy cell and default entry by ``states.index``: about
+    52 s for these three parses, against about 5 s with one set and one
+    state -> actions dict (Python 3.11, one core)."""
+    n = 20000
+    body = "".join(f"state s{i}\n  action x reward 0 goto s{(i + 1) % n}\n"
+                   f"  action y reward 1 goto s{i}\n" for i in range(n))
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_mdp("mdp\ninitial s0\n" + body + "state s7\n")
+    assert (err.value.line, err.value.col) == (3 * n + 3, 1)
+    assert "duplicate state 's7'" in err.value.message
+    m = parse_mdp("mdp\ninitial s0\n" + body)
+    sigma = parse_strategy("periodic preperiod=0 period=2 {\n" + "".join(
+        f"phase {k} state s{i}: y\n" for k in (1, 2) for i in range(n)) + "}\n", m)
+    assert (sigma.preperiod_length, sigma.period) == (0, 1)
+    assert time.perf_counter() - start < 20
 
 
 # ---- fuzzing: one-character edits of valid inputs -------------------------
