@@ -20,9 +20,12 @@ every such n.  ``DyadicLimit`` at M is the one value on the cycle of the
 halving walk M, contract(M, 2), contract(M, 4), ... which
 ``dyadic_value_sequence`` follows to its first repeated state.
 
-``_eval`` gives every charge one exact rational.  A ``Restrict``
-recurses through ``_eval`` with the query's one memo, so each window is
-measured once per query however deep the restrictions nest.
+``_eval`` gives every charge's one exact value as an integer pair
+(numerator, denominator), the denominator positive and the pair not
+necessarily reduced; ``value`` and ``integrate`` reduce once, into one
+``Fraction`` per answer.  A ``Restrict`` recurses through ``_eval`` with
+the query's one memo, so each window is measured once per query however
+deep the restrictions nest.
 
 ``Geometric(n/d)`` is one integer closed form.  For a set with
 preperiod m and period p it is
@@ -147,7 +150,7 @@ class CValue:
 
     @classmethod
     def exact(cls, q) -> "CValue":
-        return cls(frozenset({Fraction(q)}))
+        return cls(frozenset({q if type(q) is Fraction else Fraction(q)}))
 
     @property
     def is_exact(self) -> bool:
@@ -186,15 +189,15 @@ def _horner(word: int, length: int, n: int, d: int) -> int:
     return acc * n ** lo * d ** (length - 1 - hi)
 
 
-def _geometric_value(beta: Fraction, s: EventuallyPeriodicSet) -> Fraction:
+def _geometric_value(beta: Fraction, s: EventuallyPeriodicSet) -> tuple[int, int]:
     """With beta = n/d, preperiod m and period p, the charge of s is
     (d-n) * (P*(d**p - n**p) + n**m * T) / (d**m * (d**p - n**p)), where
     P and T are the Horner sums of the preperiod word and of the cycle
-    word that starts at stage m+1."""
+    word that starts at stage m+1; returned as that unreduced pair."""
     n, d = beta.numerator, beta.denominator
     gap = d ** s.period - n ** s.period
-    return Fraction(_geometric_mass(n, d, s.pre_len, s.period, gap, s.pre_mask, s.res_mask),
-                    d ** s.pre_len * gap)
+    return (_geometric_mass(n, d, s.pre_len, s.period, gap, s.pre_mask, s.res_mask),
+            d ** s.pre_len * gap)
 
 
 def _geometric_mass(n: int, d: int, m: int, p: int, gap: int, pre: int, res: int) -> int:
@@ -204,28 +207,44 @@ def _geometric_mass(n: int, d: int, m: int, p: int, gap: int, pre: int, res: int
     return (d - n) * (P * gap + n ** m * T)
 
 
-def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> Fraction:
-    """The one value of mu at s.  ``windows`` holds each Restrict's base
-    measure on its window, computed on first use in the query."""
+def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> tuple[int, int]:
+    """The one value of mu at s as a pair (num, den), den > 0, not
+    necessarily reduced.  ``windows`` holds each Restrict's base measure
+    on its window, computed on first use in the query."""
     if isinstance(mu, Frequency):
-        return density(s)
+        return s.res_mask.bit_count(), s.period
     if isinstance(mu, Geometric):
         return _geometric_value(mu.beta, s)
     if isinstance(mu, PointMass):
-        return Fraction(1 if member(s, mu.stage) else 0)
+        return int(member(s, mu.stage)), 1
     if isinstance(mu, DyadicLimit):
-        return dyadic_value_sequence(s)[1][0]  # the cycle holds one value
+        v = dyadic_value_sequence(s)[1][0]  # the cycle holds one value
+        return v.numerator, v.denominator
     if isinstance(mu, Restrict):
-        base_on_window = windows.get(id(mu))
-        if base_on_window is None:
-            base_on_window = _eval(mu.base, mu.window, windows)
-            if base_on_window <= 0:
-                raise IllFormedRestrict(f"restriction window has base measure {base_on_window}")
-            windows[id(mu)] = base_on_window
-        return _eval(mu.base, intersect(s, mu.window), windows) / base_on_window
+        window = windows.get(id(mu))
+        if window is None:
+            wn, wd = _eval(mu.base, mu.window, windows)
+            if wn <= 0:
+                raise IllFormedRestrict(
+                    f"restriction window has base measure {Fraction(wn, wd)}")
+            g = gcd(wn, wd)  # unreduced, pairs double in size per nested window
+            window = windows[id(mu)] = wn // g, wd // g
+        n, d = _eval(mu.base, intersect(s, mu.window), windows)
+        return n * window[1], d * window[0]
     if isinstance(mu, Mix):
-        return sum((w * _eval(c, s, windows) for w, c in mu.parts), Fraction(0))
+        num, den = 0, 1
+        for w, c in mu.parts:
+            n, d = _eval(c, s, windows)
+            num, den = _add(num, den, w.numerator * n, w.denominator * d)
+        return num, den
     raise TypeError(f"not a charge expression: {mu!r}")
+
+
+def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
+    """num/den + n/d as a pair, not reduced."""
+    if d == den:
+        return num + n, den
+    return num * d + n * den, den * d
 
 
 def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tuple[Fraction, ...]]:
@@ -243,15 +262,20 @@ def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tup
 
 
 def value(mu: Charge, s: EventuallyPeriodicSet) -> CValue:
-    return CValue.exact(_eval(mu, s, {}))
+    return CValue.exact(Fraction(*_eval(mu, s, {})))
 
 
 def integrate(mu: Charge, f: RationalStream) -> CValue:
     """Exact integral of the stream: decompose into level sets and
-    evaluate the simple function c_1*I(M_1) + ... + c_k*I(M_k)."""
+    evaluate the simple function c_1*I(M_1) + ... + c_k*I(M_k), summed
+    as integer pairs and reduced once."""
     windows: dict = {}
-    return CValue.exact(sum((c * _eval(mu, m, windows) for c, m in f.level_sets() if c != 0),
-                            Fraction(0)))
+    num, den = 0, 1
+    for c, m in f.level_sets():
+        if c:
+            n, d = _eval(mu, m, windows)
+            num, den = _add(num, den, c.numerator * n, c.denominator * d)
+    return CValue.exact(Fraction(num, den))
 
 
 def _masses(mu: Charge, m: int, p: int, parts: list) -> tuple[int, list[int]]:

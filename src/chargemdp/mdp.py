@@ -189,11 +189,18 @@ def ensure_valid(mdp: Mdp) -> Mdp:
     return mdp
 
 
-def _normalize_dist(dist, where: str) -> tuple[tuple[str, Fraction], ...]:
+_ONE = Fraction(1)
+
+
+def _normalize_dist(dist, state: str,
+                    phase: int | None = None) -> tuple[tuple[str, Fraction], ...]:
+    """The sorted (action, probability) pairs of a row's entry; the
+    location in an error names the phase when one is given."""
     if isinstance(dist, str):
-        return ((dist, Fraction(1)),)
+        return ((dist, _ONE),)
     items = tuple(sorted((a, Fraction(q)) for a, q in dict(dist).items() if Fraction(q)))
     if sum(q for _, q in items) != 1 or any(q < 0 for _, q in items):
+        where = f"state {state!r}" if phase is None else f"phase {phase}, state {state!r}"
         raise ValueError(f"action distribution at {where} must sum to 1: {items}")
     return items
 
@@ -233,7 +240,7 @@ class PeriodicMarkovStrategy:
 def stationary(choices) -> PeriodicMarkovStrategy:
     """``choices``: state -> action id, or state -> {action: prob}."""
     return PeriodicMarkovStrategy(0, 1, (tuple(sorted(
-        (s, _normalize_dist(d, f"state {s!r}")) for s, d in dict(choices).items())),))
+        (s, _normalize_dist(d, s)) for s, d in dict(choices).items())),))
 
 
 def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
@@ -242,7 +249,7 @@ def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
     Each row maps state -> action id or state -> {action: prob}.
     """
     def norm(row, k):
-        return tuple(sorted((s, _normalize_dist(d, f"phase {k}, state {s!r}"))
+        return tuple(sorted((s, _normalize_dist(d, s, k))
                             for s, d in dict(row).items()))
 
     pre = [norm(r, i + 1) for i, r in enumerate(preperiod_rows)]
@@ -441,7 +448,7 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
         raise BudgetExceeded(f"{total} raw strategies exceeds cap {cap}")
     rows = list(itertools.product(*(range(len(acts)) for acts in mdp.actions)))
     by_name = sorted(range(len(mdp.states)), key=mdp.states.__getitem__)
-    choices = [[(s, ((a, Fraction(1)),)) for a in acts]
+    choices = [[(s, ((a, _ONE),)) for a in acts]
                for s, acts in zip(mdp.states, mdp.actions)]
     named = [tuple(choices[i][row[i]] for i in by_name) for row in rows]
     ids = range(len(rows))
@@ -556,16 +563,18 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
         found.append(strat)
         found_word.append(k)
     values = _word_values(mu, words, checks)
-    # rank each distinct value once, then deal the strategies into one list
-    # per rank in enumeration order, the tie-break order
-    exact = {v: Fraction(*v) for v in set(values)}
-    per_rank = {v: [] for v in sorted(exact, key=exact.__getitem__, reverse=True)}
+    # rank each distinct value once, by its numerator over the common
+    # denominator, then deal the strategies into one list per rank in
+    # enumeration order, the tie-break order
+    distinct = set(values)
+    D = lcm(*(d for _, d in distinct))
+    per_rank = {v: [] for v in sorted(distinct, key=lambda v: v[0] * (D // v[1]), reverse=True)}
     per_word = [per_rank[v] for v in values]
     for strat, k in zip(found, found_word):
         per_word[k].append(strat)
     entries = []
     for v, strats in per_rank.items():
-        value = CValue.exact(exact[v])
+        value = CValue.exact(Fraction(*v))
         entries += [(strat, value) for strat in strats]
     return SearchResult(*entries[0], tuple(entries))
 

@@ -2,7 +2,8 @@ r"""Text grammars: set and charge expressions, stream literals, MDP and
 strategy files.  All parsers are recursive descent over one token list;
 errors carry line/column positions.
 
-``tokenize`` matches one regular expression with a group per token kind:
+``tokenize`` makes one regular-expression match per token, the blanks
+and comments before it included, with a group per token kind:
 ``INT`` is ``\d+`` (decimal digits), ``NAME`` is ``[^\W\d]\w*``,
 ``PUNCT`` is one of ``()[]{}|&!,:;/=-``; newlines, blanks (space, tab,
 CR) and ``#`` comments (to the end of the line) separate tokens, and any
@@ -22,13 +23,14 @@ constructor's ``ValueError`` as a ``ParseError`` at its token.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import periodic_sets as ps
 from .charges import (Charge, DyadicLimit, Frequency, Geometric, Mix, PointMass,
                       Restrict)
-from .mdp import Mdp, PeriodicMarkovStrategy, build_mdp, periodic, stationary
+from .mdp import _ONE, Mdp, PeriodicMarkovStrategy, build_mdp, periodic, stationary
 from .periodic_sets import EventuallyPeriodicSet
 from .streams import RationalStream, stream
 
@@ -48,22 +50,29 @@ class Token(NamedTuple):
     col: int
 
 
-_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<PUNCT>[()\[\]{}|&!,:;/=-])"
-                    r"|(?P<NEWLINE>\n)|(?P<SKIP>#[^\n]*|[ \t\r]+)|(?P<BAD>.)")
+# One match per token, the blanks and comments before it included.  The
+# token group matches any character, so a match without it is the end of
+# the text; possessive quantifiers (Python 3.11) keep no backtrack states.
+_BLANKS = (r"(?:[ \t\r]++|#[^\n]*+)*+" if sys.version_info >= (3, 11)
+           else r"(?:[ \t\r]+|#[^\n]*)*")
+_TOKEN = re.compile(_BLANKS + r"(?:(\d+)|([^\W\d]\w*)|([()\[\]{}|&!,:;/=-])|(\n)|(.))?")
+_KINDS = (None, "INT", "NAME", "PUNCT")  # by group; group 4 is a newline, 5 a bad character
 
 
 def tokenize(text: str) -> list[Token]:
-    out = []
+    out, make = [], Token._make
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
+        k = m.lastindex
+        if k is None:
+            break
+        if k == 4:
             line, line_start = line + 1, m.end()
-        elif kind == "BAD":
-            raise ParseError(f"unexpected character {m.group()!r}",
-                             line, m.start() - line_start + 1)
-        elif kind != "SKIP":
-            out.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+        elif k == 5:
+            raise ParseError(f"unexpected character {m.group(5)!r}",
+                             line, m.start(5) - line_start + 1)
+        else:
+            out.append(make((_KINDS[k], m.group(k), line, m.start(k) - line_start + 1)))
     # END sits just past the last character outside a comment; a '#' on
     # the last line can only start a comment that runs to the end
     stop = text.find("#", line_start)
@@ -347,7 +356,7 @@ def parse_mdp(text: str) -> Mdp:
             kw = p.expect_name()
             if kw == "goto":
                 targets.append((p.peek(), current, a))
-                row = {p.expect_id(): Fraction(1)}
+                row = {p.expect_id(): _ONE}
             elif kw == "dist":
                 row = {}
                 # the next clause starts with one of the file keywords
@@ -382,9 +391,10 @@ def parse_mdp(text: str) -> Mdp:
 
 # ---- strategy files ------------------------------------------------------
 
-def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, dict]:
+def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, str | dict]:
     """``<state>: <action>[:<q>] ...``; a bare action means prob 1
-    and ends the cell.  ``acts`` maps each state to its actions."""
+    and ends the cell, and a cell of one bare action is returned as
+    that action.  ``acts`` maps each state to its actions."""
     s = p.expect_id()
     if s not in acts:
         p.fail(f"unknown state {s!r}")
@@ -393,9 +403,11 @@ def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, dict]:
     while p.at_id() and p.peek().text in acts[s]:
         a = p.expect_id()
         if not p.take_punct(":"):
-            dist[a] = Fraction(1)
+            if not dist:
+                return s, a
+            dist[a] = _ONE
             break
-        dist[a] = dist.get(a, Fraction(0)) + p.expect_rational()
+        dist[a] = dist.get(a, 0) + p.expect_rational()
     if not dist:
         p.fail(f"expected an action of state {s!r}")
     return s, dist

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .periodic_sets import EventuallyPeriodicSet, _prime_factors, make, member
+from .periodic_sets import EventuallyPeriodicSet, _build, _prime_factors
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,16 @@ class RationalStream:
 
     def level_sets(self) -> list[tuple[Fraction, EventuallyPeriodicSet]]:
         """Pairs (value, stages where the stream equals that value),
-        ordered by value.  The sets partition the stages."""
+        ordered by value.  The sets partition the stages.  One pass over
+        the stream collects each value's preperiod and residue masks."""
         L, q = len(self.preperiod), len(self.cycle)
-        out = []
-        for c in sorted(set(self.preperiod) | set(self.cycle)):
-            bits = [1 if v == c else 0 for v in self.preperiod]
-            residues = {(L + 1 + j) % q for j, v in enumerate(self.cycle) if v == c}
-            out.append((c, make(bits, q, residues)))
-        return out
+        masks: dict[Fraction, list[int]] = {}  # value -> [pre_mask, res_mask]
+        for i, v in enumerate(self.preperiod):
+            masks.setdefault(v, [0, 0])[0] |= 1 << i
+        for t, v in enumerate(self.cycle, L + 1):
+            masks.setdefault(v, [0, 0])[1] |= 1 << t % q
+        return [(c, _build(L, pre, q, res))
+                for c, (pre, res) in sorted(masks.items(), key=lambda item: item[0])]
 
     def values(self, n: int) -> list[Fraction]:
         """The first n values, materialized."""

@@ -490,16 +490,72 @@ def test_nested_restrictions_cost_one_window_each():
     assert time.perf_counter() - start < 2
 
 
+def test_nested_geometric_restrictions_equal_one_restriction():
+    """restrict(restrict(nu, A), B) = restrict(nu, A & B).  Each window's
+    pair is reduced once: unreduced, the pairs doubled in size with every
+    level, and this query at depth 20 ran for minutes."""
+    base = Geometric(Fraction(1, 3))
+    mu, common = base, naturals()
+    for i in range(1, 21):
+        window = complement(multiples(i % 5 + 2))
+        mu, common = Restrict(mu, window), intersect(common, window)
+    s = parse_set("multiples(7) | ap(2, 9)")
+    start = time.perf_counter()
+    assert value(mu, s) == value(Restrict(base, common), s)
+    assert time.perf_counter() - start < 2
+
+
 @given(BETAS, periodic_sets(max_preperiod=40, max_period=40))
 def test_integer_geometric_matches_per_residue_sum(beta, s):
-    assert _geometric_value(beta, s) == ref_geometric_value(beta, s)
+    assert Fraction(*_geometric_value(beta, s)) == ref_geometric_value(beta, s)
 
 
 @pytest.mark.parametrize("text", ["ap(20050,7)", "(ap(5,16) | ap(20,27)) & !(ap(3,5))"])
 @pytest.mark.parametrize("beta", [Fraction(1, 3), Fraction(9, 10)])
 def test_integer_geometric_on_long_words(text, beta):
     s = parse_set(text)
-    assert _geometric_value(beta, s) == ref_geometric_value(beta, s)
+    assert Fraction(*_geometric_value(beta, s)) == ref_geometric_value(beta, s)
+
+
+# ---- _eval's integer pairs against the Fraction reference -----------------
+
+def pair_outcome(mu, s):
+    """_eval's pair as a Fraction, or the type and message of the error
+    it raises."""
+    try:
+        n, d = _eval(mu, s, {})
+    except IllFormedRestrict as exc:
+        return type(exc), str(exc)
+    assert type(n) is int and type(d) is int and d > 0
+    return Fraction(n, d)
+
+
+def ref_outcome(mu, s):
+    try:
+        return ref_value(mu, s).exact_value
+    except (IllFormedRestrict, AmbiguousBase) as exc:
+        return type(exc), str(exc)
+
+
+@given(RANDOM_CHARGES, periodic_sets())
+def test_eval_pair_matches_reference(mu, s):
+    assert pair_outcome(mu, s) == ref_outcome(mu, s)
+
+
+def _no_fraction(*args):
+    raise AssertionError("_eval built a Fraction")
+
+
+@given(RANDOM_CHARGES, periodic_sets())
+def test_eval_builds_no_fraction(mu, s):
+    """Only the message of a null window renders a Fraction."""
+    expected = pair_outcome(mu, s)
+    if isinstance(expected, tuple):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charges, "Fraction", _no_fraction)
+        got = _eval(mu, s, {})
+    assert Fraction(*got) == expected
 
 
 # ---- per-shape stage weights: one dot product per stream ------------------
@@ -556,7 +612,7 @@ def ref_stage_weights(mu, L, q):
     windows: dict = {}
     atoms = [_build(L, 1 << t, 1, 0) for t in range(L)]
     atoms += [_build(L, 0, q, 1 << ((L + 1 + j) % q)) for j in range(q)]
-    vals = [_eval(mu, a, windows) for a in atoms]
+    vals = [Fraction(*_eval(mu, a, windows)) for a in atoms]
     W = lcm(*(v.denominator for v in vals))
     return W, tuple(v.numerator * (W // v.denominator) for v in vals)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chargemdp.periodic_sets import density, member
+from chargemdp.periodic_sets import density, make, member
 from chargemdp.streams import (RationalStream, _canonical, add, combine,
                                constant, indicator, scale, stream)
 
@@ -95,6 +95,32 @@ def test_level_sets_partition(f):
     for t in range(1, 40):
         hits = [c for c, m in levels if member(m, t)]
         assert hits == [f.value_at(t)]
+
+
+def ref_level_sets(f):
+    """The equality scan that the one-pass ``level_sets`` replaced: one
+    scan of the stream per distinct value."""
+    L, q = len(f.preperiod), len(f.cycle)
+    out = []
+    for c in sorted(set(f.preperiod) | set(f.cycle)):
+        bits = [1 if v == c else 0 for v in f.preperiod]
+        residues = {(L + 1 + j) % q for j, v in enumerate(f.cycle) if v == c}
+        out.append((c, make(bits, q, residues)))
+    return out
+
+
+# few distinct values, zero among them, so levels repeat across the
+# preperiod and the cycle
+_FEW_VALUES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 4)])
+repeating_streams = st.builds(stream, st.lists(_FEW_VALUES, max_size=10),
+                              st.lists(_FEW_VALUES, min_size=1, max_size=12))
+
+
+@given(st.one_of(rational_streams(), repeating_streams))
+def test_level_sets_match_equality_scan(f):
+    got = f.level_sets()
+    assert got == ref_level_sets(f)
+    assert all(type(c) is Fraction for c, _ in got)
 
 
 @given(periodic_sets())
