@@ -241,10 +241,10 @@ def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> tuple[int, int
 
 
 def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
-    """num/den + n/d as a pair, not reduced."""
-    if d == den:
-        return num + n, den
-    return num * d + n * den, den * d
+    """num/den + n/d as a pair over lcm(den, d), not reduced: the
+    denominator of a sum stays the lcm of its terms' denominators."""
+    g = gcd(den, d)
+    return num * (d // g) + n * (den // g), den // g * d
 
 
 def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tuple[Fraction, ...]]:
@@ -268,7 +268,7 @@ def value(mu: Charge, s: EventuallyPeriodicSet) -> CValue:
 def integrate(mu: Charge, f: RationalStream) -> CValue:
     """Exact integral of the stream: decompose into level sets and
     evaluate the simple function c_1*I(M_1) + ... + c_k*I(M_k), summed
-    as integer pairs and reduced once."""
+    as integer pairs over the lcm of their denominators and reduced once."""
     windows: dict = {}
     num, den = 0, 1
     for c, m in f.level_sets():

@@ -563,18 +563,16 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
         found.append(strat)
         found_word.append(k)
     values = _word_values(mu, words, checks)
-    # rank each distinct value once, by its numerator over the common
-    # denominator, then deal the strategies into one list per rank in
-    # enumeration order, the tie-break order
-    distinct = set(values)
-    D = lcm(*(d for _, d in distinct))
-    per_rank = {v: [] for v in sorted(distinct, key=lambda v: v[0] * (D // v[1]), reverse=True)}
+    # rank each distinct value once, then deal the strategies into one list
+    # per rank in enumeration order, the tie-break order
+    exact = {v: Fraction(*v) for v in set(values)}
+    per_rank = {v: [] for v in sorted(exact, key=exact.__getitem__, reverse=True)}
     per_word = [per_rank[v] for v in values]
     for strat, k in zip(found, found_word):
         per_word[k].append(strat)
     entries = []
     for v, strats in per_rank.items():
-        value = CValue.exact(Fraction(*v))
+        value = CValue.exact(exact[v])
         entries += [(strat, value) for strat in strats]
     return SearchResult(*entries[0], tuple(entries))
 

@@ -23,7 +23,6 @@ constructor's ``ValueError`` as a ``ParseError`` at its token.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,10 +51,8 @@ class Token(NamedTuple):
 
 # One match per token, the blanks and comments before it included.  The
 # token group matches any character, so a match without it is the end of
-# the text; possessive quantifiers (Python 3.11) keep no backtrack states.
-_BLANKS = (r"(?:[ \t\r]++|#[^\n]*+)*+" if sys.version_info >= (3, 11)
-           else r"(?:[ \t\r]+|#[^\n]*)*")
-_TOKEN = re.compile(_BLANKS + r"(?:(\d+)|([^\W\d]\w*)|([()\[\]{}|&!,:;/=-])|(\n)|(.))?")
+# the text, and the greedy blanks never give a character back.
+_TOKEN = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(?:(\d+)|([^\W\d]\w*)|([()\[\]{}|&!,:;/=-])|(\n)|(.))?")
 _KINDS = (None, "INT", "NAME", "PUNCT")  # by group; group 4 is a newline, 5 a bad character
 
 

@@ -79,3 +79,15 @@ def random_stream(rng, max_preperiod=5, max_period=6):
     cyc = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
            for _ in range(rng.randint(1, max_period))]
     return stream(pre, cyc)
+
+
+def ref_level_sets(f):
+    """The equality scan that the one-pass ``level_sets`` replaced: one
+    scan of the stream per distinct value."""
+    L, q = len(f.preperiod), len(f.cycle)
+    out = []
+    for c in sorted(set(f.preperiod) | set(f.cycle)):
+        bits = [1 if v == c else 0 for v in f.preperiod]
+        residues = {(L + 1 + j) % q for j, v in enumerate(f.cycle) if v == c}
+        out.append((c, make(bits, q, residues)))
+    return out

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chargemdp.periodic_sets import density, make, member
+from chargemdp.periodic_sets import density, member
 from chargemdp.streams import (RationalStream, _canonical, add, combine,
                                constant, indicator, scale, stream)
 
 from conftest import (cycle_mean, periodic_sets, pointwise_leq, rational_streams,
-                      superlevel_set)
+                      ref_level_sets, superlevel_set)
 
 
 def test_stream_canonical_cycle():
@@ -95,18 +95,6 @@ def test_level_sets_partition(f):
     for t in range(1, 40):
         hits = [c for c, m in levels if member(m, t)]
         assert hits == [f.value_at(t)]
-
-
-def ref_level_sets(f):
-    """The equality scan that the one-pass ``level_sets`` replaced: one
-    scan of the stream per distinct value."""
-    L, q = len(f.preperiod), len(f.cycle)
-    out = []
-    for c in sorted(set(f.preperiod) | set(f.cycle)):
-        bits = [1 if v == c else 0 for v in f.preperiod]
-        residues = {(L + 1 + j) % q for j, v in enumerate(f.cycle) if v == c}
-        out.append((c, make(bits, q, residues)))
-    return out
 
 
 # few distinct values, zero among them, so levels repeat across the
