@@ -19,17 +19,18 @@ the cell is pure, the table's step, so from a point mass a stage is one
 read.  Any other stage runs the integer loop over ``Mdp.rows``.
 
 The search generates the canonical pure strategies directly, as tuples
-of row ids (each row a tuple of action indices, in declared order): each
-length's primitive cycles are found once, and each preperiod is followed
-by those ending in a row other than its own last.  It walks each tuple
-against one table of rows, and canonicalises each distinct raw word
-once.  A word of shape (L, q) is also one of shape (L', q) for L' >= L,
-so one vector of the charge's weights (``charges._stage_weights``, read
-from masks) per cycle length q, of shape (Lq, q) with Lq the longest
-preperiod among the words of that q, values each as one integer dot
-product, a reduced integer pair.  Each vector is checked once against
-``integrate``'s level sets.  The distinct values are ranked once, with
-one CValue each.
+of row ids (each row a tuple of action indices, in declared order), by
+shape and preperiod: each length's primitive cycles and their named rows
+are built once, and each preperiod is followed by those ending in a row
+other than its own last.  A pure strategy's reward word is fixed by its
+actions at the (phase, state) cells its point-mass walk visits, so each
+shape keeps a trie of those cells, which a strategy descends by its own
+actions: only a missing child reads the step table, and a strategy that
+meets a split row is walked alone.  A word of shape (L, q) is also one
+of shape (L', q) for L' >= L, so one vector of the charge's weights
+(``charges._stage_weights``) per cycle length q, of shape (Lq, q) with
+Lq the longest preperiod among the words of that q, values each as one
+integer dot product, checked once against ``integrate``'s level sets.
 """
 
 from __future__ import annotations
@@ -426,17 +427,17 @@ def _primitive_cycles(n: int, max_period: int) -> dict[int, list[tuple[int, ...]
 
 
 def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
-    """(rows, pairs): the phase rows of action indices, in product order,
-    and a generator of (row ids, strategy) for every canonical pure
-    periodic strategy within the bounds: each comes once, at its own
-    (L, q), in the product order of its tuple of row ids, so in declared
-    action order.
+    """(rows, groups): the phase rows of action indices, in product order,
+    and a generator of (L, q, [(row ids, strategy), ...]), one group per
+    shape (L, q) and preperiod.  Each canonical pure periodic strategy
+    within the bounds comes once, at its own (L, q), in the product order
+    of its row ids, so in declared action order.
 
     Such a tuple is canonical when its cycle is primitive, the power of
     no shorter word, and a preperiod, if any, ends in a row other than
-    the cycle's last.  So the primitive cycles of each length are found
-    once, and each preperiod tuple is followed by those of them with
-    another last row: no tuple is built to be dropped.
+    the cycle's last.  So the primitive cycles of each length, and their
+    named rows, are built once, and each preperiod tuple is followed by
+    those of them with another last row: no tuple is built to be dropped.
     """
     if max_period < 1 or max_preperiod < 0:
         raise ValueError("search bounds need max_period >= 1 and max_preperiod >= 0, "
@@ -451,19 +452,21 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     choices = [[(s, ((a, _ONE),)) for a in acts]
                for s, acts in zip(mdp.states, mdp.actions)]
     named = [tuple(choices[i][row[i]] for i in by_name) for row in rows]
-    ids = range(len(rows))
-    primitive = _primitive_cycles(len(rows), max_period)
-    return rows, ((c, PeriodicMarkovStrategy(L, q, tuple([named[k] for k in c])))
+    cycles = {q: [(c, tuple([named[k] for k in c])) for c in primitive]
+              for q, primitive in _primitive_cycles(len(rows), max_period).items()}
+    return rows, ((L, q, [(pre + c, PeriodicMarkovStrategy(L, q, head + tail))
+                          for c, tail in cycles[q] if not L or c[-1] != pre[-1]])
                   for L, q in bounds
-                  for pre in itertools.product(ids, repeat=L)
-                  for c in (pre + cyc for cyc in primitive[q] if not L or cyc[-1] != pre[-1]))
+                  for pre in itertools.product(range(len(rows)), repeat=L)
+                  for head in [tuple([named[k] for k in pre])])
 
 
 def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
                             cap: int = 2_000_000):
     """All distinct canonical pure periodic Markov strategies within
     bounds, in declared action order."""
-    return (strat for _, strat in _canonical_pure(mdp, max_period, max_preperiod, cap)[1])
+    return (strat for _, _, group in _canonical_pure(mdp, max_period, max_preperiod, cap)[1]
+            for _, strat in group)
 
 
 _ZERO_WORD = ((), ((0, 1),))
@@ -522,46 +525,85 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     lexicographic strategy encoding in declared action order.  This
     lower-bounds the value of the MDP under the charge.  Every reward
     stream is found before the charge is evaluated, so CycleNotFound and
-    StrategyMismatch come before any error of the charge.  Strategies
-    are walked as row-id tuples, and values kept as reduced integer
-    pairs until ranking.
+    StrategyMismatch come before any error of the charge.  Values are
+    kept as reduced integer pairs until ranking.
+
+    A pure strategy's reward word of shape (L, L + q) depends only on
+    its actions at the (phase, state) cells its point-mass walk visits,
+    so each shape has one decision trie.  A node is a visited cell, with
+    its parent, step reward and depth; its children, by the action played
+    there, are nodes or leaves, a leaf the word's index.  A strategy
+    descends by its actions; only a missing child reads the step table,
+    rebuilding the path through the parent links, and walks on to the
+    first repeated cell.  A split row or the horizon is a -1 leaf: that
+    strategy is walked by ``_reward_stream``, which raises at the horizon.
     """
     _check_horizon(max_horizon)
     table = mdp._integer_form[1]
-    actions, strategies = _canonical_pure(mdp, max_period, max_preperiod, cap)
+    actions, groups = _canonical_pure(mdp, max_period, max_preperiod, cap)
     rows = [_row(table, [((1, j),) for j in row]) for row in actions]
-    start = mdp.states.index(mdp.initial)
+    n, start = len(mdp.states), mdp.states.index(mdp.initial)
     by_word: dict[tuple, int] = {}  # reward word, raw or canonical -> its canonical one's index
-    words: list[tuple] = []
     checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
     fractions: dict[tuple[int, int], Fraction] = {}  # reward pair -> its Fraction
-    found: list[PeriodicMarkovStrategy] = []
-    found_word: list[int] = []  # parallel to found
-    for ids, strat in strategies:
-        i0, rewards = _reward_stream(mdp, rows, ids, strat.preperiod_length, start, 1,
-                                     max_horizon)
+    words, found, found_word = [], [], []  # canonical words; strategies; their word indices
+    roots: dict[tuple, tuple] = {}  # (L, q) -> its trie's root, the start at phase 0
+
+    def index(i0: int, rewards: list) -> int:
         raw = (i0, tuple(rewards))
-        k = by_word.get(raw)
-        if k is None:
+        if (k := by_word.get(raw)) is None:
             pre, cyc = rewards[:i0], rewards[i0:]
             word = _canonical(pre, cyc)
-            k = by_word.get(word)
-            if k is None:
+            if (k := by_word.get(word)) is None:
                 k = by_word[word] = len(words)
                 words.append(word)
-                # Each distinct word's stream is built, from the first raw
-                # word that reaches it, but only the check streams are kept:
-                # bench/tracer.py reads the search's cache ratio from these
-                # calls until it reads it from the result.
-                for pair in rewards:
-                    if pair not in fractions:
-                        fractions[pair] = Fraction(*pair)
+                # every distinct word's stream is built: bench/tracer.py counts them
+                fractions.update((p, Fraction(*p)) for p in rewards if p not in fractions)
                 f = stream([fractions[p] for p in pre], [fractions[p] for p in cyc])
                 if word != _ZERO_WORD and len(word[1]) not in checks:
                     checks[len(word[1])] = (k, f)
             by_word[raw] = k
-        found.append(strat)
-        found_word.append(k)
+        return k
+
+    def grow(node: tuple, ids: tuple, L: int, P: int) -> int:
+        """The leaf of strategy ``ids`` below ``node``, where its action has no child."""
+        seen, rewards, cell = {}, [], node
+        while cell:
+            seen[cell[0] * n + cell[1]] = cell[5]
+            rewards.append(cell[4])
+            cell = cell[3]
+        rewards = rewards[-2::-1]  # from the root's child down, in walk order
+        k, x, kids, _, _, _ = node
+        while True:
+            j = actions[ids[k]][x]
+            if table[x][j] is None or len(rewards) + 1 >= max_horizon:
+                kids[j] = -1
+                return -1
+            reward, x = table[x][j]
+            rewards.append(reward)
+            k = k + 1 if k + 1 < P else L
+            if (key := k * n + x) in seen:
+                kids[j] = index(seen[key], rewards)
+                return kids[j]
+            seen[key] = len(rewards)
+            node = kids[j] = (k, x, [None] * len(table[x]), node, reward, len(rewards))
+            kids = node[2]
+
+    for L, q, group in groups:
+        top = roots.setdefault((L, q), (0, start, [None] * len(table[start]), None, None, 0))
+        for ids, strat in group:
+            node = top
+            while type(child := node[2][actions[ids[node[0]]][node[1]]]) is tuple:
+                node = child
+            if child is None:
+                child = grow(node, ids, L, L + q)
+            if child < 0:
+                child = index(*_reward_stream(mdp, rows, ids, L, start, 1, max_horizon))
+            found.append(strat)
+            found_word.append(child)
+            # the group's strategies share their preperiod's cells
+            while top[0] < L and type(child := top[2][actions[ids[top[0]]][top[1]]]) is tuple:
+                top = child
     values = _word_values(mu, words, checks)
     # rank each distinct value once, then deal the strategies into one list
     # per rank in enumeration order, the tie-break order
@@ -570,10 +612,8 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     per_word = [per_rank[v] for v in values]
     for strat, k in zip(found, found_word):
         per_word[k].append(strat)
-    entries = []
-    for v, strats in per_rank.items():
-        value = CValue.exact(exact[v])
-        entries += [(strat, value) for strat in strats]
+    entries = [(strat, value) for v, strats in per_rank.items()
+               for value in [CValue.exact(exact[v])] for strat in strats]
     return SearchResult(*entries[0], tuple(entries))
 
 

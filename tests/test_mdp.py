@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -719,28 +719,137 @@ def test_best_periodic_ranking_equals_reference(seed, mu):
 def test_ranking_equals_reference_when_most_strategies_share_a_raw_word(mu, monkeypatch):
     """Once at b, the search never returns to a, so a's action at later
     phases leaves the reward word unchanged: 1216 strategies reach 99
-    raw words at bounds (3, 2), and no raw word is canonicalised twice."""
+    raw words at bounds (3, 2).  The MDP is deterministic, so every
+    strategy finds its word in its shape's trie, with no walk of its
+    own, and each raw word is canonicalised once."""
     import chargemdp.mdp as mdp_module
-    raw, canonicalised = [], []
-    reward_stream, canonical = mdp_module._reward_stream, mdp_module._canonical
-
-    def recorded_stream(*args):
-        i0, rewards = reward_stream(*args)
-        raw.append((tuple(rewards[:i0]), tuple(rewards[i0:])))
-        return i0, rewards
+    walks, canonicalised = [], []
+    canonical = mdp_module._canonical
 
     def counted_canonical(pre, cyc):
         if isinstance(cyc[0], tuple):  # a reward word, not a cycle of row indices
             canonicalised.append((tuple(pre), tuple(cyc)))
         return canonical(pre, cyc)
 
-    monkeypatch.setattr(mdp_module, "_reward_stream", recorded_stream)
+    monkeypatch.setattr(mdp_module, "_reward_stream", lambda *args: walks.append(args))
     monkeypatch.setattr(mdp_module, "_canonical", counted_canonical)
-    best_periodic(preperiod_mdp(), mu, 3, 2)
+    result = best_periodic(preperiod_mdp(), mu, 3, 2)
     monkeypatch.undo()
-    assert (len(raw), len(set(raw))) == (1216, 99)
-    assert len(canonicalised) == len(set(canonicalised)) and set(canonicalised) <= set(raw)
+    assert walks == []
+    assert len(result.ranking) == 1216
+    assert len(canonicalised) == len(set(canonicalised)) == 99
     assert_ranking_equals_reference(preperiod_mdp(), mu, 3, 2)
+
+
+def per_strategy_ranking(m, mu, max_period, max_preperiod, max_horizon):
+    """Each enumerated strategy's own stream and integral, ranked by
+    value with ties in enumeration order; every stream is found before
+    any integral, as in the search."""
+    strategies = list(enumerate_pure_periodic(m, max_period, max_preperiod))
+    streams = [expected_reward_stream(m, s, max_horizon) for s in strategies]
+    values = [integrate(mu, f) for f in streams]
+    return [(strategies[i], values[i])
+            for i in sorted(range(len(strategies)), key=lambda i: -values[i].exact_value)]
+
+
+def late_split_mdp():
+    """a and b are goto rows; y at b splits to c and d, which both return
+    to a, so every walk recurs.  A strategy playing y at b meets the
+    split in its preperiod or only in its cycle, by the phase at which it
+    first plays it there."""
+    return build_mdp(("a", "b", "c", "d"), "a",
+                     {"a": ("x", "y"), "b": ("x", "y"), "c": ("x",), "d": ("x",)},
+                     {("a", "x"): 1, ("a", "y"): 0, ("b", "x"): Fraction(-1, 2),
+                      ("b", "y"): Fraction(1, 3), ("c", "x"): 1, ("d", "x"): 0},
+                     {("a", "x"): {"b": 1}, ("a", "y"): {"a": 1}, ("b", "x"): {"a": 1},
+                      ("b", "y"): {"c": Fraction(1, 2), "d": Fraction(1, 2)},
+                      ("c", "x"): {"a": 1}, ("d", "x"): {"a": 1}})
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["deterministic", "late split", 1, 2, 3]),
+       st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]),
+       st.sampled_from([2, 3, 4, 5, 6, 7, 8, 4096]), st.sampled_from(SEARCH_CHARGES))
+@example(0, "late split", (2, 2), 4096, Frequency())
+@example(0, "late split", (3, 1), 8, Geometric(Fraction(1, 2)))
+@example(0, "late split", (2, 1), 3, DyadicLimit())
+@settings(max_examples=150, deadline=None)
+def test_trie_search_equals_per_strategy_reference(seed, kind, bounds, horizon, mu):
+    """Deterministic MDPs are searched by descent alone; on a split MDP a
+    strategy whose walk meets a split row, in its preperiod or in its
+    cycle, is walked on its own.  Either way the ranking, or the
+    exception's type and text, is that of walking every strategy."""
+    from conftest import random_deterministic_mdp
+    rng = random.Random(seed)
+    if kind == "deterministic":
+        m = random_deterministic_mdp(rng, rng.randint(1, 3), rng.randint(1, 2))
+    elif kind == "late split":
+        m = late_split_mdp()
+    else:
+        m = random_mdp(rng, rng.randint(1, 2), 2, kind)
+    max_period, max_preperiod = bounds
+    rows = prod(len(acts) for acts in m.actions)
+    while max_period > 1 and sum(rows ** (L + q) for L in range(max_preperiod + 1)
+                                 for q in range(1, max_period + 1)) > 2000:
+        max_period -= 1  # 3 states of 2 actions: 8 rows
+    outcomes = []
+    for search in (best_periodic, per_strategy_ranking):
+        try:
+            result = search(m, mu, max_period, max_preperiod, max_horizon=horizon)
+            outcomes.append(list(result.ranking) if search is best_periodic else result)
+        except (CycleNotFound, IllFormedRestrict) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_strategy_is_walked_alone_exactly_when_its_walk_meets_a_split_row(monkeypatch):
+    """On the late-split MDP, the search hands ``_reward_stream`` the
+    strategies whose point-mass walk reaches y at b, each once and in
+    enumeration order, and no other: some meet it in a preperiod phase,
+    some only in a cycle phase."""
+    import chargemdp.mdp as mdp_module
+    m, walked = late_split_mdp(), []
+    reward_stream = mdp_module._reward_stream
+
+    def recorded(mdp, rows, order, L, *rest):
+        walked.append((L, tuple(order)))
+        return reward_stream(mdp, rows, order, L, *rest)
+
+    monkeypatch.setattr(mdp_module, "_reward_stream", recorded)
+    best_periodic(m, Frequency(), 2, 2)
+    table = m._integer_form[1]
+    rows, groups = mdp_module._canonical_pure(m, 2, 2, 10**6)
+    split_in = {}  # (L, row ids) -> "pre" or "cycle", for the walks meeting a split row
+    for L, q, group in groups:
+        for ids, _ in group:
+            k, x, seen = 0, 0, set()
+            while (k, x) not in seen and table[x][rows[ids[k]][x]] is not None:
+                seen.add((k, x))
+                x = table[x][rows[ids[k]][x]][1]
+                k = k + 1 if k + 1 < L + q else L
+            if (k, x) not in seen:
+                split_in[L, ids] = "pre" if k < L else "cycle"
+    assert walked == list(split_in)
+    assert set(split_in.values()) == {"pre", "cycle"}
+
+
+def test_long_point_mass_walk_stays_linear():
+    """One strategy walks all 3000 states of a goto cycle: the trie holds
+    one node per cell with its parent and step, and the path is rebuilt
+    from those links, so memory grows with the walk, not its square."""
+    n = 3000
+    states = [str(i) for i in range(n)]
+    m = build_mdp(states, "0", {s: ("x",) for s in states},
+                  {(s, "x"): Fraction(i % 7, 2) for i, s in enumerate(states)},
+                  {(s, "x"): {states[(i + 1) % n]: 1} for i, s in enumerate(states)})
+    m._integer_form  # the step table is built outside the trace: only the search is measured
+    tracemalloc.start()
+    try:
+        result = best_periodic(m, Frequency(), 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.best_value.exact_value == Fraction(sum(i % 7 for i in range(n)), 2 * n)
+    assert peak < 8 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("mu", SEARCH_CHARGES)
