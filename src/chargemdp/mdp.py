@@ -31,6 +31,10 @@ of shape (L', q) for L' >= L, so one vector of the charge's weights
 (``charges._stage_weights``) per cycle length q, of shape (Lq, q) with
 Lq the longest preperiod among the words of that q, values each as one
 integer dot product, checked once against ``integrate``'s level sets.
+The distinct values are ranked by num * (D // den), D the lcm of their
+denominators, not as Fractions.  Strategies are named tuples, and the
+rows ``_reward_stream`` walks are built only when a strategy first meets
+a split row or the horizon.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .charges import Charge, CValue, _stage_weights, integrate
 from .streams import RationalStream, _canonical, stream
@@ -206,27 +211,17 @@ def _normalize_dist(dist, state: str,
     return items
 
 
-@dataclass(frozen=True)
-class PeriodicMarkovStrategy:
+class PeriodicMarkovStrategy(NamedTuple):
     """Phase- and state-dependent action distributions.
 
     Phases 1..L are the preperiod; phases L+1..L+q repeat cyclically.
-    Canonical: q is minimal and L is minimal given q.
+    Canonical: q is minimal and L is minimal given q.  An immutable named
+    tuple, so equal to the plain tuple of its fields and hashed as one.
     """
 
     preperiod_length: int
     period: int
     rows: tuple[tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...], ...]
-
-    def phase_of(self, stage: int) -> int:
-        L = self.preperiod_length
-        if stage <= L:
-            return stage
-        return L + 1 + (stage - L - 1) % self.period
-
-    @property
-    def is_pure(self) -> bool:
-        return all(len(d) == 1 for row in self.rows for _, d in row)
 
     def action(self, state: str) -> str:
         """The action at ``state`` of a one-phase pure strategy."""
@@ -454,7 +449,8 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     named = [tuple(choices[i][row[i]] for i in by_name) for row in rows]
     cycles = {q: [(c, tuple([named[k] for k in c])) for c in primitive]
               for q, primitive in _primitive_cycles(len(rows), max_period).items()}
-    return rows, ((L, q, [(pre + c, PeriodicMarkovStrategy(L, q, head + tail))
+    new = tuple.__new__  # the named tuple's own __new__ is one more Python call per strategy
+    return rows, ((L, q, [(pre + c, new(PeriodicMarkovStrategy, (L, q, head + tail)))
                           for c, tail in cycles[q] if not L or c[-1] != pre[-1]])
                   for L, q in bounds
                   for pre in itertools.product(range(len(rows)), repeat=L)
@@ -526,7 +522,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     lower-bounds the value of the MDP under the charge.  Every reward
     stream is found before the charge is evaluated, so CycleNotFound and
     StrategyMismatch come before any error of the charge.  Values are
-    kept as reduced integer pairs until ranking.
+    kept as reduced integer pairs, and ranked on integers.
 
     A pure strategy's reward word of shape (L, L + q) depends only on
     its actions at the (phase, state) cells its point-mass walk visits,
@@ -541,7 +537,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     _check_horizon(max_horizon)
     table = mdp._integer_form[1]
     actions, groups = _canonical_pure(mdp, max_period, max_preperiod, cap)
-    rows = [_row(table, [((1, j),) for j in row]) for row in actions]
+    rows = None  # _reward_stream's phase rows, built when a strategy first needs them
     n, start = len(mdp.states), mdp.states.index(mdp.initial)
     by_word: dict[tuple, int] = {}  # reward word, raw or canonical -> its canonical one's index
     checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
@@ -598,6 +594,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
             if child is None:
                 child = grow(node, ids, L, L + q)
             if child < 0:
+                rows = rows or [_row(table, [((1, j),) for j in row]) for row in actions]
                 child = index(*_reward_stream(mdp, rows, ids, L, start, 1, max_horizon))
             found.append(strat)
             found_word.append(child)
@@ -605,15 +602,17 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
             while top[0] < L and type(child := top[2][actions[ids[top[0]]][top[1]]]) is tuple:
                 top = child
     values = _word_values(mu, words, checks)
-    # rank each distinct value once, then deal the strategies into one list
-    # per rank in enumeration order, the tie-break order
-    exact = {v: Fraction(*v) for v in set(values)}
-    per_rank = {v: [] for v in sorted(exact, key=exact.__getitem__, reverse=True)}
+    # rank the distinct reduced pairs on integers (they never tie), then deal
+    # the strategies into one list per rank in enumeration order, the tie-break
+    distinct = set(values)
+    D = lcm(*(d for _, d in distinct))
+    per_rank = {v: [] for v in sorted(distinct, key=lambda v: v[0] * (D // v[1]), reverse=True)}
     per_word = [per_rank[v] for v in values]
     for strat, k in zip(found, found_word):
         per_word[k].append(strat)
-    entries = [(strat, value) for v, strats in per_rank.items()
-               for value in [CValue.exact(exact[v])] for strat in strats]
+    entries = []
+    for v, strats in per_rank.items():
+        entries += zip(strats, itertools.repeat(CValue.exact(Fraction(*v))))
     return SearchResult(*entries[0], tuple(entries))
 
 

@@ -27,17 +27,30 @@ from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
                            enumerate_pure_stationary, expected_reward_stream,
                            _primitive_cycles, payoff, periodic, random_mdp, stationary,
                            validate)
+from chargemdp.parsing import parse_strategy
 from chargemdp.periodic_sets import empty, multiples, odds
 from chargemdp.streams import _canonical, stream
 
 
 # ---- references: the Fraction-dict stream loop and the raw enumeration ----
 
+def phase_of(sigma, stage):
+    """The phase, 1..L+q, that a periodic strategy plays at ``stage``."""
+    L = sigma.preperiod_length
+    if stage <= L:
+        return stage
+    return L + 1 + (stage - L - 1) % sigma.period
+
+
+def is_pure(sigma):
+    return all(len(d) == 1 for row in sigma.rows for _, d in row)
+
+
 def reference_stream(mdp, sigma, max_horizon=4096):
     """Iterates the state distribution as a dict of Fractions and looks
     each action up by name at every stage."""
     def dist_at(stage, state):
-        row = sigma.rows[sigma.phase_of(stage) - 1]
+        row = sigma.rows[phase_of(sigma, stage) - 1]
         return dict(row)[state]
 
     index = {s: i for i, s in enumerate(mdp.states)}
@@ -45,7 +58,7 @@ def reference_stream(mdp, sigma, max_horizon=4096):
     seen = {}
     rewards = []
     for stage in range(1, max_horizon + 1):
-        phase = sigma.phase_of(stage)
+        phase = phase_of(sigma, stage)
         key = (phase, tuple(sorted(dist.items())))
         if key in seen:
             return stream(rewards[:seen[key]], rewards[seen[key]:])
@@ -286,7 +299,7 @@ def test_random_mdp_is_valid(seed):
 
 def test_stationary_strategy():
     sigma = stationary({"1": "T", "2": "c", "3": "c"})
-    assert sigma.is_pure
+    assert is_pure(sigma)
     assert sigma.action("1") == "T"
     with pytest.raises(KeyError):
         dict(sigma.rows[0])["zz"]
@@ -294,19 +307,33 @@ def test_stationary_strategy():
 
 def test_randomized_stationary():
     sigma = top_probability(Fraction(1, 3))
-    assert not sigma.is_pure
+    assert not is_pure(sigma)
     assert dict(sigma.rows[0])["1"] == (("B", Fraction(2, 3)), ("T", Fraction(1, 3)))
     with pytest.raises(ValueError):
         sigma.action("1")
 
 
-@pytest.mark.parametrize("choices", [{"1": "T", "2": "c", "3": "c"},
-                                     {"1": {"T": Fraction(1, 3), "B": Fraction(2, 3)}, "2": "c"}])
-def test_stationary_is_the_one_phase_periodic_strategy(choices):
+@pytest.mark.parametrize("choices, make, text, shown", [
+    ({"1": "T", "2": "c", "3": "c"}, even_or_odd_mdp, "1: T 2: c 3: c",
+     "PeriodicMarkovStrategy(preperiod_length=0, period=1, rows=((('1', (('T', Fraction(1, 1)),)), "
+     "('2', (('c', Fraction(1, 1)),)), ('3', (('c', Fraction(1, 1)),))),))"),
+    ({"1": {"T": Fraction(1, 3), "B": Fraction(2, 3)}, "2": "c"}, late_switch_mdp,
+     "1: T:1/3 B:2/3 2: c",
+     "PeriodicMarkovStrategy(preperiod_length=0, period=1, rows=((('1', (('B', Fraction(2, 3)), "
+     "('T', Fraction(1, 3)))), ('2', (('c', Fraction(1, 1)),))),))")], ids=["choices0", "choices1"])
+def test_stationary_is_the_one_phase_periodic_strategy(choices, make, text, shown):
     sigma = stationary(choices)
     assert sigma == periodic([], [choices])
     assert hash(sigma) == hash(periodic([], [choices]))
     assert (sigma.preperiod_length, sigma.period) == (0, 1)
+    assert repr(sigma) == shown
+    assert hash(sigma) == hash((sigma.preperiod_length, sigma.period, sigma.rows))
+    with pytest.raises(AttributeError):
+        sigma.period = 2
+    assert parse_strategy(f"stationary {{ {text} }}", make()) == sigma
+    # the search ranks every pure one-phase strategy, and builds its own copy of each
+    ranked = [s for s, _ in best_periodic(make(), Frequency(), 1, 0).ranking]
+    assert (ranked.count(sigma) == 1) == is_pure(sigma)
 
 
 def test_action_names_its_fault():
@@ -338,7 +365,7 @@ def test_periodic_canonicalization():
 def test_periodic_phase_of():
     sigma = switch_at(3)
     assert sigma.preperiod_length == 3 and sigma.period == 1
-    assert [sigma.phase_of(t) for t in range(1, 7)] == [1, 2, 3, 4, 4, 4]
+    assert [phase_of(sigma, t) for t in range(1, 7)] == [1, 2, 3, 4, 4, 4]
 
 
 def test_periodic_requires_cycle():
@@ -721,9 +748,10 @@ def test_ranking_equals_reference_when_most_strategies_share_a_raw_word(mu, monk
     phases leaves the reward word unchanged: 1216 strategies reach 99
     raw words at bounds (3, 2).  The MDP is deterministic, so every
     strategy finds its word in its shape's trie, with no walk of its
-    own, and each raw word is canonicalised once."""
+    own and no phase rows built for one, and each raw word is
+    canonicalised once."""
     import chargemdp.mdp as mdp_module
-    walks, canonicalised = [], []
+    walks, rows, canonicalised = [], [], []
     canonical = mdp_module._canonical
 
     def counted_canonical(pre, cyc):
@@ -732,10 +760,11 @@ def test_ranking_equals_reference_when_most_strategies_share_a_raw_word(mu, monk
         return canonical(pre, cyc)
 
     monkeypatch.setattr(mdp_module, "_reward_stream", lambda *args: walks.append(args))
+    monkeypatch.setattr(mdp_module, "_row", lambda *args: rows.append(args))
     monkeypatch.setattr(mdp_module, "_canonical", counted_canonical)
     result = best_periodic(preperiod_mdp(), mu, 3, 2)
     monkeypatch.undo()
-    assert walks == []
+    assert walks == [] and rows == []
     assert len(result.ranking) == 1216
     assert len(canonicalised) == len(set(canonicalised)) == 99
     assert_ranking_equals_reference(preperiod_mdp(), mu, 3, 2)
@@ -984,6 +1013,19 @@ def test_weights_and_checks_once_per_nonzero_cycle_length(monkeypatch):
     assert sorted(weights_asked) == sorted((L, q) for q, L in longest.items())
     assert sorted(integrated) == sorted(longest)
     assert len(longest) >= 2 and max(longest.values()) >= 3
+
+
+def test_ranking_is_exact_where_floats_tie():
+    """1/3 and 1/3 + 10**-30 are one float: a float key would leave their
+    order to the order of a set."""
+    low, high = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)
+    assert float(low) == float(high)
+    m = build_mdp(("s",), "s", {"s": ("a", "b")}, {("s", "a"): low, ("s", "b"): high},
+                  {("s", "a"): {"s": 1}, ("s", "b"): {"s": 1}})
+    r = best_periodic(m, Frequency(), 1, 0)
+    assert [(s.action("s"), v.exact_value) for s, v in r.ranking] == [
+        ("b", Fraction(1000000000000000000000000000003, 3000000000000000000000000000000)),
+        ("a", low)]
 
 
 def test_best_periodic_under_frequency():
