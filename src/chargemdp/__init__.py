@@ -1,8 +1,7 @@
 """Exact-arithmetic MDP payoffs under finitely additive aggregation charges."""
 
-from .blackwell import (BETA, Poly, RationalFunction, average_value,
-                        blackwell_policy, discounted_value, discounted_value_at,
-                        sign_near_one)
+from .blackwell import (Poly, RationalFunction, average_value, blackwell_policy,
+                        discounted_value, discounted_value_at, sign_near_one)
 from .charges import (Charge, CValue, DyadicLimit, Frequency, Geometric,
                       IllFormedRestrict, Mix, PointMass, Restrict, integrate,
                       is_diffuse, sandwich_check, value)

@@ -203,10 +203,6 @@ class Poly:
                     out[i + j] += a * b
         return Poly.of(*out)
 
-    def scaled(self, k) -> "Poly":
-        k = Fraction(k)
-        return Poly.of(*(k * c for c in self.coeffs))
-
     def evaluate(self, x) -> Fraction:
         """Horner over the integers: with x = p/q and the coefficients over
         their lcm d, d * q^deg * self(x) is an integer; one Fraction at the end."""
@@ -221,14 +217,6 @@ class Poly:
             scale *= q
             acc = acc * p + c * scale
         return Fraction(acc, d * scale)
-
-    def at_one_minus_eps(self) -> "Poly":
-        """The polynomial p(1 - e) as a polynomial in e."""
-        t = Poly.of(1, -1)
-        out = Poly(())
-        for c in reversed(self.coeffs):
-            out = out * t + Poly.of(c)
-        return out
 
     def leading_sign_at_one(self) -> int:
         """Sign of the lowest-order nonzero coefficient of p(1 - e)."""
@@ -330,9 +318,6 @@ def _reduced(num: list[int], den: list[int], packed: tuple[int, int] | None = No
     lead = den[-1]
     return RationalFunction(Poly(tuple(Fraction(c, lead) for c in num)),
                             Poly(tuple(Fraction(c, lead) for c in den)))
-
-
-BETA = RationalFunction.of(Poly.of(0, 1))
 
 
 def sign_near_one(f: RationalFunction) -> int:

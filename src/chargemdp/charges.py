@@ -22,10 +22,10 @@ halving walk M, contract(M, 2), contract(M, 4), ... which
 
 ``_eval`` gives every charge's one exact value as an integer pair
 (numerator, denominator), the denominator positive and the pair not
-necessarily reduced; ``value`` and ``integrate`` reduce once, into one
-``Fraction`` per answer.  A ``Restrict`` recurses through ``_eval`` with
-the query's one memo, so each window is measured once per query however
-deep the restrictions nest.
+necessarily reduced; ``value`` and ``integrate`` reduce once, into the
+one ``Fraction`` a ``CValue`` holds.  A ``Restrict`` recurses through
+``_eval`` with the query's one memo, so each window is measured once per
+query however deep the restrictions nest.
 
 ``Geometric(n/d)`` is one integer closed form.  For a set with
 preperiod m and period p it is
@@ -44,7 +44,7 @@ per distinct stream instead of a level-set integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -134,42 +134,32 @@ def is_diffuse(mu: Charge) -> bool:
 
 @dataclass(frozen=True)
 class CValue:
-    """Result of a charge query: a nonempty finite set of exact rationals.
+    """The exact value of a charge query: one ``Fraction``.
 
-    Every query of this library returns one candidate (``is_exact``).
-    Several candidates, with ``cycle`` as a non-identity annotation,
-    arise only when a caller builds them.
+    ``candidates``, ``low`` and ``is_exact`` are read-only views of that
+    value.  A CValue equals only a CValue, never a bare ``Fraction``.
     """
 
-    candidates: frozenset[Fraction]
-    cycle: tuple[Fraction, ...] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("CValue needs at least one candidate")
+    exact_value: Fraction
 
     @classmethod
     def exact(cls, q) -> "CValue":
-        return cls(frozenset({q if type(q) is Fraction else Fraction(q)}))
+        return cls(q if type(q) is Fraction else Fraction(q))
 
     @property
-    def is_exact(self) -> bool:
-        return len(self.candidates) == 1
-
-    @property
-    def exact_value(self) -> Fraction:
-        if not self.is_exact:
-            raise ValueError(f"value is ambiguous: {self}")
-        return next(iter(self.candidates))
+    def candidates(self) -> frozenset[Fraction]:
+        return frozenset({self.exact_value})
 
     @property
     def low(self) -> Fraction:
-        return min(self.candidates)
+        return self.exact_value
+
+    @property
+    def is_exact(self) -> bool:
+        return True
 
     def __str__(self) -> str:
-        if self.is_exact:
-            return str(self.exact_value)
-        return "{" + ", ".join(str(q) for q in sorted(self.candidates)) + "}"
+        return str(self.exact_value)
 
 
 def _horner(word: int, length: int, n: int, d: int) -> int:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .charges import CValue, DyadicLimit, Frequency, Geometric, Mix, Restrict, value
+from .charges import DyadicLimit, Frequency, Geometric, Mix, Restrict, value
 from .mdp import (Mdp, PeriodicMarkovStrategy, _primitive_cycles, build_mdp,
                   payoff, periodic, stationary)
 from .periodic_sets import _tail_bits, arithmetic, difference, multiples, odds, union
@@ -193,12 +193,10 @@ def verify_lower_bounds(n_max: int) -> VerificationReport:
     for n in range(1, n_max + 1):
         q = 2 ** n
         got = payoff(mdp, block_strategy(n), mu, max_horizon=2 * q + 8)
-        rows.append(_row(f"block-{n}-payoff", CValue.exact(1 - Fraction(1, q)), got))
+        rows.append(_row(f"block-{n}-payoff", 1 - Fraction(1, q), got))
         kept = difference(odds(), arithmetic(q - 1, q))
-        rows.append(_row(f"block-{n}-odd-part",
-                         CValue.exact(1 - Fraction(2, q)), value(odd_part, kept)))
-        rows.append(_row(f"block-{n}-dyadic-part",
-                         CValue.exact(1), value(DyadicLimit(), multiples(q))))
+        rows.append(_row(f"block-{n}-odd-part", 1 - Fraction(2, q), value(odd_part, kept)))
+        rows.append(_row(f"block-{n}-dyadic-part", 1, value(DyadicLimit(), multiples(q))))
     return VerificationReport("lower-bounds", tuple(rows))
 
 
@@ -318,16 +316,13 @@ def verify_no_stationary_optimum() -> VerificationReport:
     mdp = even_or_odd_mdp()
     mu = sparse_block_charge()
     rows = [
-        _row("mass-on-4n-3", CValue.exact(Fraction(1, 2)),
-             value(mu, arithmetic(1, 4))),
-        _row("mass-on-4n", CValue.exact(Fraction(1, 2)),
-             value(mu, arithmetic(4, 4))),
-        _row("mass-on-window", CValue.exact(1), value(mu, mu.window)),
-        _row("alternating-payoff", CValue.exact(1),
-             payoff(mdp, alternating_strategy(), mu)),
+        _row("mass-on-4n-3", Fraction(1, 2), value(mu, arithmetic(1, 4))),
+        _row("mass-on-4n", Fraction(1, 2), value(mu, arithmetic(4, 4))),
+        _row("mass-on-window", 1, value(mu, mu.window)),
+        _row("alternating-payoff", 1, payoff(mdp, alternating_strategy(), mu)),
     ]
     for q in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
-        rows.append(_row(f"stationary-{q}-payoff", CValue.exact(Fraction(1, 2)),
+        rows.append(_row(f"stationary-{q}-payoff", Fraction(1, 2),
                          payoff(mdp, top_probability(q), mu)))
     return VerificationReport("no-stationary-optimum", tuple(rows))
 
@@ -338,12 +333,12 @@ def verify_late_switch(n_max: int) -> VerificationReport:
     _check_bounds(n_max=n_max)
     mdp = late_switch_mdp()
     mu = late_switch_charge()
-    rows = [_row("stay-forever", CValue.exact(1), payoff(mdp, stay_strategy(), mu))]
+    rows = [_row("stay-forever", 1, payoff(mdp, stay_strategy(), mu))]
     prev = None
     for n in range(1, n_max + 1):
         expected = Fraction(5, 4) - Fraction(1, 2 ** (n + 2))
         got = payoff(mdp, switch_at(n), mu)
-        rows.append(_row(f"switch-at-{n}", CValue.exact(expected), got))
+        rows.append(_row(f"switch-at-{n}", expected, got))
         if prev is not None:
             gain = got.exact_value - prev
             rows.append(_row(f"switch-gain-{n - 1}",

@@ -437,11 +437,15 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     if max_period < 1 or max_preperiod < 0:
         raise ValueError("search bounds need max_period >= 1 and max_preperiod >= 0, "
                          f"got {max_period} and {max_preperiod}")
-    bounds = [(L, q) for L in range(max_preperiod + 1) for q in range(1, max_period + 1)]
     per_phase = prod(len(acts) for acts in mdp.actions)
-    total = sum(per_phase ** (L + q) for L, q in bounds)
+    # partial sums in bound order: with two or more rows per phase the terms
+    # grow geometrically, so a huge request passes the cap within a few of them
+    sums = itertools.accumulate(per_phase ** (L + q) for L in range(max_preperiod + 1)
+                                for q in range(1, max_period + 1))
+    total = ((max_preperiod + 1) * max_period if per_phase == 1  # one strategy per shape
+             else next((t for t in sums if t > cap), 0))
     if total > cap:  # before anything is built: rows alone has per_phase entries
-        raise BudgetExceeded(f"{total} raw strategies exceeds cap {cap}")
+        raise BudgetExceeded(f"at least {total} raw strategies exceeds cap {cap}")
     rows = list(itertools.product(*(range(len(acts)) for acts in mdp.actions)))
     by_name = sorted(range(len(mdp.states)), key=mdp.states.__getitem__)
     choices = [[(s, ((a, _ONE),)) for a in acts]
@@ -452,7 +456,7 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     new = tuple.__new__  # the named tuple's own __new__ is one more Python call per strategy
     return rows, ((L, q, [(pre + c, new(PeriodicMarkovStrategy, (L, q, head + tail)))
                           for c, tail in cycles[q] if not L or c[-1] != pre[-1]])
-                  for L, q in bounds
+                  for L in range(max_preperiod + 1) for q in range(1, max_period + 1)
                   for pre in itertools.product(range(len(rows)), repeat=L)
                   for head in [tuple([named[k] for k in pre])])
 
@@ -505,8 +509,8 @@ def _word_values(mu: Charge, words: list, checks: dict) -> list[tuple[int, int]]
     values = [(0, 1) if word == _ZERO_WORD else _dot_value(word, *weights[len(word[1])])
               for word in words]
     for q, (k, f) in checks.items():
-        level, got = integrate(mu, f), Fraction(*values[k])
-        if level != CValue.exact(got):
+        level, got = integrate(mu, f).exact_value, Fraction(*values[k])
+        if level != got:
             raise ArithmeticError(f"stage weights of shape {(longest[q], q)} give {got}, "
                                   f"level sets give {level}")
     return values

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from chargemdp import blackwell as blackwell_module
 from chargemdp import mdp as mdp_module
-from chargemdp.blackwell import (BETA, Poly, PoleAtOne, RationalFunction,
+from chargemdp.blackwell import (Poly, PoleAtOne, RationalFunction,
                                  _bareiss_at, _int_gcd, _norm, _order_at_one,
                                  _packed_cofactors, _packed_cramer,
                                  _packed_order, _policy_choice, _reduced,
@@ -25,6 +25,20 @@ from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
+
+BETA = RationalFunction.of(Poly.of(0, 1))  # the discount factor b itself
+
+
+def scaled(p, k):
+    return Poly.of(*(Fraction(k) * c for c in p.coeffs))
+
+
+def at_one_minus_eps(p):
+    """The polynomial p(1 - e) as a polynomial in e."""
+    out = Poly(())
+    for c in reversed(p.coeffs):
+        out = out * Poly.of(1, -1) + Poly.of(c)
+    return out
 
 
 # ---- polynomials ---------------------------------------------------------
@@ -80,7 +94,7 @@ def poly_gcd(a, b):
 
 
 def _monic(p):
-    return p.scaled(1 / p.coeffs[-1]) if not p.is_zero else p
+    return scaled(p, 1 / p.coeffs[-1]) if not p.is_zero else p
 
 
 @given(polys, polys)
@@ -189,14 +203,14 @@ def test_packed_gcd_below_the_bound_falls_back():
     want_num = _ref_divmod(Poly.of(*num), g)[0]
     want_den = _ref_divmod(Poly.of(*den), g)[0]
     lead = want_den.coeffs[-1]
-    assert (f.num, f.den) == (want_num.scaled(1 / lead), want_den.scaled(1 / lead))
+    assert (f.num, f.den) == (scaled(want_num, 1 / lead), scaled(want_den, 1 / lead))
 
 
 @given(polys)
 def test_at_one_minus_eps(p):
     # substituting b = 1 - e then evaluating at e must recover p(1 - e)
     for e in (Fraction(0), Fraction(1, 3), Fraction(-2)):
-        assert p.at_one_minus_eps().evaluate(e) == p.evaluate(1 - e)
+        assert at_one_minus_eps(p).evaluate(e) == p.evaluate(1 - e)
 
 
 def test_leading_sign_at_one():
@@ -209,7 +223,7 @@ def test_leading_sign_at_one():
 @given(polys)
 def test_leading_sign_at_one_matches_expansion(p):
     # reference: the first nonzero coefficient of p(1 - e)
-    first = next((c for c in p.at_one_minus_eps().coeffs if c), 0)
+    first = next((c for c in at_one_minus_eps(p).coeffs if c), 0)
     assert p.leading_sign_at_one() == (first > 0) - (first < 0)
 
 
@@ -411,6 +425,30 @@ def test_blackwell_policy_dominates(seed):
         w = discounted_value(m, other)
         for s in m.states:
             assert sign_near_one(v[s] - w[s]) >= 0
+
+
+def _sweep_draws():
+    """Ten random 4-state, 3-action MDPs, each followed by a discount
+    factor 1 - 10**-k, k = 2..6, drawn from one generator in that order."""
+    rng = random.Random(20260823)
+    betas = [1 - Fraction(1, 10 ** k) for k in range(2, 7)]
+    for _ in range(10):
+        m = random_mdp(rng, n_states=4, n_actions=3)
+        yield m, rng.choice(betas)
+
+
+@pytest.mark.parametrize("m, beta", _sweep_draws(), ids=range(10))
+def test_blackwell_policy_dominates_4x3(m, beta):
+    # each pure stationary rival is compared at every state, 3240 in all;
+    # the symbolic value must also match the numeric solve at beta
+    pi = blackwell_policy(m)
+    v = discounted_value(m, pi)
+    for other in enumerate_pure_stationary(m):
+        w = discounted_value(m, other)
+        for s in m.states:
+            assert sign_near_one(v[s] - w[s]) >= 0
+    at = discounted_value_at(m, pi, beta)
+    assert all(v[s].evaluate(beta) == at[s] for s in m.states)
 
 
 @pytest.mark.parametrize("solve", [

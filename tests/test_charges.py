@@ -41,27 +41,14 @@ def exact(mu, s) -> Fraction:
 # ---- CValue --------------------------------------------------------------
 
 def test_cvalue_exact():
-    v = CValue.exact(Fraction(3, 4))
-    assert v.is_exact and v.exact_value == Fraction(3, 4)
-    assert v.low == max(v.candidates) == Fraction(3, 4)
-    assert str(v) == "3/4"
-
-
-def test_cvalue_ambiguous():
-    v = CValue(frozenset({Fraction(0), Fraction(1, 2)}), cycle=(Fraction(0), Fraction(1, 2)))
-    assert not v.is_exact
-    assert v.low == 0 and max(v.candidates) == Fraction(1, 2)
-    assert str(v) == "{0, 1/2}"
-    with pytest.raises(ValueError):
-        v.exact_value
-    with pytest.raises(ValueError):
-        CValue(frozenset())
-
-
-def test_cvalue_cycle_not_part_of_identity():
-    a = CValue(frozenset({Fraction(0), Fraction(1)}), cycle=(Fraction(0), Fraction(1)))
-    b = CValue(frozenset({Fraction(0), Fraction(1)}), cycle=(Fraction(1), Fraction(0)))
-    assert a == b
+    x = Fraction(3, 4)
+    v = CValue.exact(x)
+    assert v.is_exact and v.exact_value == x
+    assert v.candidates == {x} and v.low == x
+    assert str(v) == "3/4" and repr(v) == "CValue(exact_value=Fraction(3, 4))"
+    assert CValue.exact(1) == CValue.exact(Fraction(1))
+    assert hash(CValue.exact(1)) == hash(CValue.exact(Fraction(1)))
+    assert v != x and v != (x,)
 
 
 # ---- constructor validation ----------------------------------------------
@@ -339,11 +326,6 @@ def test_integrate_ignores_zero_level():
 # per level set, and the geometric charge summed residue by residue over
 # Fractions.
 
-class AmbiguousBase(ValueError):
-    """The reference's error for a restriction whose base has several
-    values on the queried set; the library's queries have one value."""
-
-
 def ref_geometric_value(beta: Fraction, s) -> Fraction:
     total = Fraction(0)
     for i in range(1, s.pre_len + 1):
@@ -374,15 +356,11 @@ def ref_eval(mu, s, dyadic_vals) -> Fraction:
     if isinstance(mu, DyadicLimit):
         return next(dyadic_vals)
     if isinstance(mu, Restrict):
-        base_on_window = ref_value(mu.base, mu.window)
-        if not base_on_window.is_exact or base_on_window.exact_value <= 0:
+        base_on_window = ref_value(mu.base, mu.window).exact_value
+        if base_on_window <= 0:
             raise IllFormedRestrict(
                 f"restriction window has base measure {base_on_window}")
-        num = ref_value(mu.base, intersect(s, mu.window))
-        if not num.is_exact:
-            raise AmbiguousBase(
-                f"restriction base is ambiguous on the queried set: {num}")
-        return num.exact_value / base_on_window.exact_value
+        return ref_value(mu.base, intersect(s, mu.window)).exact_value / base_on_window
     if isinstance(mu, Mix):
         return sum((w * ref_eval(c, s, dyadic_vals) for w, c in mu.parts), Fraction(0))
     raise TypeError(f"not a charge expression: {mu!r}")
@@ -397,11 +375,9 @@ def ref_resolve(evaluate, targets) -> CValue:
         seen[state] = len(vals)
         vals.append(evaluate(iter(density(c) for c in state)))
         state = tuple(contract(c, 2) for c in state)
-    cyc = tuple(vals[seen[state]:])
-    cands = frozenset(cyc)
-    if len(cands) == 1:
-        return CValue.exact(next(iter(cands)))
-    return CValue(cands, cycle=cyc)
+    cands = set(vals[seen[state]:])
+    assert len(cands) == 1, f"dyadic cycle holds {sorted(cands)}"
+    return CValue.exact(cands.pop())
 
 
 def ref_value(mu, s) -> CValue:
@@ -421,13 +397,12 @@ def ref_integrate(mu, f) -> CValue:
 
 
 def outcome(query, *args):
-    """The candidates and cycle of a query, or the type and message of
-    the error it raises."""
+    """The value of a query, or the type and message of the error it
+    raises."""
     try:
-        got = query(*args)
-    except (IllFormedRestrict, AmbiguousBase) as exc:
+        return query(*args)
+    except IllFormedRestrict as exc:
         return type(exc), str(exc)
-    return got.candidates, got.cycle
 
 
 BETAS = st.fractions(min_value="1/20", max_value="19/20", max_denominator=20)
@@ -533,7 +508,7 @@ def pair_outcome(mu, s):
 def ref_outcome(mu, s):
     try:
         return ref_value(mu, s).exact_value
-    except (IllFormedRestrict, AmbiguousBase) as exc:
+    except IllFormedRestrict as exc:
         return type(exc), str(exc)
 
 
