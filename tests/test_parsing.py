@@ -1,5 +1,6 @@
 """Text grammars: round trips, precedence, file formats, error positions."""
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -484,3 +485,39 @@ def test_parsers_return_or_raise_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+# ---- outcome pin: every one-character edit of the valid inputs ------------
+
+PIN_CHARS = "0(\n#²@"  # a digit, punctuation, a newline, a comment, a No digit, a bad character
+PIN_DIGEST = "a39204372e5de221bbd79ead50db3e59b43f96a2e32328f53118bb5d679fd2c8"
+
+
+def one_char_edits(text, chars):
+    for i in range(len(text) + 1):
+        for ch in chars:
+            yield text[:i] + ch + text[i:]
+    for i in range(len(text)):
+        yield text[:i] + text[i + 1:]
+        for ch in chars:
+            if ch != text[i]:
+                yield text[:i] + ch + text[i + 1:]
+
+
+def outcome(parse, text) -> str:
+    """The parsed value's repr, or the error's (line, col, message)."""
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return repr((err.line, err.col, err.message))
+
+
+def test_parse_outcomes_of_one_char_edits_are_pinned():
+    """6633 texts through all six parsers; the digest is the same on
+    Python 3.10-3.13 and under any PYTHONHASHSEED."""
+    h = hashlib.sha256()
+    for valid in VALID_INPUTS:
+        for text in one_char_edits(valid, PIN_CHARS):
+            for parse in PARSERS:
+                h.update(outcome(parse, text).encode() + b"\0")
+    assert h.hexdigest() == PIN_DIGEST
