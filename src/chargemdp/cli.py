@@ -23,8 +23,11 @@ from .parsing import (ParseError, parse_charge, parse_mdp, parse_set,
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
 
 
 def _cmd_density(args) -> int:

@@ -1,13 +1,14 @@
 r"""Text grammars: set and charge expressions, stream literals, MDP and
-strategy files.  All parsers are recursive descent over one token list;
+strategy files.  All parsers are recursive descent over one word list;
 errors carry line/column positions.
 
-``tokenize`` makes one regular-expression match per token, the blanks
-and comments before it included, with a group per token kind:
-``INT`` is ``\d+`` (decimal digits), ``NAME`` is ``[^\W\d]\w*``,
-``PUNCT`` is one of ``()[]{}|&!,:;/=-``; newlines, blanks (space, tab,
-CR) and ``#`` comments (to the end of the line) separate tokens, and any
-other character is a ``ParseError``.
+One regular expression splits the text into token texts, skipping the
+newlines, blanks (space, tab, CR) and ``#`` comments (to the end of the
+line) between them: ``\d+`` (decimal digits), ``[^\W\d]\w*`` or one of
+``()[]{}|&!,:;/=-``, and ``""`` at the end.  The parser reads only the
+texts; a token's kind comes from its first character (punctuation, a
+decimal digit, else a name).  Line and column are computed only when an
+error is raised, by ``tokenize``; any other character is a ``ParseError``.
 
 Set and charge expressions nest at most ``MAX_NESTING`` (100) levels
 deep.  A parenthesis, a ``!``, a ``mix`` and a constructor's argument
@@ -49,31 +50,34 @@ class Token(NamedTuple):
     col: int
 
 
-# One match per token, the blanks and comments before it included.  The
-# token group matches any character, so a match without it is the end of
-# the text, and the greedy blanks never give a character back.
-_TOKEN = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(?:(\d+)|([^\W\d]\w*)|([()\[\]{}|&!,:;/=-])|(\n)|(.))?")
-_KINDS = (None, "INT", "NAME", "PUNCT")  # by group; group 4 is a newline, 5 a bad character
+# One match per word, the blanks and comments before it included.  The
+# group never fails, so the greedy blanks never give a character back; a
+# character that starts no token takes the rest of the text with it.
+_WORD = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|[^\W\d]\w*|[()\[\]{}|&!,:;/=-]|(?s:.+)|)")
+_PUNCT = frozenset("()[]{}|&!,:;/=-")
+_BAD = re.compile(r"[^\w()\[\]{}|&!,:;/=-]")  # a character that starts no token
 
 
 def tokenize(text: str) -> list[Token]:
-    out, make = [], Token._make
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        k = m.lastindex
-        if k is None:
+    out = []
+    line, line_start, last = 1, 0, 0
+    for m in _WORD.finditer(text):
+        word, start = m.group(1), m.start(1)
+        if not word:
             break
-        if k == 4:
-            line, line_start = line + 1, m.end()
-        elif k == 5:
-            raise ParseError(f"unexpected character {m.group(5)!r}",
-                             line, m.start(5) - line_start + 1)
-        else:
-            out.append(make((_KINDS[k], m.group(k), line, m.start(k) - line_start + 1)))
+        line += text.count("\n", last, start)
+        line_start = max(line_start, text.rfind("\n", last, start) + 1)
+        if _BAD.match(word):
+            raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
+        kind = "PUNCT" if word in _PUNCT else "INT" if word.isdecimal() else "NAME"
+        out.append(Token(kind, word, line, start - line_start + 1))
+        last = m.end()
     # END sits just past the last character outside a comment; a '#' on
     # the last line can only start a comment that runs to the end
+    line_start = text.rfind("\n") + 1
     stop = text.find("#", line_start)
-    out.append(Token("END", "", line, (len(text) if stop < 0 else stop) - line_start + 1))
+    out.append(Token("END", "", text.count("\n") + 1,
+                     (len(text) if stop < 0 else stop) - line_start + 1))
     return out
 
 
@@ -81,58 +85,65 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Reads ``words``, the token texts; ``pos`` is the index of the next."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.words = words = _WORD.findall(text)
+        if len(words) > 1:  # a bad character's word runs to the end
+            if _BAD.match(words[-2]):
+                tokenize(text)  # raises at the bad character
+            if not words[-2]:
+                words.pop()  # blanks or a comment end the text
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.words[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, message: str, i: int) -> ParseError:
+        """A ``ParseError`` at word ``i``, placed by ``tokenize``."""
+        tok = tokenize(self.text)[i]
+        return ParseError(message, tok.line, tok.col)
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise self.error(message, self.pos)
 
-    def nest(self, tok: Token) -> None:
-        """Open one nesting level at ``tok``; the caller closes it."""
+    def nest(self, i: int) -> None:
+        """Open one nesting level at word ``i``; the caller closes it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", i)
 
-    def build(self, tok: Token, fn, *args):
-        """``fn(*args)``, with a ``ValueError`` it raises reported at ``tok``."""
+    def build(self, i: int, fn, *args):
+        """``fn(*args)``, with a ``ValueError`` it raises reported at word ``i``."""
         try:
             return fn(*args)
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            raise self.error(str(exc), i) from None
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != text:
-            self.fail(f"expected {text!r}, got {tok.text!r}" if tok.text
+    def expect_punct(self, text: str) -> None:
+        word = self.words[self.pos]
+        if word != text:
+            self.fail(f"expected {text!r}, got {word!r}" if word
                       else f"expected {text!r}, got end of input")
-        return self.next()
+        self.pos += 1
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        return self.words[self.pos] == text
 
     def take_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.next()
+        if self.words[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
     def expect_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            self.fail(f"expected a name, got {tok.text!r}")
-        return self.next().text
+        word = self.words[self.pos]
+        if not word or word in _PUNCT or word.isdecimal():
+            self.fail(f"expected a name, got {word!r}")
+        self.pos += 1
+        return word
 
     def expect_word(self, word: str, message: str) -> None:
         if self.expect_name() != word:
@@ -140,19 +151,23 @@ class _Parser:
 
     def expect_id(self) -> str:
         """State and action identifiers may be words or bare numbers."""
-        tok = self.peek()
-        if tok.kind not in ("NAME", "INT"):
-            self.fail(f"expected an identifier, got {tok.text!r}")
-        return self.next().text
+        word = self.words[self.pos]
+        if not word or word in _PUNCT:
+            self.fail(f"expected an identifier, got {word!r}")
+        self.pos += 1
+        return word
 
     def at_id(self) -> bool:
-        return self.peek().kind in ("NAME", "INT")
+        word = self.words[self.pos]
+        return word != "" and word not in _PUNCT
 
     def expect_nat(self) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
-            self.fail(f"expected a number, got {tok.text!r}")
-        return self.build(tok, int, self.next().text)  # int() has a digit limit
+        i = self.pos
+        word = self.words[i]
+        if not word.isdecimal():
+            self.fail(f"expected a number, got {word!r}")
+        self.pos = i + 1
+        return self.build(i, int, word)  # int() has a digit limit
 
     def expect_int(self) -> int:
         neg = self.take_punct("-")
@@ -169,28 +184,28 @@ class _Parser:
         return Fraction(num)
 
     def expect_end(self):
-        if self.peek().kind != "END":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        if self.words[self.pos]:
+            self.fail(f"unexpected trailing input {self.words[self.pos]!r}")
 
     def call(self, table: dict, what: str):
         """``<name>`` or ``<name>(<arg>, ...)``; ``table`` maps each name to
         its constructor and one parser method per argument."""
-        tok = self.peek()
+        i = self.pos
         entry = table.get(self.expect_name())
         if entry is None:
-            raise ParseError(f"unknown {what} constructor {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"unknown {what} constructor {self.words[i]!r}", i)
         fn, rules = entry
         args = []
         if rules:
-            self.nest(tok)
+            self.nest(i)
             self.expect_punct("(")
-            for i, rule in enumerate(rules):
-                if i:
+            for k, rule in enumerate(rules):
+                if k:
                     self.expect_punct(",")
                 args.append(rule(self))
             self.expect_punct(")")
             self.depth -= 1
-        return self.build(tok, fn, *args)
+        return self.build(i, fn, *args)
 
     # ---- set expressions -------------------------------------------------
 
@@ -207,12 +222,12 @@ class _Parser:
         return left
 
     def set_factor(self) -> EventuallyPeriodicSet:
-        tok = self.peek()
+        i = self.pos
         if self.take_punct("!"):
-            self.nest(tok)
+            self.nest(i)
             out = ps.complement(self.set_factor())
         elif self.take_punct("("):
-            self.nest(tok)
+            self.nest(i)
             out = self.set_expr()
             self.expect_punct(")")
         else:
@@ -223,11 +238,11 @@ class _Parser:
     # ---- charge expressions ----------------------------------------------
 
     def charge_expr(self) -> Charge:
-        tok = self.peek()
-        if tok.text != "mix":  # only a NAME token can read "mix"
+        i = self.pos
+        if self.words[i] != "mix":
             return self.call(_CHARGES, "charge")
-        self.next()
-        self.nest(tok)
+        self.pos += 1
+        self.nest(i)
         self.expect_punct("(")
         parts = []
         while not parts or self.take_punct(","):
@@ -236,20 +251,20 @@ class _Parser:
             parts.append((w, self.charge_expr()))
         self.expect_punct(")")
         self.depth -= 1
-        return self.build(tok, Mix, tuple(parts))
+        return self.build(i, Mix, tuple(parts))
 
     # ---- stream literals -------------------------------------------------
 
     def stream_literal(self) -> RationalStream:
-        tok = self.peek()
+        i = self.pos
         if self.expect_name() != "stream":
-            raise ParseError("expected 'stream'", tok.line, tok.col)
+            raise self.error("expected 'stream'", i)
         self.expect_punct("(")
         pre = self.rational_list()
         self.expect_punct(";")
         cyc = self.rational_list()
         self.expect_punct(")")
-        return self.build(tok, stream, pre, cyc)
+        return self.build(i, stream, pre, cyc)
 
     def rational_list(self) -> list[Fraction]:
         self.expect_punct("[")
@@ -260,6 +275,8 @@ class _Parser:
                 out.append(self.expect_rational())
         self.expect_punct("]")
         return out
+
+
 
 
 _SETS = {
@@ -279,10 +296,8 @@ _CHARGES = {
     "pointmass": (PointMass, (_Parser.expect_nat,)),
     "restrict": (Restrict, (_Parser.charge_expr, _Parser.set_expr)),
 }
-
-
 def _parse(text: str, rule):
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     out = rule(p)
     p.expect_end()
     return out
@@ -311,78 +326,74 @@ def parse_mdp(text: str) -> Mdp:
           action <action-id> reward <rational> goto <state-id>
           action <action-id> reward <rational> dist <s>:<q> [<s>:<q> ...]
     """
-    p = _Parser(tokenize(text))
-    if p.peek().kind != "NAME" or p.peek().text != "mdp":
+    p = _Parser(text)
+    words = p.words
+    if words[0] != "mdp":
         p.fail("expected 'mdp' header")
-    p.next()
-    initial = None  # the token of the initial state's identifier
+    p.pos = 1
+    initial = None  # the index of the initial state's identifier
     states: list[str] = []
     known: set[str] = set()
     actions: dict[str, list[str]] = {}
     rewards = {}
     transitions = {}
-    targets = []  # (token, state, action) of each transition target
+    targets = []  # (index, state, action) of each transition target
     current: str | None = None
-    while p.peek().kind != "END":
-        tok = p.peek()
+    while words[p.pos]:
+        i = p.pos
         word = p.expect_name()
         if word == "initial":
             if initial is not None:
-                raise ParseError("repeated 'initial' line", tok.line, tok.col)
-            initial = p.peek()
+                raise p.error("repeated 'initial' line", i)
+            initial = p.pos
             p.expect_id()
         elif word == "state":
             current = p.expect_id()
             if current in known:
-                raise ParseError(f"duplicate state {current!r}", tok.line, tok.col)
+                raise p.error(f"duplicate state {current!r}", i)
             states.append(current)
             known.add(current)
             actions[current] = []
         elif word == "action":
             if current is None:
-                raise ParseError("action before any state", tok.line, tok.col)
-            a_tok = p.peek()
+                raise p.error("action before any state", i)
             a = p.expect_id()
             if a in actions[current]:
-                raise ParseError(f"duplicate action {a!r} in state {current!r}",
-                                 a_tok.line, a_tok.col)
+                raise p.error(f"duplicate action {a!r} in state {current!r}", p.pos - 1)
             if p.expect_name() != "reward":
-                raise ParseError("expected 'reward'", tok.line, tok.col)
+                raise p.error("expected 'reward'", i)
             r = p.expect_rational()
-            kw_tok = p.peek()
+            kw_at = p.pos
             kw = p.expect_name()
             if kw == "goto":
-                targets.append((p.peek(), current, a))
+                targets.append((p.pos, current, a))
                 row = {p.expect_id(): _ONE}
             elif kw == "dist":
                 row = {}
                 # the next clause starts with one of the file keywords
-                while (p.at_id()
-                       and p.peek().text not in ("state", "action", "initial")):
-                    targets.append((p.peek(), current, a))
+                while p.at_id() and words[p.pos] not in ("state", "action", "initial"):
+                    targets.append((p.pos, current, a))
                     z = p.expect_id()
                     p.expect_punct(":")
                     q = p.expect_rational()
                     row[z] = row.get(z, Fraction(0)) + q
                 if not row:
-                    raise ParseError("empty distribution", kw_tok.line, kw_tok.col)
+                    raise p.error("empty distribution", kw_at)
             else:
-                raise ParseError(f"expected 'goto' or 'dist', got {kw!r}",
-                                 kw_tok.line, kw_tok.col)
+                raise p.error(f"expected 'goto' or 'dist', got {kw!r}", kw_at)
             actions[current].append(a)
             rewards[(current, a)] = r
             transitions[(current, a)] = row
         else:
-            raise ParseError(f"unexpected keyword {word!r}", tok.line, tok.col)
+            raise p.error(f"unexpected keyword {word!r}", i)
     if initial is None:
         p.fail("missing 'initial' line")
-    for tok, s, a in targets:
-        if tok.text not in known:
-            raise ParseError(f"transition from ({s!r}, {a!r}) to unknown state {tok.text!r}",
-                             tok.line, tok.col)
-    if initial.text not in known:
-        raise ParseError(f"unknown initial state {initial.text!r}", initial.line, initial.col)
-    return build_mdp(states, initial.text,
+    for i, s, a in targets:
+        if words[i] not in known:
+            raise p.error(f"transition from ({s!r}, {a!r}) to unknown state {words[i]!r}", i)
+    if words[initial] not in known:
+        raise p.error(f"unknown initial state {words[initial]!r}", initial)
+    return build_mdp(states, words[initial],
                      {s: tuple(v) for s, v in actions.items()}, rewards, transitions)
 
 
@@ -397,7 +408,7 @@ def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, str | dict
         p.fail(f"unknown state {s!r}")
     p.expect_punct(":")
     dist = {}
-    while p.at_id() and p.peek().text in acts[s]:
+    while p.at_id() and p.peek() in acts[s]:
         a = p.expect_id()
         if not p.take_punct(":"):
             if not dist:
@@ -414,8 +425,7 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     """``stationary { s: a ... }`` or
     ``periodic preperiod=<L> period=<q> { phase <k> state <s>: a ... }``.
     Omitted entries default to the first declared action."""
-    p = _Parser(tokenize(text))
-    kind_tok = p.peek()
+    p = _Parser(text)
     kind = p.expect_name()
     if kind == "stationary":
         L, q = 0, 1
@@ -427,25 +437,24 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
         p.expect_punct("=")
         q = p.expect_nat()
     else:
-        raise ParseError(f"expected 'stationary' or 'periodic', got {kind!r}",
-                         kind_tok.line, kind_tok.col)
+        raise p.error(f"expected 'stationary' or 'periodic', got {kind!r}", 0)
     acts = dict(zip(mdp.states, mdp.actions))
     rows = [{s: acts[s][0] for s in mdp.states} for _ in range(L + q)]
     p.expect_punct("{")
     while not p.at_punct("}"):
         k = 1
         if kind == "periodic":
-            tok = p.peek()
+            i = p.pos
             p.expect_word("phase", "expected 'phase'")
             k = p.expect_nat()
             if not 1 <= k <= L + q:
-                raise ParseError(f"phase {k} out of range 1..{L + q}", tok.line, tok.col)
+                raise p.error(f"phase {k} out of range 1..{L + q}", i)
             p.expect_word("state", "expected 'state'")
         s, dist = _cell(p, acts)
         rows[k - 1][s] = dist
     p.expect_punct("}")
-    out = (p.build(kind_tok, stationary, rows[0]) if kind == "stationary"
-           else p.build(kind_tok, periodic, rows[:L], rows[L:]))
+    out = (p.build(0, stationary, rows[0]) if kind == "stationary"
+           else p.build(0, periodic, rows[:L], rows[L:]))
     p.expect_end()
     return out
 

@@ -226,6 +226,26 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["mdp", "strategy"])
+def test_undecodable_file_exit_code(capsys, tmp_path, eo_mdp_file, bad):
+    strat = tmp_path / "top.strategy"
+    strat.write_text("stationary { 1: T }")
+    path = {"mdp": tmp_path / "eo.mdp", "strategy": strat}[bad]
+    path.write_bytes(path.read_bytes() + b"\xe9\n")
+    assert run(["mdp-eval", "--mdp", str(eo_mdp_file), "--strategy", str(strat),
+                "--charge", "frequency"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_mdp_file_in_blackwell_exit_code(capsys, tmp_path):
+    path = tmp_path / "latin1.mdp"
+    path.write_bytes(b"\xe9")
+    assert run(["blackwell", "--mdp", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec")
+
+
 @pytest.mark.parametrize("command", ["search", "mdp-eval"])
 def test_invalid_mdp_exit_code(capsys, tmp_path, command):
     mdp = tmp_path / "half.mdp"

@@ -521,3 +521,24 @@ def test_parse_outcomes_of_one_char_edits_are_pinned():
             for parse in PARSERS:
                 h.update(outcome(parse, text).encode() + b"\0")
     assert h.hexdigest() == PIN_DIGEST
+
+
+# ---- the parser's words are the token texts --------------------------------
+
+# a No digit, a letter, a \d digit, a vertical tab, a no-break space
+mixed_texts = st.lists(st.one_of(ascii_texts, st.sampled_from("²é١\x0b\u00a0")),
+                       max_size=6).map("".join)
+
+
+@given(st.one_of(ascii_texts, mixed_texts))
+def test_parser_words_are_the_token_texts(text):
+    try:
+        tokens = tokenize(text)
+    except ParseError as tok_err:
+        for parse in PARSERS:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.col, err.value.message) == \
+                (tok_err.line, tok_err.col, tok_err.message)
+    else:
+        assert _Parser(text).words == [t.text for t in tokens]
