@@ -277,8 +277,6 @@ class _Parser:
         return out
 
 
-
-
 _SETS = {
     "odds": (ps.odds, ()),
     "evens": (ps.evens, ()),
@@ -296,6 +294,8 @@ _CHARGES = {
     "pointmass": (PointMass, (_Parser.expect_nat,)),
     "restrict": (Restrict, (_Parser.charge_expr, _Parser.set_expr)),
 }
+
+
 def _parse(text: str, rule):
     p = _Parser(text)
     out = rule(p)

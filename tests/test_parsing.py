@@ -121,6 +121,15 @@ def test_tokenize_end_after_trailing_comment():
     assert tokenize("odds # c\n")[-1] == Token("END", "", 2, 1)
 
 
+def test_bad_character_in_an_accepted_last_word():
+    # a state with no actions can end an MDP file, so no later error
+    # reports the character
+    with pytest.raises(ParseError) as err:
+        parse_mdp("mdp\ninitial a\nstate a\n  action x reward 0 goto a\nstate @\n# c")
+    assert (err.value.line, err.value.col, err.value.message) == \
+        (5, 7, "unexpected character '@'")
+
+
 @pytest.mark.parametrize("parse, text", [
     (parse_set, "multiples(²)"), (parse_set, "ap(1,²)"), (parse_charge, "geometric(²/3)"),
     (parse_charge, "pointmass(²)"), (parse_stream, "stream([²];[1])"), (parse_rational, "²"),
