@@ -433,6 +433,8 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     the cycle's last.  So the primitive cycles of each length, and their
     named rows, are built once, and each preperiod tuple is followed by
     those of them with another last row: no tuple is built to be dropped.
+    With one row (every state has one action) only shape (0, 1) holds a
+    canonical strategy, and only its group is built and yielded.
     """
     if max_period < 1 or max_preperiod < 0:
         raise ValueError("search bounds need max_period >= 1 and max_preperiod >= 0, "
@@ -446,6 +448,8 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
              else next((t for t in sums if t > cap), 0))
     if total > cap:  # before anything is built: rows alone has per_phase entries
         raise BudgetExceeded(f"at least {total} raw strategies exceeds cap {cap}")
+    if per_phase == 1:  # a longer cycle is a power of (0,); a preperiod ends in its row
+        max_period, max_preperiod = 1, 0
     rows = list(itertools.product(*(range(len(acts)) for acts in mdp.actions)))
     by_name = sorted(range(len(mdp.states)), key=mdp.states.__getitem__)
     choices = [[(s, ((a, _ONE),)) for a in acts]

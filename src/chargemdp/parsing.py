@@ -7,8 +7,9 @@ newlines, blanks (space, tab, CR) and ``#`` comments (to the end of the
 line) between them: ``\d+`` (decimal digits), ``[^\W\d]\w*`` or one of
 ``()[]{}|&!,:;/=-``, and ``""`` at the end.  The parser reads only the
 texts; a token's kind comes from its first character (punctuation, a
-decimal digit, else a name).  Line and column are computed only when an
-error is raised, by ``tokenize``; any other character is a ``ParseError``.
+decimal digit, else a name).  Any other character is a ``ParseError``.
+Line and column are computed only when an error is raised, by matching
+the same expression again up to the word at fault.
 
 Set and charge expressions nest at most ``MAX_NESTING`` (100) levels
 deep.  A parenthesis, a ``!``, a ``mix`` and a constructor's argument
@@ -23,9 +24,9 @@ constructor's ``ValueError`` as a ``ParseError`` at its token.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import periodic_sets as ps
 from .charges import (Charge, DyadicLimit, Frequency, Geometric, Mix, PointMass,
@@ -43,43 +44,12 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-class Token(NamedTuple):
-    kind: str  # NAME | INT | PUNCT | END
-    text: str
-    line: int
-    col: int
-
-
 # One match per word, the blanks and comments before it included.  The
 # group never fails, so the greedy blanks never give a character back; a
 # character that starts no token takes the rest of the text with it.
 _WORD = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|[^\W\d]\w*|[()\[\]{}|&!,:;/=-]|(?s:.+)|)")
 _PUNCT = frozenset("()[]{}|&!,:;/=-")
 _BAD = re.compile(r"[^\w()\[\]{}|&!,:;/=-]")  # a character that starts no token
-
-
-def tokenize(text: str) -> list[Token]:
-    out = []
-    line, line_start, last = 1, 0, 0
-    for m in _WORD.finditer(text):
-        word, start = m.group(1), m.start(1)
-        if not word:
-            break
-        line += text.count("\n", last, start)
-        line_start = max(line_start, text.rfind("\n", last, start) + 1)
-        if _BAD.match(word):
-            raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
-        kind = "PUNCT" if word in _PUNCT else "INT" if word.isdecimal() else "NAME"
-        out.append(Token(kind, word, line, start - line_start + 1))
-        last = m.end()
-    # END sits just past the last character outside a comment; a '#' on
-    # the last line can only start a comment that runs to the end
-    line_start = text.rfind("\n") + 1
-    stop = text.find("#", line_start)
-    out.append(Token("END", "", text.count("\n") + 1,
-                     (len(text) if stop < 0 else stop) - line_start + 1))
-    return out
-
 
 MAX_NESTING = 100
 
@@ -92,7 +62,7 @@ class _Parser:
         self.words = words = _WORD.findall(text)
         if len(words) > 1:  # a bad character's word runs to the end
             if _BAD.match(words[-2]):
-                tokenize(text)  # raises at the bad character
+                raise self.error(f"unexpected character {words[-2][0]!r}", len(words) - 2)
             if not words[-2]:
                 words.pop()  # blanks or a comment end the text
         self.pos = 0
@@ -102,9 +72,17 @@ class _Parser:
         return self.words[self.pos]
 
     def error(self, message: str, i: int) -> ParseError:
-        """A ``ParseError`` at word ``i``, placed by ``tokenize``."""
-        tok = tokenize(self.text)[i]
-        return ParseError(message, tok.line, tok.col)
+        """A ``ParseError`` at word ``i``, placed by matching ``_WORD`` again
+        up to that word only.  END sits just past the last character outside
+        a comment; a '#' on the last line can only start a comment that runs
+        to the end."""
+        text = self.text
+        m = next(itertools.islice(_WORD.finditer(text), i, None))
+        at = m.start(1)
+        if not m.group(1):
+            at = text.find("#", text.rfind("\n") + 1)
+            at = len(text) if at < 0 else at
+        return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
     def fail(self, message: str):
         raise self.error(message, self.pos)

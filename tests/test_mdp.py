@@ -660,6 +660,21 @@ def test_huge_bounds_raise_budget_at_once(acts):
     assert len(str(got.value)) < 100
 
 
+@pytest.mark.parametrize("max_period, max_preperiod", [(2_000_000, 0), (1, 1_999_999)])
+def test_one_row_search_at_the_cap_is_immediate(max_period, max_preperiod):
+    """With one action per state only shape (0, 1) holds a canonical
+    strategy, so bounds the cap admits (2000000 shapes) build that one
+    group alone; the candidates of every shape took time quadratic in
+    the bound, days at these bounds."""
+    m = build_mdp(("a",), "a", {"a": ("x",)}, {("a", "x"): Fraction(1, 2)},
+                  {("a", "x"): {"a": 1}})
+    start = time.perf_counter()
+    assert list(enumerate_pure_periodic(m, max_period, max_preperiod)) == [stationary({"a": "x"})]
+    r = best_periodic(m, Frequency(), max_period, max_preperiod)
+    assert r.ranking == ((stationary({"a": "x"}), CValue.exact(Fraction(1, 2))),)
+    assert time.perf_counter() - start < 1
+
+
 def test_budget_fails_before_building_rows():
     """A wide MDP has 2**18 action rows per phase; the cap check must
     come before any of them is built."""

@@ -3,6 +3,7 @@
 import hashlib
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,9 @@ from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
 from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
                                        stay_strategy)
 from chargemdp.mdp import payoff, validate
-from chargemdp.parsing import (ParseError, Token, _parse, _Parser,
-                               parse_charge, parse_mdp, parse_set,
-                               parse_strategy, parse_stream, render_charge,
-                               render_set, tokenize)
+from chargemdp.parsing import (ParseError, _parse, _Parser, parse_charge,
+                               parse_mdp, parse_set, parse_strategy,
+                               parse_stream, render_charge, render_set)
 from chargemdp.periodic_sets import (arithmetic, complement, empty, evens,
                                      intersect, multiples, naturals, odds,
                                      shift, union)
@@ -50,10 +50,18 @@ state 3
 """
 
 
-# ---- tokenizer -----------------------------------------------------------
+# ---- words and error positions ------------------------------------------
+
+class Token(NamedTuple):
+    kind: str  # NAME | INT | PUNCT | END
+    text: str
+    line: int
+    col: int
+
 
 def ref_tokenize(text):
-    """The character loop that the regular-expression tokenizer replaced."""
+    """A character loop over the grammar's tokens: decimal digits, a
+    name, one punctuation character, and END."""
     out = []
     line, col = 1, 1
     i = 0
@@ -70,14 +78,14 @@ def ref_tokenize(text):
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(Token("INT", text[i:j], line, col))
             col += j - i
             i = j
-        elif ch.isalpha() or ch == "_":
+        elif ch.isalnum() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
@@ -94,31 +102,60 @@ def ref_tokenize(text):
     return out
 
 
+def place(text, i):
+    """(line, col) of the parser's error at word i of text."""
+    err = _Parser(text).error("x", i)
+    return err.line, err.col
+
+
 GRAMMAR_CHARS = "abmpxyzAZ_0123456789()[]{}|&!,:;/=-"
 ascii_texts = st.lists(
     st.one_of(st.sampled_from(GRAMMAR_CHARS + " \t\r\n#@."),
               st.sampled_from(["odds", "ap", "12", "007", "x_1", " # note", "#", "\n", "  "])),
     max_size=40).map("".join)
+# a No digit (a name), a letter, a \d digit, a vertical tab, a no-break space
+mixed_texts = st.lists(st.one_of(ascii_texts, st.sampled_from("²é١\x0b\u00a0")),
+                       max_size=6).map("".join)
 
 
-@given(ascii_texts)
+@given(st.one_of(ascii_texts, mixed_texts))
 def test_tokenize_matches_reference(text):
+    """The parser's split of a text into words, and the place of an error
+    at each word (END included), are the reference's tokens; a bad
+    character is raised where the reference raises it."""
     try:
-        expected = ref_tokenize(text)
+        tokens = ref_tokenize(text)
     except ParseError as ref_err:
         with pytest.raises(ParseError) as err:
-            tokenize(text)
+            _Parser(text)
         assert (err.value.line, err.value.col, err.value.message) == \
             (ref_err.line, ref_err.col, ref_err.message)
     else:
-        assert tokenize(text) == expected
+        assert _Parser(text).words == [t.text for t in tokens]
+        assert [place(text, i) for i in range(len(tokens))] == [(t.line, t.col) for t in tokens]
 
 
-def test_tokenize_end_after_trailing_comment():
+@given(st.one_of(ascii_texts, mixed_texts))
+def test_parser_words_are_the_token_texts(text):
+    """Every parser raises a bad character where the reference does;
+    otherwise the parser's words are the reference's token texts."""
+    try:
+        tokens = ref_tokenize(text)
+    except ParseError as ref_err:
+        for parse in PARSERS:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.col, err.value.message) == \
+                (ref_err.line, ref_err.col, ref_err.message)
+    else:
+        assert _Parser(text).words == [t.text for t in tokens]
+
+
+def test_error_at_end_after_trailing_comment():
     # END sits just past the last character outside the comment
-    assert tokenize("odds  # c")[-1] == Token("END", "", 1, 7)
-    assert tokenize("odds\n# c")[-1] == Token("END", "", 2, 1)
-    assert tokenize("odds # c\n")[-1] == Token("END", "", 2, 1)
+    assert place("odds  # c", 1) == (1, 7)
+    assert place("odds\n# c", 1) == (2, 1)
+    assert place("odds # c\n", 1) == (2, 1)
 
 
 def test_bad_character_in_an_accepted_last_word():
@@ -441,8 +478,10 @@ def test_parse_mdp_rejects_a_repeated_action_or_initial_line():
 def test_large_files_parse_in_linear_time():
     """Duplicate states were found by scanning the list of states, and
     every strategy cell and default entry by ``states.index``: about
-    52 s for these three parses, against about 5 s with one set and one
-    state -> actions dict (Python 3.11, one core)."""
+    52 s for the three parses of valid or late-failing files, against
+    about 5 s with one set and one state -> actions dict (Python 3.11,
+    one core).  The misspelled header is placed from the first word
+    alone, not by a second scan of the whole file."""
     n = 20000
     body = "".join(f"state s{i}\n  action x reward 0 goto s{(i + 1) % n}\n"
                    f"  action y reward 1 goto s{i}\n" for i in range(n))
@@ -451,6 +490,9 @@ def test_large_files_parse_in_linear_time():
         parse_mdp("mdp\ninitial s0\n" + body + "state s7\n")
     assert (err.value.line, err.value.col) == (3 * n + 3, 1)
     assert "duplicate state 's7'" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse_mdp("mdq\ninitial s0\n" + body)
+    assert (err.value.line, err.value.col, err.value.message) == (1, 1, "expected 'mdp' header")
     m = parse_mdp("mdp\ninitial s0\n" + body)
     sigma = parse_strategy("periodic preperiod=0 period=2 {\n" + "".join(
         f"phase {k} state s{i}: y\n" for k in (1, 2) for i in range(n)) + "}\n", m)
@@ -530,24 +572,3 @@ def test_parse_outcomes_of_one_char_edits_are_pinned():
             for parse in PARSERS:
                 h.update(outcome(parse, text).encode() + b"\0")
     assert h.hexdigest() == PIN_DIGEST
-
-
-# ---- the parser's words are the token texts --------------------------------
-
-# a No digit, a letter, a \d digit, a vertical tab, a no-break space
-mixed_texts = st.lists(st.one_of(ascii_texts, st.sampled_from("²é١\x0b\u00a0")),
-                       max_size=6).map("".join)
-
-
-@given(st.one_of(ascii_texts, mixed_texts))
-def test_parser_words_are_the_token_texts(text):
-    try:
-        tokens = tokenize(text)
-    except ParseError as tok_err:
-        for parse in PARSERS:
-            with pytest.raises(ParseError) as err:
-                parse(text)
-            assert (err.value.line, err.value.col, err.value.message) == \
-                (tok_err.line, tok_err.col, tok_err.message)
-    else:
-        assert _Parser(text).words == [t.text for t in tokens]
