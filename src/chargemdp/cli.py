@@ -5,6 +5,11 @@ a flag out of range, an invalid MDP, a strategy that does not fit its
 MDP, a search over its strategy budget, or a restricted charge whose
 window has no positive exact base measure.
 All numeric output is exact rational text.
+
+A call is parsed once, by the parser of the command its first word
+names.  Every other argv (no arguments, ``-h``, an unknown command, a
+word before the command) goes to the full parser, which prints help or
+a usage error.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .mdp import (LEAST_HORIZON, BudgetExceeded, MdpValidationError, StrategyMis
                   best_periodic, ensure_valid, payoff)
 from .parsing import (ParseError, parse_charge, parse_mdp, parse_set,
                       parse_strategy, parse_stream)
+from .periodic_sets import density
 
 
 def _read(path: str) -> str:
@@ -31,7 +37,6 @@ def _read(path: str) -> str:
 
 
 def _cmd_density(args) -> int:
-    from .periodic_sets import density
     print(density(parse_set(args.set)))
     return 0
 
@@ -118,7 +123,8 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and its command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="chargemdp",
         description="Exact MDP payoffs under finitely additive aggregation charges.")
@@ -164,17 +170,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-preperiod", type=int, default=8)
     p.set_defaults(fn=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser ``run`` uses, built on first use."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers ``run`` uses, built on first use."""
+    return _build()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one pass over a call
+    that names its command."""
+    parser, commands = _parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except ParseError as exc:

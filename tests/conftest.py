@@ -83,11 +83,16 @@ def random_stream(rng, max_preperiod=5, max_period=6):
 
 def ref_level_sets(f):
     """The equality scan that the one-pass ``level_sets`` replaced: one
-    scan of the stream per distinct value."""
+    scan of the stream per distinct value.  The scan compares
+    (numerator, denominator) pairs, which are equal exactly when the
+    reduced fractions are."""
     L, q = len(f.preperiod), len(f.cycle)
+    pre = [(v.numerator, v.denominator) for v in f.preperiod]
+    cyc = [(v.numerator, v.denominator) for v in f.cycle]
     out = []
     for c in sorted(set(f.preperiod) | set(f.cycle)):
-        bits = [1 if v == c else 0 for v in f.preperiod]
-        residues = {(L + 1 + j) % q for j, v in enumerate(f.cycle) if v == c}
+        key = (c.numerator, c.denominator)
+        bits = [1 if v == key else 0 for v in pre]
+        residues = {(L + 1 + j) % q for j, v in enumerate(cyc) if v == key}
         out.append((c, make(bits, q, residues)))
     return out

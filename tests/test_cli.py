@@ -8,7 +8,7 @@ import time
 import pytest
 
 from chargemdp import mdp as mdp_module
-from chargemdp.cli import build_parser, run
+from chargemdp.cli import _parse, build_parser, run
 from chargemdp.mdp import CycleNotFound
 
 EO_MDP_TEXT = """mdp
@@ -219,6 +219,79 @@ def test_repeated_runs_in_one_process_agree(capsys, eo_mdp_file):
 
 def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
+
+
+COMMAND_ARGVS = [
+    ["density", "odds | multiples(4)"],
+    ["density"],
+    ["density", "odds", "extra"],
+    ["density", "--", "-odds"],
+    ["density", "odds", "--", "extra"],
+    ["density", "-h"],
+    ["density", "odds", "--he"],
+    ["density", "--bogus", "odds"],
+    ["charge-eval", "dyadiclimit", "multiples(8)"],
+    ["charge-eval", "dyadiclimit"],
+    ["charge-eval", "a", "b", "c", "d"],
+    ["integrate", "geometric(1/2)", "stream([];[1,0])"],
+    ["integrate", "--help"],
+    ["mdp-eval", "--mdp", "m", "--strategy", "s", "--charge", "frequency"],
+    ["mdp-eval", "--mdp=m", "--strategy=s", "--charge=frequency", "--horizon=64"],
+    ["mdp-eval", "--md", "m", "--str", "s", "--ch", "frequency", "--hor", "8"],
+    ["mdp-eval", "--mdp", "m", "--strategy", "s"],
+    ["mdp-eval", "--mdp", "m", "--strategy", "s", "--charge", "f", "--horizon", "x"],
+    ["mdp-eval", "--mdp", "m", "--strategy", "s", "--charge", "f", "--bogus"],
+    ["mdp-eval", "--mdp", "m", "--strategy", "s", "--charge", "f", "extra"],
+    ["blackwell", "--mdp", "m"],
+    ["blackwell", "--mdp"],
+    ["blackwell"],
+    ["blackwell", "--mdp", "a", "--mdp", "b"],
+    ["search", "--mdp", "m", "--charge", "f", "--max-period", "2", "--max-preperiod", "1",
+     "--top", "3"],
+    ["search", "--mdp", "m", "--charge", "f", "--max-p", "2", "--max-preperiod", "1"],
+    ["search", "--mdp", "m", "--charge", "f", "--max-period", "-1", "--max-preperiod=0"],
+    ["search", "--charge", "f", "--max-period", "2", "--max-preperiod", "1"],
+    ["verify", "all"],
+    ["verify", "all", "--nmax", "2", "--max-period", "2", "--max-preperiod", "0"],
+    ["verify", "nope"],
+    ["verify"],
+    ["verify", "all", "--nmax"],
+    ["verify", "--", "all"],
+]
+
+# no command as the first word: the full parser prints help or a usage error
+OTHER_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he", "density", "odds"],
+    ["-x", "density", "odds"],
+    ["nope"],
+    ["dens", "odds"],
+    ["DENSITY", "odds"],
+    [""],
+    ["-"],
+]
+
+# a leading "--" is the command name "--" to some argparse versions, which
+# exit; newer ones drop it and parse the call that follows
+LEADING_DASHES = [["--", "density", "odds"]]
+
+
+def parse_outcome(parse, argv, capsys):
+    """The Namespace ``parse(argv)`` returns, or its exit code and output."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS + OTHER_ARGVS + LEADING_DASHES, ids=str)
+def test_run_parses_as_the_full_parser(capsys, argv):
+    got = parse_outcome(_parse, argv, capsys)
+    assert got == parse_outcome(build_parser().parse_args, argv, capsys)
+    if argv in OTHER_ARGVS:
+        assert isinstance(got, tuple)  # exited inside argparse
 
 
 def test_missing_file_exit_code(capsys, tmp_path):
