@@ -273,8 +273,8 @@ OTHER_ARGVS = [
     ["-"],
 ]
 
-# a leading "--" is the command name "--" to some argparse versions, which
-# exit; newer ones drop it and parse the call that follows
+# argparse's handling of a leading "--" differs across Python versions (3.11
+# reads it as the command name and exits), so it is compared but need not exit
 LEADING_DASHES = [["--", "density", "odds"]]
 
 
