@@ -6,10 +6,8 @@ MDP, a search over its strategy budget, or a restricted charge whose
 window has no positive exact base measure.
 All numeric output is exact rational text.
 
-A call is parsed once, by the parser of the command its first word
-names.  Every other argv (no arguments, ``-h``, an unknown command, a
-word before the command) goes to the full parser, which prints help or
-a usage error.
+A well-formed call is read straight from the command table; any other argv
+goes to argparse, built from the same table, for its own help or usage error.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import sys
 from . import counterexamples as cx
 from .blackwell import average_value, blackwell_policy, discounted_value
 from .charges import IllFormedRestrict, integrate, value
-from .mdp import (LEAST_HORIZON, BudgetExceeded, MdpValidationError, StrategyMismatch,
-                  best_periodic, ensure_valid, payoff)
+from .mdp import (DEFAULT_HORIZON, LEAST_HORIZON, BudgetExceeded, MdpValidationError,
+                  StrategyMismatch, best_periodic, ensure_valid, payoff)
 from .parsing import (ParseError, parse_charge, parse_mdp, parse_set,
                       parse_strategy, parse_stream)
 from .periodic_sets import density
@@ -123,53 +121,40 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# command -> (handler, help, add_argument calls): both parsing routes come from here
+_COMMANDS = {
+    "density": (_cmd_density, "exact natural density of a set expression", {"set": {}}),
+    "charge-eval": (_cmd_charge_eval, "evaluate a charge on a set", {"charge": {}, "set": {}}),
+    "integrate": (_cmd_integrate, "integrate a stream against a charge",
+                  {"charge": {}, "stream": {}}),
+    "mdp-eval": (_cmd_mdp_eval, "payoff of a strategy file on an MDP file",
+                 {"--mdp": {"required": True}, "--strategy": {"required": True},
+                  "--charge": {"required": True},
+                  "--horizon": {"type": int, "default": DEFAULT_HORIZON}}),
+    "blackwell": (_cmd_blackwell, "Blackwell-optimal pure stationary policy",
+                  {"--mdp": {"required": True}}),
+    "search": (_cmd_search, "exhaustive pure periodic strategy search",
+               {"--mdp": {"required": True}, "--charge": {"required": True},
+                "--max-period": {"type": int, "required": True},
+                "--max-preperiod": {"type": int, "required": True},
+                "--top": {"type": int, "default": 10}}),
+    "verify": (_cmd_verify, "run the bundled verification suite",
+               {"what": {"choices": ["all"]}, "--nmax": {"type": int, "default": 12},
+                "--max-period": {"type": int, "default": 8},
+                "--max-preperiod": {"type": int, "default": 8}}),
+}
+
+
 def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The full parser and its command parsers by name."""
-    parser = argparse.ArgumentParser(
-        prog="chargemdp",
-        description="Exact MDP payoffs under finitely additive aggregation charges.")
+    parser = argparse.ArgumentParser(prog="chargemdp", description=(
+        "Exact MDP payoffs under finitely additive aggregation charges."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density", help="exact natural density of a set expression")
-    p.add_argument("set")
-    p.set_defaults(fn=_cmd_density)
-
-    p = sub.add_parser("charge-eval", help="evaluate a charge on a set")
-    p.add_argument("charge")
-    p.add_argument("set")
-    p.set_defaults(fn=_cmd_charge_eval)
-
-    p = sub.add_parser("integrate", help="integrate a stream against a charge")
-    p.add_argument("charge")
-    p.add_argument("stream")
-    p.set_defaults(fn=_cmd_integrate)
-
-    p = sub.add_parser("mdp-eval", help="payoff of a strategy file on an MDP file")
-    p.add_argument("--mdp", required=True)
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--charge", required=True)
-    p.add_argument("--horizon", type=int, default=4096)
-    p.set_defaults(fn=_cmd_mdp_eval)
-
-    p = sub.add_parser("blackwell", help="Blackwell-optimal pure stationary policy")
-    p.add_argument("--mdp", required=True)
-    p.set_defaults(fn=_cmd_blackwell)
-
-    p = sub.add_parser("search", help="exhaustive pure periodic strategy search")
-    p.add_argument("--mdp", required=True)
-    p.add_argument("--charge", required=True)
-    p.add_argument("--max-period", type=int, required=True)
-    p.add_argument("--max-preperiod", type=int, required=True)
-    p.add_argument("--top", type=int, default=10)
-    p.set_defaults(fn=_cmd_search)
-
-    p = sub.add_parser("verify", help="run the bundled verification suite")
-    p.add_argument("what", choices=["all"])
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--max-period", type=int, default=8)
-    p.add_argument("--max-preperiod", type=int, default=8)
-    p.set_defaults(fn=_cmd_verify)
-
+    for command, (fn, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
+        p.set_defaults(fn=fn)
     return parser, sub.choices
 
 
@@ -177,15 +162,45 @@ def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers ``run`` uses, built on first use."""
-    return _build()
+_parser = functools.cache(_build)  # the parsers ``run`` uses, built on first use
+
+
+def _read_call(argv: list[str]) -> argparse.Namespace | None:
+    """A call's Namespace read from ``_COMMANDS``, or None unless each word is a
+    positional or an exact flag, given once, with a value not starting with ``-`` that fits."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, arguments = _COMMANDS[argv[0]]
+    given, words = {}, iter(argv[1:])
+    positionals = iter([name for name in arguments if name[0] != "-"])
+    for word in words:
+        if word[:1] == "-":
+            name, value = word, next(words, "-")
+        else:  # one positional too many is named "-", which is no argument
+            name, value = next(positionals, "-"), word
+        if name not in arguments or name in given or value[:1] == "-":
+            return None
+        given[name] = value
+    args = argparse.Namespace(command=argv[0], fn=fn)
+    for name, keywords in arguments.items():
+        value = given.get(name, keywords.get("default"))
+        if name in given:
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        elif keywords.get("required", name[0] != "-"):  # positionals are required
+            return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with one pass over a call
-    that names its command."""
+    """``build_parser().parse_args(argv)``, read from the table when the call is well formed."""
+    if (args := _read_call(argv)) is not None:
+        return args
     parser, commands = _parser()
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)

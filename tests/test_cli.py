@@ -1,15 +1,21 @@
 """Command-line interface: output text and exit codes."""
 
+import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chargemdp import cli
 from chargemdp import mdp as mdp_module
 from chargemdp.cli import _parse, build_parser, run
-from chargemdp.mdp import CycleNotFound
+from chargemdp.mdp import DEFAULT_HORIZON, CycleNotFound
 
 EO_MDP_TEXT = """mdp
 initial 1
@@ -292,6 +298,185 @@ def test_run_parses_as_the_full_parser(capsys, argv):
     assert got == parse_outcome(build_parser().parse_args, argv, capsys)
     if argv in OTHER_ARGVS:
         assert isinstance(got, tuple)  # exited inside argparse
+
+
+def reference_parser():
+    """The hand-written parser the command table replaced: the full parser
+    and its command parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="chargemdp",
+        description="Exact MDP payoffs under finitely additive aggregation charges.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("density", help="exact natural density of a set expression")
+    p.add_argument("set")
+    p.set_defaults(fn=cli._cmd_density)
+
+    p = sub.add_parser("charge-eval", help="evaluate a charge on a set")
+    p.add_argument("charge")
+    p.add_argument("set")
+    p.set_defaults(fn=cli._cmd_charge_eval)
+
+    p = sub.add_parser("integrate", help="integrate a stream against a charge")
+    p.add_argument("charge")
+    p.add_argument("stream")
+    p.set_defaults(fn=cli._cmd_integrate)
+
+    p = sub.add_parser("mdp-eval", help="payoff of a strategy file on an MDP file")
+    p.add_argument("--mdp", required=True)
+    p.add_argument("--strategy", required=True)
+    p.add_argument("--charge", required=True)
+    p.add_argument("--horizon", type=int, default=4096)
+    p.set_defaults(fn=cli._cmd_mdp_eval)
+
+    p = sub.add_parser("blackwell", help="Blackwell-optimal pure stationary policy")
+    p.add_argument("--mdp", required=True)
+    p.set_defaults(fn=cli._cmd_blackwell)
+
+    p = sub.add_parser("search", help="exhaustive pure periodic strategy search")
+    p.add_argument("--mdp", required=True)
+    p.add_argument("--charge", required=True)
+    p.add_argument("--max-period", type=int, required=True)
+    p.add_argument("--max-preperiod", type=int, required=True)
+    p.add_argument("--top", type=int, default=10)
+    p.set_defaults(fn=cli._cmd_search)
+
+    p = sub.add_parser("verify", help="run the bundled verification suite")
+    p.add_argument("what", choices=["all"])
+    p.add_argument("--nmax", type=int, default=12)
+    p.add_argument("--max-period", type=int, default=8)
+    p.add_argument("--max-preperiod", type=int, default=8)
+    p.set_defaults(fn=cli._cmd_verify)
+
+    return parser, sub.choices
+
+
+def test_table_parser_prints_the_reference_help():
+    parser, commands = cli._build()
+    reference, reference_commands = reference_parser()
+    assert parser.format_help() == reference.format_help()
+    assert list(commands) == list(reference_commands)
+    for name, command in commands.items():
+        assert command.format_help() == reference_commands[name].format_help()
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS + OTHER_ARGVS, ids=str)
+def test_table_parser_parses_as_the_reference(capsys, argv):
+    got = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert got == parse_outcome(reference_parser()[0].parse_args, argv, capsys)
+
+
+def test_mdp_eval_horizon_defaults_to_the_library_default():
+    argv = ["mdp-eval", "--mdp", "m", "--strategy", "s", "--charge", "frequency"]
+    assert _parse(argv).horizon == build_parser().parse_args(argv).horizon == DEFAULT_HORIZON
+
+
+SEARCH = ["search", "--mdp", "m", "--charge", "f", "--max-period", "2", "--max-preperiod", "1"]
+MDP_EVAL = ["mdp-eval", "--mdp", "m", "--strategy", "s", "--charge", "frequency"]
+
+# one well-formed call per command, read without argparse
+WELL_FORMED = [
+    ["density", "odds | multiples(4)"],
+    ["charge-eval", "dyadiclimit", "multiples(8)"],
+    ["integrate", "geometric(1/2)", "stream([];[1,0])"],
+    MDP_EVAL,
+    ["mdp-eval", "--horizon", "64", "--charge", "frequency", "--strategy", "s", "--mdp", "m"],
+    ["blackwell", "--mdp", "m"],
+    SEARCH,
+    SEARCH + ["--top", "3"],
+    ["verify", "all"],
+]
+
+# each form the reader leaves to argparse
+DECLINED = [
+    ["mdp-eval", "--md", "m", "--strategy", "s", "--charge", "frequency"],
+    ["blackwell", "--mdp=m"],
+    ["blackwell", "--mdp", "a", "--mdp", "b"],
+    ["density", "-h"],
+    ["density", "--", "odds"],
+    MDP_EVAL + ["--horizon", "-5"],
+    SEARCH + ["--top", "x"],
+    SEARCH[:1] + SEARCH[3:],
+    ["density", "odds", "extra"],
+    ["verify", "nope"],
+]
+
+
+class ArgparseCalled(Exception):
+    pass
+
+
+def test_well_formed_calls_bypass_argparse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ArgparseCalled
+
+    with monkeypatch.context() as patched:
+        patched.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        patched.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        got = [_parse(argv) for argv in WELL_FORMED]
+        for argv in DECLINED:
+            with pytest.raises(ArgparseCalled):
+                _parse(argv)
+    assert got == [build_parser().parse_args(argv) for argv in WELL_FORMED]
+
+
+# values argparse reads in its own way: signed, spaced, underscored and
+# non-ASCII digits (int() reads each), empty, dashes and the help flag
+INT_WORDS = ["3", "+5", " 7", "1_0", "\u0663"]
+FUZZ_VALUES = INT_WORDS + ["", "-5", "-", "--", "-h", "all", "odds", "x"]
+FUZZ_FLAGS = sorted({name for _, _, arguments in cli._COMMANDS.values()
+                     for name in arguments if name[0] == "-"})
+
+
+@st.composite
+def argument_words(draw, name, keywords, tidy):
+    """Words giving one argument.  Tidy: a flag in full and, four times in
+    five, a value it accepts; else also abbreviated or ``=``-joined."""
+    accepted = tidy and draw(st.integers(0, 4)) > 0
+    value = draw(st.sampled_from(keywords.get("choices", INT_WORDS) if accepted else FUZZ_VALUES))
+    form = "full" if tidy else draw(st.sampled_from(["full", "abbreviated", "joined"]))
+    if name[0] != "-":
+        return [value]
+    if form == "abbreviated":
+        name = name[:draw(st.integers(3, len(name) - 1))]
+    return [f"{name}={value}"] if form == "joined" else [name, value]
+
+
+@st.composite
+def table_argvs(draw):
+    """A command and its arguments.  A tidy call gives each argument once,
+    or leaves out one with a default; the others may also repeat or leave
+    out any, and put in a few words from the whole vocabulary anywhere."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    tidy = draw(st.booleans())
+    words = []
+    for name, keywords in draw(st.permutations(list(cli._COMMANDS[command][2].items()))):
+        counts = [1, 1, 1, 0, 2]
+        if tidy:
+            counts = [0, 1] if "default" in keywords else [1]
+        for _ in range(draw(st.sampled_from(counts))):
+            words += draw(argument_words(name, keywords, tidy))
+    vocabulary = FUZZ_VALUES + FUZZ_FLAGS + list(cli._COMMANDS)
+    for word in draw(st.lists(st.sampled_from(vocabulary), max_size=0 if tidy else 2)):
+        words.insert(draw(st.integers(0, len(words))), word)
+    return [command] + words
+
+
+def captured_outcome(parse, argv):
+    """``parse_outcome`` without pytest's capture fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_argvs())
+def test_parse_agrees_with_the_full_parser_on_table_words(argv):
+    got = captured_outcome(_parse, argv)
+    assert got == captured_outcome(build_parser().parse_args, argv)
 
 
 def test_missing_file_exit_code(capsys, tmp_path):
