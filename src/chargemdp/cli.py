@@ -172,7 +172,7 @@ def _read_call(argv: list[str]) -> argparse.Namespace | None:
         return None
     fn, _, arguments = _COMMANDS[argv[0]]
     given, words = {}, iter(argv[1:])
-    positionals = iter([name for name in arguments if name[0] != "-"])
+    positionals = (name for name in arguments if name[0] != "-")
     for word in words:
         if word[:1] == "-":
             name, value = word, next(words, "-")
