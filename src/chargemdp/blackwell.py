@@ -18,9 +18,13 @@ previous pivot, is a nonzero polynomial with coefficients below X/2, so
 its value at X is nonzero.
 
 ``discounted_value`` reduces each N_i / det in integers: it divides
-both by their gcd, and one Fraction per coefficient makes the
-denominator monic.  Reduced with a monic denominator, the form is
-unique, so it is the one rational-function arithmetic gives.
+both by their gcd, then by the content (the gcd of all coefficients)
+of the pair, signed so that the leading denominator coefficient is
+positive.  The form is unique, so it is the one rational-function
+arithmetic gives, and ``RationalFunction`` stores it as two integer
+tuples: ``evaluate`` runs on them with one Fraction at the end, and
+``num``, ``den`` and ``render`` build the monic-denominator form, one
+Fraction per coefficient, on first read.
 
 The gcd comes from the packed values the elimination already computed
 (the heuristic gcd of Char, Geddes & Gonnet, J. Symbolic Computation,
@@ -70,6 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm, prod
 
@@ -150,14 +155,20 @@ def _order_at_one(cs) -> tuple[int, object]:
     return 0, 0
 
 
-def _sign_near_one(cs) -> int:
-    """Sign of the polynomial with coefficients cs for all b < 1 close enough to 1."""
-    return _sign_of_order(*_order_at_one(cs))
-
-
 def _sign_of_order(m: int, at_one) -> int:
     """Sign just below 1 of (b-1)^m * q, with q(1) = at_one."""
     return (-1) ** m * ((at_one > 0) - (at_one < 0))
+
+
+def _horner(cs: list[int], p: int, q: int) -> tuple[int, int]:
+    """(q^d * c(p/q), q^d) for the integer polynomial c with coefficients
+    cs, low order first, of degree d >= 0."""
+    *low, acc = cs
+    scale = 1
+    for c in reversed(low):
+        scale *= q
+        acc = acc * p + c * scale
+    return acc, scale
 
 
 @dataclass(frozen=True)
@@ -204,23 +215,15 @@ class Poly:
         return Poly.of(*out)
 
     def evaluate(self, x) -> Fraction:
-        """Horner over the integers: with x = p/q and the coefficients over
-        their lcm d, d * q^deg * self(x) is an integer; one Fraction at the end."""
+        """Horner over the integers: with the coefficients over their lcm d,
+        d * self(x) is an integer polynomial; one Fraction at the end."""
         if not self.coeffs:
             return Fraction(0)
         x = Fraction(x)
-        p, q = x.numerator, x.denominator
         d = lcm(*(c.denominator for c in self.coeffs))
-        *low, top = (c.numerator * (d // c.denominator) for c in self.coeffs)
-        acc, scale = top, 1
-        for c in reversed(low):
-            scale *= q
-            acc = acc * p + c * scale
+        acc, scale = _horner([c.numerator * (d // c.denominator) for c in self.coeffs],
+                             x.numerator, x.denominator)
         return Fraction(acc, d * scale)
-
-    def leading_sign_at_one(self) -> int:
-        """Sign of the lowest-order nonzero coefficient of p(1 - e)."""
-        return _sign_near_one(self.coeffs)
 
     def render(self) -> str:
         if self.is_zero:
@@ -240,10 +243,15 @@ class Poly:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Reduced fraction of polynomials; denominator monic and nonzero."""
+    """A rational function in lowest terms, as integer coefficients low
+    order first: ``ints_num`` / ``ints_den``, with no common content and
+    a positive leading denominator coefficient, so each function has one
+    form and the generated ``==`` and ``hash`` compare functions.  ``num``
+    and ``den`` are its reduced form with a monic denominator, built on
+    first read."""
 
-    num: Poly
-    den: Poly
+    ints_num: tuple[int, ...]
+    ints_den: tuple[int, ...]
 
     @staticmethod
     def of(num: Poly, den: Poly = Poly.of(1)) -> "RationalFunction":
@@ -257,15 +265,25 @@ class RationalFunction:
     def const(q) -> "RationalFunction":
         return RationalFunction.of(Poly.of(q))
 
+    @cached_property
+    def num(self) -> Poly:
+        lead = self.ints_den[-1]
+        return Poly(tuple(Fraction(c, lead) for c in self.ints_num))
+
+    @cached_property
+    def den(self) -> Poly:
+        lead = self.ints_den[-1]
+        return Poly(tuple(Fraction(c, lead) for c in self.ints_den))
+
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.ints_num
 
     def __add__(self, o: "RationalFunction") -> "RationalFunction":
         return RationalFunction.of(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction(tuple(-c for c in self.ints_num), self.ints_den)
 
     def __sub__(self, o: "RationalFunction") -> "RationalFunction":
         return self + (-o)
@@ -279,10 +297,16 @@ class RationalFunction:
         return RationalFunction.of(self.num * o.den, self.den * o.num)
 
     def evaluate(self, x) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
+        """With x = p/q, num(x) / den(x) = (A / q^m) / (B / q^n) for the
+        integers (A, q^m) and (B, q^n) of ``_horner``; one Fraction at the end."""
+        at = Fraction(x)
+        den, den_scale = _horner(self.ints_den, at.numerator, at.denominator)
+        if not den:
             raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) / d
+        if not self.ints_num:
+            return Fraction(0)
+        num, num_scale = _horner(self.ints_num, at.numerator, at.denominator)
+        return Fraction(num * den_scale, den * num_scale)
 
     def render(self) -> str:
         return f"({self.num.render()})/({self.den.render()})"
@@ -305,26 +329,21 @@ def _packed_cofactors(num: list[int], den: list[int], gamma: int,
 
 def _reduced(num: list[int], den: list[int], packed: tuple[int, int] | None = None
              ) -> RationalFunction:
-    """num / den, integer polynomials with den nonzero, in lowest terms with
-    a monic denominator.  ``packed`` = (gamma, k), as ``_packed_cofactors``
+    """num / den, integer polynomials with den nonzero, in lowest terms:
+    divided by their gcd, then by the content of the pair, signed so that
+    den leads positive.  ``packed`` = (gamma, k), as ``_packed_cofactors``
     takes them, is tried before the remainder sequence."""
     if not num:
-        return RationalFunction(Poly(()), Poly.of(1))
+        return RationalFunction((), (1,))
     pair = _packed_cofactors(num, den, *packed) if packed else None
     if pair is None:
         g = _int_gcd(num, den)
         pair = (_quotient(num, g), _quotient(den, g)) if len(g) > 1 else (num, den)
     num, den = pair
-    lead = den[-1]
-    return RationalFunction(Poly(tuple(Fraction(c, lead) for c in num)),
-                            Poly(tuple(Fraction(c, lead) for c in den)))
-
-
-def sign_near_one(f: RationalFunction) -> int:
-    """Sign of f(b) for all b < 1 close enough to 1: -1, 0, or +1."""
-    if f.num.is_zero:
-        return 0
-    return f.num.leading_sign_at_one() * f.den.leading_sign_at_one()
+    c = gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    return RationalFunction(tuple(x // c for x in num), tuple(x // c for x in den))
 
 
 # ---- Bareiss elimination at b = 2**k ----------------------------------------

@@ -133,10 +133,6 @@ class Mdp:
         entry: a policy's action indices -> (k, det, nums)."""
         return {}
 
-    @property
-    def is_deterministic(self) -> bool:
-        return all(len(row) == 1 and row[0][1] == L for per in self.rows for L, _, row in per)
-
 
 def build_mdp(states, initial, actions, rewards, transitions) -> Mdp:
     """Assemble an Mdp from mapping-style data.
@@ -622,11 +618,6 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     for v, strats in per_rank.items():
         entries += zip(strats, itertools.repeat(CValue.exact(Fraction(*v))))
     return SearchResult(*entries[0], tuple(entries))
-
-
-def enumerate_pure_stationary(mdp: Mdp) -> list[PeriodicMarkovStrategy]:
-    """``enumerate_pure_periodic(mdp, 1, 0)`` as a list, under its cap."""
-    return list(enumerate_pure_periodic(mdp, 1, 0))
 
 
 def random_mdp(rng, n_states: int = 3, n_actions: int = 2,

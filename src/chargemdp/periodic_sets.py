@@ -203,11 +203,6 @@ def complement(s: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
     return _build(s.pre_len, pre, s.period, res)
 
 
-def is_subset(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet) -> bool:
-    m, p, (pa, ra), (pb, rb) = _aligned(s, t)
-    return (pa & ~pb) == 0 and (ra & ~rb) == 0
-
-
 def shift(s: EventuallyPeriodicSet, k: int) -> EventuallyPeriodicSet:
     """{n + k : n in S}, clipped to the positive integers for k < 0."""
     p = s.period

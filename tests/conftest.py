@@ -5,7 +5,9 @@ from math import lcm
 
 from hypothesis import strategies as st
 
-from chargemdp.periodic_sets import EventuallyPeriodicSet, make
+from chargemdp.blackwell import _order_at_one, _sign_of_order
+from chargemdp.mdp import enumerate_pure_periodic
+from chargemdp.periodic_sets import EventuallyPeriodicSet, _aligned, make
 
 
 @st.composite
@@ -96,3 +98,33 @@ def ref_level_sets(f):
         residues = {(L + 1 + j) % q for j, v in enumerate(cyc) if v == key}
         out.append((c, make(bits, q, residues)))
     return out
+
+
+def is_subset(s, t) -> bool:
+    """s is a subset of t, read from their aligned bit masks."""
+    _, _, (pa, ra), (pb, rb) = _aligned(s, t)
+    return (pa & ~pb) == 0 and (ra & ~rb) == 0
+
+
+def is_deterministic(m) -> bool:
+    """Every action of the Mdp m moves to one state with probability 1."""
+    return all(len(row) == 1 and row[0][1] == L for per in m.rows for L, _, row in per)
+
+
+def enumerate_pure_stationary(m) -> list:
+    """``enumerate_pure_periodic(m, 1, 0)`` as a list, under its cap."""
+    return list(enumerate_pure_periodic(m, 1, 0))
+
+
+def leading_sign_at_one(cs) -> int:
+    """Sign just below b = 1 of the polynomial with coefficients cs, low
+    order first: the sign of the lowest-order nonzero coefficient of p(1 - e)."""
+    return _sign_of_order(*_order_at_one(cs))
+
+
+def sign_near_one(f) -> int:
+    """Sign of the RationalFunction f(b) for all b < 1 close enough to 1:
+    -1, 0 or +1."""
+    if f.is_zero:
+        return 0
+    return leading_sign_at_one(f.ints_num) * leading_sign_at_one(f.ints_den)

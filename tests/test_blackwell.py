@@ -14,14 +14,14 @@ from chargemdp.blackwell import (Poly, PoleAtOne, RationalFunction,
                                  _bareiss_at, _int_gcd, _norm, _order_at_one,
                                  _packed_cofactors, _packed_cramer,
                                  _packed_order, _policy_choice, _reduced,
-                                 _sign_near_one, _unpack, average_value,
-                                 blackwell_policy, discounted_value,
-                                 discounted_value_at, sign_near_one)
+                                 _unpack, average_value, blackwell_policy,
+                                 discounted_value, discounted_value_at)
 from chargemdp.counterexamples import even_or_odd_mdp, late_switch_mdp
 from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
-                           build_mdp, enumerate_pure_stationary, ensure_valid,
-                           expected_reward_stream, periodic, random_mdp,
-                           stationary, validate)
+                           build_mdp, ensure_valid, expected_reward_stream,
+                           periodic, random_mdp, stationary, validate)
+
+from conftest import enumerate_pure_stationary, leading_sign_at_one, sign_near_one
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
@@ -214,17 +214,17 @@ def test_at_one_minus_eps(p):
 
 
 def test_leading_sign_at_one():
-    assert Poly.of(-1, 1).leading_sign_at_one() == -1   # b - 1 = -e
-    assert Poly.of(1, -1).leading_sign_at_one() == 1    # 1 - b = e
-    assert Poly.of(2).leading_sign_at_one() == 1
-    assert Poly.of().leading_sign_at_one() == 0
+    assert leading_sign_at_one(Poly.of(-1, 1).coeffs) == -1   # b - 1 = -e
+    assert leading_sign_at_one(Poly.of(1, -1).coeffs) == 1    # 1 - b = e
+    assert leading_sign_at_one(Poly.of(2).coeffs) == 1
+    assert leading_sign_at_one(Poly.of().coeffs) == 0
 
 
 @given(polys)
 def test_leading_sign_at_one_matches_expansion(p):
     # reference: the first nonzero coefficient of p(1 - e)
     first = next((c for c in at_one_minus_eps(p).coeffs if c), 0)
-    assert p.leading_sign_at_one() == (first > 0) - (first < 0)
+    assert leading_sign_at_one(p.coeffs) == (first > 0) - (first < 0)
 
 
 def _b_minus_one_to(m: int) -> Poly:
@@ -328,6 +328,25 @@ def test_rational_function_field_identities(a, b, c, d):
     assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
     if not g.is_zero:
         assert (f / g * g).evaluate(x) == f.evaluate(x)
+
+
+def test_rational_function_stores_the_reduced_integer_pair():
+    # (2 + 4b) / (-4 - 6b) = (-1 - 2b) / (2 + 3b): the content 2 divided
+    # out, and the sign taken so that the denominator leads positive
+    f = RationalFunction.of(Poly.of(2, 4), Poly.of(-4, -6))
+    assert (f.ints_num, f.ints_den) == ((-1, -2), (2, 3))
+    assert f.num == Poly.of(Fraction(-1, 3), Fraction(-2, 3))
+    assert f.den == Poly.of(Fraction(2, 3), 1)
+    g = RationalFunction.of(Poly.of(Fraction(1, 2), 1), Poly.of(-1, Fraction(-3, 2)))
+    assert f == g and hash(f) == hash(g)
+    assert f.evaluate(Fraction(1, 2)) == Fraction(-4, 7)
+    zero = RationalFunction.const(0)
+    assert zero == RationalFunction((), (1,)) == -zero
+    assert zero.evaluate(7) == 0 and zero.render() == "(0)/(1)"
+    # the packed gcd of a constant still leaves the content to divide out
+    num, den, k = [2, 4], [-2, -6], 5
+    assert _reduced(num, den, (gcd(_at(num, k), _at(den, k)), k)) == \
+        RationalFunction((-1, -2), (1, 3))
 
 
 def test_sign_near_one():
@@ -473,6 +492,71 @@ def test_discounted_value_at_singular_factor():
     for beta in (1, -1):
         with pytest.raises(ZeroDivisionError, match=f"beta = {beta}$"):
             discounted_value_at(m, pi, beta)
+
+
+# ---- reference: the monic form the solver built before it stored integers ----
+
+def _ref_reduced(num, den):
+    """(numerator, denominator) Polys of num / den, integer polynomials,
+    as ``_reduced`` built them before it stored integers: in lowest terms
+    by the remainder sequence, then one Fraction per coefficient for a
+    monic denominator."""
+    if not num:
+        return Poly(()), Poly.of(1)
+    g = _int_gcd(num, den)
+    if len(g) > 1:
+        num, den = _ref_exact(num, g), _ref_exact(den, g)
+    lead = den[-1]
+    return (Poly(tuple(Fraction(c, lead) for c in num)),
+            Poly(tuple(Fraction(c, lead) for c in den)))
+
+
+# rationals strictly inside (-1, 1), where I - bP is never singular
+inside_unit = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
+    lambda x: abs(x) < 1)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3), inside_unit)
+@settings(max_examples=50, deadline=None)
+def test_stored_integers_read_as_the_monic_reference(seed, n_states, n_actions, beta):
+    m = random_mdp(random.Random(seed), n_states, n_actions)
+    for pi in enumerate_pure_stationary(m):
+        det, nums = _cramer(m, pi)
+        v = discounted_value(m, pi)
+        at = discounted_value_at(m, pi, beta)
+        for s, num in zip(m.states, nums):
+            f, (want_num, want_den) = v[s], _ref_reduced(num, det)
+            assert (f.num.coeffs, f.den.coeffs) == (want_num.coeffs, want_den.coeffs)
+            assert f.render() == f"({want_num.render()})/({want_den.render()})"
+            again = RationalFunction.of(f.num, f.den)
+            assert f == again and hash(f) == hash(again)
+            assert f.evaluate(beta) == at[s]
+            if want_den.evaluate(1) == 0:
+                with pytest.raises(ZeroDivisionError, match="^pole at 1$"):
+                    f.evaluate(1)
+
+
+def test_discounted_value_builds_no_fraction(monkeypatch):
+    built = []
+    real = Fraction
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blackwell_module, "Fraction", counting)
+    m = random_mdp(random.Random(5), 3, 3)
+    pi = blackwell_policy(m)
+    built.clear()
+    v = discounted_value(_fresh(m), pi)  # eliminates afresh
+    assert built == []
+    assert v == discounted_value(m, pi) and built == []
+    first, second, *_ = m.states
+    assert v[first].num.coeffs and built
+    built.clear()
+    assert v[second].render() and built
+    built.clear()
+    assert v[second].render() and built == []  # the monic form is kept
 
 
 # ---- reference: Gaussian elimination over rational functions ---------------
@@ -723,7 +807,7 @@ def _ref_named_blackwell_policy(mdp):
         rows = [mdp.rows[i][j] for i, j in enumerate(_policy_choice(mdp, pi))]
         k = (prod(map(_norm, rows)) * widest).bit_length() + 1
         det, nums = _bareiss_at(rows, k)
-        det_sign = _sign_near_one(_unpack(det, k))
+        det_sign = leading_sign_at_one(_unpack(det, k))
         changed = False
         for i, s in enumerate(mdp.states):
             for a, (scale, rhs, sparse) in zip(mdp.actions[i], mdp.rows[i]):
@@ -731,7 +815,7 @@ def _ref_named_blackwell_policy(mdp):
                     continue
                 ahead = sum(w * nums[z] for z, w in sparse)
                 residual = rhs * det - scale * nums[i] + (ahead << k)
-                if _sign_near_one(_unpack(residual, k)) * det_sign > 0:
+                if leading_sign_at_one(_unpack(residual, k)) * det_sign > 0:
                     choice[s] = a
                     changed = True
                     break

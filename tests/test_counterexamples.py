@@ -14,11 +14,11 @@ from chargemdp import counterexamples as cx
 from chargemdp.charges import CValue, dyadic_value_sequence, integrate, value
 from chargemdp.mdp import expected_reward_stream, payoff, periodic
 from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, density,
-                                     difference, intersect, is_subset, make, multiples,
-                                     naturals, odds, shift, union)
+                                     difference, intersect, make, multiples, naturals,
+                                     odds, shift, union)
 from chargemdp.streams import _canonical
 
-from conftest import superlevel_set
+from conftest import is_subset, superlevel_set
 
 
 # ---- reports -------------------------------------------------------------

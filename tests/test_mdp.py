@@ -24,12 +24,13 @@ from chargemdp.counterexamples import (alternating_strategy, block_strategy,
 from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
                            Problem, StrategyMismatch, best_periodic,
                            build_mdp, ensure_valid, enumerate_pure_periodic,
-                           enumerate_pure_stationary, expected_reward_stream,
-                           _primitive_cycles, payoff, periodic, random_mdp, stationary,
-                           validate)
+                           expected_reward_stream, _primitive_cycles, payoff,
+                           periodic, random_mdp, stationary, validate)
 from chargemdp.parsing import parse_strategy
 from chargemdp.periodic_sets import empty, multiples, odds
 from chargemdp.streams import _canonical, stream
+
+from conftest import enumerate_pure_stationary, is_deterministic
 
 
 # ---- references: the Fraction-dict stream loop and the raw enumeration ----
@@ -143,7 +144,7 @@ def test_build_and_accessors():
     assert m.action_list("1") == ("T", "B")
     assert m.reward("1", "T") == 1
     assert m.transition("1", "B") == {"3": Fraction(1)}
-    assert m.is_deterministic
+    assert is_deterministic(m)
 
 
 def test_validate_clean():
@@ -286,7 +287,7 @@ def test_sparse_rows_match_dense_reference(data):
     # the dense test called a row such as (1, -1, 1) deterministic
     dense_det = all(max(row) == 1 and sum(row) == 1 for per in trans for row in per)
     nonnegative = all(q >= 0 for per in trans for row in per for q in row)
-    assert m.is_deterministic == (dense_det and nonnegative)
+    assert is_deterministic(m) == (dense_det and nonnegative)
     assert validate(m) == dense_validate(dense)
 
 
@@ -916,7 +917,7 @@ def test_best_periodic_ranking_equals_reference_on_stochastic_mdps(mu):
     compared = 0
     for seed in range(200):
         m = random_mdp(random.Random(seed), 2, 2, 3)
-        if m.is_deterministic or _outcome(best_periodic, m, Frequency(), 2, 1,
+        if is_deterministic(m) or _outcome(best_periodic, m, Frequency(), 2, 1,
                                           max_horizon=64) is CycleNotFound:
             continue
         assert_ranking_equals_reference(m, mu, 2, 1, max_horizon=64)

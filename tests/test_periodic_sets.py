@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from chargemdp.periodic_sets import (EventuallyPeriodicSet, _build, _expand,
                                      arithmetic, complement, contract,
                                      density, difference, empty, evens,
-                                     intersect, is_subset, make, member,
-                                     multiples, naturals, odds, shift, union)
+                                     intersect, make, member, multiples,
+                                     naturals, odds, shift, union)
 
-from conftest import periodic_sets
+from conftest import is_subset, periodic_sets
 
 CHECK_DEPTH = 120  # membership is fully determined by preperiod + one period
 
