@@ -22,9 +22,10 @@ both by their gcd, then by the content (the gcd of all coefficients)
 of the pair, signed so that the leading denominator coefficient is
 positive.  The form is unique, so it is the one rational-function
 arithmetic gives, and ``RationalFunction`` stores it as two integer
-tuples: ``evaluate`` runs on them with one Fraction at the end, and
-``num``, ``den`` and ``render`` build the monic-denominator form, one
-Fraction per coefficient, on first read.
+tuples: ``evaluate`` and the arithmetic operators run on them, with
+one Fraction at the end of ``evaluate``, and ``num``, ``den`` and
+``render`` build the monic-denominator form, one Fraction per
+coefficient, on first read.
 
 The gcd comes from the packed values the elimination already computed
 (the heuristic gcd of Char, Geddes & Gonnet, J. Symbolic Computation,
@@ -72,13 +73,13 @@ multi-phase or mismatched one raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .mdp import Mdp, PeriodicMarkovStrategy, StrategyMismatch, ensure_valid, stationary
+from .periodic_sets import _Frozen
 
 
 class PoleAtOne(ArithmeticError):
@@ -91,6 +92,27 @@ def _trim(p: list[int]) -> list[int]:
     while p and not p[-1]:
         p.pop()
     return p
+
+
+def _sum(p: list[int], q: list[int]) -> list[int]:
+    """Sum of two integer polynomials, trimmed."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
+
+
+def _product(p, q) -> list[int]:
+    """Product of two integer polynomials; [] when either is zero."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def _primitive(cs) -> list[int]:
@@ -171,11 +193,13 @@ def _horner(cs: list[int], p: int, q: int) -> tuple[int, int]:
     return acc, scale
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Frozen):
     """Dense univariate polynomial with Fraction coefficients, low order first."""
 
-    coeffs: tuple[Fraction, ...]
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        self.__dict__["coeffs"] = coeffs
 
     @staticmethod
     def of(*cs) -> "Poly":
@@ -241,17 +265,20 @@ class Poly:
         return " + ".join(terms)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Frozen):
     """A rational function in lowest terms, as integer coefficients low
     order first: ``ints_num`` / ``ints_den``, with no common content and
     a positive leading denominator coefficient, so each function has one
-    form and the generated ``==`` and ``hash`` compare functions.  ``num``
+    form and ``==`` and ``hash``, which compare and hash that pair,
+    compare functions.  ``+``, ``-``, ``*`` and ``/`` multiply and add
+    the integer pairs and reduce the result with ``_reduced``.  ``num``
     and ``den`` are its reduced form with a monic denominator, built on
     first read."""
 
-    ints_num: tuple[int, ...]
-    ints_den: tuple[int, ...]
+    _fields = ("ints_num", "ints_den")
+
+    def __init__(self, ints_num: tuple[int, ...], ints_den: tuple[int, ...]):
+        self.__dict__.update(ints_num=ints_num, ints_den=ints_den)
 
     @staticmethod
     def of(num: Poly, den: Poly = Poly.of(1)) -> "RationalFunction":
@@ -280,7 +307,9 @@ class RationalFunction:
         return not self.ints_num
 
     def __add__(self, o: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.of(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _reduced(_sum(_product(self.ints_num, o.ints_den),
+                             _product(o.ints_num, self.ints_den)),
+                        _product(self.ints_den, o.ints_den))
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(tuple(-c for c in self.ints_num), self.ints_den)
@@ -289,12 +318,12 @@ class RationalFunction:
         return self + (-o)
 
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.of(self.num * o.num, self.den * o.den)
+        return _reduced(_product(self.ints_num, o.ints_num), _product(self.ints_den, o.ints_den))
 
     def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
         if o.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction.of(self.num * o.den, self.den * o.num)
+        return _reduced(_product(self.ints_num, o.ints_den), _product(self.ints_den, o.ints_num))
 
     def evaluate(self, x) -> Fraction:
         """With x = p/q, num(x) / den(x) = (A / q^m) / (B / q^n) for the

@@ -44,13 +44,13 @@ per distinct stream instead of a level-set integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .periodic_sets import (
     EventuallyPeriodicSet,
     _expand,
+    _Frozen,
     _tail_bits,
     contract,
     density,
@@ -64,60 +64,58 @@ class IllFormedRestrict(ValueError):
     """Restriction window has non-exact or non-positive base measure."""
 
 
-class Charge:
+class Charge(_Frozen):
     """Marker base class for charge expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Frequency(Charge):
     pass
 
 
-@dataclass(frozen=True)
 class Geometric(Charge):
-    beta: Fraction
+    _fields = ("beta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if not 0 < self.beta < 1:
-            raise ValueError(f"geometric factor must lie in (0,1), got {self.beta}")
+    def __init__(self, beta: Fraction):
+        beta = Fraction(beta)
+        if not 0 < beta < 1:
+            raise ValueError(f"geometric factor must lie in (0,1), got {beta}")
+        self.__dict__["beta"] = beta
 
 
-@dataclass(frozen=True)
 class PointMass(Charge):
-    stage: int
+    _fields = ("stage",)
 
-    def __post_init__(self):
-        if self.stage < 1:
-            raise ValueError(f"point mass stage must be >= 1, got {self.stage}")
+    def __init__(self, stage: int):
+        if stage < 1:
+            raise ValueError(f"point mass stage must be >= 1, got {stage}")
+        self.__dict__["stage"] = stage
 
 
-@dataclass(frozen=True)
 class Restrict(Charge):
-    base: Charge
-    window: EventuallyPeriodicSet
+    _fields = ("base", "window")
+
+    def __init__(self, base: Charge, window: EventuallyPeriodicSet):
+        self.__dict__.update(base=base, window=window)
 
 
-@dataclass(frozen=True)
 class DyadicLimit(Charge):
     pass
 
 
-@dataclass(frozen=True)
 class Mix(Charge):
-    parts: tuple[tuple[Fraction, Charge], ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple((Fraction(w), c) for w, c in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[tuple[Fraction, Charge], ...]):
+        parts = tuple((Fraction(w), c) for w, c in parts)
         if not parts:
             raise ValueError("mixture needs at least one component")
         if any(w <= 0 for w, _ in parts):
             raise ValueError("mixture weights must be strictly positive")
         if sum(w for w, _ in parts) != 1:
             raise ValueError("mixture weights must sum to 1")
+        self.__dict__["parts"] = parts
 
 
 def is_diffuse(mu: Charge) -> bool:
@@ -132,15 +130,17 @@ def is_diffuse(mu: Charge) -> bool:
     raise TypeError(f"not a charge expression: {mu!r}")
 
 
-@dataclass(frozen=True)
-class CValue:
+class CValue(_Frozen):
     """The exact value of a charge query: one ``Fraction``.
 
     ``candidates``, ``low`` and ``is_exact`` are read-only views of that
     value.  A CValue equals only a CValue, never a bare ``Fraction``.
     """
 
-    exact_value: Fraction
+    _fields = ("exact_value",)
+
+    def __init__(self, exact_value: Fraction):
+        self.__dict__["exact_value"] = exact_value
 
     @classmethod
     def exact(cls, q) -> "CValue":

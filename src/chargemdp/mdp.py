@@ -47,6 +47,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .charges import Charge, CValue, _stage_weights, integrate
+from .periodic_sets import _Frozen
 from .streams import RationalStream, _canonical, stream
 
 
@@ -58,10 +59,11 @@ class BudgetExceeded(RuntimeError):
     """Enumeration request is larger than the configured cap."""
 
 
-@dataclass(frozen=True)
-class Problem:
-    kind: str  # RowSumError | MissingAction | UnknownState | DuplicateState
-    where: str
+class Problem(_Frozen):
+    _fields = ("kind", "where")  # kind: RowSumError | MissingAction | UnknownState | DuplicateState
+
+    def __init__(self, kind: str, where: str):
+        self.__dict__.update(kind=kind, where=where)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.where}"
@@ -73,8 +75,7 @@ class MdpValidationError(ValueError):
         super().__init__("; ".join(str(p) for p in problems))
 
 
-@dataclass(frozen=True)
-class Mdp:
+class Mdp(_Frozen):
     """``rows[i][j]`` is action j at state i, (L, L*r, ((z, L*p_z), ...)):
     L the lcm of its denominators, nonzero p_z only, in state order.  Every
     reader uses it; ``rewards`` and ``transitions`` are views of it.  An
@@ -82,10 +83,12 @@ class Mdp:
     reads it back on every later call, and ``blackwell`` keeps its last
     policy's elimination on the object."""
 
-    states: tuple[str, ...]
-    initial: str
-    actions: tuple[tuple[str, ...], ...]  # parallel to states
-    rows: tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]  # [state][action]
+    _fields = ("states", "initial", "actions", "rows")
+
+    def __init__(self, states: tuple[str, ...], initial: str,
+                 actions: tuple[tuple[str, ...], ...],  # parallel to states
+                 rows: tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]):
+        self.__dict__.update(states=states, initial=initial, actions=actions, rows=rows)
 
     def state_index(self, s: str) -> int:
         return self.states.index(s)
@@ -148,8 +151,11 @@ def build_mdp(states, initial, actions, rewards, transitions) -> Mdp:
     acts = tuple(tuple(actions.get(s, ())) for s in states)
 
     def row(s, a):
-        reward = Fraction(rewards[(s, a)])
-        dist = {t: q for t, p in transitions[(s, a)].items() if (q := Fraction(p))}
+        reward = rewards[(s, a)]
+        if type(reward) is not Fraction:
+            reward = Fraction(reward)
+        dist = {t: q for t, p in transitions[(s, a)].items()
+                if (q := p if type(p) is Fraction else Fraction(p))}
         if unknown := [t for t in dist if t not in index]:
             raise MdpValidationError([Problem("UnknownState", f"transition from ({s!r}, "
                                               f"{a!r}) to unknown state {t!r}") for t in unknown])

@@ -29,7 +29,7 @@ Integers start at 1; membership queries for 0 are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -64,18 +64,53 @@ def _tail_bits(res_mask: int, period: int, start: int, count: int) -> int:
     return res_mask & ((1 << count) - 1)
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSet:
+class _Frozen:
+    """Base of the library's immutable records.  A subclass names its
+    fields in ``_fields`` and stores them in its ``__init__`` through
+    ``self.__dict__``.  Equality holds between records of one class with
+    equal fields, the hash is that of the field tuple, ``repr`` reads
+    ``Name(field=value, ...)``, and assignment and deletion raise
+    ``FrozenInstanceError``.  Written out once here rather than generated
+    per class by ``dataclass``, whose code generation dominated the
+    package's import time."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class EventuallyPeriodicSet(_Frozen):
     """Canonical eventually periodic subset of {1, 2, 3, ...}.
 
     Do not call the constructor directly with non-canonical data; use
     :func:`make` or the named constructors.
     """
 
-    pre_len: int
-    pre_mask: int
-    period: int
-    res_mask: int
+    _fields = ("pre_len", "pre_mask", "period", "res_mask")
+
+    def __init__(self, pre_len: int, pre_mask: int, period: int, res_mask: int):
+        self.__dict__.update(pre_len=pre_len, pre_mask=pre_mask, period=period,
+                             res_mask=res_mask)
 
     @property
     def preperiod_bits(self) -> tuple[int, ...]:

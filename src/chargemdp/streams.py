@@ -8,20 +8,20 @@ level sets (see :mod:`chargemdp.charges`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .periodic_sets import EventuallyPeriodicSet, _build, _prime_factors
+from .periodic_sets import EventuallyPeriodicSet, _build, _Frozen, _prime_factors
 
 
-@dataclass(frozen=True)
-class RationalStream:
+class RationalStream(_Frozen):
     """Canonical form: the cycle is of minimal length and the preperiod
     is of minimal length given the cycle."""
 
-    preperiod: tuple[Fraction, ...]
-    cycle: tuple[Fraction, ...]
+    _fields = ("preperiod", "cycle")
+
+    def __init__(self, preperiod: tuple[Fraction, ...], cycle: tuple[Fraction, ...]):
+        self.__dict__.update(preperiod=preperiod, cycle=cycle)
 
     def value_at(self, t: int) -> Fraction:
         if t < 1:

@@ -128,3 +128,19 @@ def sign_near_one(f) -> int:
     if f.is_zero:
         return 0
     return leading_sign_at_one(f.ints_num) * leading_sign_at_one(f.ints_den)
+
+
+def ref_rational_op(op: str, f, g):
+    """f op g for RationalFunctions by the route the operators took before
+    they ran on the stored integer pairs: monic-denominator ``Poly``s of
+    Fractions, multiplied and added, then reduced by ``RationalFunction.of``."""
+    from chargemdp.blackwell import RationalFunction
+    if op == "-":
+        return ref_rational_op("+", f, -g)
+    if op == "+":
+        return RationalFunction.of(f.num * g.den + g.num * f.den, f.den * g.den)
+    if op == "*":
+        return RationalFunction.of(f.num * g.num, f.den * g.den)
+    if g.is_zero:
+        raise ZeroDivisionError("division by zero rational function")
+    return RationalFunction.of(f.num * g.den, f.den * g.num)

@@ -21,7 +21,8 @@ from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
                            build_mdp, ensure_valid, expected_reward_stream,
                            periodic, random_mdp, stationary, validate)
 
-from conftest import enumerate_pure_stationary, leading_sign_at_one, sign_near_one
+from conftest import (enumerate_pure_stationary, leading_sign_at_one, ref_rational_op,
+                      sign_near_one)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
@@ -328,6 +329,25 @@ def test_rational_function_field_identities(a, b, c, d):
     assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
     if not g.is_zero:
         assert (f / g * g).evaluate(x) == f.evaluate(x)
+
+
+rational_functions = st.tuples(polys, polys.filter(lambda p: not p.is_zero)).map(
+    lambda nd: RationalFunction.of(*nd))
+
+
+@given(rational_functions, rational_functions)
+@settings(max_examples=100, deadline=None)
+def test_operators_on_integer_pairs_match_the_poly_route(f, g):
+    for op, fn in (("+", f.__add__), ("-", f.__sub__), ("*", f.__mul__), ("/", f.__truediv__)):
+        try:
+            want = ref_rational_op(op, f, g)
+        except ZeroDivisionError as err:
+            with pytest.raises(ZeroDivisionError, match=f"^{err}$"):
+                fn(g)
+            continue
+        got = fn(g)
+        assert (got.ints_num, got.ints_den) == (want.ints_num, want.ints_den), op
+        assert got.render() == want.render()
 
 
 def test_rational_function_stores_the_reduced_integer_pair():
