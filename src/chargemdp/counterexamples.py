@@ -29,8 +29,9 @@ test on w's stage bits:
   part has mass 2 * #{odd r in R} / p < 1; else the dyadic limit is 0.
 
 The payoff and the dichotomy read only R, which the preperiod of the
-pattern cannot reach, so they run once per cycle pattern; the shift lemma
-runs once per pattern, as one AND with the union of its eight masks.
+pattern cannot reach, so they run once per cycle group, as does the
+shift lemma above the preperiod; below it, the preperiods failing it
+are tabled once per length.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .charges import DyadicLimit, Frequency, Geometric, Mix, Restrict, value
-from .mdp import (Mdp, PeriodicMarkovStrategy, _primitive_cycles, build_mdp,
-                  payoff, periodic, stationary)
+from .mdp import (BudgetExceeded, Mdp, PeriodicMarkovStrategy, _primitive_cycles,
+                  build_mdp, payoff, periodic, stationary)
 from .periodic_sets import _tail_bits, arithmetic, difference, multiples, odds, union
 
 
@@ -88,11 +89,26 @@ def _flag(check_id: str, condition: bool, detail: str = "") -> CheckRow:
     return CheckRow(check_id, "true", detail or str(condition).lower(), condition)
 
 
+_SWEEP_CAP = 2_000_000  # groups plus preperiods; the search's cap
+
+
 def _check_bounds(n_max: int = 1, max_period: int = 1, max_preperiod: int = 0) -> None:
+    """ValueError for a vacuous bound; BudgetExceeded, before anything is
+    built, if the sweep's preperiods (2**L per L) and cycle groups (L + 1
+    per primitive cycle, 2**q of length q less those of each d | q, d < q)
+    pass the cap.  Past the clipped bounds one term alone passes it."""
     for name, got, least in (("n_max", n_max, 1), ("max_period", max_period, 1),
                              ("max_preperiod", max_preperiod, 0)):
         if got < least:
             raise ValueError(f"{name} must be at least {least}, got {got}")
+    prim: dict[int, int] = {}
+    total = (2 << min(max_preperiod, _SWEEP_CAP.bit_length())) - 1
+    for q in range(1, min(max_period, _SWEEP_CAP.bit_length()) + 1):
+        prim[q] = (1 << q) - sum(n for d, n in prim.items() if q % d == 0)
+        total += (max_preperiod + 1) * prim[q]
+    if total > _SWEEP_CAP:
+        raise BudgetExceeded(f"at least {total} cycle groups and preperiods "
+                             f"exceeds cap {_SWEEP_CAP}")
 
 
 # ---- builders ------------------------------------------------------------
@@ -203,7 +219,6 @@ def verify_lower_bounds(n_max: int) -> VerificationReport:
 # ---- no-optimum probes ---------------------------------------------------
 
 _Layout = namedtuple("_Layout", "h p two_a odd odd_res even_res top_res lemma")
-_Shortfall = namedtuple("_Shortfall", "payoff_below_1 lemma_failures dichotomy p odd dyadic mu1")
 
 
 @lru_cache(maxsize=256)
@@ -225,59 +240,30 @@ def _layout(m: int, p: int) -> _Layout:
                    _tail_bits(1, two_a, 0, p), lemma)
 
 
-def _shortfall(words: list[int], lay: _Layout) -> _Shortfall:
-    """The verdicts on the reward sets with stage words ``words``, which
-    share their residue word: the payoff and the dichotomy read only that,
-    so they hold for all of them or for none, and lemma_failures counts
-    the words the shift lemma fails on.  The payoff is (2*odd + dyadic) /
-    (2p), the odd-part mass 2*odd / p, the dyadic limit dyadic / p, and
-    mu1 says whether mu_1 > 0."""
-    res = words[0] >> lay.h
-    odd = (res & lay.odd_res).bit_count()
-    dyadic = lay.two_a * (res & lay.top_res).bit_count()
-    mu1 = (res & lay.even_res) != 0
-    lemma = lay.lemma
-    return _Shortfall(2 * odd + dyadic < 2 * lay.p,
-                      sum(1 for r in words if r & (r << 1) & lemma),
-                      2 * odd < lay.p if mu1 else dyadic == 0, lay.p, odd, dyadic, mu1)
-
-
 def _reward_word(bottom: int, odd: int) -> int:
-    """The stage word of the reward set on the stages of ``odd``, for the
-    bottom-action word ``bottom``: odd t is rewarded iff b_t = 0, t + 1 iff
-    b_t = 1."""
+    """The reward word of the bottom-action word on the odd stages in
+    ``odd``: odd t is rewarded iff b_t = 0, t + 1 iff b_t = 1."""
     return (odd & ~bottom) | (odd & bottom) << 1
 
 
-def _cycle_groups(max_period: int, max_preperiod: int):
-    """(layout, words) per cycle group (q, L, cyc) of the bottom-action
-    patterns within the bounds that ``streams._canonical`` leaves
-    unchanged (bit i of pre is stage i + 1, bit j of cyc stage L + 1 + j):
-    the cycle has least period q, and the last preperiod bit differs from
-    the last cycle bit.  words holds the stage words of the group's reward
-    sets, one per pre in increasing order; each set has preperiod at most
-    L + 1.  Reward bit t reads only bottom bits t and t - 1, and pre < 2**L
-    while h >= L + 2, so the words share their residue word.  Each word is
-    the OR of the rewards around the odd stages 1..L, which read only pre,
-    and those around the later odd stages, which read only the cycle.
-    The cycles of each q are the search's primitive cycles over two
-    actions (``mdp._primitive_cycles``), each read as an int with bit j
-    for phase j, in increasing order."""
-    lows = []  # per L: the preperiod parts for pre ending in 0, then in 1
+def _sweep_groups(max_period: int, max_preperiod: int):
+    """(L, parts, batches) per preperiod length L, for the bottom-action
+    patterns ``streams._canonical`` leaves unchanged (bit i of pre is stage
+    i + 1, bit j of cyc stage L + 1 + j; cyc is primitive, pre ends in the
+    other bit).  A pattern's reward word is high | part: parts holds those
+    of the pre ending in 0, then 1, no bit above L; batches yields per
+    cycle length q the layout (h >= L + 2) and the highs, no bit below L,
+    of the cycles taking each."""
+    tails = {q: [[_tail_bits(sum(b << j for j, b in enumerate(c)), q, 0, 2 * lcm(2, q) + 1)
+                  for c in cycles if c[-1] != end] for end in (0, 1)]
+             for q, cycles in _primitive_cycles(2, max_period).items()}
     for L in range(max_preperiod + 1):
         odd = _tail_bits(0b10, 2, 1, L)
         parts = [_reward_word(pre, odd) for pre in range(1 << L)]
         half = len(parts) // 2
-        lows.append((parts[:half], parts[half:]) if L else (parts, parts))
-    primitive = _primitive_cycles(2, max_period)
-    for q in range(1, max_period + 1):
-        cycles = sorted(sum(b << j for j, b in enumerate(c)) for c in primitive[q])
-        for L in range(max_preperiod + 1):
-            lay = _layout(L + 1, lcm(2, q))
-            odd = lay.odd >> L << L
-            for cyc in cycles:
-                high = _reward_word(_tail_bits(cyc, q, 0, lay.h + lay.p - L) << L, odd)
-                yield lay, [high | part for part in lows[L][1 ^ cyc >> (q - 1)]]
+        yield L, (parts[:half], parts[half:]) if L else (parts, parts), \
+            ((lay, [[_reward_word(t << L, lay.odd >> L << L) for t in ts] for ts in tails[q]])
+             for q in tails for lay in [_layout(L + 1, lcm(2, q))])
 
 
 def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
@@ -286,18 +272,29 @@ def sweep_payoff_shortfall(max_period: int = 8, max_preperiod: int = 8,
     bounds, plus a grid of randomized stationary strategies: payoffs all
     stay below 1 and the structural facts hold for each.
 
-    The module docstring's three integer tests run on the reward sets of
-    :func:`_cycle_groups`: the payoff and the dichotomy once per group,
-    each failure counted once per pattern, and the shift lemma once per
-    pattern, as one mask.
+    The integer tests run once per cycle group of :func:`_sweep_groups`,
+    a failure counting once per pattern.  Past the cap BudgetExceeded is
+    raised.
     """
     _check_bounds(max_period=max_period, max_preperiod=max_preperiod)
     count = failures = 0
-    for lay, words in _cycle_groups(max_period, max_preperiod):
-        s = _shortfall(words, lay)
-        count += len(words)
-        failures += (len(words) * ((not s.payoff_below_1) + (not s.dichotomy))
-                     + s.lemma_failures)
+    for L, parts, batches in _sweep_groups(max_period, max_preperiod):
+        low = _layout(L + 1, 2).lemma & ((4 << L) - 1)  # any layout's: h >= L + 2
+        tables = [[sum(1 for part in half if (r := part | k << L) & r << 1 & low)
+                   for k in range(4)] for half in parts]  # failing parts by bits L, L + 1
+        for lay, highs in batches:
+            h, p, two_a, _, odd_res, even_res, top_res, lemma = lay
+            top = lemma >> L + 2 << L + 2  # the lemma above the parts
+            for half, fails, group in zip(parts, tables, highs):
+                n = len(half)
+                count += n * len(group)
+                for high in group:
+                    res = high >> h
+                    odd = (res & odd_res).bit_count()
+                    dyadic = two_a * (res & top_res).bit_count()
+                    failures += n * ((2 * odd + dyadic >= 2 * p)
+                                     + (2 * odd >= p if res & even_res else dyadic > 0))
+                    failures += n if high & high << 1 & top else fails[high >> L & 3]
     rows = [_flag("pure-periodic-sweep", not failures,
                   f"{count} strategies, {failures} failures")]
     mdp = even_or_odd_mdp()

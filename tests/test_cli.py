@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -179,6 +180,17 @@ def test_verify_rejects_bad_bounds(capsys, flag, value, least):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--max-period", "30"), ("--max-preperiod", "40")])
+def test_verify_past_the_sweep_cap_exits_2(capsys, flag, value):
+    # these ran out of memory in _primitive_cycles, or ran unbounded
+    # building 2**41 preperiod words; now nothing is printed or built
+    assert run(["verify", "all", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: at least \d+ cycle groups and preperiods exceeds cap 2000000\n",
+                        captured.err), captured.err
 
 
 def test_parse_error_exit_code(capsys):

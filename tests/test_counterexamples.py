@@ -1,6 +1,7 @@
 """The bundled worked examples and their verifiers."""
 
 import random
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from chargemdp import counterexamples as cx
 from chargemdp.charges import CValue, dyadic_value_sequence, integrate, value
-from chargemdp.mdp import expected_reward_stream, payoff, periodic
+from chargemdp.mdp import BudgetExceeded, expected_reward_stream, payoff, periodic
 from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, density,
                                      difference, intersect, make, multiples, naturals,
                                      odds, shift, union)
@@ -87,6 +88,36 @@ def test_sweep_bounds_six():
 
 # ---- integer sweep vs the set-level reference -----------------------------
 
+Shortfall = namedtuple("Shortfall", "payoff_below_1 lemma_failures dichotomy p odd dyadic mu1")
+
+
+def reference_shortfall(words, lay):
+    """The per-pattern verdicts on the reward sets with stage words
+    ``words``, which share their residue word: the payoff and the
+    dichotomy read only that, so they hold for all of them or for none,
+    and lemma_failures counts the words the shift lemma fails on.  The
+    payoff is (2*odd + dyadic) / (2p), the odd-part mass 2*odd / p, the
+    dyadic limit dyadic / p, and mu1 says whether mu_1 > 0."""
+    res = words[0] >> lay.h
+    odd = (res & lay.odd_res).bit_count()
+    dyadic = lay.two_a * (res & lay.top_res).bit_count()
+    mu1 = (res & lay.even_res) != 0
+    return Shortfall(2 * odd + dyadic < 2 * lay.p,
+                     sum(1 for r in words if r & (r << 1) & lay.lemma),
+                     2 * odd < lay.p if mu1 else dyadic == 0, lay.p, odd, dyadic, mu1)
+
+
+def cycle_groups(max_period, max_preperiod):
+    """(layout, words) per cycle group of the sweep, read per pattern:
+    each high of ``counterexamples._sweep_groups`` OR-ed with every part
+    it takes, in the parts' order."""
+    for _, parts, batches in cx._sweep_groups(max_period, max_preperiod):
+        for lay, highs in batches:
+            for half, group in zip(parts, highs):
+                for high in group:
+                    yield lay, [high | part for part in half]
+
+
 def bits(word, n):
     return tuple((word >> i) & 1 for i in range(n))
 
@@ -107,7 +138,7 @@ def set_word(w):
 def set_shortfall(w):
     """The sweep's verdicts on the set w, from its stage word."""
     lay, word = set_word(w)
-    return cx._shortfall([word], lay)
+    return reference_shortfall([word], lay)
 
 
 def lemma_holds(w):
@@ -139,9 +170,9 @@ def reference_pattern_words(max_period, max_preperiod):
     """(L, q, pre, cyc), then the layout and stage word of its reward set,
     for each bottom-action pattern within the bounds that
     ``streams._canonical`` leaves unchanged (bit i of pre is stage i + 1,
-    bit j of cyc stage L + 1 + j), one pattern at a time, in the order of
-    ``counterexamples._cycle_groups``: its cycle has least period q, and
-    its last preperiod bit differs from the last cycle bit."""
+    bit j of cyc stage L + 1 + j), one pattern at a time: its cycle has
+    least period q, and its last preperiod bit differs from the last
+    cycle bit."""
     for q in range(1, max_period + 1):
         cycles = [c for c in range(1 << q) if _build(0, 0, q, c).period == q]
         for L in range(max_preperiod + 1):
@@ -204,7 +235,7 @@ def reference_verdicts(w):
 
 
 def integer_verdicts(lay, reward):
-    s = cx._shortfall([reward], lay)
+    s = reference_shortfall([reward], lay)
     assert s.payoff_below_1 == (2 * s.odd + s.dyadic < 2 * s.p)
     return Fraction(2 * s.odd + s.dyadic, 2 * s.p), not s.lemma_failures, s.dichotomy
 
@@ -276,9 +307,25 @@ def test_canonical_enumeration_matches_raw_loop(bound, count):
 
 
 @pytest.mark.parametrize("bound", range(1, 9))
-def test_cycle_groups_flatten_to_the_per_pattern_reference(bound):
-    got = [(lay, word) for lay, words in cx._cycle_groups(bound, bound) for word in words]
-    assert got == [(lay, word) for _, lay, word in reference_pattern_words(bound, bound)]
+def test_sweep_groups_flatten_to_the_per_pattern_reference(bound):
+    # every canonical pattern once, as high | part in its own layout (the
+    # bottom bits at even stages reward nothing, so words repeat)
+    got = Counter((lay, word) for lay, words in cycle_groups(bound, bound) for word in words)
+    assert got == Counter((lay, word) for _, lay, word in reference_pattern_words(bound, bound))
+
+
+@pytest.mark.parametrize("bound", [1, 4, 8])
+def test_sweep_groups_split_at_bit_l(bound):
+    # what the sweep's split of the shift lemma rests on: part has no bit
+    # above L, high none below L, the residue word starts at h >= L + 2,
+    # and each half holds 2**(L - 1) parts (one at L = 0)
+    for L, parts, batches in cx._sweep_groups(bound, bound):
+        assert [len(half) for half in parts] == [max(1, 1 << L >> 1)] * 2
+        assert all(part >> (L + 1) == 0 for half in parts for part in half)
+        for lay, highs in batches:
+            assert lay.h >= L + 2
+            assert lay.lemma & ((4 << L) - 1) == cx._layout(L + 1, 2).lemma & ((4 << L) - 1)
+            assert all(high & ((1 << L) - 1) == 0 for group in highs for high in group)
 
 
 def reference_failures():
@@ -286,7 +333,7 @@ def reference_failures():
     judged on its own."""
     out = []
     for (L, q, _, _), lay, reward in reference_pattern_words(8, 8):
-        s = cx._shortfall([reward], lay)
+        s = reference_shortfall([reward], lay)
         out.append((L, q, (not s.payoff_below_1) + bool(s.lemma_failures)
                     + (not s.dichotomy)))
     return out
@@ -313,7 +360,7 @@ def test_residue_word_does_not_depend_on_preperiod():
         assert lay.h >= L + 2
         assert len(group) == max(1, 1 << L >> 1)
         assert len({reward >> lay.h for _, _, reward in group}) == 1, (L, q, cyc)
-    for lay, words in cx._cycle_groups(8, 8):
+    for lay, words in cycle_groups(8, 8):
         assert len({word >> lay.h for word in words}) == 1
 
 
@@ -391,7 +438,7 @@ def test_closed_form_dyadic_limit_matches_contraction_chain(s):
 
 def test_shortfall_flags_an_all_ones_word():
     lay = cx._layout(0, 2)
-    s = cx._shortfall([(1 << (lay.h + lay.p)) - 1], lay)
+    s = reference_shortfall([(1 << (lay.h + lay.p)) - 1], lay)
     assert Fraction(2 * s.odd + s.dyadic, 2 * s.p) == 1
     assert not s.payoff_below_1
     assert s.lemma_failures == 1
@@ -403,27 +450,135 @@ def test_sweep_counts_failing_words(monkeypatch, k):
     # the sweep reports what the integer checks flag, so it cannot pass
     # vacuously: an all-ones word fails all three checks, and the pairs
     # at 2**k (payoff 1/2**(k + 1)) fail the shift lemma only
+    # (the all-ones word fails the lemma at bit L + 1 = 1, below the split)
     lay = cx._layout(0, 2)
     pairs_lay, pairs_word = set_word(pairs_at(k))
-    groups = [(lay, [(1 << (lay.h + lay.p)) - 1]), (pairs_lay, [pairs_word])]
-    monkeypatch.setattr(cx, "_cycle_groups", lambda *bounds: iter(groups))
+    batches = [(lay, [[(1 << (lay.h + lay.p)) - 1], []]), (pairs_lay, [[pairs_word], []])]
+    groups = [(0, ([0], [0]), iter(batches))]
+    monkeypatch.setattr(cx, "_sweep_groups", lambda *bounds: iter(groups))
     rep = cx.sweep_payoff_shortfall(1, 0, stationary_grid=[])
     assert not rep.passed
     assert rep.rows[0].got == "2 strategies, 4 failures"
 
 
 def test_sweep_counts_a_group_once_per_pattern(monkeypatch):
-    # preperiod 2, period 2: bits 0-1 are free, bit 2 follows the odd
-    # residue (bit 4), bits 3-4 are the residue word.  With every residue
-    # rewarded, each of 4 words fails all three checks; with only the
-    # even residue, the payoff and the dichotomy hold, and the lemma
-    # fails only where stages 1 and 2 are both rewarded
+    # preperiod 2, period 2, split at L = 1: the parts, bits 0-1, are
+    # free, bit 2 follows the odd residue (bit 4), bits 3-4 are the
+    # residue word.  With every residue rewarded, each of 4 words fails
+    # all three checks; with only the even residue, the payoff and the
+    # dichotomy hold, and the lemma fails only where stages 1 and 2 are
+    # both rewarded, below the split
     lay = cx._layout(2, 2)
     assert (lay.h, lay.p) == (3, 2)
-    groups = [(lay, [0b11100 | x for x in range(4)]), (lay, [0b01000 | x for x in range(4)])]
-    monkeypatch.setattr(cx, "_cycle_groups", lambda *bounds: iter(groups))
+    groups = [(1, ([0, 1, 2, 3], [3, 2, 1, 0]), iter([(lay, [[0b11100], [0b01000]])]))]
+    monkeypatch.setattr(cx, "_sweep_groups", lambda *bounds: iter(groups))
     rep = cx.sweep_payoff_shortfall(1, 0, stationary_grid=[])
     assert rep.rows[0].got == "8 strategies, 13 failures"
+
+
+@st.composite
+def injected_groups(draw):
+    """One preperiod length L with arbitrary parts (no bit above L) and
+    arbitrary highs (no bit below L) in the sweep's layouts of L."""
+    L = draw(st.integers(0, 6))
+    part = st.integers(0, (2 << L) - 1)
+    parts = tuple(draw(st.lists(part, min_size=1, max_size=6)) for _ in range(2))
+    batches = []
+    for p in draw(st.lists(st.sampled_from([2, 4, 6, 8, 12, 16]), min_size=1, max_size=3)):
+        lay = cx._layout(L + 1, p)
+        high = st.integers(0, (1 << (lay.h + lay.p + 1)) - 1).map(lambda x: x >> L << L)
+        batches.append((lay, [draw(st.lists(high, max_size=4)) for _ in range(2)]))
+    return L, parts, batches
+
+
+@given(injected_groups())
+@settings(max_examples=200, deadline=None)
+def test_sweep_counts_match_per_pattern_verdicts_on_injected_groups(group):
+    # words the real patterns never produce, so every check can fail:
+    # the sweep's per-group count with its table of parts must equal the
+    # verdicts on each word high | part judged on its own
+    L, parts, batches = group
+    count = failures = 0
+    for lay, highs in batches:
+        for half, grp in zip(parts, highs):
+            for high in grp:
+                for part in half:
+                    s = reference_shortfall([high | part], lay)
+                    count += 1
+                    failures += (not s.payoff_below_1) + s.lemma_failures + (not s.dichotomy)
+    sweep_groups = lambda *bounds: iter([(L, parts, iter(batches))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx, "_sweep_groups", sweep_groups)
+        got = cx.sweep_payoff_shortfall(1, 0, stationary_grid=[]).rows[0].got
+    assert got == f"{count} strategies, {failures} failures"
+
+
+def primitive_words(q):
+    """prim2(q) = sum over d | q of mobius(d) * 2**(q/d): the binary
+    words of length q that are no power of a shorter one."""
+    def mobius(d):
+        sign, k = 1, 2
+        while d > 1:
+            if d % k == 0:
+                d //= k
+                if d % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return sign
+    return sum(mobius(d) * 2 ** (q // d) for d in range(1, q + 1) if q % d == 0)
+
+
+def closed_form_count(P, L):
+    """count(P, L) = 2**L * sum over q <= P of prim2(q): each primitive
+    cycle with the preperiods of each length l <= L whose last bit differs
+    from the cycle's, 2**(l - 1) of them (one at l = 0)."""
+    return 2 ** L * sum(primitive_words(q) for q in range(1, P + 1))
+
+
+def test_closed_form_count():
+    assert [primitive_words(q) for q in range(1, 9)] == [2, 2, 6, 12, 30, 54, 126, 240]
+    assert primitive_words(14) == 2 ** 14 - 2 ** 7 - 2 ** 2 + 2
+    assert [closed_form_count(b, b) for b in (4, 6, 8, 10, 14)] == \
+        [352, 6784, 120832, 2013184, 532086784]
+
+
+@pytest.mark.parametrize("P", range(1, 13))
+def test_sweep_count_matches_the_closed_form(P):
+    for L in range(13):
+        got = cx.sweep_payoff_shortfall(P, L, stationary_grid=[]).rows[0].got
+        assert got == f"{closed_form_count(P, L)} strategies, 0 failures", (P, L)
+
+
+@pytest.mark.parametrize("bounds, total", [((16, 16), 2349333), ((30, 8), None), ((8, 40), None),
+                                           ((2_000_000, 0), None), ((1, 10 ** 9), None)])
+def test_sweep_past_the_cap_raises_before_building(monkeypatch, bounds, total):
+    def unreachable(*args):
+        raise AssertionError("built before the budget check")
+    monkeypatch.setattr(cx, "_primitive_cycles", unreachable)
+    monkeypatch.setattr(cx, "_layout", unreachable)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^at least {total or '[0-9]+'} cycle groups and preperiods "
+                             "exceeds cap 2000000$"):
+        cx.sweep_payoff_shortfall(*bounds, stationary_grid=[])
+    with pytest.raises(BudgetExceeded):
+        cx.verify_all(12, *bounds)
+
+
+def test_sweep_cap_counts_what_the_sweep_visits(monkeypatch):
+    # below the clip, the budget error names the exact number of cycle
+    # groups and preperiods the sweep would visit
+    for P, L in [(1, 0), (3, 5), (8, 8), (9, 2)]:
+        groups = sum(len(group) for _, _, batches in cx._sweep_groups(P, L)
+                     for _, highs in batches for group in highs)
+        want = groups + 2 ** (L + 1) - 1
+        monkeypatch.setattr(cx, "_SWEEP_CAP", want - 1)
+        with pytest.raises(BudgetExceeded, match=f"^at least {want} cycle groups"):
+            cx.sweep_payoff_shortfall(P, L, stationary_grid=[])
+        monkeypatch.setattr(cx, "_SWEEP_CAP", want)
+        cx._check_bounds(max_period=P, max_preperiod=L)
+    monkeypatch.undo()
+    cx._check_bounds(max_period=15, max_preperiod=15)  # 1108831 of the 2000000
 
 
 def test_shortfall_rows_flag_a_failing_shift_lemma():
