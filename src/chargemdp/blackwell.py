@@ -39,8 +39,8 @@ The bound holds: X = 2**k > 2B >= 2*||det||_1, and X is even.  So a
 constant h means the gcd is 1; otherwise h is accepted only after both
 exact divisions (``_quotient``) succeed, their quotients are the reduced
 pair, and a failed division falls back to a primitive remainder sequence
-(``_int_gcd``).  ``RationalFunction.of``, which has no packed values,
-takes that sequence after clearing denominators.
+(``_int_gcd``).  The arithmetic operators, which have no packed values,
+take that sequence.
 
 "Optimal for every discount factor close enough to 1" becomes a sign
 test near b = 1.  Dividing a polynomial by (b - 1) until the remainder
@@ -115,19 +115,16 @@ def _product(p, q) -> list[int]:
     return out
 
 
-def _primitive(cs) -> list[int]:
-    """Coefficients cs (rationals or ints, low order first, trimmed) scaled
-    to coprime integers."""
-    den = lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    g = gcd(*ints)
-    return [x // g for x in ints]
+def _primitive(cs: list[int]) -> list[int]:
+    """Integer coefficients cs, low order first and trimmed, divided by
+    their content."""
+    g = gcd(*cs)
+    return [x // g for x in cs]
 
 
 def _int_gcd(x: list[int], y: list[int]) -> list[int]:
-    """Primitive gcd in Z[b] of two polynomials with integer or rational
-    coefficients, by a primitive remainder sequence; [] when both are
-    zero.  Its sign is arbitrary."""
+    """Primitive gcd in Z[b] of two integer polynomials, by a primitive
+    remainder sequence; [] when both are zero.  Its sign is arbitrary."""
     x, y = _primitive(x), _primitive(y)
     if len(x) < len(y):
         x, y = y, x
@@ -194,7 +191,8 @@ def _horner(cs: list[int], p: int, q: int) -> tuple[int, int]:
 
 
 class Poly(_Frozen):
-    """Dense univariate polynomial with Fraction coefficients, low order first."""
+    """Dense univariate polynomial with Fraction coefficients, low order
+    first: the read-only form of ``RationalFunction.num`` and ``den``."""
 
     _fields = ("coeffs",)
 
@@ -215,28 +213,6 @@ class Poly(_Frozen):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly.of(*(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly.of(*out)
 
     def evaluate(self, x) -> Fraction:
         """Horner over the integers: with the coefficients over their lcm d,
@@ -281,16 +257,9 @@ class RationalFunction(_Frozen):
         self.__dict__.update(ints_num=ints_num, ints_den=ints_den)
 
     @staticmethod
-    def of(num: Poly, den: Poly = Poly.of(1)) -> "RationalFunction":
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        d = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        return _reduced([c.numerator * (d // c.denominator) for c in num.coeffs],
-                        [c.numerator * (d // c.denominator) for c in den.coeffs])
-
-    @staticmethod
     def const(q) -> "RationalFunction":
-        return RationalFunction.of(Poly.of(q))
+        q = Fraction(q)
+        return RationalFunction((q.numerator,) if q else (), (q.denominator,))
 
     @cached_property
     def num(self) -> Poly:

@@ -145,8 +145,7 @@ _COMMANDS = {
 }
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and its command parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chargemdp", description=(
         "Exact MDP payoffs under finitely additive aggregation charges."))
     sub = parser.add_subparsers(dest="command", required=True)
@@ -155,14 +154,10 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
         for name, keywords in arguments.items():
             p.add_argument(name, **keywords)
         p.set_defaults(fn=fn)
-    return parser, sub.choices
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
-_parser = functools.cache(_build)  # the parsers ``run`` uses, built on first use
+_parser = functools.cache(build_parser)  # the parser ``run`` falls back to, built on first use
 
 
 def _read_call(argv: list[str]) -> argparse.Namespace | None:
@@ -201,14 +196,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, read from the table when the call is well formed."""
     if (args := _read_call(argv)) is not None:
         return args
-    parser, commands = _parser()
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return _parser().parse_args(argv)
 
 
 def run(argv=None) -> int:

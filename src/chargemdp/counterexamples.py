@@ -43,8 +43,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .charges import DyadicLimit, Frequency, Geometric, Mix, Restrict, value
-from .mdp import (BudgetExceeded, Mdp, PeriodicMarkovStrategy, _primitive_cycles,
-                  build_mdp, payoff, periodic, stationary)
+from .mdp import (STRATEGY_CAP, BudgetExceeded, Mdp, PeriodicMarkovStrategy,
+                  _primitive_cycles, build_mdp, payoff, periodic, stationary)
 from .periodic_sets import _tail_bits, arithmetic, difference, multiples, odds, union
 
 
@@ -89,26 +89,33 @@ def _flag(check_id: str, condition: bool, detail: str = "") -> CheckRow:
     return CheckRow(check_id, "true", detail or str(condition).lower(), condition)
 
 
-_SWEEP_CAP = 2_000_000  # groups plus preperiods; the search's cap
-
-
-def _check_bounds(n_max: int = 1, max_period: int = 1, max_preperiod: int = 0) -> None:
+def _check_bounds(n_max: int = 1, max_period: int | None = None, max_preperiod: int = 0,
+                  blocks: bool = False) -> None:
     """ValueError for a vacuous bound; BudgetExceeded, before anything is
-    built, if the sweep's preperiods (2**L per L) and cycle groups (L + 1
-    per primitive cycle, 2**q of length q less those of each d | q, d < q)
-    pass the cap.  Past the clipped bounds one term alone passes it."""
+    built, if what the checks build passes the search's cap: given
+    max_period, the sweep's preperiods (2**L per L) and cycle groups (L + 1
+    per primitive cycle, 2**q of length q less those of each d | q, d < q);
+    with ``blocks``, also the phases of the block strategies (2**n for
+    n <= n_max).  Past the clipped bounds one term alone passes it."""
     for name, got, least in (("n_max", n_max, 1), ("max_period", max_period, 1),
                              ("max_preperiod", max_preperiod, 0)):
-        if got < least:
+        if got is not None and got < least:
             raise ValueError(f"{name} must be at least {least}, got {got}")
-    prim: dict[int, int] = {}
-    total = (2 << min(max_preperiod, _SWEEP_CAP.bit_length())) - 1
-    for q in range(1, min(max_period, _SWEEP_CAP.bit_length()) + 1):
-        prim[q] = (1 << q) - sum(n for d, n in prim.items() if q % d == 0)
-        total += (max_preperiod + 1) * prim[q]
-    if total > _SWEEP_CAP:
-        raise BudgetExceeded(f"at least {total} cycle groups and preperiods "
-                             f"exceeds cap {_SWEEP_CAP}")
+    clip = STRATEGY_CAP.bit_length()
+    total = 0
+    if max_period is not None:
+        prim: dict[int, int] = {}
+        total = (2 << min(max_preperiod, clip)) - 1
+        for q in range(1, min(max_period, clip) + 1):
+            prim[q] = (1 << q) - sum(n for d, n in prim.items() if q % d == 0)
+            total += (max_preperiod + 1) * prim[q]
+        if total > STRATEGY_CAP:
+            raise BudgetExceeded(f"at least {total} cycle groups and preperiods "
+                                 f"exceeds cap {STRATEGY_CAP}")
+    if blocks and (phases := (2 << min(n_max, clip)) - 2) + total > STRATEGY_CAP:
+        sweep = f" and {total} cycle groups and preperiods" if total else ""
+        raise BudgetExceeded(f"at least {phases} block-strategy phases{sweep} "
+                             f"exceeds cap {STRATEGY_CAP}")
 
 
 # ---- builders ------------------------------------------------------------
@@ -200,8 +207,9 @@ def switch_at(n: int) -> PeriodicMarkovStrategy:
 
 def verify_lower_bounds(n_max: int) -> VerificationReport:
     """Block strategies earn exactly 1 - 2**-n, with both intermediate
-    measure computations checked on the way."""
-    _check_bounds(n_max=n_max)
+    measure computations checked on the way.  Past the cap on the
+    strategies' phases BudgetExceeded is raised."""
+    _check_bounds(n_max=n_max, blocks=True)
     mdp = even_or_odd_mdp()
     mu = even_or_odd_charge()
     odd_part = Restrict(Frequency(), odds())
@@ -346,7 +354,7 @@ def verify_late_switch(n_max: int) -> VerificationReport:
 
 def verify_all(n_max: int = 12, max_period: int = 8,
                max_preperiod: int = 8) -> list[VerificationReport]:
-    _check_bounds(n_max, max_period, max_preperiod)
+    _check_bounds(n_max, max_period, max_preperiod, blocks=True)
     return [
         verify_lower_bounds(n_max),
         sweep_payoff_shortfall(max_period, max_preperiod),

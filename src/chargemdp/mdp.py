@@ -315,6 +315,9 @@ DEFAULT_HORIZON = 4096
 LEAST_HORIZON = 2  # the first repeat can be seen at the second stage's check
 
 
+STRATEGY_CAP = 2_000_000  # the default budget of a strategy search
+
+
 def _check_horizon(max_horizon: int) -> None:
     if max_horizon < LEAST_HORIZON:
         raise ValueError(f"max_horizon must be at least {LEAST_HORIZON}, got {max_horizon}")
@@ -468,7 +471,7 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
 
 
 def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
-                            cap: int = 2_000_000):
+                            cap: int = STRATEGY_CAP):
     """All distinct canonical pure periodic Markov strategies within
     bounds, in declared action order."""
     return (strat for _, _, group in _canonical_pure(mdp, max_period, max_preperiod, cap)[1]
@@ -523,7 +526,7 @@ def _word_values(mu: Charge, words: list, checks: dict) -> list[tuple[int, int]]
 
 
 def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
-                  cap: int = 2_000_000,
+                  cap: int = STRATEGY_CAP,
                   max_horizon: int = DEFAULT_HORIZON) -> SearchResult:
     """Exhaustive search over pure periodic Markov strategies.
 

@@ -435,44 +435,3 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
            else p.build(0, periodic, rows[:L], rows[L:]))
     p.expect_end()
     return out
-
-
-# ---- renderers -----------------------------------------------------------
-
-def render_set(s: EventuallyPeriodicSet) -> str:
-    if s.is_empty:
-        return "empty"
-    if s == ps.naturals():
-        return "nat"
-    if s == ps.odds():
-        return "odds"
-    if s == ps.evens():
-        return "evens"
-    terms = []
-    for n in range(1, s.pre_len + 1):
-        if (s.pre_mask >> (n - 1)) & 1:
-            terms.append(f"ap({n},1) & !ap({n + 1},1)")  # the singleton {n}
-    for r in sorted(s.residues):
-        a = ps.first_tail_element(s, r)
-        if s.period == a and s.pre_len == 0:
-            terms.append(f"multiples({s.period})")
-        else:
-            terms.append(f"ap({a},{s.period})")
-    return " | ".join(terms)
-
-
-def render_charge(mu: Charge) -> str:
-    if isinstance(mu, Frequency):
-        return "frequency"
-    if isinstance(mu, DyadicLimit):
-        return "dyadiclimit"
-    if isinstance(mu, Geometric):
-        return f"geometric({mu.beta})"
-    if isinstance(mu, PointMass):
-        return f"pointmass({mu.stage})"
-    if isinstance(mu, Restrict):
-        return f"restrict({render_charge(mu.base)}, {render_set(mu.window)})"
-    if isinstance(mu, Mix):
-        inner = ", ".join(f"{w}:{render_charge(c)}" for w, c in mu.parts)
-        return f"mix({inner})"
-    raise TypeError(f"not a charge expression: {mu!r}")

@@ -120,10 +120,6 @@ class EventuallyPeriodicSet(_Frozen):
     def residues(self) -> frozenset[int]:
         return frozenset(r for r in range(self.period) if (self.res_mask >> r) & 1)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.pre_mask == 0 and self.res_mask == 0
-
     def __contains__(self, n: int) -> bool:
         return member(self, n)
 
@@ -276,9 +272,3 @@ def contract(s: EventuallyPeriodicSet, d: int) -> EventuallyPeriodicSet:
 def density(s: EventuallyPeriodicSet) -> Fraction:
     """Natural density; always exists on this algebra."""
     return Fraction(s.res_mask.bit_count(), s.period)
-
-
-def first_tail_element(s: EventuallyPeriodicSet, r: int) -> int:
-    """Smallest n > preperiod with n congruent to r mod period."""
-    m = s.pre_len
-    return m + 1 + ((r - (m + 1)) % s.period)

@@ -5,7 +5,7 @@ from math import lcm
 
 from hypothesis import strategies as st
 
-from chargemdp.blackwell import _order_at_one, _sign_of_order
+from chargemdp.blackwell import Poly, RationalFunction, _order_at_one, _reduced, _sign_of_order
 from chargemdp.mdp import enumerate_pure_periodic
 from chargemdp.periodic_sets import EventuallyPeriodicSet, _aligned, make
 
@@ -100,6 +100,12 @@ def ref_level_sets(f):
     return out
 
 
+def first_tail_element(s, r: int) -> int:
+    """Smallest n > preperiod with n congruent to r mod period."""
+    m = s.pre_len
+    return m + 1 + ((r - (m + 1)) % s.period)
+
+
 def is_subset(s, t) -> bool:
     """s is a subset of t, read from their aligned bit masks."""
     _, _, (pa, ra), (pb, rb) = _aligned(s, t)
@@ -130,17 +136,61 @@ def sign_near_one(f) -> int:
     return leading_sign_at_one(f.ints_num) * leading_sign_at_one(f.ints_den)
 
 
+# ---- Fraction polynomial arithmetic: the reference the integer pairs replaced
+
+def poly_add(p: Poly, q: Poly) -> Poly:
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    return Poly.of(*(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)))
+
+
+def poly_neg(p: Poly) -> Poly:
+    return Poly(tuple(-c for c in p.coeffs))
+
+
+def poly_sub(p: Poly, q: Poly) -> Poly:
+    return poly_add(p, poly_neg(q))
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    if p.is_zero or q.is_zero:
+        return Poly(())
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a:
+            for j, b in enumerate(q.coeffs):
+                out[i + j] += a * b
+    return Poly.of(*out)
+
+
+def cleared(p: Poly) -> list[int]:
+    """The coefficients of p over the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs]
+
+
+def rational_of(num: Poly, den: Poly = Poly.of(1)) -> RationalFunction:
+    """num / den in lowest terms, from Fraction polynomials: both cleared
+    over one lcm, then reduced by the remainder sequence."""
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    d = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+    return _reduced([c.numerator * (d // c.denominator) for c in num.coeffs],
+                    [c.numerator * (d // c.denominator) for c in den.coeffs])
+
+
 def ref_rational_op(op: str, f, g):
     """f op g for RationalFunctions by the route the operators took before
     they ran on the stored integer pairs: monic-denominator ``Poly``s of
-    Fractions, multiplied and added, then reduced by ``RationalFunction.of``."""
-    from chargemdp.blackwell import RationalFunction
+    Fractions, multiplied and added, then reduced by ``rational_of``."""
     if op == "-":
         return ref_rational_op("+", f, -g)
     if op == "+":
-        return RationalFunction.of(f.num * g.den + g.num * f.den, f.den * g.den)
+        return rational_of(poly_add(poly_mul(f.num, g.den), poly_mul(g.num, f.den)),
+                           poly_mul(f.den, g.den))
     if op == "*":
-        return RationalFunction.of(f.num * g.num, f.den * g.den)
+        return rational_of(poly_mul(f.num, g.num), poly_mul(f.den, g.den))
     if g.is_zero:
         raise ZeroDivisionError("division by zero rational function")
-    return RationalFunction.of(f.num * g.den, f.den * g.num)
+    return rational_of(poly_mul(f.num, g.den), poly_mul(f.den, g.num))

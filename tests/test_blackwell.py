@@ -21,13 +21,13 @@ from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
                            build_mdp, ensure_valid, expected_reward_stream,
                            periodic, random_mdp, stationary, validate)
 
-from conftest import (enumerate_pure_stationary, leading_sign_at_one, ref_rational_op,
-                      sign_near_one)
+from conftest import (cleared, enumerate_pure_stationary, leading_sign_at_one, poly_add,
+                      poly_mul, poly_sub, rational_of, ref_rational_op, sign_near_one)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
 
-BETA = RationalFunction.of(Poly.of(0, 1))  # the discount factor b itself
+BETA = rational_of(Poly.of(0, 1))  # the discount factor b itself
 
 
 def scaled(p, k):
@@ -38,7 +38,7 @@ def at_one_minus_eps(p):
     """The polynomial p(1 - e) as a polynomial in e."""
     out = Poly(())
     for c in reversed(p.coeffs):
-        out = out * Poly.of(1, -1) + Poly.of(c)
+        out = poly_add(poly_mul(out, Poly.of(1, -1)), Poly.of(c))
     return out
 
 
@@ -55,12 +55,12 @@ def test_poly_basics():
 
 @given(polys, polys)
 def test_poly_ring_identities(p, q):
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p - q) + q == p
+    assert poly_add(p, q) == poly_add(q, p)
+    assert poly_mul(p, q) == poly_mul(q, p)
+    assert poly_add(poly_sub(p, q), q) == p
     for x in (Fraction(1, 2), Fraction(-2), Fraction(1)):
-        assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
-        assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
+        assert poly_mul(p, q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
+        assert poly_add(p, q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
 
 
 def _ref_divmod(p, q):
@@ -84,13 +84,13 @@ def test_poly_divmod_identity(p, q):
             _ref_divmod(p, q)
         return
     quo, rem = _ref_divmod(p, q)
-    assert quo * q + rem == p
+    assert poly_add(poly_mul(quo, q), rem) == p
     assert rem.is_zero or rem.degree < q.degree
 
 
 def poly_gcd(a, b):
     """Monic gcd, by the integer remainder sequence ``_int_gcd``."""
-    g = _int_gcd(list(a.coeffs), list(b.coeffs))
+    g = _int_gcd(cleared(a), cleared(b))
     return Poly(tuple(Fraction(c, g[-1]) for c in g))
 
 
@@ -118,7 +118,8 @@ def _ref_poly_gcd(a, b):
 
 @given(polys, polys, polys)
 def test_poly_gcd_matches_euclid(p, q, common):
-    assert poly_gcd(p * common, q * common) == _ref_poly_gcd(p * common, q * common)
+    p, q = poly_mul(p, common), poly_mul(q, common)
+    assert poly_gcd(p, q) == _ref_poly_gcd(p, q)
 
 
 # ---- the gcd from packed values --------------------------------------------
@@ -231,14 +232,14 @@ def test_leading_sign_at_one_matches_expansion(p):
 def _b_minus_one_to(m: int) -> Poly:
     out = Poly.of(1)
     for _ in range(m):
-        out = out * Poly.of(-1, 1)
+        out = poly_mul(out, Poly.of(-1, 1))
     return out
 
 
 @given(polys, st.integers(0, 3))
 def test_order_at_one(p, extra):
     # p = (b-1)^m * q with q(1) != 0, also when p has (b-1) factors built in
-    p = p * _b_minus_one_to(extra)
+    p = poly_mul(p, _b_minus_one_to(extra))
     m, at_one = _order_at_one(list(p.coeffs))
     if p.is_zero:
         assert (m, at_one) == (0, 0)
@@ -303,14 +304,14 @@ def test_packed_order_unpacks_only_past_order_one(monkeypatch, m):
 # ---- rational functions --------------------------------------------------
 
 def test_rational_function_reduces():
-    f = RationalFunction.of(Poly.of(-1, 0, 1), Poly.of(-1, 1))  # (b^2-1)/(b-1)
+    f = rational_of(Poly.of(-1, 0, 1), Poly.of(-1, 1))  # (b^2-1)/(b-1)
     assert f.num == Poly.of(1, 1)
     assert f.den == Poly.of(1)
     assert f.render() == "(1 + 1*b)/(1)"
 
 
 def test_rational_function_monic_denominator():
-    f = RationalFunction.of(Poly.of(1), Poly.of(0, 2))
+    f = rational_of(Poly.of(1), Poly.of(0, 2))
     assert f.den == Poly.of(0, 1)
     assert f.num == Poly.of(Fraction(1, 2))
 
@@ -320,8 +321,8 @@ def test_rational_function_monic_denominator():
 def test_rational_function_field_identities(a, b, c, d):
     if b.is_zero or d.is_zero:
         return
-    f = RationalFunction.of(a, b)
-    g = RationalFunction.of(c, d)
+    f = rational_of(a, b)
+    g = rational_of(c, d)
     x = Fraction(5, 7)  # generic point, no pole for these small denominators
     if b.evaluate(x) == 0 or d.evaluate(x) == 0:
         return
@@ -332,7 +333,7 @@ def test_rational_function_field_identities(a, b, c, d):
 
 
 rational_functions = st.tuples(polys, polys.filter(lambda p: not p.is_zero)).map(
-    lambda nd: RationalFunction.of(*nd))
+    lambda nd: rational_of(*nd))
 
 
 @given(rational_functions, rational_functions)
@@ -353,11 +354,11 @@ def test_operators_on_integer_pairs_match_the_poly_route(f, g):
 def test_rational_function_stores_the_reduced_integer_pair():
     # (2 + 4b) / (-4 - 6b) = (-1 - 2b) / (2 + 3b): the content 2 divided
     # out, and the sign taken so that the denominator leads positive
-    f = RationalFunction.of(Poly.of(2, 4), Poly.of(-4, -6))
+    f = rational_of(Poly.of(2, 4), Poly.of(-4, -6))
     assert (f.ints_num, f.ints_den) == ((-1, -2), (2, 3))
     assert f.num == Poly.of(Fraction(-1, 3), Fraction(-2, 3))
     assert f.den == Poly.of(Fraction(2, 3), 1)
-    g = RationalFunction.of(Poly.of(Fraction(1, 2), 1), Poly.of(-1, Fraction(-3, 2)))
+    g = rational_of(Poly.of(Fraction(1, 2), 1), Poly.of(-1, Fraction(-3, 2)))
     assert f == g and hash(f) == hash(g)
     assert f.evaluate(Fraction(1, 2)) == Fraction(-4, 7)
     zero = RationalFunction.const(0)
@@ -369,13 +370,22 @@ def test_rational_function_stores_the_reduced_integer_pair():
         RationalFunction((-1, -2), (1, 3))
 
 
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=1000) | st.just(Fraction(0)))
+def test_const_matches_the_poly_route(q):
+    # const builds the reduced integer pair itself, without a gcd
+    f, want = RationalFunction.const(q), rational_of(Poly.of(q))
+    assert (f.ints_num, f.ints_den) == (want.ints_num, want.ints_den)
+    assert f == want and hash(f) == hash(want)
+    assert f.evaluate(Fraction(1, 3)) == q
+
+
 def test_sign_near_one():
     one = RationalFunction.const(1)
     assert sign_near_one(one - BETA) == 1           # 1 - b > 0 below 1
     assert sign_near_one(BETA - one) == -1
     assert sign_near_one(RationalFunction.const(0)) == 0
     # (1-b)^2 / (1-b) is positive just below 1 even though it vanishes at 1
-    f = RationalFunction.of(Poly.of(1, -2, 1), Poly.of(1, -1))
+    f = rational_of(Poly.of(1, -2, 1), Poly.of(1, -1))
     assert sign_near_one(f) == 1
 
 
@@ -385,7 +395,7 @@ def test_discounted_value_even_or_odd():
     m = even_or_odd_mdp()
     v = discounted_value(m, stationary({"1": "T", "2": "c", "3": "c"}))
     # from state 1 the stream is 1,0,1,0,...: value 1/(1-b^2)
-    assert v["1"] == RationalFunction.of(Poly.of(1), Poly.of(1, 0, -1))
+    assert v["1"] == rational_of(Poly.of(1), Poly.of(1, 0, -1))
     assert v["1"].evaluate(Fraction(1, 2)) == Fraction(4, 3)
     assert v["2"].evaluate(Fraction(1, 2)) == Fraction(2, 3)
 
@@ -548,7 +558,7 @@ def test_stored_integers_read_as_the_monic_reference(seed, n_states, n_actions, 
             f, (want_num, want_den) = v[s], _ref_reduced(num, det)
             assert (f.num.coeffs, f.den.coeffs) == (want_num.coeffs, want_den.coeffs)
             assert f.render() == f"({want_num.render()})/({want_den.render()})"
-            again = RationalFunction.of(f.num, f.den)
+            again = rational_of(f.num, f.den)
             assert f == again and hash(f) == hash(again)
             assert f.evaluate(beta) == at[s]
             if want_den.evaluate(1) == 0:
@@ -647,7 +657,7 @@ def _ref_blackwell_policy(mdp):
 
 
 def _ref_average_value(mdp, pi):
-    one_minus = RationalFunction.of(Poly.of(1, -1))
+    one_minus = rational_of(Poly.of(1, -1))
     out = {}
     for s, v in _ref_discounted_value(mdp, pi).items():
         g = one_minus * v

@@ -17,13 +17,13 @@ from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric,
                                sandwich_check, value)
 from chargemdp.parsing import parse_set
 from chargemdp.periodic_sets import (_build, arithmetic, complement, contract, density,
-                                     difference, empty, evens,
-                                     first_tail_element, intersect, make,
+                                     difference, empty, evens, intersect, make,
                                      member, multiples, naturals, odds, shift,
                                      union)
 from chargemdp.streams import add, indicator, scale, stream
 
-from conftest import cycle_mean, periodic_sets, pointwise_leq, rational_streams, ref_level_sets
+from conftest import (cycle_mean, first_tail_element, periodic_sets, pointwise_leq,
+                      rational_streams, ref_level_sets)
 
 EXACT_CHARGES = st.sampled_from([
     Frequency(),

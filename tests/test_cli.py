@@ -193,6 +193,17 @@ def test_verify_past_the_sweep_cap_exits_2(capsys, flag, value):
                         captured.err), captured.err
 
 
+def test_verify_past_the_phase_cap_exits_2(capsys):
+    # --nmax 30 asked for block strategies of up to 2**30 phases
+    start = time.perf_counter()
+    assert run(["verify", "all", "--nmax", "30"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: at least 4194302 block-strategy phases and \d+ cycle groups "
+                        r"and preperiods exceeds cap 2000000\n", captured.err), captured.err
+
+
 def test_parse_error_exit_code(capsys):
     assert run(["density", "odds |"]) == 2
     assert "parse error" in capsys.readouterr().err
@@ -364,7 +375,9 @@ def reference_parser():
 
 
 def test_table_parser_prints_the_reference_help():
-    parser, commands = cli._build()
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
     reference, reference_commands = reference_parser()
     assert parser.format_help() == reference.format_help()
     assert list(commands) == list(reference_commands)

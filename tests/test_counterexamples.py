@@ -1,6 +1,7 @@
 """The bundled worked examples and their verifiers."""
 
 import random
+import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +54,29 @@ def test_block_strategy_payoff(n):
 
 def test_lower_bounds_verifier():
     assert cx.verify_lower_bounds(8).passed
+
+
+def test_block_phases_past_the_cap_raise_before_building(monkeypatch):
+    # block_strategy(n) has 2**n phases: n_max 17 took 8.5 s and 203 MB,
+    # and n_max 30 ran out of memory; now the phases are counted first
+    def unreachable(*args):
+        raise AssertionError("built before the budget check")
+    monkeypatch.setattr(cx, "block_strategy", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded,
+                       match="^at least 4194302 block-strategy phases exceeds cap 2000000$"):
+        cx.verify_lower_bounds(40)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(BudgetExceeded, match="^at least 4194302 block-strategy phases and "
+                                             "[0-9]+ cycle groups and preperiods exceeds cap"):
+        cx.verify_all(30, 8, 8)
+    cx._check_bounds(n_max=40)  # the late-switch verifier builds no block strategy
+    # below the clip the count is exact: 2**(n + 1) - 2 phases for n <= n_max
+    monkeypatch.setattr(cx, "STRATEGY_CAP", 2 ** 13 - 3)
+    with pytest.raises(BudgetExceeded, match="^at least 8190 block-strategy phases exceeds"):
+        cx.verify_lower_bounds(12)
+    monkeypatch.setattr(cx, "STRATEGY_CAP", 2 ** 13 - 2)
+    cx._check_bounds(n_max=12, blocks=True)
 
 
 def test_block_strategy_validation():
@@ -572,10 +596,10 @@ def test_sweep_cap_counts_what_the_sweep_visits(monkeypatch):
         groups = sum(len(group) for _, _, batches in cx._sweep_groups(P, L)
                      for _, highs in batches for group in highs)
         want = groups + 2 ** (L + 1) - 1
-        monkeypatch.setattr(cx, "_SWEEP_CAP", want - 1)
+        monkeypatch.setattr(cx, "STRATEGY_CAP", want - 1)
         with pytest.raises(BudgetExceeded, match=f"^at least {want} cycle groups"):
             cx.sweep_payoff_shortfall(P, L, stationary_grid=[])
-        monkeypatch.setattr(cx, "_SWEEP_CAP", want)
+        monkeypatch.setattr(cx, "STRATEGY_CAP", want)
         cx._check_bounds(max_period=P, max_preperiod=L)
     monkeypatch.undo()
     cx._check_bounds(max_period=15, max_preperiod=15)  # 1108831 of the 2000000

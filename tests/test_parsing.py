@@ -16,13 +16,13 @@ from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
 from chargemdp.mdp import payoff, validate
 from chargemdp.parsing import (ParseError, _parse, _Parser, parse_charge,
                                parse_mdp, parse_set, parse_strategy,
-                               parse_stream, render_charge, render_set)
+                               parse_stream)
 from chargemdp.periodic_sets import (arithmetic, complement, empty, evens,
                                      intersect, multiples, naturals, odds,
                                      shift, union)
 from chargemdp.streams import stream
 
-from conftest import periodic_sets, rational_streams
+from conftest import first_tail_element, periodic_sets, rational_streams
 
 
 def parse_rational(text: str) -> Fraction:
@@ -35,6 +35,47 @@ def render_stream(f) -> str:
     pre = ",".join(str(v) for v in f.preperiod)
     cyc = ",".join(str(v) for v in f.cycle)
     return f"stream([{pre}];[{cyc}])"
+
+
+def render_set(s) -> str:
+    """A set expression ``parse_set`` reads back as s."""
+    if s == empty():
+        return "empty"
+    if s == naturals():
+        return "nat"
+    if s == odds():
+        return "odds"
+    if s == evens():
+        return "evens"
+    terms = []
+    for n in range(1, s.pre_len + 1):
+        if (s.pre_mask >> (n - 1)) & 1:
+            terms.append(f"ap({n},1) & !ap({n + 1},1)")  # the singleton {n}
+    for r in sorted(s.residues):
+        a = first_tail_element(s, r)
+        if s.period == a and s.pre_len == 0:
+            terms.append(f"multiples({s.period})")
+        else:
+            terms.append(f"ap({a},{s.period})")
+    return " | ".join(terms)
+
+
+def render_charge(mu) -> str:
+    """A charge expression ``parse_charge`` reads back as mu."""
+    if isinstance(mu, Frequency):
+        return "frequency"
+    if isinstance(mu, DyadicLimit):
+        return "dyadiclimit"
+    if isinstance(mu, Geometric):
+        return f"geometric({mu.beta})"
+    if isinstance(mu, PointMass):
+        return f"pointmass({mu.stage})"
+    if isinstance(mu, Restrict):
+        return f"restrict({render_charge(mu.base)}, {render_set(mu.window)})"
+    if isinstance(mu, Mix):
+        inner = ", ".join(f"{w}:{render_charge(c)}" for w, c in mu.parts)
+        return f"mix({inner})"
+    raise TypeError(f"not a charge expression: {mu!r}")
 
 
 EO_MDP_TEXT = """
