@@ -67,8 +67,9 @@ improvement residuals too (2**k past 2nB times the widest row's 1-norm)
 and keeps (k, det, N) on the Mdp (``Mdp._solved``, one entry keyed by
 the policy's action indices), so a query sequence on the policy that
 policy iteration returns eliminates nothing again.  ``_policy_choice``
-resolves a strategy to those indices on every call, so a randomized,
-multi-phase or mismatched one raises.
+validates the MDP and resolves a strategy to those indices on every
+call, so an invalid MDP, or a randomized, multi-phase or mismatched
+strategy, raises.
 """
 
 from __future__ import annotations
@@ -440,31 +441,13 @@ def _packed_cramer(mdp: Mdp, choice: tuple[int, ...],
     return solved
 
 
-def _solve_linear(a, b):
-    """Gauss-Jordan elimination over Fractions.  Mutates copies; returns
-    the solution vector.  Raises ZeroDivisionError if ``a`` is singular."""
-    n = len(b)
-    a = [row[:] for row in a]
-    b = b[:]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular linear system")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(n):
-            if r != col and a[r][col]:
-                k = a[r][col] / a[col][col]
-                a[r] = [x - k * y for x, y in zip(a[r], a[col])]
-                b[r] = b[r] - k * b[col]
-    return [b[i] / a[i][i] for i in range(n)]
-
-
 def _policy_choice(mdp: Mdp, pi: PeriodicMarkovStrategy) -> tuple[int, ...]:
     """The index in ``Mdp.rows`` of each state's action.  Raises
-    ValueError for a strategy with more than one phase; then, at the
-    first faulty state in state order, StrategyMismatch where pi names no
-    action of the MDP, or else ValueError where it is randomized."""
+    MdpValidationError for an invalid MDP; then ValueError for a strategy
+    with more than one phase; then, at the first faulty state in state
+    order, StrategyMismatch where pi names no action of the MDP, or else
+    ValueError where it is randomized."""
+    ensure_valid(mdp)
     pre, rows = pi.preperiod_length, pi.rows
     if len(rows) != 1:
         raise ValueError("discounted and average values take a stationary strategy, "
@@ -484,7 +467,6 @@ def _policy_choice(mdp: Mdp, pi: PeriodicMarkovStrategy) -> tuple[int, ...]:
 
 def discounted_value(mdp: Mdp, pi: PeriodicMarkovStrategy) -> dict[str, RationalFunction]:
     """Per-state discounted value v(b) solving v = r + b*P*v, symbolically."""
-    ensure_valid(mdp)
     k, det, nums = _packed_cramer(mdp, _policy_choice(mdp, pi))
     den = _unpack(det, k)
     return {s: _reduced(_unpack(num, k), den, (gcd(num, det), k))
@@ -492,23 +474,30 @@ def discounted_value(mdp: Mdp, pi: PeriodicMarkovStrategy) -> dict[str, Rational
 
 
 def discounted_value_at(mdp: Mdp, pi: PeriodicMarkovStrategy, beta) -> dict[str, Fraction]:
-    """Numeric twin of discounted_value at a fixed rational discount factor.
+    """Numeric twin of discounted_value at a fixed rational discount factor:
+    Gauss-Jordan elimination of (I - beta*P) v = r over Fractions, on the
+    dense views ``Mdp.transitions`` and ``Mdp.rewards``.
 
     Raises ZeroDivisionError if I - beta*P is singular (always at beta = 1).
     """
-    ensure_valid(mdp)
+    choice = _policy_choice(mdp, pi)
     beta = Fraction(beta)
-    # row i of I - beta*P and of r, times L_i
-    rows = [per[j] for per, j in zip(mdp.rows, _policy_choice(mdp, pi))]
-    zero = dict.fromkeys(range(len(mdp.states)), 0)
-    a = [[int(i == z) * scale - beta * w for z, w in (zero | dict(sparse)).items()]
-         for i, (scale, _, sparse) in enumerate(rows)]
-    b = [rhs for _, rhs, _ in rows]
-    try:
-        v = _solve_linear(a, b)
-    except ZeroDivisionError:
-        raise ZeroDivisionError(f"I - beta*P is singular at beta = {beta}") from None
-    return {s: v[i] for i, s in enumerate(mdp.states)}
+    a = [[int(i == z) - beta * p for z, p in enumerate(mdp.transitions[i][j])]
+         for i, j in enumerate(choice)]
+    b = [mdp.rewards[i][j] for i, j in enumerate(choice)]
+    n = len(b)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError(f"I - beta*P is singular at beta = {beta}")
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                k = a[r][col] / a[col][col]
+                a[r] = [x - k * y for x, y in zip(a[r], a[col])]
+                b[r] = b[r] - k * b[col]
+    return {s: b[i] / a[i][i] for i, s in enumerate(mdp.states)}
 
 
 def blackwell_policy(mdp: Mdp) -> PeriodicMarkovStrategy:
@@ -559,7 +548,6 @@ def average_value(mdp: Mdp, pi: PeriodicMarkovStrategy) -> dict[str, Fraction]:
     With det = (b-1)^m * D and N_s = (b-1)^k * M, (1-b) * N_s / det is
     -(b-1)^(k+1-m) * M / D: a pole at 1 if k+1 < m, else its value at 1.
     """
-    ensure_valid(mdp)
     bits, det, nums = _packed_cramer(mdp, _policy_choice(mdp, pi))
     m, det_at_one = _packed_order(det, bits)
     out = {}

@@ -43,8 +43,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .charges import DyadicLimit, Frequency, Geometric, Mix, Restrict, value
-from .mdp import (STRATEGY_CAP, BudgetExceeded, Mdp, PeriodicMarkovStrategy,
-                  _primitive_cycles, build_mdp, payoff, periodic, stationary)
+from . import mdp as _mdp
+from .mdp import (BudgetExceeded, Mdp, PeriodicMarkovStrategy, _primitive_cycles, build_mdp,
+                  payoff, periodic, stationary)
 from .periodic_sets import _tail_bits, arithmetic, difference, multiples, odds, union
 
 
@@ -90,18 +91,21 @@ def _flag(check_id: str, condition: bool, detail: str = "") -> CheckRow:
 
 
 def _check_bounds(n_max: int = 1, max_period: int | None = None, max_preperiod: int = 0,
-                  blocks: bool = False) -> None:
+                  blocks: bool = False, switches: bool = False) -> None:
     """ValueError for a vacuous bound; BudgetExceeded, before anything is
-    built, if what the checks build passes the search's cap: given
+    built, if what the checks build passes ``mdp.STRATEGY_CAP``: given
     max_period, the sweep's preperiods (2**L per L) and cycle groups (L + 1
     per primitive cycle, 2**q of length q less those of each d | q, d < q);
     with ``blocks``, also the phases of the block strategies (2**n for
-    n <= n_max).  Past the clipped bounds one term alone passes it."""
+    n <= n_max); with ``switches``, alone, the phases of the late-switch
+    strategies (n for n <= n_max).  Past the clipped bounds one term alone
+    passes it."""
     for name, got, least in (("n_max", n_max, 1), ("max_period", max_period, 1),
                              ("max_preperiod", max_preperiod, 0)):
         if got is not None and got < least:
             raise ValueError(f"{name} must be at least {least}, got {got}")
-    clip = STRATEGY_CAP.bit_length()
+    cap = _mdp.STRATEGY_CAP
+    clip = cap.bit_length()
     total = 0
     if max_period is not None:
         prim: dict[int, int] = {}
@@ -109,13 +113,13 @@ def _check_bounds(n_max: int = 1, max_period: int | None = None, max_preperiod: 
         for q in range(1, min(max_period, clip) + 1):
             prim[q] = (1 << q) - sum(n for d, n in prim.items() if q % d == 0)
             total += (max_preperiod + 1) * prim[q]
-        if total > STRATEGY_CAP:
-            raise BudgetExceeded(f"at least {total} cycle groups and preperiods "
-                                 f"exceeds cap {STRATEGY_CAP}")
-    if blocks and (phases := (2 << min(n_max, clip)) - 2) + total > STRATEGY_CAP:
+        if total > cap:
+            raise BudgetExceeded(f"at least {total} cycle groups and preperiods exceeds cap {cap}")
+    if blocks and (phases := (2 << min(n_max, clip)) - 2) + total > cap:
         sweep = f" and {total} cycle groups and preperiods" if total else ""
-        raise BudgetExceeded(f"at least {phases} block-strategy phases{sweep} "
-                             f"exceeds cap {STRATEGY_CAP}")
+        raise BudgetExceeded(f"at least {phases} block-strategy phases{sweep} exceeds cap {cap}")
+    if switches and (phases := n_max * (n_max + 1) // 2) > cap:
+        raise BudgetExceeded(f"at least {phases} late-switch phases exceeds cap {cap}")
 
 
 # ---- builders ------------------------------------------------------------
@@ -335,7 +339,9 @@ def verify_no_stationary_optimum() -> VerificationReport:
 # ---- late-switch example -------------------------------------------------
 
 def verify_late_switch(n_max: int) -> VerificationReport:
-    _check_bounds(n_max=n_max)
+    """Switching at stage n earns exactly 5/4 - 2**-(n + 2).  Past the cap
+    on the strategies' phases BudgetExceeded is raised."""
+    _check_bounds(n_max=n_max, switches=True)
     mdp = late_switch_mdp()
     mu = late_switch_charge()
     rows = [_row("stay-forever", 1, payoff(mdp, stay_strategy(), mu))]

@@ -315,7 +315,7 @@ DEFAULT_HORIZON = 4096
 LEAST_HORIZON = 2  # the first repeat can be seen at the second stage's check
 
 
-STRATEGY_CAP = 2_000_000  # the default budget of a strategy search
+STRATEGY_CAP = 2_000_000  # the budget of every search and check, read on each call
 
 
 def _check_horizon(max_horizon: int) -> None:
@@ -426,7 +426,7 @@ def _primitive_cycles(n: int, max_period: int) -> dict[int, list[tuple[int, ...]
     return primitive
 
 
-def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
+def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int):
     """(rows, groups): the phase rows of action indices, in product order,
     and a generator of (L, q, [(row ids, strategy), ...]), one group per
     shape (L, q) and preperiod.  Each canonical pure periodic strategy
@@ -450,9 +450,9 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
     sums = itertools.accumulate(per_phase ** (L + q) for L in range(max_preperiod + 1)
                                 for q in range(1, max_period + 1))
     total = ((max_preperiod + 1) * max_period if per_phase == 1  # one strategy per shape
-             else next((t for t in sums if t > cap), 0))
-    if total > cap:  # before anything is built: rows alone has per_phase entries
-        raise BudgetExceeded(f"at least {total} raw strategies exceeds cap {cap}")
+             else next((t for t in sums if t > STRATEGY_CAP), 0))
+    if total > STRATEGY_CAP:  # before anything is built: rows alone has per_phase entries
+        raise BudgetExceeded(f"at least {total} raw strategies exceeds cap {STRATEGY_CAP}")
     if per_phase == 1:  # a longer cycle is a power of (0,); a preperiod ends in its row
         max_period, max_preperiod = 1, 0
     rows = list(itertools.product(*(range(len(acts)) for acts in mdp.actions)))
@@ -470,11 +470,10 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int, cap: int):
                   for head in [tuple([named[k] for k in pre])])
 
 
-def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int,
-                            cap: int = STRATEGY_CAP):
+def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int):
     """All distinct canonical pure periodic Markov strategies within
     bounds, in declared action order."""
-    return (strat for _, _, group in _canonical_pure(mdp, max_period, max_preperiod, cap)[1]
+    return (strat for _, _, group in _canonical_pure(mdp, max_period, max_preperiod)[1]
             for _, strat in group)
 
 
@@ -526,7 +525,6 @@ def _word_values(mu: Charge, words: list, checks: dict) -> list[tuple[int, int]]
 
 
 def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
-                  cap: int = STRATEGY_CAP,
                   max_horizon: int = DEFAULT_HORIZON) -> SearchResult:
     """Exhaustive search over pure periodic Markov strategies.
 
@@ -549,7 +547,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     """
     _check_horizon(max_horizon)
     table = mdp._integer_form[1]
-    actions, groups = _canonical_pure(mdp, max_period, max_preperiod, cap)
+    actions, groups = _canonical_pure(mdp, max_period, max_preperiod)
     rows = None  # _reward_stream's phase rows, built when a strategy first needs them
     n, start = len(mdp.states), mdp.states.index(mdp.initial)
     by_word: dict[tuple, int] = {}  # reward word, raw or canonical -> its canonical one's index

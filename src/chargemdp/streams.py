@@ -46,6 +46,8 @@ class RationalStream(_Frozen):
 
     def values(self, n: int) -> list[Fraction]:
         """The first n values, materialized."""
+        if n < 0:
+            raise ValueError(f"need n >= 0 values, got {n}")
         L, q = len(self.preperiod), len(self.cycle)
         out = list(self.preperiod[:n])
         if n > L:

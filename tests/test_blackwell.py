@@ -514,6 +514,25 @@ def test_values_take_a_stationary_strategy(solve):
     assert solve(m, one_phase) == solve(m, stationary({"1": "T", "2": "c", "3": "c"}))
 
 
+def test_queries_raise_for_the_mdp_then_the_strategy_then_beta():
+    # _policy_choice validates the MDP, then resolves the strategy; the
+    # numeric twin reads beta only after both
+    m = even_or_odd_mdp()
+    broken = Mdp(m.states, m.initial, m.actions,
+                 ((m.rows[0][0], (2, 0, ((1, 1),))), *m.rows[1:]))  # (1, B) sums to 1/2
+    wrong = stationary({"1": "X", "2": "c", "3": "c"})
+
+    def twin(mdp, sigma):
+        return discounted_value_at(mdp, sigma, "b")
+    for solve in (discounted_value, average_value, twin):
+        with pytest.raises(MdpValidationError, match="row sums to 1/2"):
+            solve(broken, wrong)
+        with pytest.raises(StrategyMismatch):
+            solve(m, wrong)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'b'"):
+        twin(m, stationary({"1": "T", "2": "c", "3": "c"}))
+
+
 def test_discounted_value_at_singular_factor():
     # I - bP is singular at b = 1 for every policy, and at b = -1 when the
     # chain has a cycle of even length (here 1 -> 2 -> 1)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargemdp import counterexamples as cx
+from chargemdp import mdp as mdp_module
 from chargemdp.charges import CValue, dyadic_value_sequence, integrate, value
 from chargemdp.mdp import BudgetExceeded, expected_reward_stream, payoff, periodic
 from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, density,
@@ -70,12 +71,12 @@ def test_block_phases_past_the_cap_raise_before_building(monkeypatch):
     with pytest.raises(BudgetExceeded, match="^at least 4194302 block-strategy phases and "
                                              "[0-9]+ cycle groups and preperiods exceeds cap"):
         cx.verify_all(30, 8, 8)
-    cx._check_bounds(n_max=40)  # the late-switch verifier builds no block strategy
+    cx._check_bounds(n_max=40, switches=True)  # the late-switch verifier builds no block strategy
     # below the clip the count is exact: 2**(n + 1) - 2 phases for n <= n_max
-    monkeypatch.setattr(cx, "STRATEGY_CAP", 2 ** 13 - 3)
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 2 ** 13 - 3)
     with pytest.raises(BudgetExceeded, match="^at least 8190 block-strategy phases exceeds"):
         cx.verify_lower_bounds(12)
-    monkeypatch.setattr(cx, "STRATEGY_CAP", 2 ** 13 - 2)
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 2 ** 13 - 2)
     cx._check_bounds(n_max=12, blocks=True)
 
 
@@ -596,13 +597,33 @@ def test_sweep_cap_counts_what_the_sweep_visits(monkeypatch):
         groups = sum(len(group) for _, _, batches in cx._sweep_groups(P, L)
                      for _, highs in batches for group in highs)
         want = groups + 2 ** (L + 1) - 1
-        monkeypatch.setattr(cx, "STRATEGY_CAP", want - 1)
+        monkeypatch.setattr(mdp_module, "STRATEGY_CAP", want - 1)
         with pytest.raises(BudgetExceeded, match=f"^at least {want} cycle groups"):
             cx.sweep_payoff_shortfall(P, L, stationary_grid=[])
-        monkeypatch.setattr(cx, "STRATEGY_CAP", want)
+        monkeypatch.setattr(mdp_module, "STRATEGY_CAP", want)
         cx._check_bounds(max_period=P, max_preperiod=L)
     monkeypatch.undo()
     cx._check_bounds(max_period=15, max_preperiod=15)  # 1108831 of the 2000000
+
+
+def test_one_cap_binding_bounds_the_search_the_sweep_and_the_block_check(monkeypatch):
+    # mdp.STRATEGY_CAP is read on each call, so lowering it alone reaches
+    # every budget; a default argument or an imported copy would keep 2000000
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 5)
+    m = cx.even_or_odd_mdp()  # two rows per phase: 2 + 4 strategies of period <= 2
+    with pytest.raises(BudgetExceeded, match="^at least 6 raw strategies exceeds cap 5$"):
+        mdp_module.enumerate_pure_periodic(m, 2, 0)
+    with pytest.raises(BudgetExceeded, match="^at least 6 raw strategies exceeds cap 5$"):
+        mdp_module.best_periodic(m, cx.even_or_odd_charge(), 2, 0)
+    with pytest.raises(BudgetExceeded,
+                       match="^at least 7 cycle groups and preperiods exceeds cap 5$"):
+        cx.sweep_payoff_shortfall(1, 1, stationary_grid=[])
+    with pytest.raises(BudgetExceeded, match="^at least 6 block-strategy phases exceeds cap 5$"):
+        cx.verify_lower_bounds(2)
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 7)
+    assert len(list(mdp_module.enumerate_pure_periodic(m, 2, 0))) == 4
+    assert cx.sweep_payoff_shortfall(1, 1, stationary_grid=[]).passed
+    assert cx.verify_lower_bounds(2).passed
 
 
 def test_shortfall_rows_flag_a_failing_shift_lemma():
@@ -662,6 +683,29 @@ def test_switch_later_is_strictly_better():
 
 def test_late_switch_verifier():
     assert cx.verify_late_switch(12).passed
+
+
+def test_late_switch_phases_past_the_cap_raise_before_building(monkeypatch):
+    # switch_at(n) has n phases: n_max 1999, the largest the cap admits,
+    # took about 22 s (Python 3.11.7); now the phases are counted first
+    def unreachable(*args):
+        raise AssertionError("built before the budget check")
+    monkeypatch.setattr(cx, "switch_at", unreachable)
+    monkeypatch.setattr(cx, "stay_strategy", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded,
+                       match="^at least 500000500000 late-switch phases exceeds cap 2000000$"):
+        cx.verify_late_switch(10 ** 6)
+    assert time.perf_counter() - start < 1
+    cx._check_bounds(n_max=1999, switches=True)  # 1999000 phases, the largest the cap admits
+    with pytest.raises(BudgetExceeded, match="^at least 2001000 late-switch phases"):
+        cx._check_bounds(n_max=2000, switches=True)
+    # the count is exact: n_max * (n_max + 1) / 2 phases for n <= n_max
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 54)
+    with pytest.raises(BudgetExceeded, match="^at least 55 late-switch phases exceeds cap 54$"):
+        cx.verify_late_switch(10)
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 55)
+    cx._check_bounds(n_max=10, switches=True)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -642,9 +642,11 @@ def test_enumerate_pure_periodic_dedup():
     assert all(s.preperiod_length <= 1 and s.period <= 2 for s in out)
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
+    import chargemdp.mdp as mdp_module
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 10)
     with pytest.raises(BudgetExceeded):
-        list(enumerate_pure_periodic(even_or_odd_mdp(), 8, 8, cap=10))
+        list(enumerate_pure_periodic(even_or_odd_mdp(), 8, 8))
 
 
 @pytest.mark.parametrize("acts", [("x", "y"), ("x",)])
@@ -875,7 +877,7 @@ def test_a_strategy_is_walked_alone_exactly_when_its_walk_meets_a_split_row(monk
     monkeypatch.setattr(mdp_module, "_reward_stream", recorded)
     best_periodic(m, Frequency(), 2, 2)
     table = m._integer_form[1]
-    rows, groups = mdp_module._canonical_pure(m, 2, 2, 10**6)
+    rows, groups = mdp_module._canonical_pure(m, 2, 2)
     split_in = {}  # (L, row ids) -> "pre" or "cycle", for the walks meeting a split row
     for L, q, group in groups:
         for ids, _ in group:

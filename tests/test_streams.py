@@ -52,6 +52,14 @@ def test_values_matches_value_at():
     assert f.values(7) == [f.value_at(t) for t in range(1, 8)]
 
 
+def test_values_rejects_a_negative_count():
+    # a negative n used to slice from the end: [1, 2] for n = -1
+    f = stream([1, 2, 3], [4, 5])
+    assert f.values(0) == []
+    with pytest.raises(ValueError, match="got -1$"):
+        f.values(-1)
+
+
 def test_cycle_mean():
     assert cycle_mean(stream([9], [1, 2, 3, 6])) == 3
     assert cycle_mean(constant(Fraction(2, 7))) == Fraction(2, 7)
