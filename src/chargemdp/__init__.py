@@ -14,6 +14,6 @@ from .periodic_sets import (EventuallyPeriodicSet, arithmetic, complement,
                             contract, density, difference, empty, evens,
                             intersect, make, member, multiples, naturals,
                             odds, shift, union)
-from .streams import RationalStream, add, combine, constant, indicator, scale, stream
+from .streams import RationalStream, indicator, stream
 
 __all__ = [name for name in dir() if not name.startswith("_")]

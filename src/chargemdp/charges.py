@@ -179,19 +179,9 @@ def _horner(word: int, length: int, n: int, d: int) -> int:
     return acc * n ** lo * d ** (length - 1 - hi)
 
 
-def _geometric_value(beta: Fraction, s: EventuallyPeriodicSet) -> tuple[int, int]:
-    """With beta = n/d, preperiod m and period p, the charge of s is
-    (d-n) * (P*(d**p - n**p) + n**m * T) / (d**m * (d**p - n**p)), where
-    P and T are the Horner sums of the preperiod word and of the cycle
-    word that starts at stage m+1; returned as that unreduced pair."""
-    n, d = beta.numerator, beta.denominator
-    gap = d ** s.period - n ** s.period
-    return (_geometric_mass(n, d, s.pre_len, s.period, gap, s.pre_mask, s.res_mask),
-            d ** s.pre_len * gap)
-
-
 def _geometric_mass(n: int, d: int, m: int, p: int, gap: int, pre: int, res: int) -> int:
-    """The numerator above, for the masks (pre, res) on the shape (m, p)."""
+    """The numerator of the module docstring's closed form, for the masks
+    (pre, res) on the shape (m, p), gap = d**p - n**p."""
     P = _horner(pre, m, n, d)
     T = _horner(_tail_bits(res, p, m + 1, p), p, n, d)
     return (d - n) * (P * gap + n ** m * T)
@@ -204,7 +194,9 @@ def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> tuple[int, int
     if isinstance(mu, Frequency):
         return s.res_mask.bit_count(), s.period
     if isinstance(mu, Geometric):
-        return _geometric_value(mu.beta, s)
+        n, d, m, p = mu.beta.numerator, mu.beta.denominator, s.pre_len, s.period
+        gap = d ** p - n ** p
+        return _geometric_mass(n, d, m, p, gap, s.pre_mask, s.res_mask), d ** m * gap
     if isinstance(mu, PointMass):
         return int(member(s, mu.stage)), 1
     if isinstance(mu, DyadicLimit):

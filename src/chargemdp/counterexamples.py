@@ -23,8 +23,9 @@ test on w's stage bits:
 
 * the payoff is below 1 iff 2 * #{odd r in R} + 2**a * #{r in R : 2**a | r} < 2p;
 * the shift lemma -- a reward-1 stage at a multiple of 2**n follows a
-  reward-0 odd stage, n = 1..8 -- holds iff w & (w + 1) misses the
-  multiples of 2**n in its preperiod and the residues gcd(2**n, p) divides;
+  reward-0 odd stage, n = 1..8 -- holds iff w & (w + 1) misses the even
+  stages: every multiple of 2**n is even, so the n = 1 case covers the
+  rest;
 * the dichotomy: if mu_1(w) > 0, i.e. R holds an even residue, the odd
   part has mass 2 * #{odd r in R} / p < 1; else the dyadic limit is 0.
 
@@ -40,7 +41,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .charges import DyadicLimit, Frequency, Geometric, Mix, Restrict, value
 from . import mdp as _mdp
@@ -240,16 +241,12 @@ def _layout(m: int, p: int) -> _Layout:
     the least h >= m + 1 with p | h + 1, so w and w & (w + 1) follow their
     residue rules from stage h + 1 on and bits h.. are the residue word.
     The masks: odd stages; odd, even and 2**a-divisible residues; and the
-    lemma's, the union over 2**n, n = 1..8, of its multiples in 1..h and
-    the residues gcd(2**n, p) divides."""
+    lemma's, the even stages, which hold the multiples of every 2**n."""
     h = (m + 1 + p) // p * p - 1
     two_a = p & -p
-    lemma = 0
-    for n in range(1, 9):
-        lemma |= _tail_bits(1, 2 ** n, 1, h) | _tail_bits(1, gcd(2 ** n, p), 0, p) << h
     return _Layout(h, p, two_a, _tail_bits(0b10, 2, 1, h + p),
                    _tail_bits(0b10, 2, 0, p), _tail_bits(1, 2, 0, p),
-                   _tail_bits(1, two_a, 0, p), lemma)
+                   _tail_bits(1, two_a, 0, p), _tail_bits(1, 2, 1, h + p))
 
 
 def _reward_word(bottom: int, odd: int) -> int:

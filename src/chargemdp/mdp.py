@@ -90,20 +90,6 @@ class Mdp(_Frozen):
                  rows: tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]):
         self.__dict__.update(states=states, initial=initial, actions=actions, rows=rows)
 
-    def state_index(self, s: str) -> int:
-        return self.states.index(s)
-
-    def action_list(self, s: str) -> tuple[str, ...]:
-        return self.actions[self.state_index(s)]
-
-    def reward(self, s: str, a: str) -> Fraction:
-        return self.rewards[self.state_index(s)][self.action_list(s).index(a)]
-
-    def transition(self, s: str, a: str) -> dict[str, Fraction]:
-        i = self.state_index(s)
-        scale, _, sparse = self.rows[i][self.actions[i].index(a)]
-        return {self.states[z]: Fraction(w, scale) for z, w in sparse}
-
     @cached_property
     def rewards(self) -> tuple[tuple[Fraction, ...], ...]:  # [state][action]
         return tuple(tuple(Fraction(rhs, scale) for scale, rhs, _ in per) for per in self.rows)

@@ -402,7 +402,8 @@ def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, str | dict
 def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     """``stationary { s: a ... }`` or
     ``periodic preperiod=<L> period=<q> { phase <k> state <s>: a ... }``.
-    Omitted entries default to the first declared action."""
+    Omitted entries default to the first declared action; a state given
+    twice in one phase is an error."""
     p = _Parser(text)
     kind = p.expect_name()
     if kind == "stationary":
@@ -418,6 +419,7 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
         raise p.error(f"expected 'stationary' or 'periodic', got {kind!r}", 0)
     acts = dict(zip(mdp.states, mdp.actions))
     rows = [{s: acts[s][0] for s in mdp.states} for _ in range(L + q)]
+    given = set()  # (phase, state) of each cell read
     p.expect_punct("{")
     while not p.at_punct("}"):
         k = 1
@@ -428,7 +430,11 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
             if not 1 <= k <= L + q:
                 raise p.error(f"phase {k} out of range 1..{L + q}", i)
             p.expect_word("state", "expected 'state'")
+        at = p.pos
         s, dist = _cell(p, acts)
+        if (k, s) in given:
+            raise p.error(f"state {s!r} given twice in phase {k}", at)
+        given.add((k, s))
         rows[k - 1][s] = dist
     p.expect_punct("}")
     out = (p.build(0, stationary, rows[0]) if kind == "stationary"

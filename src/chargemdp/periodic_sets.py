@@ -113,10 +113,6 @@ class EventuallyPeriodicSet(_Frozen):
                              res_mask=res_mask)
 
     @property
-    def preperiod_bits(self) -> tuple[int, ...]:
-        return tuple((self.pre_mask >> i) & 1 for i in range(self.pre_len))
-
-    @property
     def residues(self) -> frozenset[int]:
         return frozenset(r for r in range(self.period) if (self.res_mask >> r) & 1)
 
@@ -144,7 +140,7 @@ def _build(pre_len: int, pre_mask: int, period: int, res_mask: int) -> Eventuall
     return EventuallyPeriodicSet(pre_len, pre_mask, period, res_mask)
 
 
-def make(preperiod_bits, period: int, residues) -> EventuallyPeriodicSet:
+def make(pre_bits, period: int, residues) -> EventuallyPeriodicSet:
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     res_mask = 0
@@ -153,7 +149,7 @@ def make(preperiod_bits, period: int, residues) -> EventuallyPeriodicSet:
             raise ValueError(f"residue {r} out of range for period {period}")
         res_mask |= 1 << r
     pre_mask = 0
-    bits = list(preperiod_bits)
+    bits = list(pre_bits)
     for i, b in enumerate(bits):
         if b:
             pre_mask |= 1 << i

@@ -9,7 +9,6 @@ level sets (see :mod:`chargemdp.charges`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .periodic_sets import EventuallyPeriodicSet, _build, _Frozen, _prime_factors
 
@@ -84,31 +83,9 @@ def stream(preperiod, cycle) -> RationalStream:
         [v if type(v) is Fraction else Fraction(v) for v in preperiod], cyc))
 
 
-def constant(c) -> RationalStream:
-    return stream([], [c])
-
-
 def indicator(s: EventuallyPeriodicSet) -> RationalStream:
     """0/1 stream of membership."""
     m, p = s.pre_len, s.period
     pre = [Fraction(1 if (s.pre_mask >> (i - 1)) & 1 else 0) for i in range(1, m + 1)]
     cyc = [Fraction(1 if (s.res_mask >> ((m + 1 + j) % p)) & 1 else 0) for j in range(p)]
     return stream(pre, cyc)
-
-
-def combine(f: RationalStream, g: RationalStream, fn) -> RationalStream:
-    """Pointwise combination of two streams."""
-    L = max(len(f.preperiod), len(g.preperiod))
-    q = lcm(len(f.cycle), len(g.cycle))
-    pre = [fn(f.value_at(t), g.value_at(t)) for t in range(1, L + 1)]
-    cyc = [fn(f.value_at(t), g.value_at(t)) for t in range(L + 1, L + q + 1)]
-    return stream(pre, cyc)
-
-
-def scale(f: RationalStream, a) -> RationalStream:
-    a = Fraction(a)
-    return stream([a * v for v in f.preperiod], [a * v for v in f.cycle])
-
-
-def add(f: RationalStream, g: RationalStream) -> RationalStream:
-    return combine(f, g, lambda x, y: x + y)

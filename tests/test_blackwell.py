@@ -417,7 +417,7 @@ def test_discounted_value_matches_stream_tail():
 def test_symbolic_and_numeric_discounted_agree(seed, beta):
     rng = random.Random(seed)
     m = random_mdp(rng)
-    pi = stationary({s: rng.choice(m.action_list(s)) for s in m.states})
+    pi = stationary({s: rng.choice(acts) for s, acts in zip(m.states, m.actions)})
     sym = discounted_value(m, pi)
     num = discounted_value_at(m, pi, beta)
     for s in m.states:
@@ -446,7 +446,7 @@ def test_average_value_is_cycle_mean_from_initial(seed):
     from conftest import cycle_mean, random_deterministic_mdp
     rng = random.Random(seed)
     m = random_deterministic_mdp(rng)
-    pi = stationary({s: rng.choice(m.action_list(s)) for s in m.states})
+    pi = stationary({s: rng.choice(acts) for s, acts in zip(m.states, m.actions)})
     f = expected_reward_stream(m, pi)
     assert average_value(m, pi)[m.initial] == cycle_mean(f)
 
@@ -812,7 +812,7 @@ def _fixed_cases():
     for seed, n, a in ((1, 3, 2), (2, 4, 3), (3, 5, 2), (4, 6, 3)):
         rng = random.Random(seed)
         m = random_mdp(rng, n, a)
-        yield m, stationary({s: rng.choice(m.action_list(s)) for s in m.states})
+        yield m, stationary({s: rng.choice(acts) for s, acts in zip(m.states, m.actions)})
 
 
 def test_det_and_values_match_sympy():

@@ -212,6 +212,16 @@ def test_parse_error_exit_code(capsys):
     assert capsys.readouterr().err == "parse error: line 1, col 11: expected a number, got '²'\n"
 
 
+def test_repeated_strategy_state_exit_code(capsys, tmp_path, eo_mdp_file):
+    strat = tmp_path / "twice.strategy"
+    strat.write_text("stationary {\n  1: T\n  1: B\n}\n")
+    assert run(["mdp-eval", "--mdp", eo_mdp_file, "--strategy", str(strat),
+                "--charge", "frequency"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 3, col 3: state '1' given twice in phase 1\n"
+
+
 def test_bad_strategy_probabilities_exit_code(capsys, tmp_path):
     mdp = tmp_path / "two.mdp"
     mdp.write_text(TWO_STATE_MDP_TEXT)

@@ -84,7 +84,8 @@ def reference_enumeration(mdp, max_period, max_preperiod):
     for L in range(max_preperiod + 1):
         for q in range(1, max_period + 1):
             slots = [(phase, s) for phase in range(L + q) for s in mdp.states]
-            for combo in itertools.product(*(mdp.action_list(s) for _, s in slots)):
+            for combo in itertools.product(*(mdp.actions[mdp.states.index(s)]
+                                             for _, s in slots)):
                 rows = [{} for _ in range(L + q)]
                 for (phase, s), a in zip(slots, combo):
                     rows[phase][s] = a
@@ -120,8 +121,8 @@ def _random_dist(rng, acts):
 
 def _random_strategy(rng, m, pure):
     def row():
-        return {s: rng.choice(m.action_list(s)) if pure
-                else _random_dist(rng, list(m.action_list(s))) for s in m.states}
+        return {s: rng.choice(acts) if pure else _random_dist(rng, list(acts))
+                for s, acts in zip(m.states, m.actions)}
     if rng.random() < 0.5:
         return stationary(row())
     return periodic([row() for _ in range(rng.randint(0, 2))],
@@ -141,9 +142,9 @@ def test_build_and_accessors():
     m = even_or_odd_mdp()
     assert m.states == ("1", "2", "3")
     assert m.initial == "1"
-    assert m.action_list("1") == ("T", "B")
-    assert m.reward("1", "T") == 1
-    assert m.transition("1", "B") == {"3": Fraction(1)}
+    assert m.actions[0] == ("T", "B")
+    assert m.rewards[0][0] == 1
+    assert m.transitions[0][1] == (0, 0, 1)
     assert is_deterministic(m)
 
 
@@ -193,7 +194,7 @@ def test_build_rejects_a_transition_to_an_unknown_state():
         Problem("UnknownState", "transition from ('a', 'x') to unknown state 'zz'")]
     # a zero entry is no transition, whatever it names
     m = build_mdp(("a",), "a", {"a": ("x",)}, {("a", "x"): 0}, {("a", "x"): {"a": 1, "zz": 0}})
-    assert validate(m) == [] and m.transition("a", "x") == {"a": 1}
+    assert validate(m) == [] and m.transitions[0][0] == (1,)
 
 
 # ---- references: dense Fraction rows, as Mdp stored them before sparse rows ----
@@ -276,14 +277,10 @@ def mapping_data(draw):
 @settings(max_examples=200, deadline=None)
 def test_sparse_rows_match_dense_reference(data):
     m, dense = build_mdp(*data), dense_build(*data)
-    _, _, acts, rews, trans = dense
+    _, _, _, rews, trans = dense
     assert (m.states, m.initial, m.actions) == dense[:3]
     assert (m.rewards, m.transitions) == (rews, trans)
     assert m.rows == tuple(tuple(map(dense_scaled, rs, ps)) for rs, ps in zip(rews, trans))
-    for i, s in enumerate(m.states):
-        for j, a in enumerate(acts[i]):
-            assert m.reward(s, a) == rews[i][j]
-            assert m.transition(s, a) == {z: q for z, q in zip(m.states, trans[i][j]) if q}
     # the dense test called a row such as (1, -1, 1) deterministic
     dense_det = all(max(row) == 1 and sum(row) == 1 for per in trans for row in per)
     nonnegative = all(q >= 0 for per in trans for row in per for q in row)
@@ -598,7 +595,7 @@ def test_stationary_payoff_equals_cycle_mean(seed):
     from conftest import cycle_mean, random_deterministic_mdp
     rng = random.Random(seed)
     m = random_deterministic_mdp(rng)
-    sigma = stationary({s: rng.choice(m.action_list(s)) for s in m.states})
+    sigma = stationary({s: rng.choice(acts) for s, acts in zip(m.states, m.actions)})
     f = expected_reward_stream(m, sigma)
     assert payoff(m, sigma, Frequency()).exact_value == cycle_mean(f)
 

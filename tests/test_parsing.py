@@ -345,7 +345,8 @@ def test_parse_mdp_dist_rows():
     """
     m = parse_mdp(text)
     assert validate(m) == []
-    assert m.transition("a", "go") == {"a": Fraction(1, 3), "b": Fraction(2, 3)}
+    assert (m.states, m.actions) == (("a", "b"), (("go",), ("stop",)))
+    assert m.transitions[0][0] == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_parse_mdp_errors():
@@ -471,6 +472,19 @@ def test_range_errors_keep_their_positions(parse, text, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text, line, col, state, phase", [
+    ("stationary { 1: T 1: B }", 1, 19, "1", 1),
+    ("stationary {\n  2: c\n  1: B\n  2: c\n}", 4, 3, "2", 1),
+    ("periodic preperiod=1 period=2 { phase 2 state 1: B phase 1 state 1: B "
+     "phase 2 state 1: T }", 1, 85, "1", 2),
+])
+def test_a_state_given_twice_in_one_phase_is_rejected(text, line, col, state, phase):
+    with pytest.raises(ParseError) as err:
+        eo_strategy(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert err.value.message == f"state {state!r} given twice in phase {phase}"
 
 
 @pytest.mark.parametrize("text, where", [

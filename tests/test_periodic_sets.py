@@ -178,7 +178,8 @@ def test_equality_is_extensional(s):
 def test_canonical_form_unique_under_period_inflation(s, factor):
     p = s.period * factor
     residues = {r for r in range(p) if (s.res_mask >> (r % s.period)) & 1}
-    assert make(list(s.preperiod_bits), p, residues) == s
+    pre_bits = [(s.pre_mask >> i) & 1 for i in range(s.pre_len)]
+    assert make(pre_bits, p, residues) == s
 
 
 # ---- Boolean algebra -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Eventually periodic rational streams: canonical form, level sets, algebra."""
+"""Eventually periodic rational streams: canonical form, level sets, indicator."""
 
 from fractions import Fraction
 
@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chargemdp.periodic_sets import density, member
-from chargemdp.streams import (RationalStream, _canonical, add, combine,
-                               constant, indicator, scale, stream)
+from chargemdp.streams import RationalStream, _canonical, indicator, stream
 
 from conftest import (cycle_mean, periodic_sets, pointwise_leq, rational_streams,
                       ref_level_sets, superlevel_set)
@@ -62,7 +61,7 @@ def test_values_rejects_a_negative_count():
 
 def test_cycle_mean():
     assert cycle_mean(stream([9], [1, 2, 3, 6])) == 3
-    assert cycle_mean(constant(Fraction(2, 7))) == Fraction(2, 7)
+    assert cycle_mean(stream([], [Fraction(2, 7)])) == Fraction(2, 7)
 
 
 def ref_canonical(pre, cyc):
@@ -125,27 +124,6 @@ def test_indicator_round_trip(s):
     assert superlevel_set(f, 0) == s
     for t in range(1, 40):
         assert f.value_at(t) == (1 if member(s, t) else 0)
-
-
-@given(rational_streams(), rational_streams())
-def test_add_pointwise(f, g):
-    h = add(f, g)
-    for t in range(1, 40):
-        assert h.value_at(t) == f.value_at(t) + g.value_at(t)
-
-
-@given(rational_streams(), st.fractions(min_value=-2, max_value=2, max_denominator=3))
-def test_scale_pointwise(f, a):
-    h = scale(f, a)
-    for t in range(1, 40):
-        assert h.value_at(t) == a * f.value_at(t)
-
-
-@given(rational_streams(), rational_streams())
-def test_combine_min(f, g):
-    h = combine(f, g, min)
-    for t in range(1, 40):
-        assert h.value_at(t) == min(f.value_at(t), g.value_at(t))
 
 
 @given(rational_streams(), rational_streams())
