@@ -16,4 +16,17 @@ from .periodic_sets import (EventuallyPeriodicSet, arithmetic, complement,
                             odds, shift, union)
 from .streams import RationalStream, indicator, stream
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Poly", "RationalFunction", "average_value", "blackwell_policy",
+    "discounted_value", "discounted_value_at",
+    "CValue", "Charge", "DyadicLimit", "Frequency", "Geometric", "IllFormedRestrict",
+    "Mix", "PointMass", "Restrict", "integrate", "is_diffuse", "sandwich_check", "value",
+    "BudgetExceeded", "CycleNotFound", "Mdp", "MdpValidationError",
+    "PeriodicMarkovStrategy", "StrategyMismatch", "best_periodic", "build_mdp",
+    "ensure_valid", "enumerate_pure_periodic", "expected_reward_stream", "payoff",
+    "periodic", "random_mdp", "stationary", "validate",
+    "EventuallyPeriodicSet", "arithmetic", "complement", "contract", "density",
+    "difference", "empty", "evens", "intersect", "make", "member", "multiples",
+    "naturals", "odds", "shift", "union",
+    "RationalStream", "indicator", "stream",
+]

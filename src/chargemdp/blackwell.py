@@ -200,13 +200,6 @@ class Poly(_Frozen):
     def __init__(self, coeffs: tuple[Fraction, ...]):
         self.__dict__["coeffs"] = coeffs
 
-    @staticmethod
-    def of(*cs) -> "Poly":
-        cs = [Fraction(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -138,11 +138,20 @@ def sign_near_one(f) -> int:
 
 # ---- Fraction polynomial arithmetic: the reference the integer pairs replaced
 
+def poly_of(*cs) -> Poly:
+    """The Poly with coefficients cs, low order first, as Fractions and
+    with trailing zeros dropped."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return Poly(tuple(cs))
+
+
 def poly_add(p: Poly, q: Poly) -> Poly:
     a, b = p.coeffs, q.coeffs
     if len(a) < len(b):
         a, b = b, a
-    return Poly.of(*(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)))
+    return poly_of(*(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)))
 
 
 def poly_neg(p: Poly) -> Poly:
@@ -161,7 +170,7 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         if a:
             for j, b in enumerate(q.coeffs):
                 out[i + j] += a * b
-    return Poly.of(*out)
+    return poly_of(*out)
 
 
 def cleared(p: Poly) -> list[int]:
@@ -170,7 +179,7 @@ def cleared(p: Poly) -> list[int]:
     return [c.numerator * (d // c.denominator) for c in p.coeffs]
 
 
-def rational_of(num: Poly, den: Poly = Poly.of(1)) -> RationalFunction:
+def rational_of(num: Poly, den: Poly = poly_of(1)) -> RationalFunction:
     """num / den in lowest terms, from Fraction polynomials: both cleared
     over one lcm, then reduced by the remainder sequence."""
     if den.is_zero:

@@ -22,35 +22,36 @@ from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
                            periodic, random_mdp, stationary, validate)
 
 from conftest import (cleared, enumerate_pure_stationary, leading_sign_at_one, poly_add,
-                      poly_mul, poly_sub, rational_of, ref_rational_op, sign_near_one)
+                      poly_mul, poly_of, poly_sub, rational_of, ref_rational_op,
+                      sign_near_one)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-polys = st.lists(coeff, max_size=5).map(lambda cs: Poly.of(*cs))
+polys = st.lists(coeff, max_size=5).map(lambda cs: poly_of(*cs))
 
-BETA = rational_of(Poly.of(0, 1))  # the discount factor b itself
+BETA = rational_of(poly_of(0, 1))  # the discount factor b itself
 
 
 def scaled(p, k):
-    return Poly.of(*(Fraction(k) * c for c in p.coeffs))
+    return poly_of(*(Fraction(k) * c for c in p.coeffs))
 
 
 def at_one_minus_eps(p):
     """The polynomial p(1 - e) as a polynomial in e."""
     out = Poly(())
     for c in reversed(p.coeffs):
-        out = poly_add(poly_mul(out, Poly.of(1, -1)), Poly.of(c))
+        out = poly_add(poly_mul(out, poly_of(1, -1)), poly_of(c))
     return out
 
 
 # ---- polynomials ---------------------------------------------------------
 
 def test_poly_basics():
-    p = Poly.of(1, 0, -2)
+    p = poly_of(1, 0, -2)
     assert p.degree == 2
     assert p.evaluate(3) == 1 - 18
-    assert Poly.of(0, 0).is_zero
+    assert poly_of(0, 0).is_zero
     assert p.render() == "1 + -2*b^2"
-    assert Poly.of(0).render() == "0"
+    assert poly_of(0).render() == "0"
 
 
 @given(polys, polys)
@@ -74,7 +75,7 @@ def _ref_divmod(p, q):
         quo[shift] = k
         for i, c in enumerate(d):
             rem[shift + i] -= k * c
-    return Poly.of(*quo), Poly.of(*rem)
+    return poly_of(*quo), poly_of(*rem)
 
 
 @given(polys, polys)
@@ -146,7 +147,7 @@ def _packed_gcd_case(num, den, k):
 
 
 def _ref_exact(p, g):
-    quo, rem = _ref_divmod(Poly.of(*p), Poly.of(*g))
+    quo, rem = _ref_divmod(poly_of(*p), poly_of(*g))
     assert rem.is_zero
     return [int(c) for c in quo.coeffs]
 
@@ -176,8 +177,8 @@ def test_packed_gcd_matches_remainder_sequence(a, b, c, m, content_a, content_b,
         return
     assert _same_up_to_sign(packed, by_sequence)
     # gcd = den / (den / g), compared with Euclid up to sign and content
-    g = _ref_divmod(Poly.of(*den), Poly.of(*packed[1]))[0]
-    assert _monic(g) == _ref_poly_gcd(Poly.of(*num), Poly.of(*den))
+    g = _ref_divmod(poly_of(*den), poly_of(*packed[1]))[0]
+    assert _monic(g) == _ref_poly_gcd(poly_of(*num), poly_of(*den))
 
 
 def test_packed_gcd_reads_a_planted_factor():
@@ -200,10 +201,10 @@ def test_packed_gcd_below_the_bound_falls_back():
     assert _packed_cofactors(num, den, gamma, k) is None
     f = _reduced(num, den, (gamma, k))
     assert f == _reduced(num, den)
-    assert poly_gcd(f.num, f.den) == Poly.of(1)  # lowest terms
-    g = _ref_poly_gcd(Poly.of(*num), Poly.of(*den))
-    want_num = _ref_divmod(Poly.of(*num), g)[0]
-    want_den = _ref_divmod(Poly.of(*den), g)[0]
+    assert poly_gcd(f.num, f.den) == poly_of(1)  # lowest terms
+    g = _ref_poly_gcd(poly_of(*num), poly_of(*den))
+    want_num = _ref_divmod(poly_of(*num), g)[0]
+    want_den = _ref_divmod(poly_of(*den), g)[0]
     lead = want_den.coeffs[-1]
     assert (f.num, f.den) == (scaled(want_num, 1 / lead), scaled(want_den, 1 / lead))
 
@@ -216,10 +217,10 @@ def test_at_one_minus_eps(p):
 
 
 def test_leading_sign_at_one():
-    assert leading_sign_at_one(Poly.of(-1, 1).coeffs) == -1   # b - 1 = -e
-    assert leading_sign_at_one(Poly.of(1, -1).coeffs) == 1    # 1 - b = e
-    assert leading_sign_at_one(Poly.of(2).coeffs) == 1
-    assert leading_sign_at_one(Poly.of().coeffs) == 0
+    assert leading_sign_at_one(poly_of(-1, 1).coeffs) == -1   # b - 1 = -e
+    assert leading_sign_at_one(poly_of(1, -1).coeffs) == 1    # 1 - b = e
+    assert leading_sign_at_one(poly_of(2).coeffs) == 1
+    assert leading_sign_at_one(poly_of().coeffs) == 0
 
 
 @given(polys)
@@ -230,9 +231,9 @@ def test_leading_sign_at_one_matches_expansion(p):
 
 
 def _b_minus_one_to(m: int) -> Poly:
-    out = Poly.of(1)
+    out = poly_of(1)
     for _ in range(m):
-        out = poly_mul(out, Poly.of(-1, 1))
+        out = poly_mul(out, poly_of(-1, 1))
     return out
 
 
@@ -304,16 +305,16 @@ def test_packed_order_unpacks_only_past_order_one(monkeypatch, m):
 # ---- rational functions --------------------------------------------------
 
 def test_rational_function_reduces():
-    f = rational_of(Poly.of(-1, 0, 1), Poly.of(-1, 1))  # (b^2-1)/(b-1)
-    assert f.num == Poly.of(1, 1)
-    assert f.den == Poly.of(1)
+    f = rational_of(poly_of(-1, 0, 1), poly_of(-1, 1))  # (b^2-1)/(b-1)
+    assert f.num == poly_of(1, 1)
+    assert f.den == poly_of(1)
     assert f.render() == "(1 + 1*b)/(1)"
 
 
 def test_rational_function_monic_denominator():
-    f = rational_of(Poly.of(1), Poly.of(0, 2))
-    assert f.den == Poly.of(0, 1)
-    assert f.num == Poly.of(Fraction(1, 2))
+    f = rational_of(poly_of(1), poly_of(0, 2))
+    assert f.den == poly_of(0, 1)
+    assert f.num == poly_of(Fraction(1, 2))
 
 
 @given(polys, polys, polys, polys)
@@ -354,11 +355,11 @@ def test_operators_on_integer_pairs_match_the_poly_route(f, g):
 def test_rational_function_stores_the_reduced_integer_pair():
     # (2 + 4b) / (-4 - 6b) = (-1 - 2b) / (2 + 3b): the content 2 divided
     # out, and the sign taken so that the denominator leads positive
-    f = rational_of(Poly.of(2, 4), Poly.of(-4, -6))
+    f = rational_of(poly_of(2, 4), poly_of(-4, -6))
     assert (f.ints_num, f.ints_den) == ((-1, -2), (2, 3))
-    assert f.num == Poly.of(Fraction(-1, 3), Fraction(-2, 3))
-    assert f.den == Poly.of(Fraction(2, 3), 1)
-    g = rational_of(Poly.of(Fraction(1, 2), 1), Poly.of(-1, Fraction(-3, 2)))
+    assert f.num == poly_of(Fraction(-1, 3), Fraction(-2, 3))
+    assert f.den == poly_of(Fraction(2, 3), 1)
+    g = rational_of(poly_of(Fraction(1, 2), 1), poly_of(-1, Fraction(-3, 2)))
     assert f == g and hash(f) == hash(g)
     assert f.evaluate(Fraction(1, 2)) == Fraction(-4, 7)
     zero = RationalFunction.const(0)
@@ -373,7 +374,7 @@ def test_rational_function_stores_the_reduced_integer_pair():
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=1000) | st.just(Fraction(0)))
 def test_const_matches_the_poly_route(q):
     # const builds the reduced integer pair itself, without a gcd
-    f, want = RationalFunction.const(q), rational_of(Poly.of(q))
+    f, want = RationalFunction.const(q), rational_of(poly_of(q))
     assert (f.ints_num, f.ints_den) == (want.ints_num, want.ints_den)
     assert f == want and hash(f) == hash(want)
     assert f.evaluate(Fraction(1, 3)) == q
@@ -385,7 +386,7 @@ def test_sign_near_one():
     assert sign_near_one(BETA - one) == -1
     assert sign_near_one(RationalFunction.const(0)) == 0
     # (1-b)^2 / (1-b) is positive just below 1 even though it vanishes at 1
-    f = rational_of(Poly.of(1, -2, 1), Poly.of(1, -1))
+    f = rational_of(poly_of(1, -2, 1), poly_of(1, -1))
     assert sign_near_one(f) == 1
 
 
@@ -395,7 +396,7 @@ def test_discounted_value_even_or_odd():
     m = even_or_odd_mdp()
     v = discounted_value(m, stationary({"1": "T", "2": "c", "3": "c"}))
     # from state 1 the stream is 1,0,1,0,...: value 1/(1-b^2)
-    assert v["1"] == rational_of(Poly.of(1), Poly.of(1, 0, -1))
+    assert v["1"] == rational_of(poly_of(1), poly_of(1, 0, -1))
     assert v["1"].evaluate(Fraction(1, 2)) == Fraction(4, 3)
     assert v["2"].evaluate(Fraction(1, 2)) == Fraction(2, 3)
 
@@ -551,7 +552,7 @@ def _ref_reduced(num, den):
     by the remainder sequence, then one Fraction per coefficient for a
     monic denominator."""
     if not num:
-        return Poly(()), Poly.of(1)
+        return Poly(()), poly_of(1)
     g = _int_gcd(num, den)
     if len(g) > 1:
         num, den = _ref_exact(num, g), _ref_exact(den, g)
@@ -676,7 +677,7 @@ def _ref_blackwell_policy(mdp):
 
 
 def _ref_average_value(mdp, pi):
-    one_minus = rational_of(Poly.of(1, -1))
+    one_minus = rational_of(poly_of(1, -1))
     out = {}
     for s, v in _ref_discounted_value(mdp, pi).items():
         g = one_minus * v

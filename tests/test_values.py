@@ -24,7 +24,7 @@ from chargemdp.mdp import Mdp, Problem, random_mdp
 from chargemdp.periodic_sets import EventuallyPeriodicSet, multiples, odds
 from chargemdp.streams import RationalStream
 
-from conftest import periodic_sets, rational_of, rational_streams
+from conftest import periodic_sets, poly_of, rational_of, rational_streams
 
 FIELDS = {
     EventuallyPeriodicSet: ("pre_len", "pre_mask", "period", "res_mask"),
@@ -60,7 +60,7 @@ def _mixes(draw):
 def _rational_functions(draw):
     num = draw(st.lists(_fractions, max_size=3))
     den = draw(st.lists(_fractions, min_size=1, max_size=3).filter(any))
-    return rational_of(Poly.of(*num), Poly.of(*den))
+    return rational_of(poly_of(*num), poly_of(*den))
 
 
 VALUES = {
@@ -73,7 +73,7 @@ VALUES = {
     DyadicLimit: st.just(DyadicLimit()),
     Mix: _mixes(),
     CValue: _fractions.map(CValue.exact),
-    Poly: st.lists(_fractions, max_size=4).map(lambda cs: Poly.of(*cs)),
+    Poly: st.lists(_fractions, max_size=4).map(lambda cs: poly_of(*cs)),
     RationalFunction: _rational_functions(),
     Problem: st.builds(Problem, st.sampled_from(["RowSumError", "UnknownState"]),
                        st.text("ab (')", max_size=8)),
@@ -176,12 +176,12 @@ def test_cached_properties_on_mdp_and_rational_function():
     for w in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert w == m and w.rewards == m.rewards and w.transitions == m.transitions
 
-    f = rational_of(Poly.of(1, 2), Poly.of(3, 0, 6))
-    g = rational_of(Poly.of(1, 2), Poly.of(3, 0, 6))
+    f = rational_of(poly_of(1, 2), poly_of(3, 0, 6))
+    g = rational_of(poly_of(1, 2), poly_of(3, 0, 6))
     h = hash(f)
     assert f.num is f.num and f.den is f.den
-    assert f.num == Poly.of(Fraction(1, 6), Fraction(1, 3))
-    assert f.den == Poly.of(Fraction(1, 2), 0, 1)
+    assert f.num == poly_of(Fraction(1, 6), Fraction(1, 3))
+    assert f.den == poly_of(Fraction(1, 2), 0, 1)
     assert hash(f) == h and f == g and repr(f) == repr(g)
     for w in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert w == f and w.num == f.num and w.den == f.den
