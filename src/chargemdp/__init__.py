@@ -4,7 +4,7 @@ from .blackwell import (Poly, RationalFunction, average_value, blackwell_policy,
                         discounted_value, discounted_value_at)
 from .charges import (Charge, CValue, DyadicLimit, Frequency, Geometric,
                       IllFormedRestrict, Mix, PointMass, Restrict, integrate,
-                      is_diffuse, sandwich_check, value)
+                      sandwich_check, value)
 from .mdp import (BudgetExceeded, CycleNotFound, Mdp, MdpValidationError,
                   PeriodicMarkovStrategy, StrategyMismatch,
                   best_periodic, build_mdp, ensure_valid,
@@ -14,13 +14,13 @@ from .periodic_sets import (EventuallyPeriodicSet, arithmetic, complement,
                             contract, density, difference, empty, evens,
                             intersect, make, member, multiples, naturals,
                             odds, shift, union)
-from .streams import RationalStream, indicator, stream
+from .streams import RationalStream, stream
 
 __all__ = [
     "Poly", "RationalFunction", "average_value", "blackwell_policy",
     "discounted_value", "discounted_value_at",
     "CValue", "Charge", "DyadicLimit", "Frequency", "Geometric", "IllFormedRestrict",
-    "Mix", "PointMass", "Restrict", "integrate", "is_diffuse", "sandwich_check", "value",
+    "Mix", "PointMass", "Restrict", "integrate", "sandwich_check", "value",
     "BudgetExceeded", "CycleNotFound", "Mdp", "MdpValidationError",
     "PeriodicMarkovStrategy", "StrategyMismatch", "best_periodic", "build_mdp",
     "ensure_valid", "enumerate_pure_periodic", "expected_reward_stream", "payoff",
@@ -28,5 +28,5 @@ __all__ = [
     "EventuallyPeriodicSet", "arithmetic", "complement", "contract", "density",
     "difference", "empty", "evens", "intersect", "make", "member", "multiples",
     "naturals", "odds", "shift", "union",
-    "RationalStream", "indicator", "stream",
+    "RationalStream", "stream",
 ]

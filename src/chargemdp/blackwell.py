@@ -77,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .mdp import Mdp, PeriodicMarkovStrategy, StrategyMismatch, ensure_valid, stationary
 from .periodic_sets import _Frozen
@@ -207,17 +207,6 @@ class Poly(_Frozen):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, x) -> Fraction:
-        """Horner over the integers: with the coefficients over their lcm d,
-        d * self(x) is an integer polynomial; one Fraction at the end."""
-        if not self.coeffs:
-            return Fraction(0)
-        x = Fraction(x)
-        d = lcm(*(c.denominator for c in self.coeffs))
-        acc, scale = _horner([c.numerator * (d // c.denominator) for c in self.coeffs],
-                             x.numerator, x.denominator)
-        return Fraction(acc, d * scale)
 
     def render(self) -> str:
         if self.is_zero:

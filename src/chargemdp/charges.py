@@ -118,18 +118,6 @@ class Mix(Charge):
         self.__dict__["parts"] = parts
 
 
-def is_diffuse(mu: Charge) -> bool:
-    if isinstance(mu, (Frequency, DyadicLimit)):
-        return True
-    if isinstance(mu, (Geometric, PointMass)):
-        return False
-    if isinstance(mu, Restrict):
-        return is_diffuse(mu.base)
-    if isinstance(mu, Mix):
-        return all(is_diffuse(c) for _, c in mu.parts)
-    raise TypeError(f"not a charge expression: {mu!r}")
-
-
 class CValue(_Frozen):
     """The exact value of a charge query: one ``Fraction``.
 

@@ -230,11 +230,16 @@ def stationary(choices) -> PeriodicMarkovStrategy:
 def periodic(preperiod_rows, cycle_rows) -> PeriodicMarkovStrategy:
     """Canonicalizing constructor.
 
-    Each row maps state -> action id or state -> {action: prob}.
+    Each row maps state -> action id or state -> {action: prob}.  A row
+    object given for several phases is normalized once, at its first.
     """
+    memo = {}  # id(row) -> (row, normalized); holding row keeps its id in use
+
     def norm(row, k):
-        return tuple(sorted((s, _normalize_dist(d, s, k))
-                            for s, d in dict(row).items()))
+        if (hit := memo.get(id(row))) is None:
+            hit = memo[id(row)] = (row, tuple(sorted((s, _normalize_dist(d, s, k))
+                                                     for s, d in dict(row).items())))
+        return hit[1]
 
     pre = [norm(r, i + 1) for i, r in enumerate(preperiod_rows)]
     cyc = [norm(r, len(pre) + i + 1) for i, r in enumerate(cycle_rows)]

@@ -12,8 +12,8 @@ Line and column are computed only when an error is raised, by matching
 the same expression again up to the word at fault.
 
 Set and charge expressions nest at most ``MAX_NESTING`` (100) levels
-deep.  A parenthesis, a ``!``, a ``mix`` and a constructor's argument
-list each open one level; past the bound the parser raises a
+deep.  A parenthesis, a ``!`` and a constructor's argument list (``mix``
+included) each open one level; past the bound the parser raises a
 ``ParseError`` at the token that opens the level, so deep input never
 exhausts the interpreter's stack in parsing or in evaluation.
 
@@ -28,10 +28,12 @@ import itertools
 import re
 from fractions import Fraction
 
+from . import mdp as _mdp
 from . import periodic_sets as ps
 from .charges import (Charge, DyadicLimit, Frequency, Geometric, Mix, PointMass,
                       Restrict)
-from .mdp import _ONE, Mdp, PeriodicMarkovStrategy, build_mdp, periodic, stationary
+from .mdp import (_ONE, BudgetExceeded, Mdp, PeriodicMarkovStrategy, build_mdp, periodic,
+                  stationary)
 from .periodic_sets import EventuallyPeriodicSet
 from .streams import RationalStream, stream
 
@@ -216,20 +218,16 @@ class _Parser:
     # ---- charge expressions ----------------------------------------------
 
     def charge_expr(self) -> Charge:
-        i = self.pos
-        if self.words[i] != "mix":
-            return self.call(_CHARGES, "charge")
-        self.pos += 1
-        self.nest(i)
-        self.expect_punct("(")
+        return self.call(_CHARGES, "charge")
+
+    def mix_parts(self) -> tuple[tuple[Fraction, Charge], ...]:
+        """``<weight>: <charge>, ...``, the argument of ``mix``."""
         parts = []
         while not parts or self.take_punct(","):
             w = self.expect_rational()
             self.expect_punct(":")
             parts.append((w, self.charge_expr()))
-        self.expect_punct(")")
-        self.depth -= 1
-        return self.build(i, Mix, tuple(parts))
+        return tuple(parts)
 
     # ---- stream literals -------------------------------------------------
 
@@ -271,6 +269,7 @@ _CHARGES = {
     "geometric": (Geometric, (_Parser.expect_rational,)),
     "pointmass": (PointMass, (_Parser.expect_nat,)),
     "restrict": (Restrict, (_Parser.charge_expr, _Parser.set_expr)),
+    "mix": (Mix, (_Parser.mix_parts,)),
 }
 
 
@@ -403,7 +402,8 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     """``stationary { s: a ... }`` or
     ``periodic preperiod=<L> period=<q> { phase <k> state <s>: a ... }``.
     Omitted entries default to the first declared action; a state given
-    twice in one phase is an error."""
+    twice in one phase is an error.  Past ``mdp.STRATEGY_CAP`` phases
+    BudgetExceeded is raised before any row is built."""
     p = _Parser(text)
     kind = p.expect_name()
     if kind == "stationary":
@@ -417,8 +417,11 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
         q = p.expect_nat()
     else:
         raise p.error(f"expected 'stationary' or 'periodic', got {kind!r}", 0)
+    if L + q > (cap := _mdp.STRATEGY_CAP):
+        raise BudgetExceeded(f"{L + q} strategy phases exceeds cap {cap}")
     acts = dict(zip(mdp.states, mdp.actions))
-    rows = [{s: acts[s][0] for s in mdp.states} for _ in range(L + q)]
+    default = {s: acts[s][0] for s in mdp.states}
+    rows = [default] * (L + q)  # a phase that names no cell shares the default row
     given = set()  # (phase, state) of each cell read
     p.expect_punct("{")
     while not p.at_punct("}"):
@@ -435,6 +438,8 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
         if (k, s) in given:
             raise p.error(f"state {s!r} given twice in phase {k}", at)
         given.add((k, s))
+        if rows[k - 1] is default:
+            rows[k - 1] = dict(default)
         rows[k - 1][s] = dist
     p.expect_punct("}")
     out = (p.build(0, stationary, rows[0]) if kind == "stationary"

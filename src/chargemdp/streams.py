@@ -22,14 +22,6 @@ class RationalStream(_Frozen):
     def __init__(self, preperiod: tuple[Fraction, ...], cycle: tuple[Fraction, ...]):
         self.__dict__.update(preperiod=preperiod, cycle=cycle)
 
-    def value_at(self, t: int) -> Fraction:
-        if t < 1:
-            raise ValueError(f"stages start at 1, got {t}")
-        L = len(self.preperiod)
-        if t <= L:
-            return self.preperiod[t - 1]
-        return self.cycle[(t - L - 1) % len(self.cycle)]
-
     def level_sets(self) -> list[tuple[Fraction, EventuallyPeriodicSet]]:
         """Pairs (value, stages where the stream equals that value),
         ordered by value.  The sets partition the stages.  One pass over
@@ -82,10 +74,3 @@ def stream(preperiod, cycle) -> RationalStream:
     return RationalStream(*_canonical(
         [v if type(v) is Fraction else Fraction(v) for v in preperiod], cyc))
 
-
-def indicator(s: EventuallyPeriodicSet) -> RationalStream:
-    """0/1 stream of membership."""
-    m, p = s.pre_len, s.period
-    pre = [Fraction(1 if (s.pre_mask >> (i - 1)) & 1 else 0) for i in range(1, m + 1)]
-    cyc = [Fraction(1 if (s.res_mask >> ((m + 1 + j) % p)) & 1 else 0) for j in range(p)]
-    return stream(pre, cyc)

@@ -39,9 +39,16 @@ def cycle_mean(f) -> Fraction:
 def pointwise_leq(f, g) -> bool:
     """f <= g at every stage (checked over preperiods plus one full
     common cycle, which is exhaustive)."""
-    L = max(len(f.preperiod), len(g.preperiod))
-    q = lcm(len(f.cycle), len(g.cycle))
-    return all(f.value_at(t) <= g.value_at(t) for t in range(1, L + q + 1))
+    n = max(len(f.preperiod), len(g.preperiod)) + lcm(len(f.cycle), len(g.cycle))
+    return all(a <= b for a, b in zip(f.values(n), g.values(n)))
+
+
+def indicator(s: EventuallyPeriodicSet):
+    """The 0/1 stream of membership in s."""
+    from chargemdp.streams import stream
+    m, p = s.pre_len, s.period
+    return stream([(s.pre_mask >> i) & 1 for i in range(m)],
+                  [(s.res_mask >> ((m + 1 + j) % p)) & 1 for j in range(p)])
 
 
 def superlevel_set(f, threshold) -> EventuallyPeriodicSet:
@@ -145,6 +152,14 @@ def poly_of(*cs) -> Poly:
     while cs and cs[-1] == 0:
         cs.pop()
     return Poly(tuple(cs))
+
+
+def poly_eval(p: Poly, x) -> Fraction:
+    """p(x) by Horner's rule over the Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

@@ -80,6 +80,8 @@ SMALL_INPUTS = {
     "two.strategy": "stationary { a: x b: x }\n",
     "half.strategy": "stationary { a: x:1/2 }\n",
     "twice.strategy": "stationary {\n  a: x\n  a: y\n}\n",
+    "long.strategy": "periodic preperiod=100000 period=1 { }\n",
+    "huge.strategy": "periodic preperiod=1000000000000 period=1 { }\n",
     "split.strategy": "stationary { s: x:1/2 y:1/2 a: x b: x }\n",
     "split-periodic.strategy": ("periodic preperiod=0 period=1 { phase 1 state s: x:1/2 y:1/2 "
                                 "phase 1 state a: x phase 1 state b: x }\n"),
@@ -291,6 +293,13 @@ PINS = [
     Pin("state-given-twice", ("mdp-eval", "--mdp", "@xy.mdp", "--strategy", "@twice.strategy",
                               "--charge", "frequency"),
         err="parse error: line 3, col 3: state 'a' given twice in phase 1\n", code=2, seconds=10),
+    # 100001 default phases canonicalize to preperiod 0: two.strategy's payoff, as in mdp-eval-table
+    Pin("strategy-100000-phases", ("mdp-eval", "--mdp", "@two.mdp", "--strategy", "@long.strategy",
+                                   "--charge", "geometric(1/2)", "--horizon", "64"),
+        out="2/3\n", seconds=0.5),
+    Pin("strategy-phases-cap", ("mdp-eval", "--mdp", "@two.mdp", "--strategy", "@huge.strategy",
+                                "--charge", "frequency"),
+        err="error: 1000000000001 strategy phases exceeds cap 2000000\n", code=2, seconds=1),
     Pin("verify-all", ("verify", "all"), out=re.compile("120832 strategies, 0 failures"),
         sha256="2c976aaa0e046530589809ead72602e7946e266507e716ae430485f2b8e82081"),
     Pin("verify-all-period-0", ("verify", "all", "--max-period", "0"),

@@ -13,17 +13,17 @@ from chargemdp import charges, periodic_sets as periodic_sets_module
 from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric,
                                IllFormedRestrict, Mix, PointMass, Restrict,
                                _eval, _stage_weights,
-                               dyadic_value_sequence, integrate, is_diffuse,
-                               sandwich_check, value)
+                               dyadic_value_sequence, integrate, sandwich_check,
+                               value)
 from chargemdp.parsing import parse_set
 from chargemdp.periodic_sets import (_build, arithmetic, complement, contract, density,
                                      difference, empty, evens, intersect, make,
                                      member, multiples, naturals, odds, shift,
                                      union)
-from chargemdp.streams import indicator, stream
+from chargemdp.streams import stream
 
-from conftest import (cycle_mean, first_tail_element, periodic_sets, pointwise_leq,
-                      rational_streams, ref_level_sets)
+from conftest import (cycle_mean, first_tail_element, indicator, periodic_sets,
+                      pointwise_leq, rational_streams, ref_level_sets)
 
 EXACT_CHARGES = st.sampled_from([
     Frequency(),
@@ -135,20 +135,6 @@ def test_charge_normalized(mu, s):
 def test_charge_monotone(mu, s, t):
     assert exact(mu, intersect(s, t)) <= exact(mu, s)
     assert exact(mu, difference(s, t)) == exact(mu, s) - exact(mu, intersect(s, t))
-
-
-# ---- diffuseness ---------------------------------------------------------
-
-def test_is_diffuse():
-    assert is_diffuse(Frequency())
-    assert is_diffuse(DyadicLimit())
-    assert not is_diffuse(Geometric(Fraction(1, 2)))
-    assert not is_diffuse(PointMass(4))
-    assert is_diffuse(Restrict(Frequency(), odds()))
-    assert is_diffuse(Mix(((Fraction(1, 2), Frequency()),
-                           (Fraction(1, 2), DyadicLimit()))))
-    assert not is_diffuse(Mix(((Fraction(1, 2), Frequency()),
-                               (Fraction(1, 2), PointMass(1)))))
 
 
 @given(st.sampled_from([Frequency(), DyadicLimit()]), st.integers(1, 100))
@@ -280,8 +266,8 @@ def test_mix_with_dyadic_component():
 @given(EXACT_CHARGES, rational_streams(), rational_streams())
 def test_integrate_linear(mu, f, g):
     L, q = max(len(f.preperiod), len(g.preperiod)), lcm(len(f.cycle), len(g.cycle))
-    total = stream([f.value_at(t) + g.value_at(t) for t in range(1, L + 1)],
-                   [f.value_at(t) + g.value_at(t) for t in range(L + 1, L + q + 1)])
+    sums = [a + b for a, b in zip(f.values(L + q), g.values(L + q))]
+    total = stream(sums[:L], sums[L:])
     assert (integrate(mu, total).exact_value
             == integrate(mu, f).exact_value + integrate(mu, g).exact_value)
 
@@ -568,8 +554,7 @@ def dot(mu, f, L, q) -> CValue:
     """integrate(mu, f) as the dot product of f's first L + q values
     with the weights of shape (L, q)."""
     W, w = _stage_weights(mu, L, q)
-    return CValue.exact(sum((f.value_at(t) * w[t - 1] for t in range(1, L + q + 1)),
-                            Fraction(0)) / W)
+    return CValue.exact(sum((v * x for v, x in zip(f.values(L + q), w)), Fraction(0)) / W)
 
 
 @given(WEIGHT_CHARGES, rational_streams(), st.integers(0, 3), st.integers(1, 3))

@@ -21,7 +21,7 @@ from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, de
                                      odds, shift, union)
 from chargemdp.streams import _canonical
 
-from conftest import is_subset, superlevel_set
+from conftest import indicator, is_subset, superlevel_set
 
 
 # ---- reports -------------------------------------------------------------
@@ -286,7 +286,6 @@ def test_pattern_reward_set_matches_strategy(pre, cyc):
     f = expected_reward_stream(cx.even_or_odd_mdp(), sigma)
     assert ref == superlevel_set(f, Fraction(1, 2))
     # the indicator integral equals the strategy payoff
-    from chargemdp.streams import indicator
     mu = cx.even_or_odd_charge()
     assert integrate(mu, indicator(ref)) == integrate(mu, f)
     # and the sweep's word for the canonical pattern is that set
@@ -299,8 +298,9 @@ def test_pattern_reward_set_matches_strategy(pre, cyc):
 def test_adjacent_stage_rewards_sum_to_one(pre, cyc):
     # the two stages of every odd/even pair split a single unit of reward
     f = expected_reward_stream(cx.even_or_odd_mdp(), pattern_strategy(pre, cyc))
-    for t in range(1, 60, 2):
-        assert f.value_at(t) + f.value_at(t + 1) == 1
+    v = f.values(60)
+    for t in range(0, 60, 2):
+        assert v[t] + v[t + 1] == 1
 
 
 def test_pattern_reward_set_matches_reference_exhaustively():

@@ -13,7 +13,7 @@ from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
                                PointMass, Restrict)
 from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
                                        stay_strategy)
-from chargemdp.mdp import payoff, validate
+from chargemdp.mdp import PeriodicMarkovStrategy, payoff, periodic, validate
 from chargemdp.parsing import (ParseError, _parse, _Parser, parse_charge,
                                parse_mdp, parse_set, parse_strategy,
                                parse_stream)
@@ -497,6 +497,39 @@ def test_parse_strategy_bad_probabilities(text, where):
         eo_strategy(text)
     assert (err.value.line, err.value.col) == (1, 1)
     assert f"action distribution at {where} must sum to 1" in err.value.message
+
+
+# ---- phases that share the default row ------------------------------------
+
+def eo_pure(preperiod: int, actions: str) -> PeriodicMarkovStrategy:
+    """The even_or_odd_mdp strategy that plays actions[k] at state 1 in
+    phase k + 1 and c elsewhere, as its literal tuple."""
+    one = Fraction(1)
+    return PeriodicMarkovStrategy(preperiod, len(actions) - preperiod, tuple(
+        (("1", ((a, one),)), ("2", (("c", one),)), ("3", (("c", one),))) for a in actions))
+
+
+def test_periodic_reads_every_fresh_row_of_a_generator():
+    """``periodic`` normalizes a row object once.  A generator's fresh rows
+    are freed as it goes on, so without the memo holding them the row of
+    phase 3 could be taken for the row of phase 1 by its id."""
+    def rows(pattern):
+        return ({"1": a, "2": "c", "3": "c"} for a in pattern)
+    assert periodic([], rows("TTTTT")) == eo_pure(0, "T")
+    assert periodic([], rows("BTTBTTB")) == eo_pure(0, "BTTBTTB")
+    assert periodic(rows("TT"), rows("BTB")) == eo_pure(2, "TTBTB")
+
+
+def test_a_bad_cell_among_default_phases_reports_its_phase():
+    with pytest.raises(ParseError) as err:
+        eo_strategy("periodic preperiod=2 period=3 { phase 3 state 1: T:1/2 B:1/3 }")
+    assert str(err.value) == ("line 1, col 1: action distribution at phase 3, state '1' must "
+                              "sum to 1: (('B', Fraction(1, 3)), ('T', Fraction(1, 2)))")
+
+
+def test_a_cell_leaves_the_other_phases_at_the_default():
+    assert eo_strategy("periodic preperiod=1 period=3 { phase 2 state 1: B }") == eo_pure(0, "TBT")
+    assert eo_strategy("periodic preperiod=3 period=1 { phase 3 state 1: B }") == eo_pure(3, "TTBT")
 
 
 def test_parse_mdp_reports_unknown_states_at_their_token():

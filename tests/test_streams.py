@@ -1,4 +1,4 @@
-"""Eventually periodic rational streams: canonical form, level sets, indicator."""
+"""Eventually periodic rational streams: canonical form, level sets, values."""
 
 from fractions import Fraction
 
@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chargemdp.periodic_sets import density, member
-from chargemdp.streams import RationalStream, _canonical, indicator, stream
+from chargemdp.streams import RationalStream, _canonical, stream
 
-from conftest import (cycle_mean, periodic_sets, pointwise_leq, rational_streams,
+from conftest import (cycle_mean, indicator, periodic_sets, pointwise_leq, rational_streams,
                       ref_level_sets, superlevel_set)
 
 
@@ -39,16 +39,9 @@ def test_stream_values_are_plain_fractions():
     assert f == stream([Fraction(1), Fraction(1, 3)], ["1/2", 0.25])
 
 
-def test_value_at():
-    f = stream([5], [1, 2, 3])
-    assert [f.value_at(t) for t in range(1, 8)] == [5, 1, 2, 3, 1, 2, 3]
-    with pytest.raises(ValueError):
-        f.value_at(0)
-
-
-def test_values_matches_value_at():
-    f = stream([7, 0], [2, -1])
-    assert f.values(7) == [f.value_at(t) for t in range(1, 8)]
+def test_values():
+    assert stream([5], [1, 2, 3]).values(7) == [5, 1, 2, 3, 1, 2, 3]
+    assert stream([7, 0], [2, -1]).values(7) == [7, 0, 2, -1, 2, -1, 2]
 
 
 def test_values_rejects_a_negative_count():
@@ -99,9 +92,9 @@ def test_canonical_idempotence(f):
 def test_level_sets_partition(f):
     levels = f.level_sets()
     assert sum(density(m) for _, m in levels) == 1
-    for t in range(1, 40):
+    for t, v in enumerate(f.values(39), 1):
         hits = [c for c, m in levels if member(m, t)]
-        assert hits == [f.value_at(t)]
+        assert hits == [v]
 
 
 # few distinct values, zero among them, so levels repeat across the
@@ -122,18 +115,18 @@ def test_level_sets_match_equality_scan(f):
 def test_indicator_round_trip(s):
     f = indicator(s)
     assert superlevel_set(f, 0) == s
-    for t in range(1, 40):
-        assert f.value_at(t) == (1 if member(s, t) else 0)
+    for t, v in enumerate(f.values(39), 1):
+        assert v == (1 if member(s, t) else 0)
 
 
 @given(rational_streams(), rational_streams())
 def test_pointwise_leq_exhaustive(f, g):
-    expected = all(f.value_at(t) <= g.value_at(t) for t in range(1, 80))
+    expected = all(a <= b for a, b in zip(f.values(79), g.values(79)))
     assert pointwise_leq(f, g) == expected
 
 
 @given(rational_streams(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_superlevel_membership(f, thr):
     w = superlevel_set(f, thr)
-    for t in range(1, 40):
-        assert member(w, t) == (f.value_at(t) > thr)
+    for t, v in enumerate(f.values(39), 1):
+        assert member(w, t) == (v > thr)
