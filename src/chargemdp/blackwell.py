@@ -17,15 +17,17 @@ division of the elimination is an exact integer ``//``; its divisor, a
 previous pivot, is a nonzero polynomial with coefficients below X/2, so
 its value at X is nonzero.
 
-``discounted_value`` reduces each N_i / det in integers: it divides
-both by their gcd, then by the content (the gcd of all coefficients)
-of the pair, signed so that the leading denominator coefficient is
-positive.  The form is unique, so it is the one rational-function
-arithmetic gives, and ``RationalFunction`` stores it as two integer
-tuples: ``evaluate`` and the arithmetic operators run on them, with
-one Fraction at the end of ``evaluate``, and ``num``, ``den`` and
-``render`` build the monic-denominator form, one Fraction per
-coefficient, on first read.
+``discounted_value`` reduces each N_i / det in integers (``_reduced``):
+it divides both by their gcd, then by the content (the gcd of all
+coefficients) of the pair, signed so that the leading denominator
+coefficient is positive.  The form is unique, so it is the one
+rational-function arithmetic gives, and ``RationalFunction`` stores it
+as two integer tuples: ``evaluate`` runs on them with one Fraction at
+the end, and ``num``, ``den`` and ``render`` build the monic-denominator
+form, one Fraction per coefficient, on first read.  The arithmetic
+operators pack their operands at one X = 2**k, past twice the bound
+||p||_1 * ||q||_1 on the coefficients of each product p*q they form,
+multiply and add the packed ints, and reduce the same way.
 
 The gcd comes from the packed values the elimination already computed
 (the heuristic gcd of Char, Geddes & Gonnet, J. Symbolic Computation,
@@ -37,10 +39,13 @@ factor q of det lies below 1 + ||det||_inf in absolute value (Cauchy),
 so X >= 2*||det||_inf + 2 makes |q(X)| > X/2 unless q is a constant.
 The bound holds: X = 2**k > 2B >= 2*||det||_1, and X is even.  So a
 constant h means the gcd is 1; otherwise h is accepted only after both
-exact divisions (``_quotient``) succeed, their quotients are the reduced
-pair, and a failed division falls back to a primitive remainder sequence
-(``_int_gcd``).  The arithmetic operators, which have no packed values,
-take that sequence.
+exact divisions (``_quotient``) succeed, and their quotients are the
+reduced pair.  A failed division tries again at X**2, and the retries
+end.  Write the pair as g*A and g*B with g their primitive gcd; every
+common divisor of A(X) and B(X) divides one nonzero integer R for all X,
+the resultant Res(A, B), or A when both are constants.  So gamma =
+d*|g(X)| with d <= |R|, and once X > 2*|R|*||g||_inf the balanced digits
+of gamma are +-d*g, whose primitive part +-g divides both.
 
 "Optimal for every discount factor close enough to 1" becomes a sign
 test near b = 1.  Dividing a polynomial by (b - 1) until the remainder
@@ -89,57 +94,11 @@ class PoleAtOne(ArithmeticError):
 
 # ---- integer polynomials: plain int lists, low order first -------------------
 
-def _trim(p: list[int]) -> list[int]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _sum(p: list[int], q: list[int]) -> list[int]:
-    """Sum of two integer polynomials, trimmed."""
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _product(p, q) -> list[int]:
-    """Product of two integer polynomials; [] when either is zero."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _primitive(cs: list[int]) -> list[int]:
     """Integer coefficients cs, low order first and trimmed, divided by
     their content."""
     g = gcd(*cs)
     return [x // g for x in cs]
-
-
-def _int_gcd(x: list[int], y: list[int]) -> list[int]:
-    """Primitive gcd in Z[b] of two integer polynomials, by a primitive
-    remainder sequence; [] when both are zero.  Its sign is arbitrary."""
-    x, y = _primitive(x), _primitive(y)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        # pseudo-remainder: lead(y)^k * x mod y stays in Z[b]
-        lead = y[-1]
-        while len(x) >= len(y):
-            top, shift = x[-1], len(x) - len(y)
-            x = [c * lead for c in x]
-            for i, c in enumerate(y):
-                x[shift + i] -= top * c
-            _trim(x)
-        x, y = y, _primitive(x) if x else x
-    return x
 
 
 def _quotient(p: list[int], g: list[int]) -> list[int] | None:
@@ -229,10 +188,10 @@ class RationalFunction(_Frozen):
     order first: ``ints_num`` / ``ints_den``, with no common content and
     a positive leading denominator coefficient, so each function has one
     form and ``==`` and ``hash``, which compare and hash that pair,
-    compare functions.  ``+``, ``-``, ``*`` and ``/`` multiply and add
-    the integer pairs and reduce the result with ``_reduced``.  ``num``
-    and ``den`` are its reduced form with a monic denominator, built on
-    first read."""
+    compare functions.  ``+``, ``-``, ``*`` and ``/`` form their integer
+    pairs packed at one b = 2**k (``_combined``) and reduce the result
+    with ``_reduced``.  ``num`` and ``den`` are its reduced form with a
+    monic denominator, built on first read."""
 
     _fields = ("ints_num", "ints_den")
 
@@ -259,9 +218,8 @@ class RationalFunction(_Frozen):
         return not self.ints_num
 
     def __add__(self, o: "RationalFunction") -> "RationalFunction":
-        return _reduced(_sum(_product(self.ints_num, o.ints_den),
-                             _product(o.ints_num, self.ints_den)),
-                        _product(self.ints_den, o.ints_den))
+        return _combined(((self.ints_num, o.ints_den), (o.ints_num, self.ints_den)),
+                         ((self.ints_den, o.ints_den),))
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(tuple(-c for c in self.ints_num), self.ints_den)
@@ -270,12 +228,12 @@ class RationalFunction(_Frozen):
         return self + (-o)
 
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
-        return _reduced(_product(self.ints_num, o.ints_num), _product(self.ints_den, o.ints_den))
+        return _combined(((self.ints_num, o.ints_num),), ((self.ints_den, o.ints_den),))
 
     def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
         if o.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return _reduced(_product(self.ints_num, o.ints_den), _product(self.ints_den, o.ints_num))
+        return _combined(((self.ints_num, o.ints_den),), ((self.ints_den, o.ints_num),))
 
     def evaluate(self, x) -> Fraction:
         """With x = p/q, num(x) / den(x) = (A / q^m) / (B / q^n) for the
@@ -308,18 +266,17 @@ def _packed_cofactors(num: list[int], den: list[int], gamma: int,
     return num_quo, den_quo
 
 
-def _reduced(num: list[int], den: list[int], packed: tuple[int, int] | None = None
-             ) -> RationalFunction:
+def _reduced(num: list[int], den: list[int], gamma: int, k: int) -> RationalFunction:
     """num / den, integer polynomials with den nonzero, in lowest terms:
     divided by their gcd, then by the content of the pair, signed so that
-    den leads positive.  ``packed`` = (gamma, k), as ``_packed_cofactors``
-    takes them, is tried before the remainder sequence."""
+    den leads positive.  The gcd is read from gamma and k as
+    ``_packed_cofactors`` takes them, and where it declines, from the
+    values at X**2, X**4, ... (see the module docstring)."""
     if not num:
         return RationalFunction((), (1,))
-    pair = _packed_cofactors(num, den, *packed) if packed else None
-    if pair is None:
-        g = _int_gcd(num, den)
-        pair = (_quotient(num, g), _quotient(den, g)) if len(g) > 1 else (num, den)
+    while (pair := _packed_cofactors(num, den, gamma, k)) is None:
+        k *= 2
+        gamma = gcd(_pack(num, k), _pack(den, k))
     num, den = pair
     c = gcd(*num, *den)
     if den[-1] < 0:
@@ -327,11 +284,29 @@ def _reduced(num: list[int], den: list[int], packed: tuple[int, int] | None = No
     return RationalFunction(tuple(x // c for x in num), tuple(x // c for x in den))
 
 
+def _combined(num_terms, den_terms) -> RationalFunction:
+    """The sum of p * q over the pairs (p, q) of integer coefficient tuples
+    in num_terms, over the same sum for den_terms (nonzero), in lowest
+    terms.  Both sums are formed at one X = 2**k past twice the bound
+    sum ||p||_1 * ||q||_1 on each one's coefficients, and reduced there."""
+    k = max(sum(sum(map(abs, p)) * sum(map(abs, q)) for p, q in terms)
+            for terms in (num_terms, den_terms)).bit_length() + 1
+    num, den = (sum(_pack(p, k) * _pack(q, k) for p, q in terms)
+                for terms in (num_terms, den_terms))
+    return _reduced(_unpack(num, k), _unpack(den, k), gcd(num, den), k)
+
+
 # ---- Bareiss elimination at b = 2**k ----------------------------------------
 
 def _norm(row) -> int:
     """1-norm of a scaled row's coefficients: L + sum(L*p_z) + |L*r|."""
     return 2 * row[0] + abs(row[1])
+
+
+def _pack(cs, k: int) -> int:
+    """The value at X = 2**k of the integer polynomial with coefficients cs,
+    low order first."""
+    return sum(c << k * i for i, c in enumerate(cs))
 
 
 def _unpack(v: int, k: int) -> list[int]:
@@ -451,7 +426,7 @@ def discounted_value(mdp: Mdp, pi: PeriodicMarkovStrategy) -> dict[str, Rational
     """Per-state discounted value v(b) solving v = r + b*P*v, symbolically."""
     k, det, nums = _packed_cramer(mdp, _policy_choice(mdp, pi))
     den = _unpack(det, k)
-    return {s: _reduced(_unpack(num, k), den, (gcd(num, det), k))
+    return {s: _reduced(_unpack(num, k), den, gcd(num, det), k)
             for s, num in zip(mdp.states, nums)}
 
 

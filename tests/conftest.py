@@ -5,7 +5,7 @@ from math import lcm
 
 from hypothesis import strategies as st
 
-from chargemdp.blackwell import Poly, RationalFunction, _order_at_one, _reduced, _sign_of_order
+from chargemdp.blackwell import Poly, RationalFunction, _order_at_one, _sign_of_order
 from chargemdp.mdp import enumerate_pure_periodic
 from chargemdp.periodic_sets import EventuallyPeriodicSet, _aligned, make
 
@@ -194,14 +194,48 @@ def cleared(p: Poly) -> list[int]:
     return [c.numerator * (d // c.denominator) for c in p.coeffs]
 
 
+def ref_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of Poly long division over the rationals."""
+    if q.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, d = list(p.coeffs), q.coeffs
+    quo = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        k = rem[shift + len(d) - 1] / d[-1]
+        quo[shift] = k
+        for i, c in enumerate(d):
+            rem[shift + i] -= k * c
+    return poly_of(*quo), poly_of(*rem)
+
+
+def monic(p: Poly) -> Poly:
+    return poly_of(*(c / p.coeffs[-1] for c in p.coeffs)) if not p.is_zero else p
+
+
+def ref_poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid over the rationals."""
+    while not b.is_zero:
+        a, b = b, ref_divmod(a, b)[1]
+    return monic(a)
+
+
+def ref_lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num / den, den nonzero, divided by ``ref_poly_gcd``, with a monic
+    denominator."""
+    g = ref_poly_gcd(num, den)
+    num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
+    return poly_of(*(c / den.coeffs[-1] for c in num.coeffs)), monic(den)
+
+
 def rational_of(num: Poly, den: Poly = poly_of(1)) -> RationalFunction:
-    """num / den in lowest terms, from Fraction polynomials: both cleared
-    over one lcm, then reduced by the remainder sequence."""
+    """num / den in lowest terms, from Fraction polynomials: the
+    ``ref_lowest_terms`` pair cleared over one lcm, which leaves no common
+    content."""
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    d = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-    return _reduced([c.numerator * (d // c.denominator) for c in num.coeffs],
-                    [c.numerator * (d // c.denominator) for c in den.coeffs])
+    num, den = ref_lowest_terms(num, den)
+    n, ints = len(num.coeffs), cleared(Poly(num.coeffs + den.coeffs))
+    return RationalFunction(tuple(ints[:n]), tuple(ints[n:]))
 
 
 def ref_rational_op(op: str, f, g):

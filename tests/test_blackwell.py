@@ -5,13 +5,13 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargemdp import blackwell as blackwell_module
 from chargemdp import mdp as mdp_module
 from chargemdp.blackwell import (Poly, PoleAtOne, RationalFunction,
-                                 _bareiss_at, _int_gcd, _norm, _order_at_one,
+                                 _bareiss_at, _norm, _order_at_one, _pack,
                                  _packed_cofactors, _packed_cramer,
                                  _packed_order, _policy_choice, _reduced,
                                  _unpack, average_value, blackwell_policy,
@@ -22,17 +22,13 @@ from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
                            periodic, random_mdp, stationary, validate)
 
 from conftest import (cleared, enumerate_pure_stationary, leading_sign_at_one, poly_add,
-                      poly_eval, poly_mul, poly_of, poly_sub, rational_of, ref_rational_op,
-                      sign_near_one)
+                      monic, poly_eval, poly_mul, poly_of, poly_sub, rational_of, ref_divmod,
+                      ref_lowest_terms, ref_poly_gcd, ref_rational_op, sign_near_one)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: poly_of(*cs))
 
 BETA = rational_of(poly_of(0, 1))  # the discount factor b itself
-
-
-def scaled(p, k):
-    return poly_of(*(Fraction(k) * c for c in p.coeffs))
 
 
 def at_one_minus_eps(p):
@@ -64,39 +60,27 @@ def test_poly_ring_identities(p, q):
         assert poly_eval(poly_add(p, q), x) == poly_eval(p, x) + poly_eval(q, x)
 
 
-def _ref_divmod(p, q):
-    """Quotient and remainder of Poly long division over the rationals."""
-    if q.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem, d = list(p.coeffs), q.coeffs
-    quo = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
-    for shift in range(len(quo) - 1, -1, -1):
-        k = rem[shift + len(d) - 1] / d[-1]
-        quo[shift] = k
-        for i, c in enumerate(d):
-            rem[shift + i] -= k * c
-    return poly_of(*quo), poly_of(*rem)
-
-
 @given(polys, polys)
 def test_poly_divmod_identity(p, q):
     if q.is_zero:
         with pytest.raises(ZeroDivisionError):
-            _ref_divmod(p, q)
+            ref_divmod(p, q)
         return
-    quo, rem = _ref_divmod(p, q)
+    quo, rem = ref_divmod(p, q)
     assert poly_add(poly_mul(quo, q), rem) == p
     assert rem.is_zero or rem.degree < q.degree
 
 
 def poly_gcd(a, b):
-    """Monic gcd, by the integer remainder sequence ``_int_gcd``."""
-    g = _int_gcd(cleared(a), cleared(b))
-    return Poly(tuple(Fraction(c, g[-1]) for c in g))
-
-
-def _monic(p):
-    return scaled(p, 1 / p.coeffs[-1]) if not p.is_zero else p
+    """Monic gcd by ``_reduced``, from the least X = 2**k it takes, so small
+    draws reach the retry: a over the reduced numerator is g up to a constant."""
+    if a.is_zero or b.is_zero:
+        return monic(b if a.is_zero else a)
+    num, den = cleared(a), cleared(b)
+    k = max(map(abs, den)).bit_length() + 1
+    g, rem = ref_divmod(a, _reduced(num, den, gcd(_pack(num, k), _pack(den, k)), k).num)
+    assert rem.is_zero
+    return monic(g)
 
 
 @given(polys, polys)
@@ -106,21 +90,13 @@ def test_poly_gcd_divides_both(p, q):
         assert p.is_zero and q.is_zero
         return
     assert g.coeffs[-1] == 1  # monic
-    assert _ref_divmod(p, g)[1].is_zero
-    assert _ref_divmod(q, g)[1].is_zero
-
-
-def _ref_poly_gcd(a, b):
-    # Euclid over the rationals, the gcd before the integer remainder sequence
-    while not b.is_zero:
-        a, b = b, _ref_divmod(a, b)[1]
-    return _monic(a)
+    assert ref_divmod(p, g)[1].is_zero and ref_divmod(q, g)[1].is_zero
 
 
 @given(polys, polys, polys)
 def test_poly_gcd_matches_euclid(p, q, common):
     p, q = poly_mul(p, common), poly_mul(q, common)
-    assert poly_gcd(p, q) == _ref_poly_gcd(p, q)
+    assert poly_gcd(p, q) == ref_poly_gcd(p, q)
 
 
 # ---- the gcd from packed values --------------------------------------------
@@ -132,22 +108,17 @@ def _int_mul(p, q):
     return _ref_trim(_ref_mul_add([], p, q))
 
 
-def _at(p, k):
-    """The value of an integer polynomial at b = 2**k."""
-    return sum(c << (k * i) for i, c in enumerate(p))
-
-
 def _packed_gcd_case(num, den, k):
     """The cofactors by the packed path at 2**k (None when it declines),
-    and those by the remainder sequence."""
-    packed = _packed_cofactors(num, den, gcd(_at(num, k), _at(den, k)), k)
-    g = _int_gcd(num, den)
+    and those by the primitive integer form of ``ref_poly_gcd``."""
+    packed = _packed_cofactors(num, den, gcd(_pack(num, k), _pack(den, k)), k)
+    g = cleared(ref_poly_gcd(poly_of(*num), poly_of(*den)))
     by_sequence = (_ref_exact(num, g), _ref_exact(den, g))
     return packed, by_sequence
 
 
 def _ref_exact(p, g):
-    quo, rem = _ref_divmod(poly_of(*p), poly_of(*g))
+    quo, rem = ref_divmod(poly_of(*p), poly_of(*g))
     assert rem.is_zero
     return [int(c) for c in quo.coeffs]
 
@@ -157,9 +128,12 @@ def _same_up_to_sign(pair, other):
 
 
 @given(small_ints, small_ints, small_ints, st.integers(0, 3),
-       st.integers(1, 12), st.integers(1, 12), st.booleans())
+       st.integers(1, 12), st.integers(1, 12), st.booleans(), st.booleans())
+# num = 2(b-1)(2b+3), den = (b-1)(b+4): at X = 16 their gcd reads as (b-1)(b-6)
+@example([-6, -4], [-4, -1], [-1], 1, 1, 1, False, True)
 @settings(max_examples=200, deadline=None)
-def test_packed_gcd_matches_remainder_sequence(a, b, c, m, content_a, content_b, zero_num):
+def test_packed_gcd_matches_remainder_sequence(a, b, c, m, content_a, content_b, zero_num,
+                                               tight):
     # num = content_a * a * C, den = content_b * b * C with C = c * (b-1)**m
     common = [1]
     for _ in range(m):
@@ -169,16 +143,16 @@ def test_packed_gcd_matches_remainder_sequence(a, b, c, m, content_a, content_b,
     den = _int_mul([content_b], _int_mul(b, common))
     if not den:
         return
-    # 2**k > 2 * max 1-norm, as _packed_cramer sizes k from the rows' 1-norms
-    k = max(sum(map(abs, num)), sum(map(abs, den))).bit_length() + 1
+    # 2**k > 2 * max 1-norm, as _packed_cramer sizes k from the rows'
+    # 1-norms, or, tight, 2**k > 2 * max |coefficient|, the least
+    # _reduced takes, where the packed path declines on some draws
+    bound = max(map(abs, num + den)) if tight else max(sum(map(abs, num)), sum(map(abs, den)))
+    k = bound.bit_length() + 1
     packed, by_sequence = _packed_gcd_case(num, den, k)
-    assert _reduced(num, den, (gcd(_at(num, k), _at(den, k)), k)) == _reduced(num, den)
-    if packed is None:  # the heuristic may decline; the fallback is checked above
-        return
-    assert _same_up_to_sign(packed, by_sequence)
-    # gcd = den / (den / g), compared with Euclid up to sign and content
-    g = _ref_divmod(poly_of(*den), poly_of(*packed[1]))[0]
-    assert _monic(g) == _ref_poly_gcd(poly_of(*num), poly_of(*den))
+    assert packed is None or _same_up_to_sign(packed, by_sequence)
+    # where the packed path declines, _reduced retries at 2**(2k)
+    f = _reduced(num, den, gcd(_pack(num, k), _pack(den, k)), k)
+    assert f == rational_of(poly_of(*num), poly_of(*den))
 
 
 def test_packed_gcd_reads_a_planted_factor():
@@ -193,20 +167,17 @@ def test_packed_gcd_reads_a_planted_factor():
 
 def test_packed_gcd_below_the_bound_falls_back():
     # (b-1)(b+2) and (b-1)(2b+1) at X = 4, below the bound
-    # 2*min(||num||_inf, ||den||_inf) + 2 = 6: gcd(18, 27) = 9 reads as
-    # (b-1)**2, which divides neither; the true gcd is b - 1.
+    # 2*||den||_inf + 2 = 6: gcd(18, 27) = 9 reads as (b-1)**2, which
+    # divides neither; at X = 16, gcd(270, 495) = 45 reads as 3(b-1).
     num, den, k = [-2, 1, 1], [-1, -1, 2], 2
-    gamma = gcd(_at(num, k), _at(den, k))
+    gamma = gcd(_pack(num, k), _pack(den, k))
     assert _unpack(gamma, k) == [1, -2, 1]
     assert _packed_cofactors(num, den, gamma, k) is None
-    f = _reduced(num, den, (gamma, k))
-    assert f == _reduced(num, den)
-    assert poly_gcd(f.num, f.den) == poly_of(1)  # lowest terms
-    g = _ref_poly_gcd(poly_of(*num), poly_of(*den))
-    want_num = _ref_divmod(poly_of(*num), g)[0]
-    want_den = _ref_divmod(poly_of(*den), g)[0]
-    lead = want_den.coeffs[-1]
-    assert (f.num, f.den) == (scaled(want_num, 1 / lead), scaled(want_den, 1 / lead))
+    assert _packed_cofactors(num, den, gcd(_pack(num, 2 * k), _pack(den, 2 * k)), 2 * k) == \
+        ([2, 1], [1, 2])
+    f = _reduced(num, den, gamma, k)
+    assert (f.ints_num, f.ints_den) == ((2, 1), (1, 2))
+    assert f == rational_of(poly_of(*num), poly_of(*den))
 
 
 @given(polys)
@@ -246,7 +217,7 @@ def test_order_at_one(p, extra):
         assert (m, at_one) == (0, 0)
         return
     assert m >= extra and at_one != 0
-    quo, rem = _ref_divmod(p, _b_minus_one_to(m))
+    quo, rem = ref_divmod(p, _b_minus_one_to(m))
     assert rem.is_zero
     assert poly_eval(quo, 1) == at_one
 
@@ -282,7 +253,7 @@ def test_packed_order_reads_residues_mod_base_minus_one(case):
     p, n, m, q_at_one = case
     assert len(p) - 1 <= n and _order_at_one(p) == (m, q_at_one)
     k = _smallest_k(p, n)
-    v = _at(p, k)
+    v = _pack(p, k)
     assert _unpack(v, k) == p
     assert _packed_order(v, k) == _order_at_one(_unpack(v, k)) == (m, q_at_one)
 
@@ -298,7 +269,7 @@ def test_packed_order_unpacks_only_past_order_one(monkeypatch, m):
     monkeypatch.setattr(blackwell_module, "_unpack",
                         lambda v, k: unpacked.append(v) or _unpack(v, k))
     k = _smallest_k(p, len(p) - 1)
-    assert _packed_order(_at(p, k), k) == (m, 3)
+    assert _packed_order(_pack(p, k), k) == (m, 3)
     assert len(unpacked) == (m >= 2)
 
 
@@ -367,7 +338,7 @@ def test_rational_function_stores_the_reduced_integer_pair():
     assert zero.evaluate(7) == 0 and zero.render() == "(0)/(1)"
     # the packed gcd of a constant still leaves the content to divide out
     num, den, k = [2, 4], [-2, -6], 5
-    assert _reduced(num, den, (gcd(_at(num, k), _at(den, k)), k)) == \
+    assert _reduced(num, den, gcd(_pack(num, k), _pack(den, k)), k) == \
         RationalFunction((-1, -2), (1, 3))
 
 
@@ -544,22 +515,7 @@ def test_discounted_value_at_singular_factor():
             discounted_value_at(m, pi, beta)
 
 
-# ---- reference: the monic form the solver built before it stored integers ----
-
-def _ref_reduced(num, den):
-    """(numerator, denominator) Polys of num / den, integer polynomials,
-    as ``_reduced`` built them before it stored integers: in lowest terms
-    by the remainder sequence, then one Fraction per coefficient for a
-    monic denominator."""
-    if not num:
-        return Poly(()), poly_of(1)
-    g = _int_gcd(num, den)
-    if len(g) > 1:
-        num, den = _ref_exact(num, g), _ref_exact(den, g)
-    lead = den[-1]
-    return (Poly(tuple(Fraction(c, lead) for c in num)),
-            Poly(tuple(Fraction(c, lead) for c in den)))
-
+# ---- stored integers against the monic form of ``ref_lowest_terms`` ----------
 
 # rationals strictly inside (-1, 1), where I - bP is never singular
 inside_unit = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
@@ -575,7 +531,7 @@ def test_stored_integers_read_as_the_monic_reference(seed, n_states, n_actions, 
         v = discounted_value(m, pi)
         at = discounted_value_at(m, pi, beta)
         for s, num in zip(m.states, nums):
-            f, (want_num, want_den) = v[s], _ref_reduced(num, det)
+            f, (want_num, want_den) = v[s], ref_lowest_terms(poly_of(*num), poly_of(*det))
             assert (f.num.coeffs, f.den.coeffs) == (want_num.coeffs, want_den.coeffs)
             assert f.render() == f"({want_num.render()})/({want_den.render()})"
             again = rational_of(f.num, f.den)
@@ -802,7 +758,7 @@ def test_packed_cramer_matches_polynomial_bareiss(case):
 def test_unpack_round_trips_balanced_digits(k, data):
     bound = (1 << (k - 1)) - 1   # |c| < 2**k / 2
     cs = _ref_trim(data.draw(st.lists(st.integers(-bound, bound), max_size=12)))
-    assert _unpack(_at(cs, k), k) == cs
+    assert _unpack(_pack(cs, k), k) == cs
 
 
 # ---- cross-check against sympy ----------------------------------------------

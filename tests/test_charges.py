@@ -3,10 +3,11 @@
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chargemdp import charges, periodic_sets as periodic_sets_module
@@ -316,6 +317,7 @@ def test_integrate_ignores_zero_level():
 # per level set, and the geometric charge summed residue by residue over
 # Fractions.
 
+@lru_cache(maxsize=None)
 def ref_geometric_value(beta: Fraction, s) -> Fraction:
     total = Fraction(0)
     for i in range(1, s.pre_len + 1):
@@ -422,6 +424,9 @@ def test_single_pass_matches_per_step_reference(mu, s, f):
 
 
 @given(RANDOM_CHARGES, periodic_sets(max_preperiod=20, max_period=48))
+@example(Restrict(Mix(((Fraction(1, 3), Frequency()), (Fraction(1, 3), Geometric(Fraction(1, 20))),
+                       (Fraction(1, 3), DyadicLimit()))), make([], 9, range(7))),
+         make([], 47, {0, 1, 36}))  # 144 dyadic steps over 423 residues
 def test_single_pass_matches_reference_on_wide_sets(mu, s):
     assert outcome(value, mu, s) == outcome(ref_value, mu, s)
     assert outcome(integrate, mu, indicator(s)) == outcome(ref_integrate, mu, indicator(s))
