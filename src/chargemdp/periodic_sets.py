@@ -23,6 +23,8 @@ mask arithmetic only:
 
 Aligning two sets for a Boolean operation reads the same
 :func:`_tail_bits` over the longer preperiod and the common period.
+:func:`contract` reads every d-th bit by strided string slices, so no
+set operation reads a mask bit by bit.
 
 Integers start at 1; membership queries for 0 are rejected.
 """
@@ -244,25 +246,22 @@ def shift(s: EventuallyPeriodicSet, k: int) -> EventuallyPeriodicSet:
 
 
 def contract(s: EventuallyPeriodicSet, d: int) -> EventuallyPeriodicSet:
-    """{k : k*d in S}."""
+    """{k : k*d in S}, read by strided slices of the masks' binary strings,
+    most significant bit first.  New residue bit k is old bit k*e mod p,
+    e = d mod p (or p); string position j*e - 1 mod p is old bit -j*e, so
+    the word is read at stride e around its circle, lap j from position
+    -(j*p + 1) mod e, e / gcd(e, p) laps.  Memory is O(m + p) for any d."""
     if d < 1:
         raise ValueError(f"contract() needs d >= 1, got {d}")
-    m2 = s.pre_len // d
-    pre = 0
-    for k in range(1, m2 + 1):
-        if member(s, k * d):
-            pre |= 1 << (k - 1)
-    p2 = s.period // gcd(d, s.period)
-    res = 0
-    step = d % s.period
-    r = 0
-    for k in range(p2):
-        if (s.res_mask >> r) & 1:
-            res |= 1 << k
-        r += step
-        if r >= s.period:
-            r -= s.period
-    return _build(m2, pre, p2, res)
+    m, p = s.pre_len, s.period
+    pre = int(bin(s.pre_mask)[2:].zfill(m)[m % d::d], 2) if m >= d else 0
+    word = bin(s.res_mask)[2:].zfill(p)
+    e = d % p or p
+    g = gcd(e, p)
+    read = word[e - 1::e]
+    for j in range(1, e // g):
+        read += word[-(j * p + 1) % e::e]
+    return _build(m // d, pre, p // g, int(read, 2))
 
 
 def density(s: EventuallyPeriodicSet) -> Fraction:

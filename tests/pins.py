@@ -35,7 +35,10 @@ class Pin(NamedTuple):
     ``out`` and ``err`` are the exact stdout and stderr, or a pattern that
     must occur in them; ``out`` is None where ``sha256`` alone pins stdout.
     A function row's text is its stdout.  ``seconds`` bounds the row's wall
-    time; a process row is killed at it.
+    time; a process row is killed at it.  An in-process row's bound is
+    checked only once the call returns, so a row that could hang runs as a
+    process row: a hang in process would stall the whole run until CI's
+    job timeout.
     """
     id: str
     run: tuple[str, ...] | Callable[[], str]
@@ -280,6 +283,12 @@ PINS = [
       for form in ("split", "split-periodic")
       for charge, want in (("frequency", "1/2"), ("dyadiclimit", "5/12"),
                            ("geometric(2/3)", "29/90"))),
+    # contract on wide sets: period 2**16 * 125 (the dyadic walk and one step), preperiod 10**6
+    *(Pin(f"wide-contract-{name}", argv, out=f"{want}\n", seconds=5, process=True)
+      for name, argv, want in (
+          ("dyadiclimit", ("charge-eval", "dyadiclimit", "multiples(65536) | ap(3,1000)"), "1"),
+          ("by-2", ("density", "contract(multiples(65536) | ap(3,1000), 2)"), "1/32768"),
+          ("by-3", ("density", "contract(!shift(evens,1000000),3)"), "1/2"))),
     Pin("geometric-25600", geometric_25600, out="85040 85042\n", seconds=20),
     Pin("restrict-20-deep", ("charge-eval", "restrict(" * 20 + "frequency" + ", nat)" * 20, "odds"),
         out="1/2\n", seconds=10),

@@ -7,7 +7,7 @@ from functools import lru_cache
 from math import lcm
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chargemdp import charges, periodic_sets as periodic_sets_module
@@ -427,6 +427,7 @@ def test_single_pass_matches_per_step_reference(mu, s, f):
 @example(Restrict(Mix(((Fraction(1, 3), Frequency()), (Fraction(1, 3), Geometric(Fraction(1, 20))),
                        (Fraction(1, 3), DyadicLimit()))), make([], 9, range(7))),
          make([], 47, {0, 1, 36}))  # 144 dyadic steps over 423 residues
+@settings(deadline=None)
 def test_single_pass_matches_reference_on_wide_sets(mu, s):
     assert outcome(value, mu, s) == outcome(ref_value, mu, s)
     assert outcome(integrate, mu, indicator(s)) == outcome(ref_integrate, mu, indicator(s))

@@ -1,6 +1,7 @@
 """Set algebra: canonical form, Boolean laws, density, shift/contract."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,27 @@ def ref_expand(s, m, p):
         if (s.res_mask >> (i % s.period)) & 1:
             pre |= 1 << (i - 1)
     return pre, ref_tile(s.res_mask, s.period, p)
+
+
+def ref_contract(s, d):
+    """{k : k*d in S}, one membership test per preperiod bit and one
+    residue read per bit of the new period."""
+    m2 = s.pre_len // d
+    pre = 0
+    for k in range(1, m2 + 1):
+        if member(s, k * d):
+            pre |= 1 << (k - 1)
+    p2 = s.period // gcd(d, s.period)
+    res = 0
+    step = d % s.period
+    r = 0
+    for k in range(p2):
+        if (s.res_mask >> r) & 1:
+            res |= 1 << k
+        r += step
+        if r >= s.period:
+            r -= s.period
+    return _build(m2, pre, p2, res)
 
 
 # Periods with repeated prime factors, where the minimal period is reached
@@ -282,6 +304,27 @@ def test_contract_membership(s, d):
 @given(periodic_sets(), st.integers(1, 6))
 def test_contract_density_identity(s, d):
     assert density(contract(s, d)) == d * density(intersect(s, multiples(d)))
+
+
+@st.composite
+def wide_contracts(draw):
+    """A set with preperiod up to 300 and period up to 3000, its bits
+    drawn at random, and a factor d: any of 1..2p, a multiple of p, about
+    p/2, or 10**12."""
+    period = draw(st.integers(1, 3000))
+    pre_len = draw(st.integers(0, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    s = _build(pre_len, rng.getrandbits(pre_len), period, rng.getrandbits(period))
+    p = s.period
+    d = draw(st.integers(1, 2 * p) | st.integers(1, 5).map(lambda k: k * p)
+             | st.sampled_from((max(p // 2, 1), p // 2 + 1, 10**12)))
+    return s, d
+
+
+@given(wide_contracts())
+@settings(deadline=None)
+def test_contract_matches_reference(case):
+    assert contract(*case) == ref_contract(*case)
 
 
 def test_contract_examples():
