@@ -96,15 +96,18 @@ def _cmd_search(args) -> int:
     print(f"best: preperiod={best.preperiod_length} period={best.period} "
           f"value={result.best_value}")
     for phase, row in enumerate(best.rows, start=1):
-        cells = " ".join(
-            f"{s}:{'+'.join(a if p == 1 else f'{a}:{p}' for a, p in dist)}"
-            for s, dist in row)
-        print(f"  phase {phase}: {cells}")
+        print(f"  phase {phase}: {_cells(row)}")
     print("ranking:")
     for strat, val in result.ranking[:args.top]:
-        print(f"  value={val} preperiod={strat.preperiod_length} "
-              f"period={strat.period}")
+        print(f"  value={val} preperiod={strat.preperiod_length} period={strat.period} "
+              f"phases={' | '.join(_cells(row) for row in strat.rows)}")
     return 0
+
+
+def _cells(row) -> str:
+    """One phase row as ``s:a`` cells; a randomized cell reads ``s:a:p+b:q``."""
+    return " ".join(f"{s}:{'+'.join(a if p == 1 else f'{a}:{p}' for a, p in dist)}"
+                    for s, dist in row)
 
 
 def _cmd_verify(args) -> int:

@@ -35,18 +35,6 @@ class RationalStream(_Frozen):
         return [(c, _build(L, pre, q, res))
                 for c, (pre, res) in sorted(masks.items(), key=lambda item: item[0])]
 
-    def values(self, n: int) -> list[Fraction]:
-        """The first n values, materialized."""
-        if n < 0:
-            raise ValueError(f"need n >= 0 values, got {n}")
-        L, q = len(self.preperiod), len(self.cycle)
-        out = list(self.preperiod[:n])
-        if n > L:
-            full, rem = divmod(n - L, q)
-            out.extend(list(self.cycle) * full)
-            out.extend(self.cycle[:rem])
-        return out
-
 
 def _canonical(pre, cyc) -> tuple[tuple, tuple]:
     """Minimal cycle, then minimal preperiod, of the sequence

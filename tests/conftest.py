@@ -31,6 +31,19 @@ def rational_streams(draw, max_preperiod=4, max_period=6):
     return stream(pre, cyc)
 
 
+def stream_values(f, n: int) -> list[Fraction]:
+    """The first n values of the stream f, materialized."""
+    if n < 0:
+        raise ValueError(f"need n >= 0 values, got {n}")
+    L, q = len(f.preperiod), len(f.cycle)
+    out = list(f.preperiod[:n])
+    if n > L:
+        full, rem = divmod(n - L, q)
+        out.extend(list(f.cycle) * full)
+        out.extend(f.cycle[:rem])
+    return out
+
+
 def cycle_mean(f) -> Fraction:
     """The mean of a stream's cycle: its frequency integral."""
     return sum(f.cycle, Fraction(0)) / len(f.cycle)
@@ -40,7 +53,7 @@ def pointwise_leq(f, g) -> bool:
     """f <= g at every stage (checked over preperiods plus one full
     common cycle, which is exhaustive)."""
     n = max(len(f.preperiod), len(g.preperiod)) + lcm(len(f.cycle), len(g.cycle))
-    return all(a <= b for a, b in zip(f.values(n), g.values(n)))
+    return all(a <= b for a, b in zip(stream_values(f, n), stream_values(g, n)))
 
 
 def indicator(s: EventuallyPeriodicSet):

@@ -13,8 +13,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import json
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -27,6 +30,8 @@ from chargemdp.counterexamples import sweep_payoff_shortfall
 from chargemdp.mdp import best_periodic, build_mdp, payoff, random_mdp, stationary
 from chargemdp.parsing import parse_charge
 from chargemdp.periodic_sets import make
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class Pin(NamedTuple):
@@ -198,6 +203,20 @@ def sweep_14_14() -> str:
     return rep.rows[0].got
 
 
+def bench_round(workload: str, timeout: float) -> str:
+    """One oracle-checked round of a benchmark workload, run as
+    ``python3 bench/run.py --workload W --seed 1 --seconds 0 --trace 0`` from
+    the repository root: its verdict from the last JSON line, or the tail
+    of stderr if it exits nonzero.  The subprocess is killed at ``timeout``."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+                           "--seconds", "0", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, encoding="utf-8", timeout=timeout)
+    if proc.returncode:
+        return proc.stderr[-2000:]
+    r = json.loads(proc.stdout.splitlines()[-1])
+    return f"correct={r['correct']} failed={r['failed']} attempted={r['attempted']}\n"
+
+
 # ---- the table -------------------------------------------------------------
 
 SEARCH_TWO = ("search", "--mdp", "@two.mdp", "--charge", "frequency",
@@ -205,9 +224,9 @@ SEARCH_TWO = ("search", "--mdp", "@two.mdp", "--charge", "frequency",
 SEARCH_TWO_TOP_3 = """best: preperiod=0 period=1 value=1/2
   phase 1: a:x b:x
 ranking:
-  value=1/2 preperiod=0 period=1
-  value=1/2 preperiod=0 period=2
-  value=1/2 preperiod=0 period=2
+  value=1/2 preperiod=0 period=1 phases=a:x b:x
+  value=1/2 preperiod=0 period=2 phases=a:x b:x | a:y b:x
+  value=1/2 preperiod=0 period=2 phases=a:y b:x | a:x b:x
 """
 CAP_EXIT = re.compile(r"\Aerror: at least \d+ cycle groups and preperiods exceeds cap 2000000\n\Z")
 
@@ -230,7 +249,7 @@ PINS = [
     *(Pin(f"one-action-{p}-{pre}", ("search", "--mdp", "@one.mdp", "--charge", "frequency",
                                     "--max-period", p, "--max-preperiod", pre),
           out="best: preperiod=0 period=1 value=1/2\n  phase 1: a:x\nranking:\n"
-              "  value=1/2 preperiod=0 period=1\n", seconds=5)
+              "  value=1/2 preperiod=0 period=1 phases=a:x\n", seconds=5)
       for p, pre in (("2000000", "0"), ("1", "1999999"))),
     Pin("ranking-3-2", ranking_3_2, out=None,
         sha256="eafe4c80db38c64dd26cf501dc2903469b654198be7378a24f1bbcab896d2b4c", seconds=20),
@@ -270,12 +289,12 @@ PINS = [
             "mix(1/4: restrict(geometric(2/3), ap(5,3) | multiples(4)), 1/4: pointmass(3), "
             "1/2: restrict(dyadiclimit, !multiples(3)))", "--max-period", "4", "--max-preperiod", "2"),
         out=re.compile(r"^best: preperiod=1 period=4 value=3294325/4207068$", re.M),
-        sha256="41272d14810e04e9bdd498839671c5cab3957420c55455f84e6d1a90a5dd86f0"),
+        sha256="780b398dcdb6c49a6ae6a021d1589ffd282476cec5812ad988f865ccd81868b4"),
     Pin("search-split", ("search", "--mdp", "@split.mdp", "--charge",
                          "mix(1/2: geometric(2/3), 1/2: dyadiclimit)",
                          "--max-period", "3", "--max-preperiod", "1"),
         out=re.compile(r"^best: preperiod=0 period=2 value=121/180$", re.M),
-        sha256="cc0d8d73323314731467c6f99c540e69753dd1b2561e0a95430c2f2cb893ba47"),
+        sha256="3ce415f6a914cb1292de46f793f01192874f36ae4ac04c9c40a785f57f85cacc"),
     # a randomized strategy, stationary and as a one-phase periodic strategy
     *(Pin(f"payoff-{form}-{charge}", ("mdp-eval", "--mdp", "@split.mdp",
                                       "--strategy", f"@{form}.strategy", "--charge", charge),
@@ -314,6 +333,11 @@ PINS = [
     Pin("verify-all-period-0", ("verify", "all", "--max-period", "0"),
         err="error: --max-period must be at least 1, got 0\n", code=2),
     Pin("sweep-14-14", sweep_14_14, out="532086784 strategies, 0 failures", seconds=20),
+    # every workload's items checked against bench/oracles.py, 100 searches included
+    *(Pin(f"bench-round-{w}", functools.partial(bench_round, w, 30),
+          out=f"correct=True failed=0 attempted={n}\n", seconds=30)
+      for w, n in (("shortfall-sweep", 1), ("blackwell-random", 100), ("strategy-search", 100),
+                   ("cli-queries", 202))),
     *(Pin(f"verify-all-cap{flag[1:]}", ("verify", "all", flag, bound), err=CAP_EXIT, code=2,
           seconds=10)
       for flag, bound in (("--max-period", "30"), ("--max-preperiod", "40"))),

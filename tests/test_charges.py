@@ -24,7 +24,7 @@ from chargemdp.periodic_sets import (_build, arithmetic, complement, contract, d
 from chargemdp.streams import stream
 
 from conftest import (cycle_mean, first_tail_element, indicator, periodic_sets,
-                      pointwise_leq, rational_streams, ref_level_sets)
+                      pointwise_leq, rational_streams, ref_level_sets, stream_values)
 
 EXACT_CHARGES = st.sampled_from([
     Frequency(),
@@ -267,7 +267,7 @@ def test_mix_with_dyadic_component():
 @given(EXACT_CHARGES, rational_streams(), rational_streams())
 def test_integrate_linear(mu, f, g):
     L, q = max(len(f.preperiod), len(g.preperiod)), lcm(len(f.cycle), len(g.cycle))
-    sums = [a + b for a, b in zip(f.values(L + q), g.values(L + q))]
+    sums = [a + b for a, b in zip(stream_values(f, L + q), stream_values(g, L + q))]
     total = stream(sums[:L], sums[L:])
     assert (integrate(mu, total).exact_value
             == integrate(mu, f).exact_value + integrate(mu, g).exact_value)
@@ -560,7 +560,7 @@ def dot(mu, f, L, q) -> CValue:
     """integrate(mu, f) as the dot product of f's first L + q values
     with the weights of shape (L, q)."""
     W, w = _stage_weights(mu, L, q)
-    return CValue.exact(sum((v * x for v, x in zip(f.values(L + q), w)), Fraction(0)) / W)
+    return CValue.exact(sum((v * x for v, x in zip(stream_values(f, L + q), w)), Fraction(0)) / W)
 
 
 @given(WEIGHT_CHARGES, rational_streams(), st.integers(0, 3), st.integers(1, 3))

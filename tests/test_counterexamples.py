@@ -21,7 +21,7 @@ from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, de
                                      odds, shift, union)
 from chargemdp.streams import _canonical
 
-from conftest import indicator, is_subset, superlevel_set
+from conftest import indicator, is_subset, stream_values, superlevel_set
 
 
 # ---- reports -------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_pattern_reward_set_matches_strategy(pre, cyc):
 def test_adjacent_stage_rewards_sum_to_one(pre, cyc):
     # the two stages of every odd/even pair split a single unit of reward
     f = expected_reward_stream(cx.even_or_odd_mdp(), pattern_strategy(pre, cyc))
-    v = f.values(60)
+    v = stream_values(f, 60)
     for t in range(0, 60, 2):
         assert v[t] + v[t + 1] == 1
 
