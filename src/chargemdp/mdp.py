@@ -47,16 +47,12 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .charges import Charge, CValue, _stage_weights, integrate
-from .periodic_sets import _Frozen
+from .periodic_sets import BudgetExceeded, _Frozen
 from .streams import RationalStream, _canonical, stream
 
 
 class CycleNotFound(RuntimeError):
     """State distribution never exactly recurred within the horizon."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Enumeration request is larger than the configured cap."""
 
 
 class Problem(_Frozen):
@@ -508,7 +504,7 @@ def _word_values(mu: Charge, words: list, checks: dict) -> list[tuple[int, int]]
     values = [(0, 1) if word == _ZERO_WORD else _dot_value(word, *weights[len(word[1])])
               for word in words]
     for q, (k, f) in checks.items():
-        level, got = integrate(mu, f).exact_value, Fraction(*values[k])
+        level, got = integrate(mu, f), Fraction(*values[k])
         if level != got:
             raise ArithmeticError(f"stage weights of shape {(longest[q], q)} give {got}, "
                                   f"level sets give {level}")
@@ -614,7 +610,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
         per_word[k].append(strat)
     entries = []
     for v, strats in per_rank.items():
-        entries += zip(strats, itertools.repeat(CValue.exact(Fraction(*v))))
+        entries += zip(strats, itertools.repeat(CValue(*v)))
     return SearchResult(*entries[0], tuple(entries))
 
 

@@ -26,7 +26,10 @@ Aligning two sets for a Boolean operation reads the same
 :func:`contract` reads every d-th bit by strided string slices, so no
 set operation reads a mask bit by bit.
 
-Integers start at 1; membership queries for 0 are rejected.
+Integers start at 1; membership queries for 0 are rejected.  No mask
+is built or period factored past ``MASK_LIMIT`` bits, read on each call:
+below it trial division takes at most about 11600 steps, and a larger
+request raises :class:`BudgetExceeded` first.
 """
 
 from __future__ import annotations
@@ -35,6 +38,22 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+MASK_LIMIT = 2 ** 27  # bits in one preperiod or period mask
+
+
+class BudgetExceeded(RuntimeError):
+    """A request is larger than one of the library's configured limits."""
+
+
+def _check_width(*widths: int) -> None:
+    """BudgetExceeded if a mask of one of these widths passes MASK_LIMIT;
+    the width is given by its bit length, so the message stays one short
+    line however large it is."""
+    n = max(widths)
+    if n > MASK_LIMIT:
+        raise BudgetExceeded(f"mask width of 2**{n.bit_length() - 1} bits or more "
+                             f"exceeds limit {MASK_LIMIT}")
 
 
 @lru_cache(maxsize=1024)
@@ -129,6 +148,8 @@ class EventuallyPeriodicSet(_Frozen):
 
 def _build(pre_len: int, pre_mask: int, period: int, res_mask: int) -> EventuallyPeriodicSet:
     """Canonicalize: shrink to the minimal period, then the minimal preperiod."""
+    if pre_len > MASK_LIMIT or period > MASK_LIMIT:  # inline: every set op ends here
+        _check_width(pre_len, period)
     for f in _prime_factors(period):
         while period % f == 0:
             d = period // f
@@ -145,13 +166,14 @@ def _build(pre_len: int, pre_mask: int, period: int, res_mask: int) -> Eventuall
 def make(pre_bits, period: int, residues) -> EventuallyPeriodicSet:
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
+    bits = list(pre_bits)
+    _check_width(len(bits), period)
     res_mask = 0
     for r in residues:
         if not 0 <= r < period:
             raise ValueError(f"residue {r} out of range for period {period}")
         res_mask |= 1 << r
     pre_mask = 0
-    bits = list(pre_bits)
     for i, b in enumerate(bits):
         if b:
             pre_mask |= 1 << i
@@ -185,6 +207,7 @@ def arithmetic(a: int, d: int) -> EventuallyPeriodicSet:
     """{a, a+d, a+2d, ...}"""
     if a < 1 or d < 1:
         raise ValueError(f"arithmetic() needs a >= 1 and d >= 1, got ({a}, {d})")
+    _check_width(a - 1, d)
     return _build(a - 1, 0, d, 1 << (a % d))
 
 
@@ -199,6 +222,7 @@ def member(s: EventuallyPeriodicSet, n: int) -> bool:
 def _aligned(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet):
     m = max(s.pre_len, t.pre_len)
     p = lcm(s.period, t.period)
+    _check_width(m, p)
     return m, p, _expand(s, m, p), _expand(t, m, p)
 
 
@@ -237,6 +261,7 @@ def shift(s: EventuallyPeriodicSet, k: int) -> EventuallyPeriodicSet:
     p = s.period
     if k >= 0:
         pre_len = s.pre_len + k
+        _check_width(pre_len)
         pre_mask = s.pre_mask << k
     else:
         j = -k

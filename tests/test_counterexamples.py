@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from chargemdp import counterexamples as cx
 from chargemdp import mdp as mdp_module
-from chargemdp.charges import CValue, dyadic_value_sequence, integrate, value
+from chargemdp.charges import dyadic_value_sequence, integrate, value
 from chargemdp.mdp import BudgetExceeded, expected_reward_stream, payoff, periodic
 from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, density,
                                      difference, intersect, make, multiples, naturals,
@@ -50,7 +50,7 @@ def test_report_failure_is_visible():
 def test_block_strategy_payoff(n):
     val = cx.payoff(cx.even_or_odd_mdp(), cx.block_strategy(n),
                     cx.even_or_odd_charge())
-    assert val.exact_value == 1 - Fraction(1, 2 ** n)
+    assert val == 1 - Fraction(1, 2 ** n)
 
 
 def test_lower_bounds_verifier():
@@ -176,7 +176,7 @@ def shortfall_rows(prefix, w, payoff_value):
     s = set_shortfall(w)
     detail = (f"odd-part mass {Fraction(2 * s.odd, s.p)}" if s.mu1
               else f"dyadic candidates {[Fraction(s.dyadic, s.p)]}")
-    return [cx._flag(f"{prefix}-payoff-below-1", payoff_value.exact_value < 1,
+    return [cx._flag(f"{prefix}-payoff-below-1", payoff_value < 1,
                      f"payoff {payoff_value}"),
             cx._flag(f"{prefix}-shift-lemma", not s.lemma_failures),
             cx._flag(f"{prefix}-dichotomy", s.dichotomy, detail)]
@@ -627,7 +627,7 @@ def test_one_cap_binding_bounds_the_search_the_sweep_and_the_block_check(monkeyp
 
 
 def test_shortfall_rows_flag_a_failing_shift_lemma():
-    rows = {r.check_id: r for r in shortfall_rows("probe", naturals(), CValue.exact(1))}
+    rows = {r.check_id: r for r in shortfall_rows("probe", naturals(), Fraction(1))}
     assert not rows["probe-shift-lemma"].passed
     assert not rows["probe-payoff-below-1"].passed
     report = cx.VerificationReport("probe", tuple(rows.values()))
@@ -636,9 +636,9 @@ def test_shortfall_rows_flag_a_failing_shift_lemma():
 
 def test_shortfall_rows_details():
     # the dichotomy's two branches keep their detail strings
-    rows = shortfall_rows("probe", odds(), CValue.exact(Fraction(1, 2)))
+    rows = shortfall_rows("probe", odds(), Fraction(1, 2))
     assert rows[2].got == "dyadic candidates [Fraction(0, 1)]" and rows[2].passed
-    rows = shortfall_rows("probe", multiples(4), CValue.exact(Fraction(1, 2)))
+    rows = shortfall_rows("probe", multiples(4), Fraction(1, 2))
     assert rows[2].got == "odd-part mass 0" and rows[2].passed
 
 
@@ -647,15 +647,15 @@ def test_shortfall_rows_details():
 def test_sparse_block_charge_window():
     mu = cx.sparse_block_charge()
     assert mu.window == union(arithmetic(1, 4), arithmetic(4, 4))
-    assert value(mu, arithmetic(1, 4)).exact_value == Fraction(1, 2)
+    assert value(mu, arithmetic(1, 4)) == Fraction(1, 2)
 
 
 def test_alternating_beats_all_stationary():
     mdp = cx.even_or_odd_mdp()
     mu = cx.sparse_block_charge()
-    assert payoff(mdp, cx.alternating_strategy(), mu).exact_value == 1
+    assert payoff(mdp, cx.alternating_strategy(), mu) == 1
     for q in (0, Fraction(1, 3), Fraction(1, 2), Fraction(7, 8), 1):
-        assert payoff(mdp, cx.top_probability(q), mu).exact_value == Fraction(1, 2)
+        assert payoff(mdp, cx.top_probability(q), mu) == Fraction(1, 2)
 
 
 def test_no_stationary_optimum_verifier():
@@ -667,16 +667,16 @@ def test_no_stationary_optimum_verifier():
 def test_late_switch_values():
     mdp = cx.late_switch_mdp()
     mu = cx.late_switch_charge()
-    assert payoff(mdp, cx.stay_strategy(), mu).exact_value == 1
+    assert payoff(mdp, cx.stay_strategy(), mu) == 1
     for n in (1, 2, 5, 10):
         expected = Fraction(5, 4) - Fraction(1, 2 ** (n + 2))
-        assert payoff(mdp, cx.switch_at(n), mu).exact_value == expected
+        assert payoff(mdp, cx.switch_at(n), mu) == expected
 
 
 def test_switch_later_is_strictly_better():
     mdp = cx.late_switch_mdp()
     mu = cx.late_switch_charge()
-    vals = [payoff(mdp, cx.switch_at(n), mu).exact_value for n in range(1, 12)]
+    vals = [payoff(mdp, cx.switch_at(n), mu) for n in range(1, 12)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(v < Fraction(5, 4) for v in vals)
 

@@ -1,5 +1,7 @@
 """Set algebra: canonical form, Boolean laws, density, shift/contract."""
 
+import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargemdp import periodic_sets as periodic_sets_module
+from chargemdp.mdp import BudgetExceeded
 from chargemdp.periodic_sets import (EventuallyPeriodicSet, _build, _expand,
                                      arithmetic, complement, contract,
                                      density, difference, empty, evens,
@@ -331,3 +335,50 @@ def test_contract_examples():
     assert contract(multiples(6), 2) == multiples(3)
     assert contract(odds(), 2) == empty()
     assert contract(evens(), 2) == naturals()
+
+
+# ---- the mask limit ----------------------------------------------------------
+
+def test_mask_limit_is_read_on_each_call(monkeypatch):
+    monkeypatch.setattr(periodic_sets_module, "MASK_LIMIT", 1000)
+    assert multiples(1000).period == 1000
+    with pytest.raises(BudgetExceeded,
+                       match=r"^mask width of 2\*\*9 bits or more exceeds limit 1000$"):
+        multiples(1001)
+    assert member(shift(odds(), 1000), 1001) and member(arithmetic(1001, 3), 1001)
+    for refused in (lambda: shift(odds(), 1001), lambda: arithmetic(1002, 3),
+                    lambda: make([0] * 1001, 1, []), lambda: make([], 1001, [0]),
+                    lambda: union(multiples(40), multiples(27)),
+                    lambda: _build(0, 0, 1001, 1)):
+        with pytest.raises(BudgetExceeded, match="exceeds limit 1000$"):
+            refused()
+
+
+REFUSED = [
+    lambda: multiples(99999999999999999999999),  # 9 * a 23-digit prime
+    lambda: multiples(int("9" * 4000)),
+    lambda: union(multiples(1000003), multiples(999983)),
+    lambda: arithmetic(10 ** 12, 3),
+    lambda: shift(odds(), 10 ** 12),
+    lambda: make([], 2 ** 40, [0]),
+]
+
+
+def test_refused_sizes_allocate_and_factor_nothing():
+    """Each call stops before a mask of its width or a trial division of
+    its period: in tracemalloc's bound, and at once; its message is one
+    line under 100 characters however many digits the size has."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        for call in REFUSED:
+            with pytest.raises(BudgetExceeded) as got:
+                call()
+            message = str(got.value)
+            assert "\n" not in message and len(message) < 100, message
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert elapsed < 1, elapsed

@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -18,6 +19,13 @@ from pins import PINS, Pin, write_inputs
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+# address space of a process row: the rows peak near 41 MB of it, so a
+# regressed size check fails its row instead of exhausting the machine
+MEMORY_CAP = 2 ** 30
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +44,8 @@ def outcome(pin: Pin, directory) -> tuple[int, str, str]:
         argv = [re.sub(r"@([\w.-]+)", lambda m: str(directory / m[1]), w) for w in pin.run]
         if pin.process:
             proc = subprocess.run([sys.executable, "-m", "chargemdp", *argv], capture_output=True,
-                                  encoding="utf-8", env=ENV, timeout=pin.seconds)
+                                  encoding="utf-8", env=ENV, timeout=pin.seconds,
+                                  preexec_fn=_cap_memory)
             code, out, err = proc.returncode, proc.stdout, proc.stderr
         else:
             out_buf, err_buf = io.StringIO(), io.StringIO()

@@ -1,10 +1,12 @@
-"""Value semantics of the library's immutable records.
+"""Value semantics of the library's immutable records, and of the
+numbers that charge queries return.
 
-Each class is listed with its fields in declaration order.  A record
-equals exactly the records of its own class with equal fields, hashes as
-the tuple of its fields, prints as ``Name(field=value, ...)`` (the set
-class keeps its own form), refuses assignment and deletion, and survives
-keyword construction, ``copy``, ``deepcopy`` and ``pickle``.
+Each record class is listed with its fields in declaration order.  A
+record equals exactly the records of its own class with equal fields,
+hashes as the tuple of its fields, prints as ``Name(field=value, ...)``
+(the set class keeps its own form), refuses assignment and deletion, and
+survives keyword construction, ``copy``, ``deepcopy`` and ``pickle``.
+A charge value is a ``Fraction``, not a record.
 """
 
 import copy
@@ -18,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargemdp.blackwell import Poly, RationalFunction
-from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric, Mix,
-                               PointMass, Restrict)
-from chargemdp.mdp import Mdp, Problem, random_mdp
-from chargemdp.periodic_sets import EventuallyPeriodicSet, multiples, odds
+from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix, PointMass, Restrict,
+                               _eval, integrate, value)
+from chargemdp.mdp import (Mdp, Problem, best_periodic, expected_reward_stream, payoff,
+                           random_mdp)
+from chargemdp.periodic_sets import EventuallyPeriodicSet, evens, multiples, odds, union
 from chargemdp.streams import RationalStream
 
-from conftest import periodic_sets, poly_of, rational_of, rational_streams
+from conftest import (periodic_sets, poly_of, random_deterministic_mdp, rational_of,
+                      rational_streams, ref_level_sets)
 
 FIELDS = {
     EventuallyPeriodicSet: ("pre_len", "pre_mask", "period", "res_mask"),
@@ -35,7 +39,6 @@ FIELDS = {
     Restrict: ("base", "window"),
     DyadicLimit: (),
     Mix: ("parts",),
-    CValue: ("exact_value",),
     Poly: ("coeffs",),
     RationalFunction: ("ints_num", "ints_den"),
     Problem: ("kind", "where"),
@@ -72,7 +75,6 @@ VALUES = {
     Restrict: st.builds(Restrict, _simple_charges, periodic_sets(max_preperiod=3, max_period=4)),
     DyadicLimit: st.just(DyadicLimit()),
     Mix: _mixes(),
-    CValue: _fractions.map(CValue.exact),
     Poly: st.lists(_fractions, max_size=4).map(lambda cs: poly_of(*cs)),
     RationalFunction: _rational_functions(),
     Problem: st.builds(Problem, st.sampled_from(["RowSumError", "UnknownState"]),
@@ -97,7 +99,7 @@ def expected_repr(v) -> str:
 
 
 def test_every_class_is_drawn():
-    assert set(VALUES) == set(FIELDS) and len(FIELDS) == 13
+    assert set(VALUES) == set(FIELDS) and len(FIELDS) == 12
 
 
 @settings(max_examples=200)
@@ -129,10 +131,6 @@ def test_equal_exactly_when_same_class_and_fields(a, b):
 
 def test_equal_fields_of_another_class_differ():
     assert Frequency() != DyadicLimit() and hash(Frequency()) == hash(DyadicLimit()) == hash(())
-    assert CValue.exact(1) != (1,) and CValue.exact(1) != Fraction(1)
-    half = Fraction(1, 2)
-    assert CValue(half) != Geometric(half) and hash(CValue(half)) == hash(Geometric(half))
-    assert Poly((half,)) != CValue(half)
     assert {Frequency(): 1, DyadicLimit(): 2}[Frequency()] == 1
 
 
@@ -143,6 +141,60 @@ def test_keyword_construction_converts_as_positional():
     assert mix.parts == ((Fraction(1), Frequency()),) and type(mix.parts[0][0]) is Fraction
     assert Restrict(window=odds(), base=Frequency()) == Restrict(Frequency(), odds())
     assert EventuallyPeriodicSet(res_mask=1, period=3, pre_mask=0, pre_len=0) == multiples(3)
+
+
+# ---- charge values are Fractions ----------------------------------------------
+
+# one Hypothesis strategy per charge kind; a Restrict's window holds the
+# evens, and no base drawn for it (a point mass at an even stage among
+# them) measures such a window as 0
+CHARGE_KINDS = {
+    "frequency": st.just(Frequency()),
+    "geometric": _betas.map(Geometric),
+    "pointmass": st.integers(1, 40).map(PointMass),
+    "dyadiclimit": st.just(DyadicLimit()),
+    "restrict": st.builds(
+        Restrict,
+        st.one_of(st.just(Frequency()), st.just(DyadicLimit()), _betas.map(Geometric),
+                  st.integers(1, 20).map(lambda k: PointMass(2 * k))),
+        periodic_sets(max_preperiod=3, max_period=4).map(lambda w: union(w, evens()))),
+    "mix": _mixes(),
+}
+
+
+def ref_integral(mu, f) -> Fraction:
+    """The integral of f as a plain Fraction, summed over the level sets
+    from the pair evaluator."""
+    return sum((c * Fraction(*_eval(mu, m, {})) for c, m in ref_level_sets(f)), Fraction(0))
+
+
+def assert_is_the_number(v, ref: Fraction) -> None:
+    """v is the Fraction ref: equal and hash-equal, printed alike, plain
+    Fraction arithmetic, and unchanged by copy, deepcopy and pickle."""
+    assert isinstance(v, Fraction) and type(ref) is Fraction
+    assert v == ref and hash(v) == hash(ref) and str(v) == f"{v}" == str(ref)
+    shifted = v + Fraction(1, 7)
+    assert type(shifted) is Fraction and shifted == ref + Fraction(1, 7)
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(w) is type(v) and w == ref and hash(w) == hash(ref) and str(w) == str(ref)
+
+
+@pytest.mark.parametrize("kind", list(CHARGE_KINDS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_charge_values_are_fractions(kind, data):
+    mu = data.draw(CHARGE_KINDS[kind])
+    s = data.draw(periodic_sets(max_preperiod=4, max_period=6))
+    assert_is_the_number(value(mu, s), Fraction(*_eval(mu, s, {})))
+    f = data.draw(rational_streams())
+    assert_is_the_number(integrate(mu, f), ref_integral(mu, f))
+    m = random_deterministic_mdp(random.Random(data.draw(st.integers(0, 10**6))), 2, 2)
+    result = best_periodic(m, mu, 2, 1)
+    assert result.best_value is result.ranking[0][1]
+    for sigma, v in result.ranking:
+        ref = ref_integral(mu, expected_reward_stream(m, sigma))
+        assert_is_the_number(v, ref)
+        assert_is_the_number(payoff(m, sigma, mu), ref)
 
 
 @pytest.mark.parametrize("build, message", [
