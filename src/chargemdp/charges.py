@@ -20,12 +20,12 @@ every such n.  ``DyadicLimit`` at M is the one value on the cycle of the
 halving walk M, contract(M, 2), contract(M, 4), ... which
 ``dyadic_value_sequence`` follows to its first repeated state.
 
-``_eval`` gives every charge's one exact value as an integer pair
-(numerator, denominator), the denominator positive and the pair not
-necessarily reduced; ``value`` and ``integrate`` reduce once, into a
-``CValue``, which is that ``Fraction``.  A ``Restrict`` recurses through
-``_eval`` with the query's one memo, so each window is measured once per
-query however deep the restrictions nest.
+``_eval`` gives every charge's one exact value at a set as an integer
+pair (numerator, denominator), the denominator positive and the pair not
+necessarily reduced; ``value`` reduces it once, into a ``CValue``, which
+is that ``Fraction``.  A ``Restrict`` recurses through ``_eval`` with the
+query's one memo, so each window is measured once per query however deep
+the restrictions nest.
 
 ``Geometric(n/d)`` is one integer closed form.  For a set with
 preperiod m and period p it is
@@ -34,12 +34,16 @@ and T are integer Horner sums over the preperiod word and over the cycle
 word read from stage m+1; the zero runs at either end of each word
 become single powers.
 
-On the streams of one shape (L, q) -- preperiod L, cycle q, neither
-necessarily minimal -- every charge in the grammar is one linear
-functional of the L + q stage values.  ``_stage_weights`` gives it as
-integers (W, w), read from the atoms' masks with no set query, so an
-exhaustive search pays the weights once per shape and one dot product
-per distinct stream instead of a level-set integral.
+``_masses`` measures any charge on raw (pre, res) masks of one shape
+(L, q) -- preperiod L, cycle q, neither necessarily minimal -- with no
+set query: bit counts, the dyadic closed form above, one bit test, the
+Horner sums, and each Restrict window and-ed onto the masks.
+``integrate`` reads a stream's nonzero levels as masks on the stream's
+own shape and measures them in one call.  On that shape every charge is
+one linear functional of the L + q stage values; ``_stage_weights``
+gives it as integers (W, w), the masses of the atoms, so an exhaustive
+search pays the weights once per shape and one dot product per distinct
+stream.
 """
 
 from __future__ import annotations
@@ -188,16 +192,11 @@ def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> tuple[int, int
         num, den = 0, 1
         for w, c in mu.parts:
             n, d = _eval(c, s, windows)
-            num, den = _add(num, den, w.numerator * n, w.denominator * d)
+            n, d = w.numerator * n, w.denominator * d
+            g = gcd(den, d)  # the sum stays over the lcm of its terms' denominators
+            num, den = num * (d // g) + n * (den // g), den // g * d
         return num, den
     raise TypeError(f"not a charge expression: {mu!r}")
-
-
-def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
-    """num/den + n/d as a pair over lcm(den, d), not reduced: the
-    denominator of a sum stays the lcm of its terms' denominators."""
-    g = gcd(den, d)
-    return num * (d // g) + n * (den // g), den // g * d
 
 
 def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tuple[Fraction, ...]]:
@@ -219,16 +218,25 @@ def value(mu: Charge, s: EventuallyPeriodicSet) -> CValue:
 
 
 def integrate(mu: Charge, f: RationalStream) -> CValue:
-    """Exact integral of the stream: decompose into level sets and
-    evaluate the simple function c_1*I(M_1) + ... + c_k*I(M_k), summed
-    as integer pairs over the lcm of their denominators and reduced once."""
-    windows: dict = {}
-    num, den = 0, 1
-    for c, m in f.level_sets():
-        if c:
-            n, d = _eval(mu, m, windows)
-            num, den = _add(num, den, c.numerator * n, c.denominator * d)
-    return CValue(num, den)
+    """Exact integral of the stream, the simple function
+    c_1*I(M_1) + ... + c_k*I(M_k) over its nonzero values: the levels M_i
+    as masks on the stream's own shape, measured by one ``_masses`` call,
+    summed over the lcm of the c_i's denominators and reduced once.  A
+    zero stream is 0 without evaluating the charge."""
+    L, q = len(f.preperiod), len(f.cycle)
+    # (num, den) -> [pre_mask, res_mask]; Fraction keys would collide,
+    # as hash(1/2**t) repeats with period 61 in t
+    masks: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(f.preperiod):
+        masks.setdefault((c.numerator, c.denominator), [0, 0])[0] |= 1 << i
+    for t, c in enumerate(f.cycle, L + 1):
+        masks.setdefault((c.numerator, c.denominator), [0, 0])[1] |= 1 << t % q
+    masks.pop((0, 1), None)  # the zero level adds nothing
+    if not masks:
+        return CValue(0)
+    D, x = _masses(mu, L, q, list(masks.values()))
+    den = lcm(*(d for _, d in masks))
+    return CValue(sum(n * (den // d) * v for (n, d), v in zip(masks, x)), den * D)
 
 
 def _masses(mu: Charge, m: int, p: int, parts: list) -> tuple[int, list[int]]:
@@ -275,7 +283,7 @@ def _stage_weights(mu: Charge, L: int, q: int) -> tuple[int, tuple[int, ...]]:
     These L + q atoms partition the stages, and a stream of shape (L, q)
     is the simple function that takes its t-th value on the t-th atom.
     Every charge in the grammar is finitely additive, so its integral is
-    sum w_t * f_t / W, the value ``integrate`` reaches by level sets.
+    sum w_t * f_t / W, the value ``integrate`` reaches on level masks.
     The atoms are read as masks (``_masses``), and W is the lcm of the
     reduced denominators.  Callers with a zero stream need no weights,
     and must not ask for them: a null Restrict window raises here.

@@ -40,7 +40,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .charges import DyadicLimit, Frequency, Geometric, Mix, Restrict, value
@@ -234,7 +233,6 @@ def verify_lower_bounds(n_max: int) -> VerificationReport:
 _Layout = namedtuple("_Layout", "h p two_a odd odd_res even_res top_res lemma")
 
 
-@lru_cache(maxsize=256)
 def _layout(m: int, p: int) -> _Layout:
     """Masks for a set w with preperiod at most m and period dividing the
     even p, read off a word whose bit t - 1 is stage t, t = 1..h + p.  h is

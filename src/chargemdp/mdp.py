@@ -30,7 +30,8 @@ meets a split row is walked alone.  A word of shape (L, q) is also one
 of shape (L', q) for L' >= L, so one vector of the charge's weights
 (``charges._stage_weights``) per cycle length q, of shape (Lq, q) with
 Lq the longest preperiod among the words of that q, values each as one
-integer dot product, checked once against ``integrate``'s level sets.
+integer dot product, checked once per q against ``integrate``, which
+measures the word's level masks on the word's own shape.
 The distinct values are ranked by num * (D // den), D the lcm of their
 denominators, not as Fractions.  Strategies are named tuples, and the
 rows ``_reward_stream`` walks are built only when a strategy first meets
@@ -490,11 +491,12 @@ def _word_values(mu: Charge, words: list, checks: dict) -> list[tuple[int, int]]
 
     The nonzero words of one cycle length q share the weights of shape
     (Lq, q), Lq their longest preperiod, computed once.  The first word
-    of each q is also integrated by level sets, an independent
-    computation: the two must agree, so a charge whose integral is not
-    this linear functional fails here rather than ranking wrongly.  A
-    zero word is (0, 1) without weights, as ``integrate`` never
-    evaluates the charge on a zero stream.
+    of each q is also valued by ``integrate``.  Both go through
+    ``charges._masses``, the weights on the atoms of shape (Lq, q) and
+    ``integrate`` on the word's level masks on its own shape, so a fault
+    in the atoms or in ``_dot_value``'s unrolling fails here rather than
+    ranking wrongly.  A zero word is (0, 1) without weights, as
+    ``integrate`` never evaluates the charge on a zero stream.
     """
     longest = dict.fromkeys(checks, 0)  # q -> Lq; the zero word has no preperiod
     for pre, cyc in words:

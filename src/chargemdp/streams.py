@@ -2,15 +2,15 @@
 
 Streams are the bridge between strategies and charges: the expected
 stage-reward sequence of any exactly-evaluable strategy is one of
-these, and integration against a charge decomposes a stream into its
-level sets (see :mod:`chargemdp.charges`).
+these.  This module holds the sequence data only; how a stream is
+measured against a charge is :func:`chargemdp.charges.integrate`'s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .periodic_sets import EventuallyPeriodicSet, _build, _Frozen, _prime_factors
+from .periodic_sets import _Frozen, _prime_factors
 
 
 class RationalStream(_Frozen):
@@ -21,19 +21,6 @@ class RationalStream(_Frozen):
 
     def __init__(self, preperiod: tuple[Fraction, ...], cycle: tuple[Fraction, ...]):
         self.__dict__.update(preperiod=preperiod, cycle=cycle)
-
-    def level_sets(self) -> list[tuple[Fraction, EventuallyPeriodicSet]]:
-        """Pairs (value, stages where the stream equals that value),
-        ordered by value.  The sets partition the stages.  One pass over
-        the stream collects each value's preperiod and residue masks."""
-        L, q = len(self.preperiod), len(self.cycle)
-        masks: dict[Fraction, list[int]] = {}  # value -> [pre_mask, res_mask]
-        for i, v in enumerate(self.preperiod):
-            masks.setdefault(v, [0, 0])[0] |= 1 << i
-        for t, v in enumerate(self.cycle, L + 1):
-            masks.setdefault(v, [0, 0])[1] |= 1 << t % q
-        return [(c, _build(L, pre, q, res))
-                for c, (pre, res) in sorted(masks.items(), key=lambda item: item[0])]
 
 
 def _canonical(pre, cyc) -> tuple[tuple, tuple]:

@@ -104,10 +104,10 @@ def random_stream(rng, max_preperiod=5, max_period=6):
 
 
 def ref_level_sets(f):
-    """The equality scan that the one-pass ``level_sets`` replaced: one
-    scan of the stream per distinct value.  The scan compares
-    (numerator, denominator) pairs, which are equal exactly when the
-    reduced fractions are."""
+    """The level sets of the stream f: pairs (value, stages where f
+    equals that value), ordered by value, one scan of the stream per
+    distinct value.  The scan compares (numerator, denominator) pairs,
+    which are equal exactly when the reduced fractions are."""
     L, q = len(f.preperiod), len(f.cycle)
     pre = [(v.numerator, v.denominator) for v in f.preperiod]
     cyc = [(v.numerator, v.denominator) for v in f.cycle]

@@ -25,11 +25,12 @@ from typing import Callable, NamedTuple
 from chargemdp import cli
 from chargemdp.blackwell import (average_value, blackwell_policy, discounted_value,
                                  discounted_value_at)
-from chargemdp.charges import Frequency, Geometric, value
+from chargemdp.charges import Frequency, Geometric, integrate, value
 from chargemdp.counterexamples import sweep_payoff_shortfall
 from chargemdp.mdp import best_periodic, build_mdp, payoff, random_mdp, stationary
 from chargemdp.parsing import parse_charge
 from chargemdp.periodic_sets import make
+from chargemdp.streams import stream
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,6 +172,14 @@ def geometric_25600() -> str:
     v = value(Geometric(Fraction(9, 10)), s)
     assert 0 < v < 1
     return f"{v.numerator.bit_length()} {v.denominator.bit_length()}\n"
+
+
+def integrate_16384_levels() -> str:
+    """integrate over 16384 distinct values, 1..16384 on one cycle: the
+    dyadic limit alone, and mixed with the frequency restricted to odds."""
+    f = stream([], range(1, 16385))
+    return " ".join(str(integrate(parse_charge(mu), f)) for mu in (
+        "dyadiclimit", "mix(1/2: restrict(frequency, odds), 1/2: dyadiclimit)")) + "\n"
 
 
 def charge_queries() -> str:
@@ -321,6 +330,8 @@ PINS = [
     Pin("geometric-25600", geometric_25600, out="85040 85042\n", seconds=20),
     Pin("restrict-20-deep", ("charge-eval", "restrict(" * 20 + "frequency" + ", nat)" * 20, "odds"),
         out="1/2\n", seconds=10),
+    # the dyadic limit sits on the multiples of 16384, valued 16384; the odd stages average 8192
+    Pin("integrate-16384-levels", integrate_16384_levels, out="16384 12288\n", seconds=1),
     # 64 calls under one bound
     Pin("charge-queries", charge_queries, out=None,
         sha256="f259b658e74a7759b62ff48d107a8203e7c6fc0d5807d1b2ed04b77dfc5b7d16", seconds=10),

@@ -22,7 +22,7 @@ from chargemdp.periodic_sets import (_build, arithmetic, complement, contract, d
                                      difference, empty, evens, intersect, make,
                                      member, multiples, naturals, odds, shift,
                                      union)
-from chargemdp.streams import stream
+from chargemdp.streams import RationalStream, stream
 
 from conftest import (cycle_mean, first_tail_element, indicator, periodic_sets,
                       pointwise_leq, rational_streams, ref_level_sets, stream_values)
@@ -371,7 +371,7 @@ def ref_value(mu, s) -> Fraction:
 
 
 def ref_integrate(mu, f) -> Fraction:
-    levels = [(c, m) for c, m in f.level_sets() if c != 0]
+    levels = [(c, m) for c, m in ref_level_sets(f) if c != 0]
     targets = []
     for _, m in levels:
         ref_collect_dyadic(mu, m, targets)
@@ -387,6 +387,19 @@ def outcome(query, *args):
         return query(*args)
     except IllFormedRestrict as exc:
         return type(exc), str(exc)
+
+
+def raised_at(query, mu, f):
+    """outcome(query, mu, f), and the Restrict whose window raised, read
+    from the innermost frame: a null window's message alone does not say
+    which window of a nested charge raised first."""
+    try:
+        return query(mu, f), None
+    except IllFormedRestrict as exc:
+        tb = exc.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        return (type(exc), str(exc)), id(tb.tb_frame.f_locals["mu"])
 
 
 BETAS = st.fractions(min_value="1/20", max_value="19/20", max_denominator=20)
@@ -617,7 +630,7 @@ def test_stage_weights_match_atom_by_atom_reference(mu, L, q):
 
 
 def _no_set_query(*args):
-    raise AssertionError("stage weights made a set query")
+    raise AssertionError("a set query was made")
 
 
 @given(RANDOM_CHARGES, st.integers(0, 6), st.integers(1, 12))
@@ -644,3 +657,70 @@ def test_stage_weights_of_a_wide_geometric_window_stay_small():
         tracemalloc.stop()
     assert got == expected
     assert peak < 1 << 20
+
+
+# ---- integrate on level masks ----------------------------------------------
+
+# few distinct values, zero among them, so levels repeat across the
+# preperiod and the cycle
+_FEW_VALUES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 4)])
+REPEATING_STREAMS = st.builds(stream, st.lists(_FEW_VALUES, max_size=10),
+                              st.lists(_FEW_VALUES, min_size=1, max_size=12))
+
+
+@given(RANDOM_CHARGES, st.one_of(rational_streams(), REPEATING_STREAMS))
+def test_integrate_makes_no_set_query(mu, f):
+    expected = raised_at(ref_integrate, mu, f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charges, "_eval", _no_set_query)
+        mp.setattr(charges, "contract", _no_set_query)
+        mp.setattr(periodic_sets_module, "_build", _no_set_query)
+        assert raised_at(integrate, mu, f) == expected
+
+
+def on_shape(f, k: int, r: int) -> RationalStream:
+    """f on a longer shape, not canonical: k cycle stages moved into the
+    preperiod, the cycle rotated to match and repeated r times."""
+    q = len(f.cycle)
+    cyc = f.cycle[k % q:] + f.cycle[:k % q]
+    return RationalStream(f.preperiod + tuple(f.cycle[j % q] for j in range(k)), cyc * r)
+
+
+@given(WEIGHT_CHARGES, st.one_of(rational_streams(), REPEATING_STREAMS),
+       st.integers(0, 7), st.integers(1, 4))
+def test_integrate_is_shape_invariant(mu, f, k, r):
+    """The value, a null window's message and which window raises it do
+    not depend on the shape the stream is given on."""
+    g = on_shape(f, k, r)
+    assert stream_values(g, 60) == stream_values(f, 60)
+    assert raised_at(integrate, mu, g) == raised_at(integrate, mu, f)
+
+
+@pytest.mark.parametrize("mu", [Frequency(), Geometric(Fraction(2, 3)), PointMass(5),
+                                DyadicLimit(), Restrict(DyadicLimit(), multiples(4)),
+                                Restrict(Geometric(Fraction(1, 2)), odds()),
+                                Mix(((Fraction(1, 2), PointMass(2)),
+                                     (Fraction(1, 2), Restrict(Frequency(), evens()))))])
+def test_integrate_is_shape_invariant_for_every_kind(mu):
+    f = stream([3, 0, Fraction(-1, 2)], [1, 0, 2, Fraction(1, 3), 0, 2])
+    want = ref_integrate(mu, f)
+    for k in range(8):
+        for r in range(1, 4):
+            assert integrate(mu, on_shape(f, k, r)) == want
+
+
+def test_integrate_raises_at_the_same_window_on_any_shape():
+    inner = Restrict(Frequency(), empty())
+    outer = Restrict(inner, odds())
+    mu = Mix(((Fraction(1, 2), Restrict(Geometric(Fraction(1, 3)), empty())),
+              (Fraction(1, 2), outer)))
+    f = stream([1], [0, 2, 5])
+    want = raised_at(ref_integrate, mu, f)
+    assert want == ((IllFormedRestrict, "restriction window has base measure 0"),
+                    id(mu.parts[0][1]))
+    assert raised_at(ref_integrate, outer, f)[1] == id(inner)
+    for k in range(4):
+        for r in (1, 2, 3):
+            g = on_shape(f, k, r)
+            assert raised_at(integrate, mu, g) == want
+            assert raised_at(integrate, outer, g) == raised_at(ref_integrate, outer, f)

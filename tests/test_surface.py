@@ -1,8 +1,10 @@
-"""The package's public names and its only dataclasses.  Adding or removing
-one is a deliberate change to these lists."""
+"""The package's public names, the public attributes of its public
+classes, and its only dataclasses.  Adding or removing one is a
+deliberate change to these tables."""
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import chargemdp
@@ -22,6 +24,30 @@ PUBLIC = [
     "validate", "value",
 ]
 
+# per public class, the public names it defines itself (vars(cls)): the
+# benchmark's tracer wraps each public method of a public class by name
+METHODS = {
+    "BudgetExceeded": [],
+    "CValue": ["candidates", "exact", "is_exact", "low"],
+    "Charge": [],
+    "CycleNotFound": [],
+    "DyadicLimit": [],
+    "EventuallyPeriodicSet": ["residues"],
+    "Frequency": [],
+    "Geometric": [],
+    "IllFormedRestrict": [],
+    "Mdp": ["rewards", "transitions"],
+    "MdpValidationError": [],
+    "Mix": [],
+    "PeriodicMarkovStrategy": ["action", "period", "preperiod_length", "rows"],
+    "PointMass": [],
+    "Poly": ["degree", "is_zero", "render"],
+    "RationalFunction": ["const", "den", "evaluate", "is_zero", "num", "render"],
+    "RationalStream": [],
+    "Restrict": [],
+    "StrategyMismatch": [],
+}
+
 # bench/test_bench.py calls dataclasses.replace on these three
 DATACLASSES = ["chargemdp.counterexamples.CheckRow",
                "chargemdp.counterexamples.VerificationReport",
@@ -30,6 +56,13 @@ DATACLASSES = ["chargemdp.counterexamples.CheckRow",
 
 def test_public_names_are_pinned():
     assert sorted(chargemdp.__all__) == PUBLIC
+
+
+def test_public_class_attributes_are_pinned():
+    found = {name: sorted(k for k in vars(cls) if not k.startswith("_"))
+             for name in chargemdp.__all__
+             for cls in [getattr(chargemdp, name)] if inspect.isclass(cls)}
+    assert found == METHODS
 
 
 def test_only_these_classes_are_dataclasses():
