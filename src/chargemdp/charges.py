@@ -16,16 +16,9 @@ and residue set R, and let 2**a be the 2-part of p.  For 2**n >= 2**a,
 lcm(p, 2**n) = 2**n * p / 2**a, and by the Chinese remainder theorem the
 multiples of 2**n modulo that lcm map one to one onto the residues mod p
 that 2**a divides.  So mu_n(M) = 2**a * #{r in R : 2**a | r} / p for
-every such n.  ``DyadicLimit`` at M is the one value on the cycle of the
-halving walk M, contract(M, 2), contract(M, 4), ... which
-``dyadic_value_sequence`` follows to its first repeated state.
-
-``_eval`` gives every charge's one exact value at a set as an integer
-pair (numerator, denominator), the denominator positive and the pair not
-necessarily reduced; ``value`` reduces it once, into a ``CValue``, which
-is that ``Fraction``.  A ``Restrict`` recurses through ``_eval`` with the
-query's one memo, so each window is measured once per query however deep
-the restrictions nest.
+every such n, the value of ``DyadicLimit`` at M.  It is also the one
+value on the cycle of the halving walk M, contract(M, 2), contract(M, 4),
+... which ``dyadic_value_sequence`` follows to its first repeated state.
 
 ``Geometric(n/d)`` is one integer closed form.  For a set with
 preperiod m and period p it is
@@ -37,9 +30,12 @@ become single powers.
 ``_masses`` measures any charge on raw (pre, res) masks of one shape
 (L, q) -- preperiod L, cycle q, neither necessarily minimal -- with no
 set query: bit counts, the dyadic closed form above, one bit test, the
-Horner sums, and each Restrict window and-ed onto the masks.
-``integrate`` reads a stream's nonzero levels as masks on the stream's
-own shape and measures them in one call.  On that shape every charge is
+Horner sums, and each Restrict window and-ed onto the masks.  ``value``
+and ``integrate`` share it: ``value`` reads a set's masks on the set's
+own shape, ``integrate`` a stream's nonzero levels on the stream's, and
+each measures them in one call.  A bare ``DyadicLimit`` query alone
+still walks ``dyadic_value_sequence``, whose ``contract`` steps the
+benchmark's tracer counts.  On a stream's shape every charge is
 one linear functional of the L + q stage values; ``_stage_weights``
 gives it as integers (W, w), the masses of the atoms, so an exhaustive
 search pays the weights once per shape and one dot product per distinct
@@ -59,8 +55,6 @@ from .periodic_sets import (
     _tail_bits,
     contract,
     density,
-    intersect,
-    member,
 )
 from .streams import RationalStream
 
@@ -162,43 +156,6 @@ def _geometric_mass(n: int, d: int, m: int, p: int, gap: int, pre: int, res: int
     return (d - n) * (P * gap + n ** m * T)
 
 
-def _eval(mu: Charge, s: EventuallyPeriodicSet, windows: dict) -> tuple[int, int]:
-    """The one value of mu at s as a pair (num, den), den > 0, not
-    necessarily reduced.  ``windows`` holds each Restrict's base measure
-    on its window, computed on first use in the query."""
-    if isinstance(mu, Frequency):
-        return s.res_mask.bit_count(), s.period
-    if isinstance(mu, Geometric):
-        n, d, m, p = mu.beta.numerator, mu.beta.denominator, s.pre_len, s.period
-        gap = d ** p - n ** p
-        return _geometric_mass(n, d, m, p, gap, s.pre_mask, s.res_mask), d ** m * gap
-    if isinstance(mu, PointMass):
-        return int(member(s, mu.stage)), 1
-    if isinstance(mu, DyadicLimit):
-        v = dyadic_value_sequence(s)[1][0]  # the cycle holds one value
-        return v.numerator, v.denominator
-    if isinstance(mu, Restrict):
-        window = windows.get(id(mu))
-        if window is None:
-            wn, wd = _eval(mu.base, mu.window, windows)
-            if wn <= 0:
-                raise IllFormedRestrict(
-                    f"restriction window has base measure {Fraction(wn, wd)}")
-            g = gcd(wn, wd)  # unreduced, pairs double in size per nested window
-            window = windows[id(mu)] = wn // g, wd // g
-        n, d = _eval(mu.base, intersect(s, mu.window), windows)
-        return n * window[1], d * window[0]
-    if isinstance(mu, Mix):
-        num, den = 0, 1
-        for w, c in mu.parts:
-            n, d = _eval(c, s, windows)
-            n, d = w.numerator * n, w.denominator * d
-            g = gcd(den, d)  # the sum stays over the lcm of its terms' denominators
-            num, den = num * (d // g) + n * (den // g), den // g * d
-        return num, den
-    raise TypeError(f"not a charge expression: {mu!r}")
-
-
 def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tuple[Fraction, ...]]:
     """All computed values of the dyadic family at s (from index 1) and
     the values on the cycle of the walk, which are all one value (see
@@ -214,7 +171,13 @@ def dyadic_value_sequence(s: EventuallyPeriodicSet) -> tuple[list[Fraction], tup
 
 
 def value(mu: Charge, s: EventuallyPeriodicSet) -> CValue:
-    return CValue(*_eval(mu, s, {}))
+    """The one value of mu at s: s's masks on its own shape, measured by
+    one ``_masses`` call.  A bare ``DyadicLimit`` follows the halving
+    walk instead, which the benchmark's tracer counts."""
+    if isinstance(mu, DyadicLimit):
+        return CValue(dyadic_value_sequence(s)[1][0])  # the cycle holds one value
+    D, (x,) = _masses(mu, s.pre_len, s.period, [(s.pre_mask, s.res_mask)])
+    return CValue(x, D)
 
 
 def integrate(mu: Charge, f: RationalStream) -> CValue:

@@ -1,13 +1,17 @@
 """Shared hypothesis strategies and helpers for the test suite."""
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
 from chargemdp.blackwell import Poly, RationalFunction, _order_at_one, _sign_of_order
+from chargemdp.charges import (DyadicLimit, Frequency, Geometric, IllFormedRestrict, Mix,
+                               PointMass, Restrict, _geometric_mass, dyadic_value_sequence)
 from chargemdp.mdp import enumerate_pure_periodic
-from chargemdp.periodic_sets import EventuallyPeriodicSet, _aligned, make
+from chargemdp.periodic_sets import (EventuallyPeriodicSet, _aligned, contract, density,
+                                     intersect, make, member)
 
 
 @st.composite
@@ -265,3 +269,124 @@ def ref_rational_op(op: str, f, g):
     if g.is_zero:
         raise ZeroDivisionError("division by zero rational function")
     return rational_of(poly_mul(f.num, g.den), poly_mul(f.den, g.num))
+
+
+# ---- charges: the per-step reference --------------------------------------
+#
+# ``ref_value`` and ``ref_integrate`` are the first evaluator of
+# ``chargemdp.charges``, kept as the tests' reference: the charge is
+# evaluated whole at every dyadic step, with the dyadic values
+# threaded through an iterator, one contracted set per DyadicLimit part
+# per level set, and the geometric charge summed residue by residue over
+# Fractions.
+
+@lru_cache(maxsize=None)
+def ref_geometric_value(beta: Fraction, s) -> Fraction:
+    total = Fraction(0)
+    for i in range(1, s.pre_len + 1):
+        if (s.pre_mask >> (i - 1)) & 1:
+            total += beta ** (i - 1)
+    tail_denom = 1 - beta ** s.period
+    for r in range(s.period):
+        if (s.res_mask >> r) & 1:
+            total += beta ** (first_tail_element(s, r) - 1) / tail_denom
+    return (1 - beta) * total
+
+
+def ref_collect_dyadic(mu, s, out) -> None:
+    if isinstance(mu, DyadicLimit):
+        out.append(s)
+    elif isinstance(mu, Mix):
+        for _, c in mu.parts:
+            ref_collect_dyadic(c, s, out)
+
+
+def ref_eval(mu, s, dyadic_vals) -> Fraction:
+    if isinstance(mu, Frequency):
+        return density(s)
+    if isinstance(mu, Geometric):
+        return ref_geometric_value(mu.beta, s)
+    if isinstance(mu, PointMass):
+        return Fraction(1 if member(s, mu.stage) else 0)
+    if isinstance(mu, DyadicLimit):
+        return next(dyadic_vals)
+    if isinstance(mu, Restrict):
+        base_on_window = ref_value(mu.base, mu.window)
+        if base_on_window <= 0:
+            raise IllFormedRestrict(
+                f"restriction window has base measure {base_on_window}")
+        return ref_value(mu.base, intersect(s, mu.window)) / base_on_window
+    if isinstance(mu, Mix):
+        return sum((w * ref_eval(c, s, dyadic_vals) for w, c in mu.parts), Fraction(0))
+    raise TypeError(f"not a charge expression: {mu!r}")
+
+
+def ref_resolve(evaluate, targets) -> Fraction:
+    if not targets:
+        return evaluate(iter(()))
+    state = tuple(contract(t, 2) for t in targets)
+    seen, vals = {}, []
+    while state not in seen:
+        seen[state] = len(vals)
+        vals.append(evaluate(iter(density(c) for c in state)))
+        state = tuple(contract(c, 2) for c in state)
+    cands = set(vals[seen[state]:])
+    assert len(cands) == 1, f"dyadic cycle holds {sorted(cands)}"
+    return cands.pop()
+
+
+def ref_value(mu, s) -> Fraction:
+    targets = []
+    ref_collect_dyadic(mu, s, targets)
+    return ref_resolve(lambda dv: ref_eval(mu, s, dv), targets)
+
+
+def ref_integrate(mu, f) -> Fraction:
+    levels = [(c, m) for c, m in ref_level_sets(f) if c != 0]
+    targets = []
+    for _, m in levels:
+        ref_collect_dyadic(mu, m, targets)
+    return ref_resolve(
+        lambda dv: sum((c * ref_eval(mu, m, dv) for c, m in levels), Fraction(0)),
+        targets)
+
+
+# ``ref_pair_eval`` is the integer-pair evaluator ``value`` ran before it
+# read masks: each charge on the canonical set, a Restrict on the
+# intersected set with each window's base measure memoised in
+# ``windows`` for the query, and a pair (num, den), den > 0, not
+# necessarily reduced.  It is fast enough for wide windows, where the
+# per-step reference's Fraction sums take tens of seconds.
+
+def ref_pair_eval(mu, s, windows: dict) -> tuple[int, int]:
+    if isinstance(mu, Frequency):
+        return s.res_mask.bit_count(), s.period
+    if isinstance(mu, Geometric):
+        n, d, m, p = mu.beta.numerator, mu.beta.denominator, s.pre_len, s.period
+        gap = d ** p - n ** p
+        return _geometric_mass(n, d, m, p, gap, s.pre_mask, s.res_mask), d ** m * gap
+    if isinstance(mu, PointMass):
+        return int(member(s, mu.stage)), 1
+    if isinstance(mu, DyadicLimit):
+        v = dyadic_value_sequence(s)[1][0]
+        return v.numerator, v.denominator
+    if isinstance(mu, Restrict):
+        window = windows.get(id(mu))
+        if window is None:
+            wn, wd = ref_pair_eval(mu.base, mu.window, windows)
+            if wn <= 0:
+                raise IllFormedRestrict(
+                    f"restriction window has base measure {Fraction(wn, wd)}")
+            g = gcd(wn, wd)
+            window = windows[id(mu)] = wn // g, wd // g
+        n, d = ref_pair_eval(mu.base, intersect(s, mu.window), windows)
+        return n * window[1], d * window[0]
+    if isinstance(mu, Mix):
+        num, den = 0, 1
+        for w, c in mu.parts:
+            n, d = ref_pair_eval(c, s, windows)
+            n, d = w.numerator * n, w.denominator * d
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+        return num, den
+    raise TypeError(f"not a charge expression: {mu!r}")

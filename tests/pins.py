@@ -317,6 +317,15 @@ PINS = [
           ("dyadiclimit", ("charge-eval", "dyadiclimit", "multiples(65536) | ap(3,1000)"), "1"),
           ("by-2", ("density", "contract(multiples(65536) | ap(3,1000), 2)"), "1/32768"),
           ("by-3", ("density", "contract(!shift(evens,1000000),3)"), "1/2"))),
+    # a DyadicLimit inside a Mix is the closed form on the set's masks, no halving walk
+    Pin("mix-dyadic-2-20", ("charge-eval", "mix(1/2: frequency, 1/2: dyadiclimit)",
+                            "multiples(1048576) | ap(3,1000)"),
+        out="131203197/262144000\n", seconds=1, process=True),
+    # the output of a window measured on the lcm shape with the period-2160 set
+    Pin("restrict-geometric-2160", ("charge-eval", "restrict(geometric(1/3), ap(2,4))",
+                                    "(ap(3,16) | ap(5,27)) & !multiples(5)"),
+        out=None, sha256="279c4962b8e4d492548dbb886331302e872ad590c6e0a32967e0677c5b3774ce",
+        seconds=1, process=True),
     # past the set kernel's mask limit, refused before any mask is built or factored
     *(Pin(f"mask-limit-{name}", ("density", query), err=f"error: {message}\n", code=2, seconds=5,
           process=True)

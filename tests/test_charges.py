@@ -3,7 +3,6 @@
 import time
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -13,19 +12,20 @@ from hypothesis import strategies as st
 from chargemdp import charges, periodic_sets as periodic_sets_module
 from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric,
                                IllFormedRestrict, Mix, PointMass, Restrict,
-                               _eval, _stage_weights,
+                               _stage_weights,
                                dyadic_value_sequence, integrate, sandwich_check,
                                value)
 from chargemdp.mdp import BudgetExceeded
 from chargemdp.parsing import parse_set
-from chargemdp.periodic_sets import (_build, arithmetic, complement, contract, density,
+from chargemdp.periodic_sets import (_build, arithmetic, complement, density,
                                      difference, empty, evens, intersect, make,
-                                     member, multiples, naturals, odds, shift,
+                                     multiples, naturals, odds, shift,
                                      union)
 from chargemdp.streams import RationalStream, stream
 
-from conftest import (cycle_mean, first_tail_element, indicator, periodic_sets,
-                      pointwise_leq, rational_streams, ref_level_sets, stream_values)
+from conftest import (cycle_mean, indicator, periodic_sets, pointwise_leq, rational_streams,
+                      ref_geometric_value, ref_integrate, ref_level_sets, ref_pair_eval,
+                      ref_value, stream_values)
 
 EXACT_CHARGES = st.sampled_from([
     Frequency(),
@@ -303,82 +303,8 @@ def test_integrate_ignores_zero_level():
 
 # ---- single-pass evaluation against the per-step reference ---------------
 #
-# The reference below is the evaluator this module replaced: the charge
-# is evaluated whole at every dyadic step, with the dyadic values
-# threaded through an iterator, one contracted set per DyadicLimit part
-# per level set, and the geometric charge summed residue by residue over
-# Fractions.
-
-@lru_cache(maxsize=None)
-def ref_geometric_value(beta: Fraction, s) -> Fraction:
-    total = Fraction(0)
-    for i in range(1, s.pre_len + 1):
-        if (s.pre_mask >> (i - 1)) & 1:
-            total += beta ** (i - 1)
-    tail_denom = 1 - beta ** s.period
-    for r in range(s.period):
-        if (s.res_mask >> r) & 1:
-            total += beta ** (first_tail_element(s, r) - 1) / tail_denom
-    return (1 - beta) * total
-
-
-def ref_collect_dyadic(mu, s, out) -> None:
-    if isinstance(mu, DyadicLimit):
-        out.append(s)
-    elif isinstance(mu, Mix):
-        for _, c in mu.parts:
-            ref_collect_dyadic(c, s, out)
-
-
-def ref_eval(mu, s, dyadic_vals) -> Fraction:
-    if isinstance(mu, Frequency):
-        return density(s)
-    if isinstance(mu, Geometric):
-        return ref_geometric_value(mu.beta, s)
-    if isinstance(mu, PointMass):
-        return Fraction(1 if member(s, mu.stage) else 0)
-    if isinstance(mu, DyadicLimit):
-        return next(dyadic_vals)
-    if isinstance(mu, Restrict):
-        base_on_window = ref_value(mu.base, mu.window)
-        if base_on_window <= 0:
-            raise IllFormedRestrict(
-                f"restriction window has base measure {base_on_window}")
-        return ref_value(mu.base, intersect(s, mu.window)) / base_on_window
-    if isinstance(mu, Mix):
-        return sum((w * ref_eval(c, s, dyadic_vals) for w, c in mu.parts), Fraction(0))
-    raise TypeError(f"not a charge expression: {mu!r}")
-
-
-def ref_resolve(evaluate, targets) -> Fraction:
-    if not targets:
-        return evaluate(iter(()))
-    state = tuple(contract(t, 2) for t in targets)
-    seen, vals = {}, []
-    while state not in seen:
-        seen[state] = len(vals)
-        vals.append(evaluate(iter(density(c) for c in state)))
-        state = tuple(contract(c, 2) for c in state)
-    cands = set(vals[seen[state]:])
-    assert len(cands) == 1, f"dyadic cycle holds {sorted(cands)}"
-    return cands.pop()
-
-
-def ref_value(mu, s) -> Fraction:
-    targets = []
-    ref_collect_dyadic(mu, s, targets)
-    return ref_resolve(lambda dv: ref_eval(mu, s, dv), targets)
-
-
-def ref_integrate(mu, f) -> Fraction:
-    levels = [(c, m) for c, m in ref_level_sets(f) if c != 0]
-    targets = []
-    for _, m in levels:
-        ref_collect_dyadic(mu, m, targets)
-    return ref_resolve(
-        lambda dv: sum((c * ref_eval(mu, m, dv) for c, m in levels), Fraction(0)),
-        targets)
-
+# ``ref_value`` and ``ref_integrate`` are the per-step reference, kept in
+# conftest.
 
 def outcome(query, *args):
     """The value of a query, or the type and message of the error it
@@ -493,46 +419,49 @@ def test_integer_geometric_on_long_words(text, beta):
     assert value(Geometric(beta), s) == ref_geometric_value(beta, s)
 
 
-# ---- _eval's integer pairs against the Fraction reference -----------------
-
-def pair_outcome(mu, s):
-    """_eval's pair as a Fraction, or the type and message of the error
-    it raises."""
-    try:
-        n, d = _eval(mu, s, {})
-    except IllFormedRestrict as exc:
-        return type(exc), str(exc)
-    assert type(n) is int and type(d) is int and d > 0
-    return Fraction(n, d)
-
-
-def ref_outcome(mu, s):
-    try:
-        return ref_value(mu, s)
-    except IllFormedRestrict as exc:
-        return type(exc), str(exc)
-
+# ---- value on the set's own shape ----------------------------------------
 
 @given(RANDOM_CHARGES, periodic_sets())
-def test_eval_pair_matches_reference(mu, s):
-    assert pair_outcome(mu, s) == ref_outcome(mu, s)
+def test_value_raises_at_the_reference_window(mu, s):
+    """The value, or a null window's message and which window raised it."""
+    assert raised_at(value, mu, s) == raised_at(ref_value, mu, s)
 
 
 def _no_fraction(*args):
-    raise AssertionError("_eval built a Fraction")
+    raise AssertionError("value built a Fraction")
 
 
-@given(RANDOM_CHARGES, periodic_sets())
-def test_eval_builds_no_fraction(mu, s):
-    """Only the message of a null window renders a Fraction."""
-    expected = pair_outcome(mu, s)
+@given(RANDOM_CHARGES.filter(lambda mu: not isinstance(mu, DyadicLimit)), periodic_sets())
+def test_value_builds_no_fraction(mu, s):
+    """Only the message of a null window renders a Fraction; the masses
+    stay integers until the one CValue.  A bare DyadicLimit is left out:
+    its halving walk reads densities, which are Fractions."""
+    expected = outcome(ref_value, mu, s)
     if isinstance(expected, tuple):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charges, "Fraction", _no_fraction)
-        got = _eval(mu, s, {})
-    assert Fraction(*got) == expected
+        got = value(mu, s)
+    assert type(got) is CValue and got == expected
 
+
+@pytest.mark.parametrize("mu", [
+    Mix(((Fraction(1, 2), Frequency()), (Fraction(1, 2), DyadicLimit()))),
+    Restrict(DyadicLimit(), evens()),
+    Restrict(Mix(((Fraction(1, 3), PointMass(2)), (Fraction(2, 3), DyadicLimit()))),
+             complement(multiples(3))),
+])
+def test_value_walks_contract_for_a_bare_dyadic_limit_only(mu, monkeypatch):
+    """A DyadicLimit inside a Mix or a Restrict is the closed form on
+    masks; a bare one keeps the halving walk that the benchmark's tracer
+    counts (ten steps round the residue 3 mod 11)."""
+    calls, contract = [], charges.contract
+    monkeypatch.setattr(charges, "contract", lambda *args: calls.append(args) or contract(*args))
+    s = arithmetic(3, 11)
+    assert value(mu, s) == ref_value(mu, s)
+    assert calls == []
+    assert value(DyadicLimit(), s) == Fraction(1, 11)
+    assert len(calls) >= 10
 
 
 @pytest.mark.parametrize("mu", [Frequency(), Geometric(Fraction(1, 2))])
@@ -544,8 +473,7 @@ def test_integrate_many_levels_keeps_the_common_denominator(mu):
     start = time.perf_counter()
     got = integrate(mu, f)
     assert time.perf_counter() - start < 1
-    assert got == sum((c * Fraction(*_eval(mu, m, {})) for c, m in ref_level_sets(f)),
-                      Fraction(0))
+    assert got == sum((c * ref_value(mu, m) for c, m in ref_level_sets(f)), Fraction(0))
 
 # ---- per-shape stage weights: one dot product per stream ------------------
 
@@ -603,14 +531,14 @@ def test_stage_weights_check_the_mask_limit_on_a_window(monkeypatch):
 # ---- stage weights from masks against the atom-by-atom reference ----------
 #
 # The reference is the construction ``_stage_weights`` replaced: every
-# atom is built as a set and evaluated as ``value`` does, with one
+# atom is built as a set and evaluated by the pair evaluator, with one
 # window memo for all of them.
 
 def ref_stage_weights(mu, L, q):
     windows: dict = {}
     atoms = [_build(L, 1 << t, 1, 0) for t in range(L)]
     atoms += [_build(L, 0, q, 1 << ((L + 1 + j) % q)) for j in range(q)]
-    vals = [Fraction(*_eval(mu, a, windows)) for a in atoms]
+    vals = [Fraction(*ref_pair_eval(mu, a, windows)) for a in atoms]
     W = lcm(*(v.denominator for v in vals))
     return W, tuple(v.numerator * (W // v.denominator) for v in vals)
 
@@ -637,7 +565,6 @@ def _no_set_query(*args):
 def test_stage_weights_make_no_set_query(mu, L, q):
     expected = weights_outcome(ref_stage_weights, mu, L, q)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charges, "_eval", _no_set_query)
         mp.setattr(periodic_sets_module, "_build", _no_set_query)
         assert weights_outcome(_stage_weights, mu, L, q) == expected
 
@@ -672,7 +599,6 @@ REPEATING_STREAMS = st.builds(stream, st.lists(_FEW_VALUES, max_size=10),
 def test_integrate_makes_no_set_query(mu, f):
     expected = raised_at(ref_integrate, mu, f)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charges, "_eval", _no_set_query)
         mp.setattr(charges, "contract", _no_set_query)
         mp.setattr(periodic_sets_module, "_build", _no_set_query)
         assert raised_at(integrate, mu, f) == expected

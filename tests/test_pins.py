@@ -19,8 +19,9 @@ from pins import PINS, Pin, write_inputs
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-# address space of a process row: the rows peak near 41 MB of it, so a
-# regressed size check fails its row instead of exhausting the machine
+# address space of a process row: the widest row, mix-dyadic-2-20, peaks
+# near 125 MB resident, so a regressed size check fails its row instead
+# of exhausting the machine
 MEMORY_CAP = 2 ** 30
 
 

@@ -21,14 +21,14 @@ from hypothesis import strategies as st
 
 from chargemdp.blackwell import Poly, RationalFunction
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix, PointMass, Restrict,
-                               _eval, integrate, value)
+                               integrate, value)
 from chargemdp.mdp import (Mdp, Problem, best_periodic, expected_reward_stream, payoff,
                            random_mdp)
 from chargemdp.periodic_sets import EventuallyPeriodicSet, evens, multiples, odds, union
 from chargemdp.streams import RationalStream
 
 from conftest import (periodic_sets, poly_of, random_deterministic_mdp, rational_of,
-                      rational_streams, ref_level_sets)
+                      rational_streams, ref_level_sets, ref_value)
 
 FIELDS = {
     EventuallyPeriodicSet: ("pre_len", "pre_mask", "period", "res_mask"),
@@ -164,8 +164,8 @@ CHARGE_KINDS = {
 
 def ref_integral(mu, f) -> Fraction:
     """The integral of f as a plain Fraction, summed over the level sets
-    from the pair evaluator."""
-    return sum((c * Fraction(*_eval(mu, m, {})) for c, m in ref_level_sets(f)), Fraction(0))
+    from the reference evaluator."""
+    return sum((c * ref_value(mu, m) for c, m in ref_level_sets(f)), Fraction(0))
 
 
 def assert_is_the_number(v, ref: Fraction) -> None:
@@ -185,7 +185,7 @@ def assert_is_the_number(v, ref: Fraction) -> None:
 def test_charge_values_are_fractions(kind, data):
     mu = data.draw(CHARGE_KINDS[kind])
     s = data.draw(periodic_sets(max_preperiod=4, max_period=6))
-    assert_is_the_number(value(mu, s), Fraction(*_eval(mu, s, {})))
+    assert_is_the_number(value(mu, s), ref_value(mu, s))
     f = data.draw(rational_streams())
     assert_is_the_number(integrate(mu, f), ref_integral(mu, f))
     m = random_deterministic_mdp(random.Random(data.draw(st.integers(0, 10**6))), 2, 2)
