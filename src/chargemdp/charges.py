@@ -77,8 +77,9 @@ class Geometric(Charge):
     _fields = ("beta",)
 
     def __init__(self, beta: Fraction):
-        beta = Fraction(beta)
-        if not 0 < beta < 1:
+        if beta.__class__ is not Fraction:
+            beta = Fraction(beta)
+        if not 0 < beta.numerator < beta.denominator:
             raise ValueError(f"geometric factor must lie in (0,1), got {beta}")
         self.__dict__["beta"] = beta
 
@@ -107,12 +108,13 @@ class Mix(Charge):
     _fields = ("parts",)
 
     def __init__(self, parts: tuple[tuple[Fraction, Charge], ...]):
-        parts = tuple((Fraction(w), c) for w, c in parts)
+        parts = tuple((w if w.__class__ is Fraction else Fraction(w), c) for w, c in parts)
         if not parts:
             raise ValueError("mixture needs at least one component")
-        if any(w <= 0 for w, _ in parts):
+        if any(w.numerator <= 0 for w, _ in parts):
             raise ValueError("mixture weights must be strictly positive")
-        if sum(w for w, _ in parts) != 1:
+        den = lcm(*(w.denominator for w, _ in parts))
+        if sum(w.numerator * (den // w.denominator) for w, _ in parts) != den:
             raise ValueError("mixture weights must sum to 1")
         self.__dict__["parts"] = parts
 

@@ -17,9 +17,19 @@ included) each open one level; past the bound the parser raises a
 ``ParseError`` at the token that opens the level, so deep input never
 exhausts the interpreter's stack in parsing or in evaluation.
 
+The rules read the next word as ``self.words[self.pos]`` and step
+``self.pos`` themselves.  The set, charge, stream-literal and rational
+rules compare that word inline and call a helper such as
+``expect_punct`` only to raise its error, so a well-formed expression
+costs no helper call per token.  A number word shorter than 640 digits
+(the least nonzero limit ``sys.set_int_max_str_digits`` accepts) goes
+to ``int()`` directly.
+
 Range checks belong to the constructors (``multiples``, ``Geometric``,
-``Mix``, ``stream``, ``stationary``, ...).  ``_Parser.build`` reports a
-constructor's ``ValueError`` as a ``ParseError`` at its token.
+``Mix``, ``stream``, ``stationary``, ...).  A constructor's
+``ValueError`` becomes a ``ParseError`` at its token: ``_Parser.call``
+catches it for the set and charge constructors, ``_Parser.build`` for
+the rest and for ``int()`` on longer number words.
 """
 
 from __future__ import annotations
@@ -46,10 +56,13 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-# One match per word, the blanks and comments before it included.  The
-# group never fails, so the greedy blanks never give a character back; a
-# character that starts no token takes the rest of the text with it.
-_WORD = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|[^\W\d]\w*|[()\[\]{}|&!,:;/=-]|(?s:.+)|)")
+# One match per word, the blanks and comments before it included: a
+# comment runs to a newline or the end, so they read as blanks, then
+# (comment, blanks) pairs.  The group never fails, so the greedy blanks
+# never give a character back; a character that starts no token takes the
+# rest of the text with it.  The token kinds start with disjoint
+# characters, so their order only decides which is tried first.
+_WORD = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([()\[\]{}|&!,:;/=-]|\d+|[^\W\d]\w*|(?s:.+)|)")
 _PUNCT = frozenset("()[]{}|&!,:;/=-")
 _BAD = re.compile(r"[^\w()\[\]{}|&!,:;/=-]")  # a character that starts no token
 
@@ -69,9 +82,6 @@ class _Parser:
                 words.pop()  # blanks or a comment end the text
         self.pos = 0
         self.depth = 0
-
-    def peek(self) -> str:
-        return self.words[self.pos]
 
     def error(self, message: str, i: int) -> ParseError:
         """A ``ParseError`` at word ``i``, placed by matching ``_WORD`` again
@@ -109,9 +119,6 @@ class _Parser:
                       else f"expected {text!r}, got end of input")
         self.pos += 1
 
-    def at_punct(self, text: str) -> bool:
-        return self.words[self.pos] == text
-
     def take_punct(self, text: str) -> bool:
         if self.words[self.pos] == text:
             self.pos += 1
@@ -147,7 +154,9 @@ class _Parser:
         if not word.isdecimal():
             self.fail(f"expected a number, got {word!r}")
         self.pos = i + 1
-        return self.build(i, int, word)  # int() has a digit limit
+        if len(word) < 640:  # under every digit limit int() can be given
+            return int(word)
+        return self.build(i, int, word)
 
     def expect_int(self) -> int:
         neg = self.take_punct("-")
@@ -155,13 +164,17 @@ class _Parser:
         return -n if neg else n
 
     def expect_rational(self) -> Fraction:
-        num = self.expect_int()
-        if self.take_punct("/"):
-            den = self.expect_nat()
-            if den == 0:
-                self.fail("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+        words = self.words
+        neg = words[self.pos] == "-"
+        self.pos += neg
+        num = -self.expect_nat() if neg else self.expect_nat()
+        if words[self.pos] != "/":
+            return Fraction(num)
+        self.pos += 1
+        den = self.expect_nat()
+        if den == 0:
+            self.fail("zero denominator")
+        return Fraction(num, den)
 
     def expect_end(self):
         if self.words[self.pos]:
@@ -169,49 +182,66 @@ class _Parser:
 
     def call(self, table: dict, what: str):
         """``<name>`` or ``<name>(<arg>, ...)``; ``table`` maps each name to
-        its constructor and one parser method per argument."""
+        its constructor and one parser method per argument.  A
+        ``ValueError`` of the constructor is reported at the name."""
         i = self.pos
-        entry = table.get(self.expect_name())
+        words = self.words
+        word = words[i]
+        entry = table.get(word)
         if entry is None:
-            raise self.error(f"unknown {what} constructor {self.words[i]!r}", i)
+            self.expect_name()
+            raise self.error(f"unknown {what} constructor {word!r}", i)
         fn, rules = entry
+        self.pos = i + 1
         args = []
         if rules:
             self.nest(i)
-            self.expect_punct("(")
-            for k, rule in enumerate(rules):
-                if k:
-                    self.expect_punct(",")
+            sep = "("
+            for rule in rules:
+                if words[self.pos] != sep:
+                    self.expect_punct(sep)
+                self.pos += 1
                 args.append(rule(self))
-            self.expect_punct(")")
+                sep = ","
+            if words[self.pos] != ")":
+                self.expect_punct(")")
+            self.pos += 1
             self.depth -= 1
-        return self.build(i, fn, *args)
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise self.error(str(exc), i) from None
 
     # ---- set expressions -------------------------------------------------
 
     def set_expr(self) -> EventuallyPeriodicSet:
         left = self.set_term()
-        while self.take_punct("|"):
+        while self.words[self.pos] == "|":
+            self.pos += 1
             left = ps.union(left, self.set_term())
         return left
 
     def set_term(self) -> EventuallyPeriodicSet:
         left = self.set_factor()
-        while self.take_punct("&"):
+        while self.words[self.pos] == "&":
+            self.pos += 1
             left = ps.intersect(left, self.set_factor())
         return left
 
     def set_factor(self) -> EventuallyPeriodicSet:
         i = self.pos
-        if self.take_punct("!"):
-            self.nest(i)
-            out = ps.complement(self.set_factor())
-        elif self.take_punct("("):
-            self.nest(i)
-            out = self.set_expr()
-            self.expect_punct(")")
-        else:
+        word = self.words[i]
+        if word != "!" and word != "(":
             return self.call(_SETS, "set")
+        self.pos = i + 1
+        self.nest(i)
+        if word == "!":
+            out = ps.complement(self.set_factor())
+        else:
+            out = self.set_expr()
+            if self.words[self.pos] != ")":
+                self.expect_punct(")")
+            self.pos += 1
         self.depth -= 1
         return out
 
@@ -222,19 +252,26 @@ class _Parser:
 
     def mix_parts(self) -> tuple[tuple[Fraction, Charge], ...]:
         """``<weight>: <charge>, ...``, the argument of ``mix``."""
+        words = self.words
         parts = []
-        while not parts or self.take_punct(","):
+        while True:
             w = self.expect_rational()
-            self.expect_punct(":")
-            parts.append((w, self.charge_expr()))
-        return tuple(parts)
+            if words[self.pos] != ":":
+                self.expect_punct(":")
+            self.pos += 1
+            parts.append((w, self.call(_CHARGES, "charge")))
+            if words[self.pos] != ",":
+                return tuple(parts)
+            self.pos += 1
 
     # ---- stream literals -------------------------------------------------
 
     def stream_literal(self) -> RationalStream:
         i = self.pos
-        if self.expect_name() != "stream":
+        if self.words[i] != "stream":
+            self.expect_name()
             raise self.error("expected 'stream'", i)
+        self.pos = i + 1
         self.expect_punct("(")
         pre = self.rational_list()
         self.expect_punct(";")
@@ -243,11 +280,13 @@ class _Parser:
         return self.build(i, stream, pre, cyc)
 
     def rational_list(self) -> list[Fraction]:
+        words = self.words
         self.expect_punct("[")
         out = []
-        if not self.at_punct("]"):
+        if words[self.pos] != "]":
             out.append(self.expect_rational())
-            while self.take_punct(","):
+            while words[self.pos] == ",":
+                self.pos += 1
                 out.append(self.expect_rational())
         self.expect_punct("]")
         return out
@@ -385,7 +424,7 @@ def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, str | dict
         p.fail(f"unknown state {s!r}")
     p.expect_punct(":")
     dist = {}
-    while p.at_id() and p.peek() in acts[s]:
+    while p.at_id() and p.words[p.pos] in acts[s]:
         a = p.expect_id()
         if not p.take_punct(":"):
             if not dist:
@@ -424,7 +463,7 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     rows = [default] * (L + q)  # a phase that names no cell shares the default row
     given = set()  # (phase, state) of each cell read
     p.expect_punct("{")
-    while not p.at_punct("}"):
+    while p.words[p.pos] != "}":
         k = 1
         if kind == "periodic":
             i = p.pos

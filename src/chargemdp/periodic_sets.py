@@ -21,6 +21,16 @@ mask arithmetic only:
   preperiod bits.  The least preperiod is the ``bit_length`` of the
   xor, the last integer where the two disagree.
 
+Three constructors are canonical by construction and skip :func:`_build`.
+One residue in a d-bit word equals no proper rotation of it, so
+``multiples(d)`` has least period d.  ``arithmetic(a, d)`` has no member
+below a, while its residue rule holds at a - d, so its least preperiod is
+max(a - d, 0).  ``complement`` negates both masks of a canonical set,
+which keeps every rotation equality and every disagreement between the
+preperiod and the rule, so the complement keeps the set's shape.
+:func:`_build` still canonicalizes the Boolean operations, :func:`shift`
+and :func:`contract`.
+
 Aligning two sets for a Boolean operation reads the same
 :func:`_tail_bits` over the longer preperiod and the common period.
 :func:`contract` reads every d-th bit by strided string slices, so no
@@ -200,15 +210,18 @@ def multiples(d: int) -> EventuallyPeriodicSet:
     """{d, 2d, 3d, ...}"""
     if d < 1:
         raise ValueError(f"multiples() needs d >= 1, got {d}")
-    return _build(0, 0, d, 1)
+    if d > MASK_LIMIT:
+        _check_width(d)
+    return EventuallyPeriodicSet(0, 0, d, 1)
 
 
 def arithmetic(a: int, d: int) -> EventuallyPeriodicSet:
     """{a, a+d, a+2d, ...}"""
     if a < 1 or d < 1:
         raise ValueError(f"arithmetic() needs a >= 1 and d >= 1, got ({a}, {d})")
-    _check_width(a - 1, d)
-    return _build(a - 1, 0, d, 1 << (a % d))
+    if a > MASK_LIMIT or d > MASK_LIMIT:
+        _check_width(a - 1, d)
+    return EventuallyPeriodicSet(max(a - d, 0), 0, d, 1 << (a % d))
 
 
 def member(s: EventuallyPeriodicSet, n: int) -> bool:
@@ -222,7 +235,8 @@ def member(s: EventuallyPeriodicSet, n: int) -> bool:
 def _aligned(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet):
     m = max(s.pre_len, t.pre_len)
     p = lcm(s.period, t.period)
-    _check_width(m, p)
+    if m > MASK_LIMIT or p > MASK_LIMIT:
+        _check_width(m, p)
     return m, p, _expand(s, m, p), _expand(t, m, p)
 
 
@@ -251,9 +265,8 @@ def difference(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet) -> Eventually
 
 
 def complement(s: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
-    pre = ~s.pre_mask & ((1 << s.pre_len) - 1)
-    res = ~s.res_mask & ((1 << s.period) - 1)
-    return _build(s.pre_len, pre, s.period, res)
+    m, p = s.pre_len, s.period
+    return EventuallyPeriodicSet(m, ~s.pre_mask & ((1 << m) - 1), p, ~s.res_mask & ((1 << p) - 1))
 
 
 def shift(s: EventuallyPeriodicSet, k: int) -> EventuallyPeriodicSet:

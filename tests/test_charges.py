@@ -68,6 +68,87 @@ def test_mix_validation():
         Mix(((Fraction(3, 2), Frequency()), (Fraction(-1, 2), Frequency())))
 
 
+# The constructors' checks in Fraction arithmetic, as they read before
+# they moved to numerators and denominators: the reference that the
+# integer checks must accept and reject like, with the same messages.
+
+def ref_geometric_beta(beta) -> Fraction:
+    beta = Fraction(beta)
+    if not 0 < beta < 1:
+        raise ValueError(f"geometric factor must lie in (0,1), got {beta}")
+    return beta
+
+
+def ref_mix_parts(parts) -> tuple:
+    parts = tuple((Fraction(w), c) for w, c in parts)
+    if not parts:
+        raise ValueError("mixture needs at least one component")
+    if any(w <= 0 for w, _ in parts):
+        raise ValueError("mixture weights must be strictly positive")
+    if sum(w for w, _ in parts) != 1:
+        raise ValueError("mixture weights must sum to 1")
+    return parts
+
+
+def constructed(make, *args):
+    """The stored field with the exact type of each number, or the
+    exception's type and text."""
+    try:
+        out = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Geometric):
+        out = out.beta
+    elif isinstance(out, Mix):
+        out = out.parts
+    if isinstance(out, tuple):
+        return tuple((type(w), w, c) for w, c in out)
+    return type(out), out
+
+
+BETAS = [0, 1, Fraction(-1, 2), Fraction(3, 2), Fraction(2, 4), "1/3", 0.25, CValue(1, 3),
+         "x", float("nan"), float("inf")]
+WEIGHTS = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 2), 0),
+           (Fraction(-1, 2), Fraction(3, 2)), (Fraction(1, 3), Fraction(1, 3)),
+           (Fraction(2, 4), Fraction(1, 2)), ("2/4", 0.5), (1,), (), (CValue(1, 2), "1/2")]
+
+
+@pytest.mark.parametrize("beta", BETAS, ids=repr)
+def test_geometric_checks_as_the_fraction_reference(beta):
+    assert constructed(Geometric, beta) == constructed(ref_geometric_beta, beta)
+
+
+@pytest.mark.parametrize("weights", WEIGHTS, ids=repr)
+def test_mix_checks_as_the_fraction_reference(weights):
+    parts = tuple((w, Frequency()) for w in weights)
+    assert constructed(Mix, parts) == constructed(ref_mix_parts, parts)
+
+
+NUMBERS = st.one_of(st.fractions(-2, 2, max_denominator=30), st.integers(-2, 2),
+                    st.floats(-2, 2), st.builds("{}/{}".format, st.integers(-3, 9),
+                                                st.integers(1, 9)))
+
+
+@given(NUMBERS)
+def test_geometric_checks_as_the_fraction_reference_on_any_number(beta):
+    assert constructed(Geometric, beta) == constructed(ref_geometric_beta, beta)
+
+
+@st.composite
+def weight_lists(draw):
+    """Weights that sum to 1 about half the time."""
+    weights = draw(st.lists(NUMBERS, max_size=4))
+    if weights and draw(st.booleans()):
+        weights[-1] = 1 - sum(Fraction(w) for w in weights[:-1])
+    return weights
+
+
+@given(weight_lists())
+def test_mix_checks_as_the_fraction_reference_on_any_weights(weights):
+    parts = tuple((w, Frequency()) for w in weights)
+    assert constructed(Mix, parts) == constructed(ref_mix_parts, parts)
+
+
 # ---- frequency -----------------------------------------------------------
 
 @given(periodic_sets())

@@ -734,3 +734,89 @@ def test_run_exits_0_or_2_on_grammar_texts(argv):
         return
     assert code in (0, 2), err.getvalue()
     assert (code == 0) == (err.getvalue() == "") != (out.getvalue() == "")
+
+
+# ---- run() on edited MDP and strategy files -----------------------------------
+#
+# One to three character edits of a valid MDP file with one dist row, or of a
+# stationary or a periodic strategy file for it.  Every state the dist row
+# reaches returns to the start deterministically, so the unedited files have a
+# stage distribution that repeats and each command answers.
+
+FUZZ_MDP_TEXT = """mdp
+initial a
+state a
+  action x reward 1 goto b
+  action y reward 1/2 dist b:1/3 c:2/3
+state b
+  action x reward 0 goto a
+state c
+  action x reward 2 goto a
+"""
+STATIONARY_TEXT = "stationary { a: y b: x c: x }\n"
+PERIODIC_TEXT = ("periodic preperiod=1 period=2 { phase 1 state a: y phase 2 state a: x "
+                 "phase 3 state a: y phase 3 state c: x }\n")
+FILE_EDIT_CHARS = st.sampled_from(list("()[]{}|&!,:;/=-#") + list("abcxyz0129 _@\n"))
+
+
+def file_argvs(mdp, strategy, edited_mdp):
+    """mdp-eval on both files; search and blackwell when the MDP file is the edited one."""
+    argvs = [["mdp-eval", "--mdp", mdp, "--strategy", strategy, "--charge", "frequency",
+              "--horizon", "64"]]
+    if edited_mdp:
+        argvs += [["search", "--mdp", mdp, "--charge", "frequency", "--max-period", "2",
+                   "--max-preperiod", "1"], ["blackwell", "--mdp", mdp]]
+    return argvs
+
+
+@st.composite
+def file_edits(draw, text):
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+        cut = i + (kind != "insert")
+        text = text[:i] + ("" if kind == "delete" else draw(FILE_EDIT_CHARS)) + text[cut:]
+    return text
+
+
+FILE_CASES = st.one_of(
+    st.tuples(file_edits(FUZZ_MDP_TEXT), st.sampled_from([STATIONARY_TEXT, PERIODIC_TEXT])),
+    st.tuples(st.just(FUZZ_MDP_TEXT), file_edits(STATIONARY_TEXT) | file_edits(PERIODIC_TEXT)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    where = tmp_path_factory.mktemp("fuzz")
+    return str(where / "edited.mdp"), str(where / "edited.strategy")
+
+
+@pytest.mark.parametrize("strategy_text", [STATIONARY_TEXT, PERIODIC_TEXT])
+def test_unedited_fuzz_files_answer(capsys, fuzz_files, strategy_text):
+    mdp, strategy = fuzz_files
+    with open(mdp, "w") as fh:
+        fh.write(FUZZ_MDP_TEXT)
+    with open(strategy, "w") as fh:
+        fh.write(strategy_text)
+    for argv in file_argvs(mdp, strategy, edited_mdp=True):
+        assert run(argv) == 0, capsys.readouterr().err
+
+
+@settings(max_examples=1000, deadline=None)
+@given(FILE_CASES)
+def test_run_exits_0_or_2_on_edited_files(fuzz_files, case):
+    """Every outcome is an answer or a typed error's exit 2; the one
+    exception let through is CycleNotFound (see
+    test_cycle_not_found_is_not_caught)."""
+    mdp, strategy = fuzz_files
+    for path, text in zip(fuzz_files, case):
+        with open(path, "w") as fh:
+            fh.write(text)
+    for argv in file_argvs(mdp, strategy, edited_mdp=case[0] != FUZZ_MDP_TEXT):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        except CycleNotFound:
+            continue
+        assert code in (0, 2), err.getvalue()
+        assert (code == 0) == (err.getvalue() == "") != (out.getvalue() == "")

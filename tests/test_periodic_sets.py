@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from chargemdp import periodic_sets as periodic_sets_module
 from chargemdp.mdp import BudgetExceeded
+from chargemdp.parsing import parse_set
 from chargemdp.periodic_sets import (EventuallyPeriodicSet, _build, _expand,
                                      arithmetic, complement, contract,
                                      density, difference, empty, evens,
@@ -329,6 +330,44 @@ def wide_contracts(draw):
 @settings(deadline=None)
 def test_contract_matches_reference(case):
     assert contract(*case) == ref_contract(*case)
+
+
+# ---- constructors canonical by construction --------------------------------
+
+@st.composite
+def canonical_sets(draw, max_preperiod=30, max_period=60):
+    pre_len = draw(st.integers(0, max_preperiod))
+    period = draw(st.integers(1, max_period))
+    return _build(pre_len, draw(st.integers(0, (1 << pre_len) - 1)), period,
+                  draw(st.integers(0, (1 << period) - 1)))
+
+
+@given(st.integers(1, 4000), st.data())
+def test_multiples_and_arithmetic_equal_their_built_masks(d, data):
+    a = data.draw(st.integers(1, 3 * d))
+    assert multiples(d) == _build(0, 0, d, 1)
+    assert arithmetic(a, d) == _build(a - 1, 0, d, 1 << (a % d))
+
+
+@given(canonical_sets())
+def test_complement_equals_its_built_masks(s):
+    m, p = s.pre_len, s.period
+    assert complement(s) == _build(m, ~s.pre_mask & ((1 << m) - 1), p, ~s.res_mask & ((1 << p) - 1))
+
+
+def test_set_leaves_and_complement_skip_the_canonicalizer(monkeypatch):
+    """Only the union and the intersection canonicalize; the leaves and
+    the complement are built in canonical form."""
+    calls = []
+
+    def counted(*masks):
+        calls.append(masks[2])
+        return _build(*masks)
+
+    monkeypatch.setattr(periodic_sets_module, "_build", counted)
+    s = parse_set("((multiples(16) | ap(45,27)) & !(ap(9,5)))")
+    assert calls == [432, 2160]
+    assert s == intersect(union(multiples(16), arithmetic(45, 27)), complement(arithmetic(9, 5)))
 
 
 def test_contract_examples():
