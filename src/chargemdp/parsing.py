@@ -8,8 +8,15 @@ line) between them: ``\d+`` (decimal digits), ``[^\W\d]\w*`` or one of
 ``()[]{}|&!,:;/=-``, and ``""`` at the end.  The parser reads only the
 texts; a token's kind comes from its first character (punctuation, a
 decimal digit, else a name).  Any other character is a ``ParseError``.
-Line and column are computed only when an error is raised, by matching
-the same expression again up to the word at fault.
+The rules read the texts through helpers (``expect_punct``,
+``take_punct``, ``expect_name``, ``expect_nat``, ...) that step past the
+word or raise the ``ParseError`` for it.  Where every set, charge or
+number passes (the three set rules, ``call``'s name and argument
+separators, the signs and slashes of ``expect_int`` and
+``expect_rational``), the rule compares ``self.words[self.pos]`` itself
+and calls a helper only to raise.  Line and column are computed only
+when an error is raised, by matching the same expression again up to
+the word at fault.
 
 Set and charge expressions nest at most ``MAX_NESTING`` (100) levels
 deep.  A parenthesis, a ``!`` and a constructor's argument list (``mix``
@@ -17,19 +24,11 @@ included) each open one level; past the bound the parser raises a
 ``ParseError`` at the token that opens the level, so deep input never
 exhausts the interpreter's stack in parsing or in evaluation.
 
-The rules read the next word as ``self.words[self.pos]`` and step
-``self.pos`` themselves.  The set, charge, stream-literal and rational
-rules compare that word inline and call a helper such as
-``expect_punct`` only to raise its error, so a well-formed expression
-costs no helper call per token.  A number word shorter than 640 digits
-(the least nonzero limit ``sys.set_int_max_str_digits`` accepts) goes
-to ``int()`` directly.
-
 Range checks belong to the constructors (``multiples``, ``Geometric``,
 ``Mix``, ``stream``, ``stationary``, ...).  A constructor's
 ``ValueError`` becomes a ``ParseError`` at its token: ``_Parser.call``
-catches it for the set and charge constructors, ``_Parser.build`` for
-the rest and for ``int()`` on longer number words.
+and ``expect_nat`` (``int()`` has a digit limit) catch it in place, and
+``_Parser.build`` does it for the other rules.
 """
 
 from __future__ import annotations
@@ -61,7 +60,8 @@ class ParseError(ValueError):
 # (comment, blanks) pairs.  The group never fails, so the greedy blanks
 # never give a character back; a character that starts no token takes the
 # rest of the text with it.  The token kinds start with disjoint
-# characters, so their order only decides which is tried first.
+# characters, so their order only decides which is tried first, and
+# punctuation, the most frequent kind, comes first.
 _WORD = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([()\[\]{}|&!,:;/=-]|\d+|[^\W\d]\w*|(?s:.+)|)")
 _PUNCT = frozenset("()[]{}|&!,:;/=-")
 _BAD = re.compile(r"[^\w()\[\]{}|&!,:;/=-]")  # a character that starts no token
@@ -82,6 +82,9 @@ class _Parser:
                 words.pop()  # blanks or a comment end the text
         self.pos = 0
         self.depth = 0
+
+    def peek(self) -> str:
+        return self.words[self.pos]
 
     def error(self, message: str, i: int) -> ParseError:
         """A ``ParseError`` at word ``i``, placed by matching ``_WORD`` again
@@ -119,6 +122,9 @@ class _Parser:
                       else f"expected {text!r}, got end of input")
         self.pos += 1
 
+    def at_punct(self, text: str) -> bool:
+        return self.words[self.pos] == text
+
     def take_punct(self, text: str) -> bool:
         if self.words[self.pos] == text:
             self.pos += 1
@@ -154,21 +160,20 @@ class _Parser:
         if not word.isdecimal():
             self.fail(f"expected a number, got {word!r}")
         self.pos = i + 1
-        if len(word) < 640:  # under every digit limit int() can be given
+        try:
             return int(word)
-        return self.build(i, int, word)
+        except ValueError as exc:  # int() has a digit limit
+            raise self.error(str(exc), i) from None
 
     def expect_int(self) -> int:
-        neg = self.take_punct("-")
-        n = self.expect_nat()
-        return -n if neg else n
+        if self.words[self.pos] != "-":
+            return self.expect_nat()
+        self.pos += 1
+        return -self.expect_nat()
 
     def expect_rational(self) -> Fraction:
-        words = self.words
-        neg = words[self.pos] == "-"
-        self.pos += neg
-        num = -self.expect_nat() if neg else self.expect_nat()
-        if words[self.pos] != "/":
+        num = self.expect_int()
+        if self.words[self.pos] != "/":
             return Fraction(num)
         self.pos += 1
         den = self.expect_nat()
@@ -185,17 +190,17 @@ class _Parser:
         its constructor and one parser method per argument.  A
         ``ValueError`` of the constructor is reported at the name."""
         i = self.pos
-        words = self.words
-        word = words[i]
+        word = self.words[i]
         entry = table.get(word)
         if entry is None:
             self.expect_name()
             raise self.error(f"unknown {what} constructor {word!r}", i)
-        fn, rules = entry
         self.pos = i + 1
+        fn, rules = entry
         args = []
         if rules:
             self.nest(i)
+            words = self.words
             sep = "("
             for rule in rules:
                 if words[self.pos] != sep:
@@ -203,9 +208,7 @@ class _Parser:
                 self.pos += 1
                 args.append(rule(self))
                 sep = ","
-            if words[self.pos] != ")":
-                self.expect_punct(")")
-            self.pos += 1
+            self.expect_punct(")")
             self.depth -= 1
         try:
             return fn(*args)
@@ -239,9 +242,7 @@ class _Parser:
             out = ps.complement(self.set_factor())
         else:
             out = self.set_expr()
-            if self.words[self.pos] != ")":
-                self.expect_punct(")")
-            self.pos += 1
+            self.expect_punct(")")
         self.depth -= 1
         return out
 
@@ -252,26 +253,19 @@ class _Parser:
 
     def mix_parts(self) -> tuple[tuple[Fraction, Charge], ...]:
         """``<weight>: <charge>, ...``, the argument of ``mix``."""
-        words = self.words
         parts = []
-        while True:
+        while not parts or self.take_punct(","):
             w = self.expect_rational()
-            if words[self.pos] != ":":
-                self.expect_punct(":")
-            self.pos += 1
-            parts.append((w, self.call(_CHARGES, "charge")))
-            if words[self.pos] != ",":
-                return tuple(parts)
-            self.pos += 1
+            self.expect_punct(":")
+            parts.append((w, self.charge_expr()))
+        return tuple(parts)
 
     # ---- stream literals -------------------------------------------------
 
     def stream_literal(self) -> RationalStream:
         i = self.pos
-        if self.words[i] != "stream":
-            self.expect_name()
+        if self.expect_name() != "stream":
             raise self.error("expected 'stream'", i)
-        self.pos = i + 1
         self.expect_punct("(")
         pre = self.rational_list()
         self.expect_punct(";")
@@ -280,13 +274,11 @@ class _Parser:
         return self.build(i, stream, pre, cyc)
 
     def rational_list(self) -> list[Fraction]:
-        words = self.words
         self.expect_punct("[")
         out = []
-        if words[self.pos] != "]":
+        if not self.at_punct("]"):
             out.append(self.expect_rational())
-            while words[self.pos] == ",":
-                self.pos += 1
+            while self.take_punct(","):
                 out.append(self.expect_rational())
         self.expect_punct("]")
         return out
@@ -424,7 +416,7 @@ def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, str | dict
         p.fail(f"unknown state {s!r}")
     p.expect_punct(":")
     dist = {}
-    while p.at_id() and p.words[p.pos] in acts[s]:
+    while p.at_id() and p.peek() in acts[s]:
         a = p.expect_id()
         if not p.take_punct(":"):
             if not dist:
@@ -463,7 +455,7 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     rows = [default] * (L + q)  # a phase that names no cell shares the default row
     given = set()  # (phase, state) of each cell read
     p.expect_punct("{")
-    while p.words[p.pos] != "}":
+    while not p.at_punct("}"):
         k = 1
         if kind == "periodic":
             i = p.pos

@@ -210,8 +210,7 @@ def multiples(d: int) -> EventuallyPeriodicSet:
     """{d, 2d, 3d, ...}"""
     if d < 1:
         raise ValueError(f"multiples() needs d >= 1, got {d}")
-    if d > MASK_LIMIT:
-        _check_width(d)
+    _check_width(d)
     return EventuallyPeriodicSet(0, 0, d, 1)
 
 
@@ -219,8 +218,7 @@ def arithmetic(a: int, d: int) -> EventuallyPeriodicSet:
     """{a, a+d, a+2d, ...}"""
     if a < 1 or d < 1:
         raise ValueError(f"arithmetic() needs a >= 1 and d >= 1, got ({a}, {d})")
-    if a > MASK_LIMIT or d > MASK_LIMIT:
-        _check_width(a - 1, d)
+    _check_width(a - 1, d)
     return EventuallyPeriodicSet(max(a - d, 0), 0, d, 1 << (a % d))
 
 
@@ -235,8 +233,7 @@ def member(s: EventuallyPeriodicSet, n: int) -> bool:
 def _aligned(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet):
     m = max(s.pre_len, t.pre_len)
     p = lcm(s.period, t.period)
-    if m > MASK_LIMIT or p > MASK_LIMIT:
-        _check_width(m, p)
+    _check_width(m, p)
     return m, p, _expand(s, m, p), _expand(t, m, p)
 
 
