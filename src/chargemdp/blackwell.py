@@ -460,12 +460,16 @@ def discounted_value_at(mdp: Mdp, pi: PeriodicMarkovStrategy, beta) -> dict[str,
 def blackwell_policy(mdp: Mdp) -> PeriodicMarkovStrategy:
     """Policy iteration in the Blackwell order.
 
-    Starts from the lexicographically first pure stationary policy;
-    each round switches every improvable state to its lowest-indexed
-    improving action, judged by the sign of the one-step action-value
-    difference near b = 1.  Terminates because each switch strictly
-    improves the policy in the Blackwell order.  The policy is a list of
-    action indices, its rows read straight from ``Mdp.rows``.
+    Starts from the myopic policy: at each state the action of largest
+    immediate reward, compared as rhs / scale by cross-multiplication,
+    lowest index on ties.  Each round switches every improvable state to
+    its lowest-indexed improving action, judged by the sign of the
+    one-step action-value difference near b = 1.  Terminates from any
+    start because each switch strictly improves the policy in the
+    Blackwell order; where several policies are Blackwell-optimal (they
+    share one value), the start decides which one is returned.  The
+    policy is a list of action indices, its rows read straight from
+    ``Mdp.rows``.
 
     With v = N / det, the difference for action a at state s is
     (r_a*det + b*sum_z p_az*N_z - N_s) / det.  Its numerator, scaled to
@@ -477,9 +481,14 @@ def blackwell_policy(mdp: Mdp) -> PeriodicMarkovStrategy:
     with no rational function built.
     """
     ensure_valid(mdp)
-    n = len(mdp.states)
     widest = max(_norm(row) for cell in mdp.rows for row in cell)
-    choice = [0] * n
+    choice = []
+    for per in mdp.rows:
+        best = 0
+        for j, (scale, rhs, _) in enumerate(per):
+            if rhs * per[best][0] > per[best][1] * scale:
+                best = j
+        choice.append(best)
     while True:
         pi = stationary({s: acts[j] for s, acts, j in zip(mdp.states, mdp.actions, choice)})
         k, det, nums = _packed_cramer(mdp, tuple(choice), widest)

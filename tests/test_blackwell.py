@@ -437,6 +437,37 @@ def test_blackwell_policy_late_switch():
     assert average_value(late_switch_mdp(), pi)["1"] == Fraction(3, 2)
 
 
+def test_blackwell_policy_breaks_a_tie_by_the_myopic_start():
+    # every policy that earns 1 at every stage is Blackwell-optimal; from
+    # the first actions, policy iteration stops at a2 in s3
+    m = build_mdp(("s1", "s2", "s3"), "s1", {s: ("a1", "a2") for s in ("s1", "s2", "s3")},
+                  {("s1", "a1"): Fraction(1, 2), ("s1", "a2"): 1, ("s2", "a1"): 1,
+                   ("s2", "a2"): 0, ("s3", "a1"): 1, ("s3", "a2"): 1},
+                  {("s1", "a1"): {"s3": 1}, ("s1", "a2"): {"s2": 1},
+                   ("s2", "a1"): {"s2": 1}, ("s2", "a2"): {"s3": 1},
+                   ("s3", "a1"): {"s1": Fraction(2, 3), "s2": Fraction(1, 3)},
+                   ("s3", "a2"): {"s2": Fraction(4, 5), "s3": Fraction(1, 5)}})
+    pi = blackwell_policy(m)
+    assert [pi.action(s) for s in m.states] == ["a2", "a1", "a1"]
+    assert all(v.render() == "(-1)/(-1 + 1*b)" for v in discounted_value(m, pi).values())
+
+
+def test_myopic_start_saves_eliminations(monkeypatch):
+    # one _packed_cramer call per round; from the first actions these
+    # 100 MDPs took 303 rounds
+    calls = []
+    real = blackwell_module._packed_cramer
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(blackwell_module, "_packed_cramer", counting)
+    for i in range(100):
+        blackwell_policy(random_mdp(random.Random(i), 3, 3))
+    assert len(calls) == 167
+
+
 @given(st.integers(0, 200))
 @settings(max_examples=15, deadline=None)
 def test_blackwell_policy_dominates(seed):
@@ -610,8 +641,12 @@ def _ref_discounted_value(mdp, pi):
     return {s: v[i] for i, s in enumerate(mdp.states)}
 
 
-def _ref_blackwell_policy(mdp):
-    choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
+def _ref_blackwell_policy(mdp, myopic=True):
+    """Policy iteration over rational functions, from the myopic policy
+    (largest Fraction reward, lowest index on ties) or, with myopic=False,
+    from every state's first action."""
+    choice = {s: acts[rewards.index(max(rewards)) if myopic else 0]
+              for s, acts, rewards in zip(mdp.states, mdp.actions, mdp.rewards)}
     while True:
         pi = stationary(choice)
         v = _ref_discounted_value(mdp, pi)
@@ -654,6 +689,16 @@ def test_solver_matches_reference(seed, n_states, n_actions):
     for s in m.states:
         assert (v[s].num.coeffs, v[s].den.coeffs) == (ref[s].num.coeffs, ref[s].den.coeffs)
     assert average_value(m, pi) == _ref_average_value(m, pi)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_value_matches_reference_from_the_first_actions(seed, n_states, n_actions):
+    # the start decides only which Blackwell-optimal policy comes back,
+    # and they all share one value
+    m = random_mdp(random.Random(seed), n_states, n_actions)
+    assert discounted_value(m, blackwell_policy(m)) == discounted_value(
+        m, _ref_blackwell_policy(m, myopic=False))
 
 
 # ---- reference: Bareiss over Z[b] on integer-polynomial lists ------------

@@ -59,6 +59,11 @@ def test_pointmass_validation():
         PointMass(0)
 
 
+def test_value_rejects_a_non_charge():
+    with pytest.raises(TypeError, match="^not a charge expression: <object object at "):
+        value(object(), odds())
+
+
 def test_mix_validation():
     with pytest.raises(ValueError):
         Mix(())

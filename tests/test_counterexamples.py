@@ -673,6 +673,11 @@ def test_late_switch_values():
         assert payoff(mdp, cx.switch_at(n), mu) == expected
 
 
+def test_switch_at_needs_a_positive_stage():
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+        cx.switch_at(0)
+
+
 def test_switch_later_is_strictly_better():
     mdp = cx.late_switch_mdp()
     mu = cx.late_switch_charge()

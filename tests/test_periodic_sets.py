@@ -161,6 +161,11 @@ def test_member_rejects_nonpositive():
         member(odds(), -3)
 
 
+def test_in_is_membership():
+    assert 3 in odds()
+    assert 2 not in odds()
+
+
 @given(raw_forms())
 @settings(deadline=None)
 def test_build_matches_reference(raw):
