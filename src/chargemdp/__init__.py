@@ -3,12 +3,11 @@
 from .blackwell import (Poly, RationalFunction, average_value, blackwell_policy,
                         discounted_value, discounted_value_at)
 from .charges import (Charge, CValue, DyadicLimit, Frequency, Geometric,
-                      IllFormedRestrict, Mix, PointMass, Restrict, integrate,
-                      sandwich_check, value)
+                      IllFormedRestrict, Mix, PointMass, Restrict, integrate, value)
 from .mdp import (BudgetExceeded, CycleNotFound, Mdp, MdpValidationError,
                   PeriodicMarkovStrategy, StrategyMismatch,
                   best_periodic, build_mdp, ensure_valid,
-                  enumerate_pure_periodic, expected_reward_stream, payoff,
+                  expected_reward_stream, payoff,
                   periodic, random_mdp, stationary, validate)
 from .periodic_sets import (EventuallyPeriodicSet, arithmetic, complement,
                             contract, density, difference, empty, evens,
@@ -20,10 +19,10 @@ __all__ = [
     "Poly", "RationalFunction", "average_value", "blackwell_policy",
     "discounted_value", "discounted_value_at",
     "CValue", "Charge", "DyadicLimit", "Frequency", "Geometric", "IllFormedRestrict",
-    "Mix", "PointMass", "Restrict", "integrate", "sandwich_check", "value",
+    "Mix", "PointMass", "Restrict", "integrate", "value",
     "BudgetExceeded", "CycleNotFound", "Mdp", "MdpValidationError",
     "PeriodicMarkovStrategy", "StrategyMismatch", "best_periodic", "build_mdp",
-    "ensure_valid", "enumerate_pure_periodic", "expected_reward_stream", "payoff",
+    "ensure_valid", "expected_reward_stream", "payoff",
     "periodic", "random_mdp", "stationary", "validate",
     "EventuallyPeriodicSet", "arithmetic", "complement", "contract", "density",
     "difference", "empty", "evens", "intersect", "make", "member", "multiples",

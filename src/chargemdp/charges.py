@@ -258,12 +258,3 @@ def _stage_weights(mu: Charge, L: int, q: int) -> tuple[int, tuple[int, ...]]:
     D, x = _masses(mu, L, q, atoms)
     g = gcd(D, *x)
     return D // g, tuple(v // g for v in x)
-
-
-def sandwich_check(mu: Charge, s: EventuallyPeriodicSet) -> bool:
-    """Whether the value agrees with the limiting frequency of s.
-
-    On this algebra liminf and limsup of the frequency ratio coincide
-    with the density, so the admissible band is a single point.
-    """
-    return value(mu, s) == density(s)

@@ -458,13 +458,6 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int):
                   for head in [tuple([named[k] for k in pre])])
 
 
-def enumerate_pure_periodic(mdp: Mdp, max_period: int, max_preperiod: int):
-    """All distinct canonical pure periodic Markov strategies within
-    bounds, in declared action order."""
-    return (strat for _, _, group in _canonical_pure(mdp, max_period, max_preperiod)[1]
-            for _, strat in group)
-
-
 _ZERO_WORD = ((), ((0, 1),))
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from chargemdp.blackwell import Poly, RationalFunction, _order_at_one, _sign_of_order
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric, IllFormedRestrict, Mix,
-                               PointMass, Restrict, _geometric_mass, dyadic_value_sequence)
-from chargemdp.mdp import enumerate_pure_periodic
+                               PointMass, Restrict, _geometric_mass, dyadic_value_sequence,
+                               value)
+from chargemdp.mdp import _canonical_pure
 from chargemdp.periodic_sets import (EventuallyPeriodicSet, _aligned, contract, density,
                                      intersect, make, member)
 
@@ -139,6 +140,21 @@ def is_subset(s, t) -> bool:
 def is_deterministic(m) -> bool:
     """Every action of the Mdp m moves to one state with probability 1."""
     return all(len(row) == 1 and row[0][1] == L for per in m.rows for L, _, row in per)
+
+
+def sandwich_check(mu, s) -> bool:
+    """Whether the charge's value of s equals its limiting frequency: on
+    this algebra liminf and limsup of the frequency ratio coincide with
+    the density, so the admissible band is a single point."""
+    return value(mu, s) == density(s)
+
+
+def enumerate_pure_periodic(m, max_period: int, max_preperiod: int):
+    """All distinct canonical pure periodic Markov strategies of m within
+    bounds, in declared action order, as the search enumerates them.
+    Raises ``BudgetExceeded`` at the call, as the search does."""
+    return (strat for _, _, group in _canonical_pure(m, max_period, max_preperiod)[1]
+            for _, strat in group)
 
 
 def enumerate_pure_stationary(m) -> list:

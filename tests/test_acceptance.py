@@ -15,13 +15,13 @@ from fractions import Fraction
 from chargemdp import counterexamples as cx
 from chargemdp.blackwell import average_value, blackwell_policy, discounted_value
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
-                               integrate, sandwich_check, value)
+                               integrate, value)
 from chargemdp.mdp import best_periodic, expected_reward_stream, random_mdp, stationary
 from chargemdp.periodic_sets import (complement, density, empty, intersect,
                                      multiples, naturals, union)
 
 from conftest import (cycle_mean, enumerate_pure_stationary, random_set, random_stream,
-                      sign_near_one)
+                      sandwich_check, sign_near_one)
 
 SEED = 20260823
 CESARO_HORIZON = 100_000

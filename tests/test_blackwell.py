@@ -850,10 +850,12 @@ def _ref_named_blackwell_policy(mdp):
     """The packed loop before it iterated on action indices: the policy a
     mapping from state names to action names, compiled to rows by
     ``_policy_choice`` every round, and each sign read from the
-    unpacked residual."""
+    unpacked residual.  It starts from the myopic policy (largest
+    Fraction reward, lowest index on ties), as ``blackwell_policy`` does."""
     ensure_valid(mdp)
     widest = max(_norm(row) for cell in mdp.rows for row in cell)
-    choice = {s: mdp.actions[i][0] for i, s in enumerate(mdp.states)}
+    choice = {s: acts[rewards.index(max(rewards))]
+              for s, acts, rewards in zip(mdp.states, mdp.actions, mdp.rewards)}
     while True:
         pi = stationary(choice)
         rows = [mdp.rows[i][j] for i, j in enumerate(_policy_choice(mdp, pi))]
@@ -898,6 +900,15 @@ def mdps_with_twins(draw):
 
 
 @given(mdps_with_twins())
+# a0 and a1 at s1 both earn 1/2 a stage under the myopic policy: from the
+# first actions the loop would switch s1 to a1 and stop at another
+# Blackwell-optimal policy
+@example(build_mdp(["s0", "s1"], "s0", {"s0": ["a0", "a1"], "s1": ["a0", "a1"]},
+                   {("s0", "a0"): 0, ("s0", "a1"): Fraction(1, 2),
+                    ("s1", "a0"): Fraction(1, 2), ("s1", "a1"): Fraction(1, 2)},
+                   {("s0", "a0"): {"s1": 1}, ("s0", "a1"): {"s1": 1},
+                    ("s1", "a0"): {"s0": Fraction(1, 2), "s1": Fraction(1, 2)},
+                    ("s1", "a1"): {"s1": 1}}))
 @settings(max_examples=150, deadline=None)
 def test_index_policy_iteration_matches_named_loop(m):
     assert blackwell_policy(m) == _ref_named_blackwell_policy(m)

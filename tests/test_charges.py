@@ -13,8 +13,7 @@ from chargemdp import charges, periodic_sets as periodic_sets_module
 from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric,
                                IllFormedRestrict, Mix, PointMass, Restrict,
                                _stage_weights,
-                               dyadic_value_sequence, integrate, sandwich_check,
-                               value)
+                               dyadic_value_sequence, integrate, value)
 from chargemdp.mdp import BudgetExceeded
 from chargemdp.parsing import parse_set
 from chargemdp.periodic_sets import (_build, arithmetic, complement, density,
@@ -25,7 +24,7 @@ from chargemdp.streams import RationalStream, stream
 
 from conftest import (cycle_mean, indicator, periodic_sets, pointwise_leq, rational_streams,
                       ref_geometric_value, ref_integrate, ref_level_sets, ref_pair_eval,
-                      ref_value, stream_values)
+                      ref_value, sandwich_check, stream_values)
 
 EXACT_CHARGES = st.sampled_from([
     Frequency(),

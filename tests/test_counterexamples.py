@@ -21,7 +21,8 @@ from chargemdp.periodic_sets import (_build, _expand, _tail_bits, arithmetic, de
                                      odds, shift, union)
 from chargemdp.streams import _canonical
 
-from conftest import indicator, is_subset, stream_values, superlevel_set
+from conftest import (enumerate_pure_periodic, indicator, is_subset, stream_values,
+                      superlevel_set)
 
 
 # ---- reports -------------------------------------------------------------
@@ -612,7 +613,7 @@ def test_one_cap_binding_bounds_the_search_the_sweep_and_the_block_check(monkeyp
     monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 5)
     m = cx.even_or_odd_mdp()  # two rows per phase: 2 + 4 strategies of period <= 2
     with pytest.raises(BudgetExceeded, match="^at least 6 raw strategies exceeds cap 5$"):
-        mdp_module.enumerate_pure_periodic(m, 2, 0)
+        enumerate_pure_periodic(m, 2, 0)
     with pytest.raises(BudgetExceeded, match="^at least 6 raw strategies exceeds cap 5$"):
         mdp_module.best_periodic(m, cx.even_or_odd_charge(), 2, 0)
     with pytest.raises(BudgetExceeded,
@@ -621,7 +622,7 @@ def test_one_cap_binding_bounds_the_search_the_sweep_and_the_block_check(monkeyp
     with pytest.raises(BudgetExceeded, match="^at least 6 block-strategy phases exceeds cap 5$"):
         cx.verify_lower_bounds(2)
     monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 7)
-    assert len(list(mdp_module.enumerate_pure_periodic(m, 2, 0))) == 4
+    assert len(list(enumerate_pure_periodic(m, 2, 0))) == 4
     assert cx.sweep_payoff_shortfall(1, 1, stationary_grid=[]).passed
     assert cx.verify_lower_bounds(2).passed
 

@@ -23,14 +23,14 @@ from chargemdp.counterexamples import (alternating_strategy, block_strategy,
                                        top_probability)
 from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
                            Problem, StrategyMismatch, best_periodic,
-                           build_mdp, ensure_valid, enumerate_pure_periodic,
-                           expected_reward_stream, _primitive_cycles, payoff,
+                           build_mdp, ensure_valid, expected_reward_stream,
+                           _primitive_cycles, payoff,
                            periodic, random_mdp, stationary, validate)
 from chargemdp.parsing import parse_strategy
 from chargemdp.periodic_sets import empty, multiples, odds
 from chargemdp.streams import _canonical, stream
 
-from conftest import enumerate_pure_stationary, is_deterministic
+from conftest import enumerate_pure_periodic, enumerate_pure_stationary, is_deterministic
 
 
 # ---- references: the Fraction-dict stream loop and the raw enumeration ----

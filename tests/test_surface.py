@@ -17,10 +17,10 @@ PUBLIC = [
     "arithmetic", "average_value", "best_periodic", "blackwell_policy",
     "build_mdp", "complement", "contract", "density", "difference",
     "discounted_value", "discounted_value_at", "empty", "ensure_valid",
-    "enumerate_pure_periodic", "evens", "expected_reward_stream", "integrate",
+    "evens", "expected_reward_stream", "integrate",
     "intersect", "make", "member", "multiples",
     "naturals", "odds", "payoff", "periodic", "random_mdp",
-    "sandwich_check", "shift", "stationary", "stream", "union",
+    "shift", "stationary", "stream", "union",
     "validate", "value",
 ]
 
