@@ -23,14 +23,15 @@ value on the cycle of the halving walk M, contract(M, 2), contract(M, 4),
 ``Geometric(n/d)`` is one integer closed form.  For a set with
 preperiod m and period p it is
 (d-n) * (P*(d**p - n**p) + n**m * T) / (d**m * (d**p - n**p)), where P
-and T are integer Horner sums over the preperiod word and over the cycle
-word read from stage m+1; the zero runs at either end of each word
-become single powers.
+and T sum n**j * d**(L-1-j) over the set bits j of an L-bit word: the
+preperiod word, and the cycle word read from stage m+1.  Split in halves
+at half its bit length, a b-bit sum costs O(M(b) log b), M(b) one product;
+sums past ``MASK_LIMIT`` bits, (m + p) times d's bits, are refused first.
 
 ``_masses`` measures any charge on raw (pre, res) masks of one shape
 (L, q) -- preperiod L, cycle q, neither necessarily minimal -- with no
 set query: bit counts, the dyadic closed form above, one bit test, the
-Horner sums, and each Restrict window and-ed onto the masks.  ``value``
+bit sums, and each Restrict window and-ed onto the masks.  ``value``
 and ``integrate`` share it: ``value`` reads a set's masks on the set's
 own shape, ``integrate`` a stream's nonzero levels on the stream's, and
 each measures them in one call.  A bare ``DyadicLimit`` query alone
@@ -47,7 +48,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import periodic_sets
 from .periodic_sets import (
+    BudgetExceeded,
     EventuallyPeriodicSet,
     _check_width,
     _expand,
@@ -133,28 +136,22 @@ class CValue(Fraction):
     is_exact = property(lambda self: True)
 
 
-def _horner(word: int, length: int, n: int, d: int) -> int:
-    """sum of n**j * d**(length-1-j) over the set bits j of a word of
-    length bits; the zero runs below the lowest and above the highest
-    set bit become one power each."""
-    if not word:
-        return 0
-    lo = (word & -word).bit_length() - 1
-    hi = word.bit_length() - 1
-    acc, dpow = 0, 1
-    for bit in bin(word >> lo)[2:]:
-        acc *= n
-        if bit == "1":
-            acc += dpow
-        dpow *= d
-    return acc * n ** lo * d ** (length - 1 - hi)
+def _bit_sum(word: int, length: int, n: int, d: int) -> int:
+    """sum of n**j * d**(length-1-j) over the set bits j of a length-bit
+    word: one product for at most one set bit, else its two halves' sum."""
+    if not word & (word - 1):
+        j = word.bit_length() - 1
+        return n ** j * d ** (length - 1 - j) if word else 0
+    h = word.bit_length() >> 1
+    return (_bit_sum(word & ((1 << h) - 1), h, n, d) * d ** (length - h)
+            + n ** h * _bit_sum(word >> h, length - h, n, d))
 
 
 def _geometric_mass(n: int, d: int, m: int, p: int, gap: int, pre: int, res: int) -> int:
     """The numerator of the module docstring's closed form, for the masks
     (pre, res) on the shape (m, p), gap = d**p - n**p."""
-    P = _horner(pre, m, n, d)
-    T = _horner(_tail_bits(res, p, m + 1, p), p, n, d)
+    P = _bit_sum(pre, m, n, d)
+    T = _bit_sum(_tail_bits(res, p, m + 1, p), p, n, d)
     return (d - n) * (P * gap + n ** m * T)
 
 
@@ -220,6 +217,9 @@ def _masses(mu: Charge, m: int, p: int, parts: list) -> tuple[int, list[int]]:
                    for pre, res in parts]
     if isinstance(mu, Geometric):
         n, d = mu.beta.numerator, mu.beta.denominator
+        if (m + p) * d.bit_length() > periodic_sets.MASK_LIMIT:  # before any power
+            raise BudgetExceeded(f"geometric sums over {m + p} stages at {d.bit_length()} "
+                                 f"bits each exceed limit {periodic_sets.MASK_LIMIT}")
         gap = d ** p - n ** p
         return d ** m * gap, [_geometric_mass(n, d, m, p, gap, pre, res) for pre, res in parts]
     if isinstance(mu, Restrict):

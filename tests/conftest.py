@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from chargemdp.blackwell import Poly, RationalFunction, _order_at_one, _sign_of_order
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric, IllFormedRestrict, Mix,
-                               PointMass, Restrict, _geometric_mass, dyadic_value_sequence,
-                               value)
+                               PointMass, Restrict, dyadic_value_sequence, value)
 from chargemdp.mdp import _canonical_pure
 from chargemdp.periodic_sets import (EventuallyPeriodicSet, _aligned, contract, density,
                                      intersect, make, member)
@@ -367,12 +366,25 @@ def ref_integrate(mu, f) -> Fraction:
         targets)
 
 
+def ref_bit_sum(bits, n: int, d: int) -> int:
+    """The definition of ``charges._bit_sum``: sum of n**j * d**(L-1-j)
+    over the j < L with bits[j] set, L = len(bits), one term at a time."""
+    total, term = 0, d ** max(len(bits) - 1, 0)
+    for b in bits:
+        if b:
+            total += term
+        term = term * n // d  # the next j's term, exact up to j = L-1
+    return total
+
+
 # ``ref_pair_eval`` is the integer-pair evaluator ``value`` ran before it
 # read masks: each charge on the canonical set, a Restrict on the
 # intersected set with each window's base measure memoised in
 # ``windows`` for the query, and a pair (num, den), den > 0, not
 # necessarily reduced.  It is fast enough for wide windows, where the
-# per-step reference's Fraction sums take tens of seconds.
+# per-step reference's Fraction sums take tens of seconds.  A Geometric
+# is the module docstring's closed form on ``ref_bit_sum``: the
+# preperiod's stages 1..m and the cycle read from stage m+1, by membership.
 
 def ref_pair_eval(mu, s, windows: dict) -> tuple[int, int]:
     if isinstance(mu, Frequency):
@@ -380,7 +392,9 @@ def ref_pair_eval(mu, s, windows: dict) -> tuple[int, int]:
     if isinstance(mu, Geometric):
         n, d, m, p = mu.beta.numerator, mu.beta.denominator, s.pre_len, s.period
         gap = d ** p - n ** p
-        return _geometric_mass(n, d, m, p, gap, s.pre_mask, s.res_mask), d ** m * gap
+        P = ref_bit_sum([member(s, t) for t in range(1, m + 1)], n, d)
+        T = ref_bit_sum([member(s, t) for t in range(m + 1, m + p + 1)], n, d)
+        return (d - n) * (P * gap + n ** m * T), d ** m * gap
     if isinstance(mu, PointMass):
         return int(member(s, mu.stage)), 1
     if isinstance(mu, DyadicLimit):

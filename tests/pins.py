@@ -29,7 +29,7 @@ from chargemdp.charges import Frequency, Geometric, integrate, value
 from chargemdp.counterexamples import sweep_payoff_shortfall
 from chargemdp.mdp import best_periodic, build_mdp, payoff, random_mdp, stationary
 from chargemdp.parsing import parse_charge
-from chargemdp.periodic_sets import make
+from chargemdp.periodic_sets import make, multiples, odds, union
 from chargemdp.streams import stream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,6 +171,13 @@ def geometric_25600() -> str:
     s = make([], 25600, {r for r in range(25600) if r % 7 == 3 or r % 11 == 0})
     v = value(Geometric(Fraction(9, 10)), s)
     assert 0 < v < 1
+    return f"{v.numerator.bit_length()} {v.denominator.bit_length()}\n"
+
+
+def geometric_79998() -> str:
+    """Bit lengths of the geometric(1/1000) value of odds | multiples(79998),
+    whose period is 79998."""
+    v = value(Geometric(Fraction(1, 1000)), union(odds(), multiples(79998)))
     return f"{v.numerator.bit_length()} {v.denominator.bit_length()}\n"
 
 
@@ -337,6 +344,12 @@ PINS = [
           ("preperiod", "ap(1000000000000,3)",
            "mask width of 2**39 bits or more exceeds limit 134217728"))),
     Pin("geometric-25600", geometric_25600, out="85040 85042\n", seconds=20),
+    # about 0.15 s; geometric sums quadratic in the period take about 3 s here
+    Pin("geometric-79998", geometric_79998, out="797231 797231\n", seconds=1),
+    # 13500000 stages of a 10-bit denominator: refused before any power is formed
+    Pin("geometric-sums-limit", ("charge-eval", "geometric(999/1000)", "multiples(13500000)"),
+        err="error: geometric sums over 13500000 stages at 10 bits each exceed limit 134217728\n",
+        code=2, seconds=1, process=True),
     Pin("restrict-20-deep", ("charge-eval", "restrict(" * 20 + "frequency" + ", nat)" * 20, "odds"),
         out="1/2\n", seconds=10),
     # the dyadic limit sits on the multiples of 16384, valued 16384; the odd stages average 8192

@@ -1,5 +1,6 @@
 """Charge evaluation and exact integration."""
 
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from chargemdp import charges, periodic_sets as periodic_sets_module
 from chargemdp.charges import (CValue, DyadicLimit, Frequency, Geometric,
                                IllFormedRestrict, Mix, PointMass, Restrict,
-                               _stage_weights,
+                               _bit_sum, _stage_weights,
                                dyadic_value_sequence, integrate, value)
 from chargemdp.mdp import BudgetExceeded
 from chargemdp.parsing import parse_set
@@ -23,8 +24,8 @@ from chargemdp.periodic_sets import (_build, arithmetic, complement, density,
 from chargemdp.streams import RationalStream, stream
 
 from conftest import (cycle_mean, indicator, periodic_sets, pointwise_leq, rational_streams,
-                      ref_geometric_value, ref_integrate, ref_level_sets, ref_pair_eval,
-                      ref_value, sandwich_check, stream_values)
+                      ref_bit_sum, ref_geometric_value, ref_integrate, ref_level_sets,
+                      ref_pair_eval, ref_value, sandwich_check, stream_values)
 
 EXACT_CHARGES = st.sampled_from([
     Frequency(),
@@ -502,6 +503,46 @@ def test_integer_geometric_matches_per_residue_sum(beta, s):
 def test_integer_geometric_on_long_words(text, beta):
     s = parse_set(text)
     assert value(Geometric(beta), s) == ref_geometric_value(beta, s)
+
+
+# (word, L) with the word's bits below L, and (n, d) with 1 <= n < d
+WORDS = st.integers(0, 300).flatmap(lambda L: st.tuples(st.integers(0, (1 << L) - 1), st.just(L)))
+RATIOS = st.integers(2, 50).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d)))
+
+
+@given(WORDS, RATIOS)
+@example((0, 300), (7, 10))  # the empty word
+@example((1, 300), (7, 10))  # bit 0 alone
+@example((1 << 299, 300), (7, 10))  # bit L-1 alone
+@example(((1 << 300) - 1, 300), (49, 50))  # all ones
+@example((0b1011001 << 120, 300), (1, 2))  # zero runs at both ends
+@example((1, 1), (2, 3))  # L = 1
+def test_bit_sum_is_its_definition(word, ratio):
+    (w, L), (n, d) = word, ratio
+    assert _bit_sum(w, L, n, d) == ref_bit_sum([w >> j & 1 for j in range(L)], n, d)
+
+
+def test_bit_sum_of_a_long_random_word():
+    """Out of the property: its definition takes about 0.4 s, past the
+    Hypothesis deadline."""
+    L = 1 << 14
+    w = random.Random(14).getrandbits(L)
+    assert _bit_sum(w, L, 37, 50) == ref_bit_sum([w >> j & 1 for j in range(L)], 37, 50)
+
+
+def test_geometric_sums_past_the_mask_limit_are_refused(monkeypatch):
+    """(m + p) times the bits of d passes the limit: refused before any
+    power is formed, through value, integrate and the stage weights."""
+    monkeypatch.setattr(periodic_sets_module, "MASK_LIMIT", 40)
+    mu = Geometric(Fraction(999, 1000))  # d = 1000 has 10 bits
+    at, past = make([0], 3, {1}), make([0, 1], 3, {1})
+    assert (at.pre_len, at.period, past.pre_len, past.period) == (1, 3, 2, 3)
+    assert value(mu, at) == ref_geometric_value(mu.beta, at)  # 4 stages: 40 bits
+    message = "geometric sums over 5 stages at 10 bits each exceed limit 40$"
+    for query in (lambda: value(mu, past), lambda: _stage_weights(mu, 1, 4),
+                  lambda: integrate(mu, stream([0, 1], [1, 0, 0]))):
+        with pytest.raises(BudgetExceeded, match=message):
+            query()
 
 
 # ---- value on the set's own shape ----------------------------------------
