@@ -55,6 +55,7 @@ from .periodic_sets import (
     _check_width,
     _expand,
     _Frozen,
+    _mask,
     _tail_bits,
     contract,
     density,
@@ -182,23 +183,24 @@ def value(mu: Charge, s: EventuallyPeriodicSet) -> CValue:
 def integrate(mu: Charge, f: RationalStream) -> CValue:
     """Exact integral of the stream, the simple function
     c_1*I(M_1) + ... + c_k*I(M_k) over its nonzero values: the levels M_i
-    as masks on the stream's own shape, measured by one ``_masses`` call,
-    summed over the lcm of the c_i's denominators and reduced once.  A
-    zero stream is 0 without evaluating the charge."""
+    as masks on the stream's own shape, each built from its positions in
+    one pass, measured by one ``_masses`` call, summed over the lcm of the
+    c_i's denominators and reduced once.  A zero stream is 0 without
+    evaluating the charge."""
     L, q = len(f.preperiod), len(f.cycle)
-    # (num, den) -> [pre_mask, res_mask]; Fraction keys would collide,
-    # as hash(1/2**t) repeats with period 61 in t
-    masks: dict[tuple[int, int], list[int]] = {}
+    # (num, den) -> its positions in the preperiod and in the cycle; Fraction
+    # keys would collide, as hash(1/2**t) repeats with period 61 in t
+    levels: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     for i, c in enumerate(f.preperiod):
-        masks.setdefault((c.numerator, c.denominator), [0, 0])[0] |= 1 << i
+        levels.setdefault(c.as_integer_ratio(), ([], []))[0].append(i)
     for t, c in enumerate(f.cycle, L + 1):
-        masks.setdefault((c.numerator, c.denominator), [0, 0])[1] |= 1 << t % q
-    masks.pop((0, 1), None)  # the zero level adds nothing
-    if not masks:
+        levels.setdefault(c.as_integer_ratio(), ([], []))[1].append(t % q)
+    levels.pop((0, 1), None)  # the zero level adds nothing
+    if not levels:
         return CValue(0)
-    D, x = _masses(mu, L, q, list(masks.values()))
-    den = lcm(*(d for _, d in masks))
-    return CValue(sum(n * (den // d) * v for (n, d), v in zip(masks, x)), den * D)
+    D, x = _masses(mu, L, q, [(_mask(L, pre), _mask(q, res)) for pre, res in levels.values()])
+    den = lcm(*(d for _, d in levels))
+    return CValue(sum(n * (den // d) * v for (n, d), v in zip(levels, x)), den * D)
 
 
 def _masses(mu: Charge, m: int, p: int, parts: list) -> tuple[int, list[int]]:

@@ -24,18 +24,18 @@ shape and preperiod: each length's primitive cycles and their named rows
 are built once, and each preperiod is followed by those ending in a row
 other than its own last.  A pure strategy's reward word is fixed by its
 actions at the (phase, state) cells its point-mass walk visits, so each
-shape keeps a trie of those cells, which a strategy descends by its own
-actions: only a missing child reads the step table, and a strategy that
-meets a split row is walked alone.  A word of shape (L, q) is also one
-of shape (L', q) for L' >= L, so one vector of the charge's weights
-(``charges._stage_weights``) per cycle length q, of shape (Lq, q) with
-Lq the longest preperiod among the words of that q, values each as one
-integer dot product, checked once per q against ``integrate``, which
-measures the word's level masks on the word's own shape.
-The distinct values are ranked by num * (D // den), D the lcm of their
-denominators, not as Fractions.  Strategies are named tuples, and the
-rows ``_reward_stream`` walks are built only when a strategy first meets
-a split row or the horizon.
+shape keeps a tree of those cells, with no parent links, which a strategy
+descends by its actions: a miss re-walks it from the root by the step
+table, and one that meets a split row is walked alone.  A word of shape
+(L, q) is also one of shape (L', q) for L' >= L, so one vector of the
+charge's weights (``charges._stage_weights``) per cycle length q, of
+shape (Lq, q) with Lq the longest preperiod among the words of that q,
+values each as one integer dot product, checked once per q against
+``integrate``, which measures the word's level masks on the word's own
+shape.  The distinct values are ranked by num * (D // den), D the lcm of
+their denominators, not as Fractions.  Strategies are named tuples, and
+the rows ``_reward_stream`` walks are built only when a strategy first
+meets a split row or the horizon.
 """
 
 from __future__ import annotations
@@ -519,13 +519,13 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
 
     A pure strategy's reward word of shape (L, L + q) depends only on
     its actions at the (phase, state) cells its point-mass walk visits,
-    so each shape has one decision trie.  A node is a visited cell, with
-    its parent, step reward and depth; its children, by the action played
-    there, are nodes or leaves, a leaf the word's index.  A strategy
-    descends by its actions; only a missing child reads the step table,
-    rebuilding the path through the parent links, and walks on to the
-    first repeated cell.  A split row or the horizon is a -1 leaf: that
-    strategy is walked by ``_reward_stream``, which raises at the horizon.
+    so each shape has one decision tree.  A node (phase, state, kids) is a
+    visited cell, its kids by action nodes or leaves, a leaf the word's
+    index; no node refers to its parent.  A strategy descends by its
+    actions; at a missing child it is walked again from the root by the
+    step table, adding the missing nodes, to its first repeated cell.  A
+    split row or the horizon is a -1 leaf: that strategy is walked by
+    ``_reward_stream``, which raises at the horizon.
     """
     _check_horizon(max_horizon)
     table = mdp._integer_form[1]
@@ -536,7 +536,7 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
     fractions: dict[tuple[int, int], Fraction] = {}  # reward pair -> its Fraction
     words, found, found_word = [], [], []  # canonical words; strategies; their word indices
-    roots: dict[tuple, tuple] = {}  # (L, q) -> its trie's root, the start at phase 0
+    roots: dict[tuple, tuple] = {}  # (L, q) -> its tree's root, the start at phase 0
 
     def index(i0: int, rewards: list) -> int:
         raw = (i0, tuple(rewards))
@@ -555,15 +555,11 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
         return k
 
     def grow(node: tuple, ids: tuple, L: int, P: int) -> int:
-        """The leaf of strategy ``ids`` below ``node``, where its action has no child."""
-        seen, rewards, cell = {}, [], node
-        while cell:
-            seen[cell[0] * n + cell[1]] = cell[5]
-            rewards.append(cell[4])
-            cell = cell[3]
-        rewards = rewards[-2::-1]  # from the root's child down, in walk order
-        k, x, kids, _, _, _ = node
+        """The leaf of strategy ``ids``, walked from its shape's root ``node``."""
+        seen, rewards = {}, []
         while True:
+            k, x, kids = node
+            seen[k * n + x] = len(rewards)
             j = actions[ids[k]][x]
             if table[x][j] is None or len(rewards) + 1 >= max_horizon:
                 kids[j] = -1
@@ -574,18 +570,16 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
             if (key := k * n + x) in seen:
                 kids[j] = index(seen[key], rewards)
                 return kids[j]
-            seen[key] = len(rewards)
-            node = kids[j] = (k, x, [None] * len(table[x]), node, reward, len(rewards))
-            kids = node[2]
+            node = kids[j] = kids[j] or (k, x, [None] * len(table[x]))
 
     for L, q, group in groups:
-        top = roots.setdefault((L, q), (0, start, [None] * len(table[start]), None, None, 0))
+        root = top = roots.setdefault((L, q), (0, start, [None] * len(table[start])))
         for ids, strat in group:
             node = top
             while type(child := node[2][actions[ids[node[0]]][node[1]]]) is tuple:
                 node = child
             if child is None:
-                child = grow(node, ids, L, L + q)
+                child = grow(root, ids, L, L + q)
             if child < 0:
                 rows = rows or [_row(table, [((1, j),) for j in row]) for row in actions]
                 child = index(*_reward_stream(mdp, rows, ids, L, start, 1, max_horizon))

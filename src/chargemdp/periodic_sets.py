@@ -95,6 +95,14 @@ def _tail_bits(res_mask: int, period: int, start: int, count: int) -> int:
     return res_mask & ((1 << count) - 1)
 
 
+def _mask(width: int, positions) -> int:
+    """The width-bit mask of ``positions``, set in one pass into a buffer of its size."""
+    buf = bytearray((width + 7) >> 3)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _Frozen:
     """Base of the library's immutable records.  A subclass names its
     fields in ``_fields`` and stores them in its ``__init__`` through
@@ -178,16 +186,11 @@ def make(pre_bits, period: int, residues) -> EventuallyPeriodicSet:
         raise ValueError(f"period must be >= 1, got {period}")
     bits = list(pre_bits)
     _check_width(len(bits), period)
-    res_mask = 0
-    for r in residues:
-        if not 0 <= r < period:
-            raise ValueError(f"residue {r} out of range for period {period}")
-        res_mask |= 1 << r
-    pre_mask = 0
-    for i, b in enumerate(bits):
-        if b:
-            pre_mask |= 1 << i
-    return _build(len(bits), pre_mask, period, res_mask)
+    if (residues := list(residues)) and not 0 <= min(residues) <= max(residues) < period:
+        bad = next(r for r in residues if not 0 <= r < period)
+        raise ValueError(f"residue {bad} out of range for period {period}")
+    return _build(len(bits), _mask(len(bits), [i for i, b in enumerate(bits) if b]),
+                  period, _mask(period, residues))
 
 
 def empty() -> EventuallyPeriodicSet:

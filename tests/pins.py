@@ -29,7 +29,7 @@ from chargemdp.charges import Frequency, Geometric, integrate, value
 from chargemdp.counterexamples import sweep_payoff_shortfall
 from chargemdp.mdp import best_periodic, build_mdp, payoff, random_mdp, stationary
 from chargemdp.parsing import parse_charge
-from chargemdp.periodic_sets import make, multiples, odds, union
+from chargemdp.periodic_sets import density, make, multiples, odds, union
 from chargemdp.streams import stream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,6 +187,22 @@ def integrate_16384_levels() -> str:
     f = stream([], range(1, 16385))
     return " ".join(str(integrate(parse_charge(mu), f)) for mu in (
         "dyadiclimit", "mix(1/2: restrict(frequency, odds), 1/2: dyadiclimit)")) + "\n"
+
+
+def make_2_20() -> str:
+    """A seeded half-dense residue set of period 2**20 and a 3-bit
+    preperiod: its shape, density and residue mask mod 2**61 - 1."""
+    p, rng = 2 ** 20, random.Random(20)
+    s = make([1, 0, 1], p, [r for r in range(p) if rng.getrandbits(1)])
+    return f"{s.pre_len} {s.period} {density(s)} {s.res_mask % (2 ** 61 - 1)}\n"
+
+
+def integrate_1200000_stages() -> str:
+    """integrate under the frequency over one cycle of 1200000 stages on 7
+    levels, stage i + 1 at level (popcount(i) mod 7) / 7."""
+    levels = [Fraction(k, 7) for k in range(7)]
+    f = stream([], [levels[i.bit_count() % 7] for i in range(1_200_000)])
+    return f"{len(f.cycle)} {integrate(Frequency(), f)}\n"
 
 
 def charge_queries() -> str:
@@ -354,6 +370,13 @@ PINS = [
         out="1/2\n", seconds=10),
     # the dyadic limit sits on the multiples of 16384, valued 16384; the odd stages average 8192
     Pin("integrate-16384-levels", integrate_16384_levels, out="16384 12288\n", seconds=1),
+    # masks built in one pass per level: about 0.6 s (Python 3.11, 2 cores); or-ing one bit per
+    # stage into growing masks took 7 s
+    Pin("integrate-1200000-stages", integrate_1200000_stages, out="1200000 3568721/8400000\n",
+        seconds=1.5),
+    # a mask built in one pass: about 0.15 s; or-ing one bit per residue into a growing mask
+    # took 2.5 s
+    Pin("make-2-20", make_2_20, out="2 1048576 130959/262144 367689694110292546\n", seconds=1),
     # 64 calls under one bound
     Pin("charge-queries", charge_queries, out=None,
         sha256="f259b658e74a7759b62ff48d107a8203e7c6fc0d5807d1b2ed04b77dfc5b7d16", seconds=10),

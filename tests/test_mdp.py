@@ -1,5 +1,6 @@
 """MDP construction, validation, exact reward streams, payoffs, enumeration."""
 
+import gc
 import itertools
 import random
 import time
@@ -12,15 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chargemdp.blackwell import (average_value, discounted_value,
-                                 discounted_value_at)
+from chargemdp.blackwell import (average_value, blackwell_policy,
+                                 discounted_value, discounted_value_at)
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric,
                                IllFormedRestrict, Mix, PointMass, Restrict,
-                               integrate)
+                               integrate, value)
 from chargemdp.counterexamples import (alternating_strategy, block_strategy,
                                        even_or_odd_mdp, late_switch_mdp,
-                                       stay_strategy, switch_at,
-                                       top_probability)
+                                       stay_strategy, sweep_payoff_shortfall,
+                                       switch_at, top_probability)
 from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
                            Problem, StrategyMismatch, best_periodic,
                            build_mdp, ensure_valid, expected_reward_stream,
@@ -30,7 +31,8 @@ from chargemdp.parsing import parse_strategy
 from chargemdp.periodic_sets import empty, multiples, odds
 from chargemdp.streams import _canonical, stream
 
-from conftest import enumerate_pure_periodic, enumerate_pure_stationary, is_deterministic
+from conftest import (enumerate_pure_periodic, enumerate_pure_stationary, is_deterministic,
+                      random_deterministic_mdp)
 
 
 # ---- references: the Fraction-dict stream loop and the raw enumeration ----
@@ -410,7 +412,6 @@ def test_stream_equals_fraction_reference(seed, n_states, n_actions, pure, horiz
     randomized ones the integer loop, and pure ones on split MDPs pass
     from one to the other and back.  Horizon 1 is rejected: the
     reference can never find a repeat within it."""
-    from conftest import random_deterministic_mdp
     rng = random.Random(seed)
     if deterministic:
         m = random_deterministic_mdp(rng, n_states, n_actions)
@@ -592,7 +593,7 @@ def test_payoff_discounted_stay():
 @given(st.integers(0, 500))
 @settings(max_examples=25, deadline=None)
 def test_stationary_payoff_equals_cycle_mean(seed):
-    from conftest import cycle_mean, random_deterministic_mdp
+    from conftest import cycle_mean
     rng = random.Random(seed)
     m = random_deterministic_mdp(rng)
     sigma = stationary({s: rng.choice(acts) for s, acts in zip(m.states, m.actions)})
@@ -835,7 +836,6 @@ def test_trie_search_equals_per_strategy_reference(seed, kind, bounds, horizon, 
     strategy whose walk meets a split row, in its preperiod or in its
     cycle, is walked on its own.  Either way the ranking, or the
     exception's type and text, is that of walking every strategy."""
-    from conftest import random_deterministic_mdp
     rng = random.Random(seed)
     if kind == "deterministic":
         m = random_deterministic_mdp(rng, rng.randint(1, 3), rng.randint(1, 2))
@@ -890,9 +890,9 @@ def test_a_strategy_is_walked_alone_exactly_when_its_walk_meets_a_split_row(monk
 
 
 def test_long_point_mass_walk_stays_linear():
-    """One strategy walks all 3000 states of a goto cycle: the trie holds
-    one node per cell with its parent and step, and the path is rebuilt
-    from those links, so memory grows with the walk, not its square."""
+    """One strategy walks all 3000 states of a goto cycle: the tree holds
+    one node per cell and the walk one reward per stage, so memory grows
+    with the walk, not its square."""
     n = 3000
     states = [str(i) for i in range(n)]
     m = build_mdp(states, "0", {s: ("x",) for s in states},
@@ -907,6 +907,41 @@ def test_long_point_mass_walk_stays_linear():
         tracemalloc.stop()
     assert result.best_value == Fraction(sum(i % 7 for i in range(n)), 2 * n)
     assert peak < 8 * 2 ** 20, peak
+
+
+def _blackwell_trio(m):
+    pi = blackwell_policy(m)
+    return discounted_value(m, pi), average_value(m, pi)
+
+
+GARBAGE_FREE_CALLS = {
+    "search-deterministic": lambda: best_periodic(
+        random_deterministic_mdp(random.Random(1)), Mix(((Fraction(1, 2), Frequency()),
+                                                         (Fraction(1, 2), DyadicLimit()))), 2, 2),
+    "search-late-split": lambda: best_periodic(late_split_mdp(), Geometric(Fraction(1, 2)), 2, 2),
+    "payoff": lambda: payoff(late_split_mdp(), stationary({"a": "x", "b": "y", "c": "x", "d": "x"}),
+                             Geometric(Fraction(2, 3))),
+    "integrate": lambda: integrate(Restrict(Frequency(), odds()), stream([1, 2], [3, 0, 5])),
+    "value": lambda: value(Geometric(Fraction(9, 10)), multiples(12)),
+    "blackwell": lambda: _blackwell_trio(random_mdp(random.Random(3), 3, 2)),
+    "sweep": lambda: sweep_payoff_shortfall(6, 6),
+}
+
+
+@pytest.mark.parametrize("call", GARBAGE_FREE_CALLS.values(), ids=GARBAGE_FREE_CALLS)
+def test_no_call_leaves_cyclic_garbage(call):
+    """With the cyclic collector off, a collection right after the call
+    finds nothing: a search's trees have no parent links, so they and
+    every evaluation's data are freed by reference counting alone."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("mu", SEARCH_CHARGES)

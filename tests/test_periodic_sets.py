@@ -199,6 +199,25 @@ def test_constructor_validation():
         make([], 4, {4})
 
 
+@pytest.mark.parametrize("residues, bad", [([1, 5, 7, 9], 5), ([2, -1], -1), (range(0, 9, 8), 8)])
+def test_make_names_the_first_residue_out_of_range(residues, bad):
+    """5 and -1 fall inside the one-byte buffer of a period-5 mask, so the
+    range is checked before any bit is set."""
+    with pytest.raises(ValueError, match=rf"^residue {bad} out of range for period 5$"):
+        make([], 5, residues)
+
+
+@given(st.lists(st.booleans(), max_size=40), st.integers(1, 70), st.data())
+def test_make_masks_equal_one_bit_per_member(pre_bits, period, data):
+    """Repeats and any iterable are accepted: each mask is the or of one
+    bit per member, canonicalized."""
+    residues = data.draw(st.lists(st.integers(0, period - 1)))
+    pre_mask = sum(1 << i for i, b in enumerate(pre_bits) if b)
+    res_mask = sum(1 << r for r in set(residues))
+    assert make(iter(pre_bits), period, iter(residues)) == _build(len(pre_bits), pre_mask,
+                                                                  period, res_mask)
+
+
 @given(periodic_sets())
 def test_equality_is_extensional(s):
     rebuilt = make([1 if member(s, k) else 0 for k in range(1, s.pre_len + 1)],
