@@ -404,21 +404,21 @@ def _policy_choice(mdp: Mdp, pi: PeriodicMarkovStrategy) -> tuple[int, ...]:
     with more than one phase; then, at the first faulty state in state
     order, StrategyMismatch where pi names no action of the MDP, or else
     ValueError where it is randomized."""
-    ensure_valid(mdp)
+    names = mdp._action_index  # validates the MDP
     pre, rows = pi.preperiod_length, pi.rows
     if len(rows) != 1:
         raise ValueError("discounted and average values take a stationary strategy, "
                          f"not one of preperiod {pre} and period {len(rows) - pre}")
     given = dict(rows[0])
     choice = []
-    for s, acts in zip(mdp.states, mdp.actions):
+    for s, index in names.items():
         dist = given.get(s, ((None, 1),))  # a state left out: action None
         for a, _ in dist:
-            if a not in acts:
+            if a not in index:
                 raise StrategyMismatch(1, s, a)
         if len(dist) > 1:
             raise ValueError(f"strategy is randomized at state {s!r}")
-        choice.append(acts.index(dist[0][0]))
+        choice.append(index[dist[0][0]])
     return tuple(choice)
 
 

@@ -57,7 +57,8 @@ class CycleNotFound(RuntimeError):
 
 
 class Problem(_Frozen):
-    _fields = ("kind", "where")  # kind: RowSumError | MissingAction | UnknownState | DuplicateState
+    # kind: RowSumError | MissingAction | UnknownState | DuplicateState | DuplicateAction
+    _fields = ("kind", "where")
 
     def __init__(self, kind: str, where: str):
         self.__dict__.update(kind=kind, where=where)
@@ -114,6 +115,12 @@ class Mdp(_Frozen):
                  for per in self.rows])
 
     @cached_property
+    def _action_index(self) -> dict[str, dict[str, int]]:
+        """state -> {action: its index in ``rows``}; validates, as a repeated name has two."""
+        ensure_valid(self)
+        return {s: {a: j for j, a in enumerate(acts)} for s, acts in zip(self.states, self.actions)}
+
+    @cached_property
     def _solved(self) -> dict:
         """``blackwell``'s last elimination on this object, at most one
         entry: a policy's action indices -> (k, det, nums)."""
@@ -156,12 +163,15 @@ def validate(mdp: Mdp) -> list[Problem]:
     problems: list[Problem] = []
     if mdp.initial not in mdp.states:
         problems.append(Problem("UnknownState", f"initial state {mdp.initial!r}"))
-    if len(set(mdp.states)) < len(mdp.states):  # the count() below runs only then
-        repeated = sorted({s for s in mdp.states if mdp.states.count(s) > 1})
+    if len(set(mdp.states)) < len(mdp.states):
+        repeated = [s for s, run in itertools.groupby(sorted(mdp.states)) if len(list(run)) > 1]
         problems.append(Problem("DuplicateState", f"states declared twice: {repeated}"))
     for s, acts, per in zip(mdp.states, mdp.actions, mdp.rows):
         if not acts:
             problems.append(Problem("MissingAction", f"state {s!r} has no actions"))
+        if len(set(acts)) < len(acts):
+            repeated = [a for a, run in itertools.groupby(sorted(acts)) if len(list(run)) > 1]
+            problems.append(Problem("DuplicateAction", f"state {s!r} repeats actions {repeated}"))
         for a, (scale, _, sparse) in zip(acts, per):
             if any(w < 0 or w > scale for _, w in sparse):
                 problems.append(Problem("RowSumError", f"({s!r}, {a!r}): entry outside [0,1]"))
@@ -285,13 +295,13 @@ def _compile(mdp: Mdp, sigma: PeriodicMarkovStrategy) -> tuple[int, int, list[li
     for k, row in enumerate(rows, start=1):
         given = dict(row)
         cells = []
-        for s, acts in zip(mdp.states, mdp.actions):
+        for s, index in mdp._action_index.items():
             pairs = []
             for a, p in given.get(s, ((None, 1),)):  # a state left out: action None
-                if a not in acts:
+                if (j := index.get(a)) is None:
                     pairs = _Unresolved(k, s, a)
                     break
-                pairs.append((p.numerator * (A // p.denominator), acts.index(a)))
+                pairs.append((p.numerator * (A // p.denominator), j))
             cells.append(pairs)
         phases.append(cells)
     return L, A, phases

@@ -340,11 +340,7 @@ def parse_mdp(text: str) -> Mdp:
         p.fail("expected 'mdp' header")
     p.pos = 1
     initial = None  # the index of the initial state's identifier
-    states: list[str] = []
-    known: set[str] = set()
-    actions: dict[str, list[str]] = {}
-    rewards = {}
-    transitions = {}
+    declared: dict[str, dict[str, tuple]] = {}  # state -> {action: (reward, row)}, in file order
     targets = []  # (index, state, action) of each transition target
     current: str | None = None
     while words[p.pos]:
@@ -357,16 +353,14 @@ def parse_mdp(text: str) -> Mdp:
             p.expect_id()
         elif word == "state":
             current = p.expect_id()
-            if current in known:
+            if current in declared:
                 raise p.error(f"duplicate state {current!r}", i)
-            states.append(current)
-            known.add(current)
-            actions[current] = []
+            declared[current] = {}
         elif word == "action":
             if current is None:
                 raise p.error("action before any state", i)
             a = p.expect_id()
-            if a in actions[current]:
+            if a in declared[current]:
                 raise p.error(f"duplicate action {a!r} in state {current!r}", p.pos - 1)
             if p.expect_name() != "reward":
                 raise p.error("expected 'reward'", i)
@@ -389,34 +383,32 @@ def parse_mdp(text: str) -> Mdp:
                     raise p.error("empty distribution", kw_at)
             else:
                 raise p.error(f"expected 'goto' or 'dist', got {kw!r}", kw_at)
-            actions[current].append(a)
-            rewards[(current, a)] = r
-            transitions[(current, a)] = row
+            declared[current][a] = r, row
         else:
             raise p.error(f"unexpected keyword {word!r}", i)
     if initial is None:
         p.fail("missing 'initial' line")
     for i, s, a in targets:
-        if words[i] not in known:
+        if words[i] not in declared:
             raise p.error(f"transition from ({s!r}, {a!r}) to unknown state {words[i]!r}", i)
-    if words[initial] not in known:
+    if words[initial] not in declared:
         raise p.error(f"unknown initial state {words[initial]!r}", initial)
-    return build_mdp(states, words[initial],
-                     {s: tuple(v) for s, v in actions.items()}, rewards, transitions)
+    return build_mdp(declared, words[initial], declared, *(  # the rewards, then the rows
+        {(s, a): v[k] for s, acts in declared.items() for a, v in acts.items()} for k in (0, 1)))
 
 
 # ---- strategy files ------------------------------------------------------
 
-def _cell(p: _Parser, acts: dict[str, tuple[str, ...]]) -> tuple[str, str | dict]:
+def _cell(p: _Parser, names: dict[str, dict[str, int]]) -> tuple[str, str | dict]:
     """``<state>: <action>[:<q>] ...``; a bare action means prob 1
     and ends the cell, and a cell of one bare action is returned as
-    that action.  ``acts`` maps each state to its actions."""
+    that action.  ``names`` maps each state to its action index map."""
     s = p.expect_id()
-    if s not in acts:
+    if s not in names:
         p.fail(f"unknown state {s!r}")
     p.expect_punct(":")
     dist = {}
-    while p.at_id() and p.peek() in acts[s]:
+    while p.at_id() and p.peek() in names[s]:
         a = p.expect_id()
         if not p.take_punct(":"):
             if not dist:
@@ -450,10 +442,8 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
         raise p.error(f"expected 'stationary' or 'periodic', got {kind!r}", 0)
     if L + q > (cap := _mdp.STRATEGY_CAP):
         raise BudgetExceeded(f"{L + q} strategy phases exceeds cap {cap}")
-    acts = dict(zip(mdp.states, mdp.actions))
-    default = {s: acts[s][0] for s in mdp.states}
-    rows = [default] * (L + q)  # a phase that names no cell shares the default row
-    given = set()  # (phase, state) of each cell read
+    names = mdp._action_index  # the MDP is validated before any cell is read
+    cells: dict[int, dict] = {}  # phase -> {state: its cell}, for each phase that names one
     p.expect_punct("{")
     while not p.at_punct("}"):
         k = 1
@@ -465,14 +455,13 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
                 raise p.error(f"phase {k} out of range 1..{L + q}", i)
             p.expect_word("state", "expected 'state'")
         at = p.pos
-        s, dist = _cell(p, acts)
-        if (k, s) in given:
+        s, dist = _cell(p, names)
+        if s in (named := cells.setdefault(k, {})):
             raise p.error(f"state {s!r} given twice in phase {k}", at)
-        given.add((k, s))
-        if rows[k - 1] is default:
-            rows[k - 1] = dict(default)
-        rows[k - 1][s] = dist
+        named[s] = dist
     p.expect_punct("}")
+    default = {s: acts[0] for s, acts in zip(mdp.states, mdp.actions)}  # each cell-less phase's row
+    rows = [default | cells[k] if k in cells else default for k in range(1, L + q + 1)]
     out = (p.build(0, stationary, rows[0]) if kind == "stationary"
            else p.build(0, periodic, rows[:L], rows[L:]))
     p.expect_end()

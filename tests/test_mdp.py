@@ -189,6 +189,19 @@ def test_validate_duplicate_state():
     assert validate(m) == [Problem("DuplicateState", "states declared twice: ['a']")]
 
 
+def test_validate_duplicate_action():
+    """One name for two actions of a state would give a search the one
+    strategy ``a: x`` twice, so the Mdp is invalid wherever it is read."""
+    m = build_mdp(("a",), "a", {"a": ("x", "x")}, {("a", "x"): 1}, {("a", "x"): {"a": 1}})
+    assert validate(m) == [Problem("DuplicateAction", "state 'a' repeats actions ['x']")]
+    for call in (lambda: best_periodic(m, Frequency(), 1, 0),
+                 lambda: payoff(m, stationary({"a": "x"}), Frequency()),
+                 lambda: discounted_value(m, stationary({"a": "x"})),
+                 lambda: parse_strategy("stationary { a: x }", m)):
+        with pytest.raises(MdpValidationError, match="DuplicateAction"):
+            call()
+
+
 def test_build_rejects_a_transition_to_an_unknown_state():
     with pytest.raises(MdpValidationError) as err:
         build_mdp(("a",), "a", {"a": ("x",)}, {("a", "x"): 0}, {("a", "x"): {"zz": 1}})
@@ -229,6 +242,8 @@ def dense_validate(dense):
     for i, s in enumerate(states):
         if not actions[i]:
             problems.append(Problem("MissingAction", f"state {s!r} has no actions"))
+        if repeated := sorted({a for a in actions[i] if actions[i].count(a) > 1}):
+            problems.append(Problem("DuplicateAction", f"state {s!r} repeats actions {repeated}"))
         for j, a in enumerate(actions[i]):
             row = transitions[i][j]
             D = lcm(*(q.denominator for q in row))
@@ -246,9 +261,9 @@ def dense_validate(dense):
 def mapping_data(draw):
     """build_mdp arguments: 1-4 states, rewards of either sign, rows that
     are distributions, and sometimes a zero entry for a state not in the
-    MDP.  Half of the draws also have states without actions, an unknown
-    initial state, and rows with zero, negative, above-1 or non-summing
-    entries."""
+    MDP.  Half of the draws also have states without actions, states
+    that repeat an action name, an unknown initial state, and rows with
+    zero, negative, above-1 or non-summing entries."""
     well_formed = draw(st.booleans())
     states = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
     initial = draw(st.sampled_from(states if well_formed else states + ["zz"]))
@@ -256,6 +271,9 @@ def mapping_data(draw):
     actions, rewards, transitions = {}, {}, {}
     for s in states:
         actions[s] = [f"a{j}" for j in range(draw(st.integers(int(well_formed), 3)))]
+        if not well_formed and actions[s] and draw(st.booleans()):
+            actions[s].insert(draw(st.integers(0, len(actions[s]))),
+                              draw(st.sampled_from(actions[s])))
         for a in actions[s]:
             rewards[(s, a)] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
             if well_formed or draw(st.booleans()):
