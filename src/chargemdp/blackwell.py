@@ -67,11 +67,13 @@ residual at most n), and the coefficients of q are suffix sums of p's, so
 divisions every coefficient is still at most n*||p||_1 < X/2, so the rare
 order >= 2 unpacks that quotient and finishes by synthetic division.
 
-One function, ``_packed_cramer``, eliminates: it sizes k for the
-improvement residuals too (2**k past 2nB times the widest row's 1-norm)
-and keeps (k, det, N) on the Mdp (``Mdp._solved``, one entry keyed by
-the policy's action indices), so a query sequence on the policy that
-policy iteration returns eliminates nothing again.  ``_policy_choice``
+The symbolic queries eliminate through ``_packed_cramer``: it sizes k
+for the improvement residuals too (2**k past 2nB times the widest row's
+1-norm) and keeps (k, det, N) on the Mdp (``Mdp._solved``, one entry
+keyed by the policy's action indices), so a query sequence on the policy
+that policy iteration returns eliminates nothing again.
+``discounted_value_at`` runs the same elimination, ``_bareiss``, at the
+rational b = beta itself and keeps nothing.  ``_policy_choice``
 validates the MDP and resolves a strategy to those indices on every
 call, so an invalid MDP, or a randomized, multi-phase or mismatched
 strategy, raises.
@@ -296,7 +298,7 @@ def _combined(num_terms, den_terms) -> RationalFunction:
     return _reduced(_unpack(num, k), _unpack(den, k), gcd(num, den), k)
 
 
-# ---- Bareiss elimination at b = 2**k ----------------------------------------
+# ---- Bareiss elimination at b = n/d -----------------------------------------
 
 def _norm(row) -> int:
     """1-norm of a scaled row's coefficients: L + sum(L*p_z) + |L*r|."""
@@ -341,33 +343,41 @@ def _packed_order(v: int, k: int) -> tuple[int, int]:
     return m + 2, at_one
 
 
-def _bareiss_at(rows, k: int) -> tuple[int, list[int]]:
-    """det and the Cramer numerators N_i of the scaled rows, as their
-    values at b = 2**k, which must exceed twice every minor's 1-norm.
+def _bareiss(rows, n: int, d: int) -> tuple[int, list[int]]:
+    """det and the Cramer numerators N_i, v_i = N_i / det, of the scaled
+    rows at b = n/d, each multiplied by d to keep integers.
 
     Fraction-free Gauss-Jordan: the step-j update of every other row
-    divides exactly by the step-(j-1) pivot.  No pivoting is needed: the
-    step-j pivot is a leading principal minor of the scaled I - bP, a
-    nonzero polynomial because its value at b = 0 is a product of the L_i.
+    divides exactly by the step-(j-1) pivot.  A zero pivot is swapped with
+    the first nonzero entry below it; with none, I - bP is singular.  At
+    b = 2**k past twice every minor's 1-norm no pivot is zero: each is a
+    leading principal minor of the scaled I - bP, a nonzero polynomial
+    because its value at b = 0 is a product of the L_i.  Nor for |b| < 1,
+    where every leading block is strictly diagonally dominant.
     """
-    n = len(rows)
+    size = len(rows)
     m = []
     for i, (scale, rhs, sparse) in enumerate(rows):
-        row = [0] * n + [rhs]
-        row[i] = scale
+        row = [0] * size + [d * rhs]
+        row[i] = d * scale
         for z, w in sparse:
-            row[z] -= w << k
+            row[z] -= n * w
         m.append(row)
     prev = 1
-    for j, pivot_row in enumerate(m):
+    for j in range(size):
+        if not m[j][j]:
+            if (below := next((i for i in range(j + 1, size) if m[i][j]), None)) is None:
+                raise ZeroDivisionError(f"I - beta*P is singular at beta = {Fraction(n, d)}")
+            m[j], m[below] = m[below], m[j]
+        pivot_row = m[j]
         pivot = pivot_row[j]
         for i, row in enumerate(m):
             if i != j:
                 lead = row[j]
-                for c in range(j + 1, n + 1):
+                for c in range(j + 1, size + 1):
                     row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
         prev = pivot
-    return prev, [row[n] for row in m]
+    return prev, [row[size] for row in m]
 
 
 def _packed_cramer(mdp: Mdp, choice: tuple[int, ...],
@@ -392,7 +402,7 @@ def _packed_cramer(mdp: Mdp, choice: tuple[int, ...],
             widest = max(_norm(row) for per in mdp.rows for row in per)
         rows = [per[j] for per, j in zip(mdp.rows, choice)]
         k = (prod(map(_norm, rows)) * widest * len(rows)).bit_length() + 1
-        solved = k, *_bareiss_at(rows, k)
+        solved = k, *_bareiss(rows, 1 << k, 1)
         mdp._solved.clear()
         mdp._solved[choice] = solved
     return solved
@@ -432,29 +442,15 @@ def discounted_value(mdp: Mdp, pi: PeriodicMarkovStrategy) -> dict[str, Rational
 
 def discounted_value_at(mdp: Mdp, pi: PeriodicMarkovStrategy, beta) -> dict[str, Fraction]:
     """Numeric twin of discounted_value at a fixed rational discount factor:
-    Gauss-Jordan elimination of (I - beta*P) v = r over Fractions, on the
-    dense views ``Mdp.transitions`` and ``Mdp.rewards``.
+    one ``_bareiss`` elimination at b = beta, not kept in ``Mdp._solved``.
 
     Raises ZeroDivisionError if I - beta*P is singular (always at beta = 1).
     """
     choice = _policy_choice(mdp, pi)
     beta = Fraction(beta)
-    a = [[int(i == z) - beta * p for z, p in enumerate(mdp.transitions[i][j])]
-         for i, j in enumerate(choice)]
-    b = [mdp.rewards[i][j] for i, j in enumerate(choice)]
-    n = len(b)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError(f"I - beta*P is singular at beta = {beta}")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(n):
-            if r != col and a[r][col]:
-                k = a[r][col] / a[col][col]
-                a[r] = [x - k * y for x, y in zip(a[r], a[col])]
-                b[r] = b[r] - k * b[col]
-    return {s: b[i] / a[i][i] for i, s in enumerate(mdp.states)}
+    det, nums = _bareiss([per[j] for per, j in zip(mdp.rows, choice)],
+                         beta.numerator, beta.denominator)
+    return {s: Fraction(num, det) for s, num in zip(mdp.states, nums)}
 
 
 def blackwell_policy(mdp: Mdp) -> PeriodicMarkovStrategy:

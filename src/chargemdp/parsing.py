@@ -425,7 +425,8 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
     """``stationary { s: a ... }`` or
     ``periodic preperiod=<L> period=<q> { phase <k> state <s>: a ... }``.
     Omitted entries default to the first declared action; a state given
-    twice in one phase is an error.  Past ``mdp.STRATEGY_CAP`` phases
+    twice in one phase is an error.  Past ``mdp.STRATEGY_CAP`` phases, or
+    (phases naming a cell + 1) * states cells (the rest share one row),
     BudgetExceeded is raised before any row is built."""
     p = _Parser(text)
     kind = p.expect_name()
@@ -460,6 +461,8 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
             raise p.error(f"state {s!r} given twice in phase {k}", at)
         named[s] = dist
     p.expect_punct("}")
+    if (n := (len(cells) + 1) * len(mdp.states)) > cap:
+        raise BudgetExceeded(f"{n} strategy cells exceeds cap {cap}")
     default = {s: acts[0] for s, acts in zip(mdp.states, mdp.actions)}  # each cell-less phase's row
     rows = [default | cells[k] if k in cells else default for k in range(1, L + q + 1)]
     out = (p.build(0, stationary, rows[0]) if kind == "stationary"

@@ -286,6 +286,34 @@ def ref_rational_op(op: str, f, g):
     return rational_of(poly_mul(f.num, g.den), poly_mul(f.den, g.num))
 
 
+# ---- the discounted value at a rational factor: the dense reference ---------
+
+def ref_discounted_value_at(mdp, pi, beta) -> dict[str, Fraction]:
+    """``discounted_value_at`` for a pure stationary pi by the route it took
+    before it ran on the Bareiss kernel: Gauss-Jordan elimination of
+    (I - beta*P) v = r over Fractions, on the dense views
+    ``Mdp.transitions`` and ``Mdp.rewards``.  Raises ZeroDivisionError, with
+    the same message, where I - beta*P is singular."""
+    choice = [acts.index(pi.action(s)) for s, acts in zip(mdp.states, mdp.actions)]
+    beta = Fraction(beta)
+    a = [[int(i == z) - beta * p for z, p in enumerate(mdp.transitions[i][j])]
+         for i, j in enumerate(choice)]
+    b = [mdp.rewards[i][j] for i, j in enumerate(choice)]
+    n = len(b)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError(f"I - beta*P is singular at beta = {beta}")
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                k = a[r][col] / a[col][col]
+                a[r] = [x - k * y for x, y in zip(a[r], a[col])]
+                b[r] = b[r] - k * b[col]
+    return {s: b[i] / a[i][i] for i, s in enumerate(mdp.states)}
+
+
 # ---- charges: the per-step reference --------------------------------------
 #
 # ``ref_value`` and ``ref_integrate`` are the first evaluator of

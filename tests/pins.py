@@ -31,6 +31,7 @@ from chargemdp.mdp import best_periodic, build_mdp, payoff, random_mdp, stationa
 from chargemdp.parsing import parse_charge
 from chargemdp.periodic_sets import density, make, multiples, odds, union
 from chargemdp.streams import stream
+from conftest import ref_discounted_value_at
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,6 +111,12 @@ def write_inputs(directory: Path) -> None:
         f"  action x{i} reward {i % 7}/2 goto a\n" for i in range(40000))
     inputs["many.strategy"] = ("stationary { a: " + " ".join(
         f"x{i}:1/20000" for i in range(20000)) + " }\n")
+    # phase k names s{k-1}: 2001 rows of 2000 states, past the cell cap
+    inputs["cells.mdp"] = "mdp\ninitial s0\n" + "".join(
+        f"state s{i}\n  action x reward 0 goto s{(i + 1) % 2000}\n  action y reward 1 goto s0\n"
+        for i in range(2000))
+    inputs["cells.strategy"] = ("periodic preperiod=0 period=2000 {\n" + "".join(
+        f"phase {k} state s{k - 1}: y\n" for k in range(1, 2001)) + "}\n")
     for name, text in inputs.items():
         (directory / name).write_text(text, encoding="utf-8")
 
@@ -118,12 +125,14 @@ def write_inputs(directory: Path) -> None:
 
 def blackwell_solve(n: int) -> str:
     """Per state of a random n-state MDP: its Blackwell-optimal discounted
-    value (checked against the numeric one at b = 99/100) and average value."""
+    value (checked against the numeric one at b = 99/100, and that against
+    the dense reference) and average value."""
     m = random_mdp(random.Random(n), n, 3)
     pi = blackwell_policy(m)
     v = discounted_value(m, pi)
     beta = Fraction(99, 100)
     at = discounted_value_at(m, pi, beta)
+    assert at == ref_discounted_value_at(m, pi, beta)
     assert all(v[s].evaluate(beta) == at[s] for s in m.states)
     g = average_value(m, pi)
     return "".join(f"{s} {v[s].render()} {g[s]}\n" for s in m.states)
@@ -403,6 +412,12 @@ PINS = [
     Pin("strategy-phases-cap", ("mdp-eval", "--mdp", "@two.mdp", "--strategy", "@huge.strategy",
                                 "--charge", "frequency"),
         err="error: 1000000000001 strategy phases exceeds cap 2000000\n", code=2, seconds=1),
+    # (2000 named phases + 1) * 2000 states: building every row took 16 s at a 1.4 GB peak
+    # (Python 3.11, 2 cores), over the 1 GiB cap; refused before any row is built
+    Pin("strategy-2000-cells", ("mdp-eval", "--mdp", "@cells.mdp", "--strategy", "@cells.strategy",
+                                "--charge", "frequency"),
+        err="error: 4002000 strategy cells exceeds cap 2000000\n", code=2, seconds=1,
+        process=True),
     Pin("verify-all", ("verify", "all"), out=re.compile("120832 strategies, 0 failures"),
         sha256="2c976aaa0e046530589809ead72602e7946e266507e716ae430485f2b8e82081"),
     Pin("verify-all-period-0", ("verify", "all", "--max-period", "0"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from chargemdp import blackwell as blackwell_module
 from chargemdp import mdp as mdp_module
 from chargemdp.blackwell import (Poly, PoleAtOne, RationalFunction,
-                                 _bareiss_at, _norm, _order_at_one, _pack,
+                                 _bareiss, _norm, _order_at_one, _pack,
                                  _packed_cofactors, _packed_cramer,
                                  _packed_order, _policy_choice, _reduced,
                                  _unpack, average_value, blackwell_policy,
@@ -22,9 +22,9 @@ from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
                            periodic, random_mdp, stationary, validate)
 
 from conftest import (cleared, enumerate_pure_stationary, leading_sign_at_one, poly_add,
-                      monic, poly_eval, poly_mul, poly_of, poly_sub, rational_of, ref_divmod,
-                      ref_lowest_terms, ref_poly_gcd, ref_rational_op, sign_near_one,
-                      stream_values)
+                      monic, poly_eval, poly_mul, poly_of, poly_sub, rational_of,
+                      ref_discounted_value_at, ref_divmod, ref_lowest_terms, ref_poly_gcd,
+                      ref_rational_op, sign_near_one, stream_values)
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 polys = st.lists(coeff, max_size=5).map(lambda cs: poly_of(*cs))
@@ -393,6 +393,7 @@ def test_symbolic_and_numeric_discounted_agree(seed, beta):
     pi = stationary({s: rng.choice(acts) for s, acts in zip(m.states, m.actions)})
     sym = discounted_value(m, pi)
     num = discounted_value_at(m, pi, beta)
+    assert num == ref_discounted_value_at(m, pi, beta)
     for s in m.states:
         assert sym[s].evaluate(beta) == num[s]
 
@@ -501,6 +502,7 @@ def test_blackwell_policy_dominates_4x3(m, beta):
         for s in m.states:
             assert sign_near_one(v[s] - w[s]) >= 0
     at = discounted_value_at(m, pi, beta)
+    assert at == ref_discounted_value_at(m, pi, beta)
     assert all(v[s].evaluate(beta) == at[s] for s in m.states)
 
 
@@ -547,6 +549,59 @@ def test_discounted_value_at_singular_factor():
             discounted_value_at(m, pi, beta)
 
 
+def _solved_or_raised(solve, m, pi, beta):
+    """solve(m, pi, beta), or the message of the ZeroDivisionError it raises."""
+    try:
+        return solve(m, pi, beta)
+    except ZeroDivisionError as e:
+        return str(e)
+
+
+# rationals outside [0, 1), the singular factors 1 and -1 among them
+outside_unit = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(
+        lambda x: not 0 <= x < 1))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 3),
+       st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=100).filter(
+           lambda x: x < 1), outside_unit))
+@settings(max_examples=200, deadline=None)
+def test_discounted_value_at_matches_the_dense_reference(seed, n_states, n_actions, beta):
+    # the Bareiss kernel against Gauss-Jordan over Fractions: the same
+    # values, or the same singular message
+    rng = random.Random(seed)
+    m = random_mdp(rng, n_states, n_actions)
+    pi = stationary({s: rng.choice(acts) for s, acts in zip(m.states, m.actions)})
+    assert _solved_or_raised(discounted_value_at, m, pi, beta) == \
+        _solved_or_raised(ref_discounted_value_at, m, pi, beta)
+
+
+def test_discounted_value_at_swaps_a_zero_pivot():
+    # at beta = 2 the first pivot of I - beta*P is 1 - 2 * 1/2 = 0
+    m = build_mdp(["a", "b"], "a", {"a": ["x"], "b": ["x"]},
+                  {("a", "x"): 1, ("b", "x"): 0},
+                  {("a", "x"): {"a": Fraction(1, 2), "b": Fraction(1, 2)}, ("b", "x"): {"a": 1}})
+    pi = stationary({"a": "x", "b": "x"})
+    want = {"a": Fraction(-1, 2), "b": Fraction(-1)}
+    assert discounted_value_at(m, pi, 2) == ref_discounted_value_at(m, pi, 2) == want
+
+
+def test_discounted_value_at_keeps_no_elimination():
+    m = random_mdp(random.Random(7), 4, 3)
+    pi = blackwell_policy(m)
+    kept = dict(m._solved)
+    assert len(kept) == 1
+    other = stationary({s: acts[-1] if pi.action(s) == acts[0] else acts[0]
+                        for s, acts in zip(m.states, m.actions)})
+    for sigma in (pi, other):
+        discounted_value_at(m, sigma, Fraction(1, 2))
+        assert m._solved == kept
+        (choice, solved), = m._solved.items()
+        assert solved is kept[choice]
+
+
 # ---- stored integers against the monic form of ``ref_lowest_terms`` ----------
 
 # rationals strictly inside (-1, 1), where I - bP is never singular
@@ -562,6 +617,7 @@ def test_stored_integers_read_as_the_monic_reference(seed, n_states, n_actions, 
         det, nums = _cramer(m, pi)
         v = discounted_value(m, pi)
         at = discounted_value_at(m, pi, beta)
+        assert at == ref_discounted_value_at(m, pi, beta)
         for s, num in zip(m.states, nums):
             f, (want_num, want_den) = v[s], ref_lowest_terms(poly_of(*num), poly_of(*det))
             assert (f.num.coeffs, f.den.coeffs) == (want_num.coeffs, want_den.coeffs)
@@ -860,7 +916,7 @@ def _ref_named_blackwell_policy(mdp):
         pi = stationary(choice)
         rows = [mdp.rows[i][j] for i, j in enumerate(_policy_choice(mdp, pi))]
         k = (prod(map(_norm, rows)) * widest).bit_length() + 1
-        det, nums = _bareiss_at(rows, k)
+        det, nums = _bareiss(rows, 1 << k, 1)
         det_sign = leading_sign_at_one(_unpack(det, k))
         changed = False
         for i, s in enumerate(mdp.states):
@@ -994,13 +1050,13 @@ def test_validate_returns_a_fresh_list():
 
 def _count_eliminations(monkeypatch) -> list:
     calls = []
-    real = blackwell_module._bareiss_at
+    real = blackwell_module._bareiss
 
-    def counted(rows, k):
-        calls.append(k)
-        return real(rows, k)
+    def counted(rows, n, d):
+        calls.append((n, d))
+        return real(rows, n, d)
 
-    monkeypatch.setattr(blackwell_module, "_bareiss_at", counted)
+    monkeypatch.setattr(blackwell_module, "_bareiss", counted)
     return calls
 
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargemdp import mdp as mdp_module
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
                                PointMass, Restrict)
 from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
                                        stay_strategy)
-from chargemdp.mdp import PeriodicMarkovStrategy, payoff, periodic, validate
+from chargemdp.mdp import BudgetExceeded, PeriodicMarkovStrategy, payoff, periodic, validate
 from chargemdp.parsing import (ParseError, _parse, _Parser, parse_charge,
                                parse_mdp, parse_set, parse_strategy,
                                parse_stream)
@@ -438,6 +439,18 @@ def test_parse_strategy_errors():
         parse_strategy("periodic preperiod=0 period=2 { phase 9 state 1: T }", m)
     with pytest.raises(ParseError):
         parse_strategy("wander { }", m)
+
+
+def test_parse_strategy_bounds_its_cells(monkeypatch):
+    # one phase of four names a cell: (1 + 1) * 3 states = 6 cells, the
+    # three cell-less phases sharing one default row
+    m = even_or_odd_mdp()
+    text = "periodic preperiod=0 period=4 { phase 3 state 1: B }"
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 5)
+    with pytest.raises(BudgetExceeded, match="^6 strategy cells exceeds cap 5$"):
+        parse_strategy(text, m)
+    monkeypatch.setattr(mdp_module, "STRATEGY_CAP", 6)
+    assert parse_strategy(text, m) == alternating_strategy()
 
 
 # ---- range errors from the constructors ----------------------------------
