@@ -156,10 +156,7 @@ class Poly(_Frozen):
     """Dense univariate polynomial with Fraction coefficients, low order
     first: the read-only form of ``RationalFunction.num`` and ``den``."""
 
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        self.__dict__["coeffs"] = coeffs
+    _fields = ("coeffs",)  # tuple[Fraction, ...]
 
     @property
     def is_zero(self) -> bool:
@@ -195,10 +192,7 @@ class RationalFunction(_Frozen):
     with ``_reduced``.  ``num`` and ``den`` are its reduced form with a
     monic denominator, built on first read."""
 
-    _fields = ("ints_num", "ints_den")
-
-    def __init__(self, ints_num: tuple[int, ...], ints_den: tuple[int, ...]):
-        self.__dict__.update(ints_num=ints_num, ints_den=ints_den)
+    _fields = ("ints_num", "ints_den")  # tuple[int, ...] each
 
     @staticmethod
     def const(q) -> "RationalFunction":

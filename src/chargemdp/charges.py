@@ -98,10 +98,7 @@ class PointMass(Charge):
 
 
 class Restrict(Charge):
-    _fields = ("base", "window")
-
-    def __init__(self, base: Charge, window: EventuallyPeriodicSet):
-        self.__dict__.update(base=base, window=window)
+    _fields = ("base", "window")  # a Charge, an EventuallyPeriodicSet
 
 
 class DyadicLimit(Charge):

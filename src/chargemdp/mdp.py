@@ -58,10 +58,7 @@ class CycleNotFound(RuntimeError):
 
 class Problem(_Frozen):
     # kind: RowSumError | MissingAction | UnknownState | DuplicateState | DuplicateAction
-    _fields = ("kind", "where")
-
-    def __init__(self, kind: str, where: str):
-        self.__dict__.update(kind=kind, where=where)
+    _fields = ("kind", "where")  # str each
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.where}"
@@ -81,12 +78,7 @@ class Mdp(_Frozen):
     reads it back on every later call, and ``blackwell`` keeps its last
     policy's elimination on the object."""
 
-    _fields = ("states", "initial", "actions", "rows")
-
-    def __init__(self, states: tuple[str, ...], initial: str,
-                 actions: tuple[tuple[str, ...], ...],  # parallel to states
-                 rows: tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]):
-        self.__dict__.update(states=states, initial=initial, actions=actions, rows=rows)
+    _fields = ("states", "initial", "actions", "rows")  # actions parallel to states
 
     @cached_property
     def rewards(self) -> tuple[tuple[Fraction, ...], ...]:  # [state][action]

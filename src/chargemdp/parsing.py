@@ -83,9 +83,6 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> str:
-        return self.words[self.pos]
-
     def error(self, message: str, i: int) -> ParseError:
         """A ``ParseError`` at word ``i``, placed by matching ``_WORD`` again
         up to that word only.  END sits just past the last character outside
@@ -372,8 +369,9 @@ def parse_mdp(text: str) -> Mdp:
                 row = {p.expect_id(): _ONE}
             elif kw == "dist":
                 row = {}
-                # the next clause starts with one of the file keywords
-                while p.at_id() and words[p.pos] not in ("state", "action", "initial"):
+                # the next clause starts with a file keyword not followed by ':'
+                while p.at_id() and (words[p.pos] not in ("state", "action", "initial")
+                                     or words[p.pos + 1] == ":"):
                     targets.append((p.pos, current, a))
                     z = p.expect_id()
                     p.expect_punct(":")
@@ -399,17 +397,24 @@ def parse_mdp(text: str) -> Mdp:
 
 # ---- strategy files ------------------------------------------------------
 
-def _cell(p: _Parser, names: dict[str, dict[str, int]]) -> tuple[str, str | dict]:
-    """``<state>: <action>[:<q>] ...``; a bare action means prob 1
-    and ends the cell, and a cell of one bare action is returned as
-    that action.  ``names`` maps each state to its action index map."""
+def _cell(p: _Parser, names: dict[str, dict[str, int]], periodic: bool) -> tuple[str, str | dict]:
+    """``<state>: <action>[:<q>] ...``; a bare action means prob 1 and
+    ends the cell, and a cell of one bare action is returned as that
+    action.  A weighted cell also ends where the next one starts: at
+    ``phase <n>`` (periodic file) or ``<state>: <name>`` (stationary; a
+    weight is a number).  ``names``: state -> its action index map."""
     s = p.expect_id()
     if s not in names:
         p.fail(f"unknown state {s!r}")
     p.expect_punct(":")
     dist = {}
-    while p.at_id() and p.peek() in names[s]:
-        a = p.expect_id()
+    words = p.words
+    while p.at_id() and (a := words[p.pos]) in names[s]:
+        if dist and ((a == "phase" and words[p.pos + 1].isdecimal()) if periodic else (
+                a in names and words[p.pos + 1] == ":" and (w := words[p.pos + 2])
+                and w not in _PUNCT and not w.isdecimal())):
+            break
+        p.pos += 1
         if not p.take_punct(":"):
             if not dist:
                 return s, a
@@ -456,7 +461,7 @@ def parse_strategy(text: str, mdp: Mdp) -> PeriodicMarkovStrategy:
                 raise p.error(f"phase {k} out of range 1..{L + q}", i)
             p.expect_word("state", "expected 'state'")
         at = p.pos
-        s, dist = _cell(p, names)
+        s, dist = _cell(p, names, kind == "periodic")
         if s in (named := cells.setdefault(k, {})):
             raise p.error(f"state {s!r} given twice in phase {k}", at)
         named[s] = dist

@@ -44,7 +44,6 @@ request raises :class:`BudgetExceeded` first.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -103,18 +102,35 @@ def _mask(width: int, positions) -> int:
     return int.from_bytes(buf, "little")
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a ``_Frozen`` record."""
+
+
 class _Frozen:
     """Base of the library's immutable records.  A subclass names its
-    fields in ``_fields`` and stores them in its ``__init__`` through
-    ``self.__dict__``.  Equality holds between records of one class with
-    equal fields, the hash is that of the field tuple, ``repr`` reads
-    ``Name(field=value, ...)``, and assignment and deletion raise
-    ``FrozenInstanceError``.  Written out once here rather than generated
-    per class by ``dataclass``, whose code generation dominated the
+    fields in ``_fields``; unless it writes an ``__init__`` that checks
+    its arguments, ``__init_subclass__`` compiles one from source text at
+    import (about 0.06 ms per class, as ``namedtuple`` builds ``__new__``):
+    ``__init__(self, <fields>)``, one ``self.__dict__`` store per field.
+    Records of one class with equal fields are equal, the hash is that of
+    the field tuple, ``repr`` reads ``Name(field=value, ...)``, and
+    assignment and deletion raise :class:`FrozenInstanceError`.  Not
+    generated by ``dataclass``, whose code generation dominated the
     package's import time."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields and "__init__" not in cls.__dict__:
+            namespace = {"__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):\n"
+                 + "".join(f"    self.__dict__[{f!r}] = {f}\n" for f in fields), namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def _astuple(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -146,10 +162,6 @@ class EventuallyPeriodicSet(_Frozen):
     """
 
     _fields = ("pre_len", "pre_mask", "period", "res_mask")
-
-    def __init__(self, pre_len: int, pre_mask: int, period: int, res_mask: int):
-        self.__dict__.update(pre_len=pre_len, pre_mask=pre_mask, period=period,
-                             res_mask=res_mask)
 
     @property
     def residues(self) -> frozenset[int]:

@@ -17,10 +17,7 @@ class RationalStream(_Frozen):
     """Canonical form: the cycle is of minimal length and the preperiod
     is of minimal length given the cycle."""
 
-    _fields = ("preperiod", "cycle")
-
-    def __init__(self, preperiod: tuple[Fraction, ...], cycle: tuple[Fraction, ...]):
-        self.__dict__.update(preperiod=preperiod, cycle=cycle)
+    _fields = ("preperiod", "cycle")  # tuple[Fraction, ...] each
 
 
 def _canonical(pre, cyc) -> tuple[tuple, tuple]:

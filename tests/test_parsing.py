@@ -14,7 +14,8 @@ from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix,
                                PointMass, Restrict)
 from chargemdp.counterexamples import (alternating_strategy, even_or_odd_mdp,
                                        stay_strategy)
-from chargemdp.mdp import BudgetExceeded, PeriodicMarkovStrategy, payoff, periodic, validate
+from chargemdp.mdp import (BudgetExceeded, PeriodicMarkovStrategy, build_mdp, payoff, periodic,
+                           stationary, validate)
 from chargemdp.parsing import (ParseError, _parse, _Parser, parse_charge,
                                parse_mdp, parse_set, parse_strategy,
                                parse_stream)
@@ -376,6 +377,35 @@ def test_parse_mdp_row_sums_left_to_validate():
     assert [p.kind for p in validate(m)] == ["RowSumError"]
 
 
+def test_dist_targets_may_be_named_like_file_keywords():
+    """A ``dist`` target named ``state``, ``action`` or ``initial`` is a
+    target when ':' follows it, as such a state can already be declared,
+    be the initial state and be a ``goto`` target."""
+    m = parse_mdp("""
+    mdp
+    initial start
+    state start
+      action go reward 1 dist initial: 1/2 start: 1/2
+    state initial
+      action action reward 0 dist state: 1
+    state state
+      action x reward 1/3 dist action: 1/4 initial: 3/4
+    state action
+      action initial reward 0 goto start
+    """)
+    states = ("start", "initial", "state", "action")
+    assert m == build_mdp(
+        states, "start", {"start": ["go"], "initial": ["action"], "state": ["x"],
+                          "action": ["initial"]},
+        {("start", "go"): 1, ("initial", "action"): 0, ("state", "x"): Fraction(1, 3),
+         ("action", "initial"): 0},
+        {("start", "go"): {"initial": Fraction(1, 2), "start": Fraction(1, 2)},
+         ("initial", "action"): {"state": 1},
+         ("state", "x"): {"action": Fraction(1, 4), "initial": Fraction(3, 4)},
+         ("action", "initial"): {"start": 1}})
+    assert validate(m) == []
+
+
 # ---- strategy files ------------------------------------------------------
 
 def test_parse_stationary_strategy():
@@ -427,6 +457,37 @@ def test_parse_periodic_strategy():
     sigma = parse_strategy(
         "periodic preperiod=0 period=4 { phase 3 state 1: B }", m)
     assert sigma == alternating_strategy()
+
+
+CROSS_MDP_TEXT = """
+mdp
+initial s
+state s
+  action t reward 1 goto t
+  action u reward 0 goto s
+  action phase reward 1/2 goto s
+state t
+  action s reward 0 goto s
+"""
+
+
+def test_a_weighted_cell_ends_where_the_next_cell_starts():
+    """``t`` is a state and an action of ``s``, and ``phase`` an action of
+    ``s``: a weight is a number, so ``t: s`` and ``phase 2`` start the
+    next cell in either order of the cells."""
+    m = parse_mdp(CROSS_MDP_TEXT)
+    half = Fraction(1, 2)
+    want = stationary({"s": {"t": half, "u": half}, "t": "s"})
+    assert parse_strategy("stationary { s: t:1/2 u:1/2 t: s }", m) == want
+    assert parse_strategy("stationary { t: s s: t:1/2 u:1/2 }", m) == want
+    assert parse_strategy("stationary { s: t:1/4 u:1/2 t: 1/4 }", m) == want
+    assert parse_strategy(
+        "periodic preperiod=0 period=2 { phase 1 state s: phase:1/2 u:1/2 phase 2 state s: u }",
+        m) == periodic([], [{"s": {"phase": half, "u": half}, "t": "s"}, {"s": "u", "t": "s"}])
+    with pytest.raises(ParseError, match="expected a number, got 's'"):
+        parse_strategy("periodic preperiod=0 period=1 { phase 1 state s: t:1/2 u:1/2 t: s }", m)
+    with pytest.raises(ParseError, match="expected a number, got 's'"):
+        parse_strategy("stationary { s: t: s }", m)
 
 
 def test_parse_strategy_errors():

@@ -9,10 +9,12 @@ survives keyword construction, ``copy``, ``deepcopy`` and ``pickle``.
 A charge value is a ``Fraction``, not a record.
 """
 
+import ast
 import copy
+import dataclasses
+import inspect
 import pickle
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -20,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargemdp.blackwell import Poly, RationalFunction
-from chargemdp.charges import (DyadicLimit, Frequency, Geometric, Mix, PointMass, Restrict,
-                               integrate, value)
+from chargemdp.charges import (Charge, DyadicLimit, Frequency, Geometric, Mix, PointMass,
+                               Restrict, integrate, value)
 from chargemdp.mdp import (Mdp, Problem, best_periodic, expected_reward_stream, payoff,
                            random_mdp)
-from chargemdp.periodic_sets import EventuallyPeriodicSet, evens, multiples, odds, union
+from chargemdp.periodic_sets import (EventuallyPeriodicSet, FrozenInstanceError, _Frozen, evens,
+                                     multiples, odds, union)
 from chargemdp.streams import RationalStream
 
 from conftest import (periodic_sets, poly_of, random_deterministic_mdp, rational_of,
@@ -141,6 +144,51 @@ def test_keyword_construction_converts_as_positional():
     assert mix.parts == ((Fraction(1), Frequency()),) and type(mix.parts[0][0]) is Fraction
     assert Restrict(window=odds(), base=Frequency()) == Restrict(Frequency(), odds())
     assert EventuallyPeriodicSet(res_mask=1, period=3, pre_mask=0, pre_len=0) == multiples(3)
+
+
+def _record_classes(cls=_Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_generated_constructors_take_exactly_the_fields():
+    """Every record class but Geometric, PointMass and Mix takes its
+    constructor from ``_Frozen``: generated from ``_fields`` where the
+    class declares them, else ``object``'s for the field-less charges."""
+    classes = set(_record_classes()) - {Charge}
+    assert classes == set(FIELDS)
+    generated = {cls for cls in classes if inspect.isfunction(init := cls.__init__)
+                 and init.__code__.co_filename == "<string>"}  # compiled from source text
+    own = {cls for cls in classes if "__init__" in vars(cls)} - generated
+    assert own == {Geometric, PointMass, Mix}
+    assert generated == {cls for cls in classes - own if FIELDS[cls]}
+    for cls in classes - own:
+        assert cls._fields == FIELDS[cls]
+        assert list(inspect.signature(cls).parameters) == list(FIELDS[cls])
+        if cls in generated:
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        args = range(len(cls._fields))
+        with pytest.raises(TypeError):
+            cls(*args, 0)
+        with pytest.raises(TypeError):
+            cls(*args, extra=0)
+        if args:
+            with pytest.raises(TypeError):
+                cls(*args[1:])
+
+
+def test_frozen_error_is_the_librarys_own():
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert not issubclass(FrozenInstanceError, dataclasses.FrozenInstanceError)
+    with pytest.raises(FrozenInstanceError) as err:
+        multiples(3).period = 4
+    assert type(err.value) is FrozenInstanceError
+    tree = ast.parse(inspect.getsource(inspect.getmodule(_Frozen)))
+    imported = [node.module if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert not any(name and name.split(".")[0] == "dataclasses" for name in imported)
 
 
 # ---- charge values are Fractions ----------------------------------------------
