@@ -65,7 +65,9 @@ residual at most n), and the coefficients of q are suffix sums of p's, so
 |q(1)| <= ||q||_1 <= n*||p||_1.  So k is sized with 2**k > 2n times the
 1-norm bound: the first two orders are two residues, and after two exact
 divisions every coefficient is still at most n*||p||_1 < X/2, so the rare
-order >= 2 unpacks that quotient and finishes by synthetic division.
+order >= 2 unpacks that quotient once and divides it by (b - 1) with
+``_quotient``, the division the gcd check runs, until its value at 1 is
+nonzero.
 
 The symbolic queries eliminate through ``_packed_cramer``: it sizes k
 for the improvement residuals too (2**k past 2nB times the widest row's
@@ -83,7 +85,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import gcd, prod
 
 from .mdp import Mdp, PeriodicMarkovStrategy, StrategyMismatch, ensure_valid, stationary
@@ -95,13 +96,6 @@ class PoleAtOne(ArithmeticError):
 
 
 # ---- integer polynomials: plain int lists, low order first -------------------
-
-def _primitive(cs: list[int]) -> list[int]:
-    """Integer coefficients cs, low order first and trimmed, divided by
-    their content."""
-    g = gcd(*cs)
-    return [x // g for x in cs]
-
 
 def _quotient(p: list[int], g: list[int]) -> list[int] | None:
     """p / g for integer polynomials with g primitive and nonzero, or None
@@ -119,21 +113,6 @@ def _quotient(p: list[int], g: list[int]) -> list[int] | None:
             for i, c in enumerate(g):
                 rem[shift + i] -= k * c
     return None if any(rem) else quo
-
-
-def _order_at_one(cs) -> tuple[int, object]:
-    """(m, q(1)) with p = (b-1)^m * q and q(1) != 0, for coefficients cs
-    (low order first) of p; (0, 0) for the zero polynomial."""
-    m = 0
-    while cs:
-        at_one = sum(cs)
-        if at_one:
-            return m, at_one
-        # synthetic division by (b - 1), whose remainder sum(cs) is zero:
-        # the quotient's coefficients are the suffix sums of cs[1:]
-        cs = list(accumulate(cs[:0:-1]))[::-1]
-        m += 1
-    return 0, 0
 
 
 def _sign_of_order(m: int, at_one) -> int:
@@ -247,33 +226,25 @@ class RationalFunction(_Frozen):
         return f"({self.num.render()})/({self.den.render()})"
 
 
-def _packed_cofactors(num: list[int], den: list[int], gamma: int,
-                      k: int) -> tuple[list[int], list[int]] | None:
-    """(num / g, den / g) for g the gcd of integer polynomials num and den,
-    den nonzero, from gamma = gcd(num(X), den(X)) at X = 2**k with
-    X >= 2*||den||_inf + 2; None when the candidate from gamma's balanced
-    base-X digits fails to divide both (see the module docstring)."""
-    h = _unpack(gamma, k)
-    if len(h) == 1:
-        return num, den
-    h = _primitive(h)
-    if (num_quo := _quotient(num, h)) is None or (den_quo := _quotient(den, h)) is None:
-        return None
-    return num_quo, den_quo
-
-
 def _reduced(num: list[int], den: list[int], gamma: int, k: int) -> RationalFunction:
     """num / den, integer polynomials with den nonzero, in lowest terms:
     divided by their gcd, then by the content of the pair, signed so that
-    den leads positive.  The gcd is read from gamma and k as
-    ``_packed_cofactors`` takes them, and where it declines, from the
-    values at X**2, X**4, ... (see the module docstring)."""
+    den leads positive.  The gcd is 1 where h, the primitive part of the
+    balanced base-X digits of gamma = gcd(num(X), den(X)) at X = 2**k, is
+    constant, else h once both ``_quotient``s by it succeed; where either
+    fails, h is read again at X**2, X**4, ... (see the module docstring)."""
     if not num:
         return RationalFunction((), (1,))
-    while (pair := _packed_cofactors(num, den, gamma, k)) is None:
+    h = _unpack(gamma, k)
+    while len(h) > 1:
+        c = gcd(*h)
+        h = [x // c for x in h]
+        if (num_quo := _quotient(num, h)) is not None and \
+                (den_quo := _quotient(den, h)) is not None:
+            num, den = num_quo, den_quo
+            break
         k *= 2
-        gamma = gcd(_pack(num, k), _pack(den, k))
-    num, den = pair
+        h = _unpack(gcd(_pack(num, k), _pack(den, k)), k)
     c = gcd(*num, *den)
     if den[-1] < 0:
         c = -c
@@ -321,10 +292,11 @@ def _unpack(v: int, k: int) -> list[int]:
 
 
 def _packed_order(v: int, k: int) -> tuple[int, int]:
-    """``_order_at_one`` of the polynomial p whose value at X = 2**k is v,
-    given X > 2*n*||p||_1 for some n >= max(deg p, 1): p(1) and, when
-    p(1) = 0, q(1) for p = (b-1)*q are balanced residues mod X - 1 (see
-    the module docstring)."""
+    """(m, q(1)) with p = (b-1)^m * q and q(1) != 0, for the polynomial p
+    whose value at X = 2**k is v, given X > 2*n*||p||_1 for some
+    n >= max(deg p, 1); (0, 0) for p = 0.  p(1) and, when p(1) = 0, q(1)
+    for p = (b-1)*q are balanced residues mod X - 1 (see the module
+    docstring)."""
     if not v:
         return 0, 0
     mod = (1 << k) - 1
@@ -333,8 +305,11 @@ def _packed_order(v: int, k: int) -> tuple[int, int]:
         if at_one:
             return m, at_one - mod if at_one > mod >> 1 else at_one
         v //= mod
-    m, at_one = _order_at_one(_unpack(v, k))
-    return m + 2, at_one
+    cs, m = _unpack(v, k), 2
+    while not (at_one := sum(cs)):
+        cs = _quotient(cs, [-1, 1])
+        m += 1
+    return m, at_one
 
 
 def _bareiss(rows, n: int, d: int) -> tuple[int, list[int]]:

@@ -222,11 +222,12 @@ def _masses(mu: Charge, m: int, p: int, parts: list) -> tuple[int, list[int]]:
         gap = d ** p - n ** p
         return d ** m * gap, [_geometric_mass(n, d, m, p, gap, pre, res) for pre, res in parts]
     if isinstance(mu, Restrict):
-        M, Q = max(m, mu.window.pre_len), lcm(p, mu.window.period)
+        w = mu.window
+        M, Q = max(m, w.pre_len), lcm(p, w.period)
         _check_width(M, Q)
-        wpre, wres = _expand(mu.window, M, Q)
-        cut = [((pre | _tail_bits(res, p, m + 1, M - m) << m) & wpre,
-                _tail_bits(res, p, 0, Q) & wres) for pre, res in parts]
+        wpre, wres = _expand(w.pre_mask, w.pre_len, w.res_mask, w.period, M, Q)
+        cut = [(pre & wpre, res & wres)
+               for pre, res in (_expand(pre, m, res, p, M, Q) for pre, res in parts)]
         D, x = _masses(mu.base, M, Q, cut + [(wpre, wres)])
         if x[-1] <= 0:
             raise IllFormedRestrict(

@@ -401,8 +401,9 @@ def _cell(p: _Parser, names: dict[str, dict[str, int]], periodic: bool) -> tuple
     """``<state>: <action>[:<q>] ...``; a bare action means prob 1 and
     ends the cell, and a cell of one bare action is returned as that
     action.  A weighted cell also ends where the next one starts: at
-    ``phase <n>`` (periodic file) or ``<state>: <name>`` (stationary; a
-    weight is a number).  ``names``: state -> its action index map."""
+    ``phase <n>`` (periodic file) or ``<state>: <w>`` (stationary) when w
+    is not a number, or when w is an action of that state and the cell's
+    weights already sum to 1.  ``names``: state -> its action index map."""
     s = p.expect_id()
     if s not in names:
         p.fail(f"unknown state {s!r}")
@@ -412,7 +413,8 @@ def _cell(p: _Parser, names: dict[str, dict[str, int]], periodic: bool) -> tuple
     while p.at_id() and (a := words[p.pos]) in names[s]:
         if dist and ((a == "phase" and words[p.pos + 1].isdecimal()) if periodic else (
                 a in names and words[p.pos + 1] == ":" and (w := words[p.pos + 2])
-                and w not in _PUNCT and not w.isdecimal())):
+                and w not in _PUNCT and (not w.isdecimal()
+                                         or w in names[a] and sum(dist.values()) == 1))):
             break
         p.pos += 1
         if not p.take_punct(":"):

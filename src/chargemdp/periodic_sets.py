@@ -249,16 +249,17 @@ def _aligned(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet):
     m = max(s.pre_len, t.pre_len)
     p = lcm(s.period, t.period)
     _check_width(m, p)
-    return m, p, _expand(s, m, p), _expand(t, m, p)
+    return (m, p, _expand(s.pre_mask, s.pre_len, s.res_mask, s.period, m, p),
+            _expand(t.pre_mask, t.pre_len, t.res_mask, t.period, m, p))
 
 
-def _expand(s: EventuallyPeriodicSet, m: int, p: int) -> tuple[int, int]:
-    """The masks of s over the preperiod 1..m and the period p, where
-    m >= s.pre_len and s.period divides p."""
-    pre = s.pre_mask
-    if m > s.pre_len:
-        pre |= _tail_bits(s.res_mask, s.period, s.pre_len + 1, m - s.pre_len) << s.pre_len
-    return pre, _tail_bits(s.res_mask, s.period, 0, p)
+def _expand(pre: int, pre_len: int, res: int, period: int, m: int, p: int) -> tuple[int, int]:
+    """The masks pre over 1..pre_len and res over one period, re-read over
+    the preperiod 1..m and the period p, where m >= pre_len and period
+    divides p."""
+    if m > pre_len:
+        pre |= _tail_bits(res, period, pre_len + 1, m - pre_len) << pre_len
+    return pre, _tail_bits(res, period, 0, p)
 
 
 def union(s: EventuallyPeriodicSet, t: EventuallyPeriodicSet) -> EventuallyPeriodicSet:

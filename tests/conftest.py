@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from chargemdp.blackwell import Poly, RationalFunction, _order_at_one, _sign_of_order
+from chargemdp.blackwell import Poly, RationalFunction, _sign_of_order
 from chargemdp.charges import (DyadicLimit, Frequency, Geometric, IllFormedRestrict, Mix,
                                PointMass, Restrict, dyadic_value_sequence, value)
 from chargemdp.mdp import _canonical_pure
@@ -159,6 +160,21 @@ def enumerate_pure_periodic(m, max_period: int, max_preperiod: int):
 def enumerate_pure_stationary(m) -> list:
     """``enumerate_pure_periodic(m, 1, 0)`` as a list, under its cap."""
     return list(enumerate_pure_periodic(m, 1, 0))
+
+
+def _order_at_one(cs) -> tuple[int, object]:
+    """(m, q(1)) with p = (b-1)^m * q and q(1) != 0, for coefficients cs
+    (low order first) of p; (0, 0) for the zero polynomial."""
+    m = 0
+    while cs:
+        at_one = sum(cs)
+        if at_one:
+            return m, at_one
+        # synthetic division by (b - 1), whose remainder sum(cs) is zero:
+        # the quotient's coefficients are the suffix sums of cs[1:]
+        cs = list(accumulate(cs[:0:-1]))[::-1]
+        m += 1
+    return 0, 0
 
 
 def leading_sign_at_one(cs) -> int:

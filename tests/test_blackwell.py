@@ -5,24 +5,23 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chargemdp import blackwell as blackwell_module
 from chargemdp import mdp as mdp_module
 from chargemdp.blackwell import (Poly, PoleAtOne, RationalFunction,
-                                 _bareiss, _norm, _order_at_one, _pack,
-                                 _packed_cofactors, _packed_cramer,
-                                 _packed_order, _policy_choice, _reduced,
-                                 _unpack, average_value, blackwell_policy,
+                                 _bareiss, _norm, _pack, _packed_cramer,
+                                 _packed_order, _policy_choice, _quotient,
+                                 _reduced, _unpack, average_value, blackwell_policy,
                                  discounted_value, discounted_value_at)
 from chargemdp.counterexamples import even_or_odd_mdp, late_switch_mdp
 from chargemdp.mdp import (Mdp, MdpValidationError, StrategyMismatch,
                            build_mdp, ensure_valid, expected_reward_stream,
                            periodic, random_mdp, stationary, validate)
 
-from conftest import (cleared, enumerate_pure_stationary, leading_sign_at_one, poly_add,
-                      monic, poly_eval, poly_mul, poly_of, poly_sub, rational_of,
+from conftest import (_order_at_one, cleared, enumerate_pure_stationary, leading_sign_at_one,
+                      poly_add, monic, poly_eval, poly_mul, poly_of, poly_sub, rational_of,
                       ref_discounted_value_at, ref_divmod, ref_lowest_terms, ref_poly_gcd,
                       ref_rational_op, sign_near_one, stream_values)
 
@@ -110,22 +109,24 @@ def _int_mul(p, q):
 
 
 def _packed_gcd_case(num, den, k):
-    """The cofactors by the packed path at 2**k (None when it declines),
-    and those by the primitive integer form of ``ref_poly_gcd``."""
-    packed = _packed_cofactors(num, den, gcd(_pack(num, k), _pack(den, k)), k)
+    """``_reduced``'s result from the packed values at 2**k, the k of every
+    value it packs again (num and den at each retry), and the pair by the
+    primitive integer form of ``ref_poly_gcd``, cut to no content with den
+    leading positive."""
+    packs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackwell_module, "_pack", lambda cs, k: packs.append(k) or _pack(cs, k))
+        f = _reduced(num, den, gcd(_pack(num, k), _pack(den, k)), k)
     g = cleared(ref_poly_gcd(poly_of(*num), poly_of(*den)))
-    by_sequence = (_ref_exact(num, g), _ref_exact(den, g))
-    return packed, by_sequence
+    a, b = _ref_exact(num, g), _ref_exact(den, g)
+    c = gcd(*a, *b) if b[-1] > 0 else -gcd(*a, *b)
+    return f, packs, (tuple(x // c for x in a), tuple(x // c for x in b))
 
 
 def _ref_exact(p, g):
     quo, rem = ref_divmod(poly_of(*p), poly_of(*g))
     assert rem.is_zero
     return [int(c) for c in quo.coeffs]
-
-
-def _same_up_to_sign(pair, other):
-    return pair == other or pair == tuple([-c for c in p] for p in other)
 
 
 @given(small_ints, small_ints, small_ints, st.integers(0, 3),
@@ -149,11 +150,11 @@ def test_packed_gcd_matches_remainder_sequence(a, b, c, m, content_a, content_b,
     # _reduced takes, where the packed path declines on some draws
     bound = max(map(abs, num + den)) if tight else max(sum(map(abs, num)), sum(map(abs, den)))
     k = bound.bit_length() + 1
-    packed, by_sequence = _packed_gcd_case(num, den, k)
-    assert packed is None or _same_up_to_sign(packed, by_sequence)
-    # where the packed path declines, _reduced retries at 2**(2k)
-    f = _reduced(num, den, gcd(_pack(num, k), _pack(den, k)), k)
+    f, packs, by_sequence = _packed_gcd_case(num, den, k)
+    assert (f.ints_num, f.ints_den) == by_sequence
     assert f == rational_of(poly_of(*num), poly_of(*den))
+    # where the candidate fails to divide, _reduced retries at X**2, X**4, ...
+    assert packs == [k << (1 + i // 2) for i in range(len(packs))]
 
 
 def test_packed_gcd_reads_a_planted_factor():
@@ -161,9 +162,10 @@ def test_packed_gcd_reads_a_planted_factor():
     num = _int_mul([1, -2, 1], [2, 1])
     den = _int_mul([1, -2, 1], [-1, 2])
     k = sum(map(abs, num)).bit_length() + 1
-    packed, by_sequence = _packed_gcd_case(num, den, k)
-    assert packed == ([2, 1], [-1, 2])
-    assert _same_up_to_sign(packed, by_sequence)
+    assert _unpack(gcd(_pack(num, k), _pack(den, k)), k) == [1, -2, 1]
+    f, packs, by_sequence = _packed_gcd_case(num, den, k)
+    assert packs == []  # the candidate divides both: no retry
+    assert (f.ints_num, f.ints_den) == ((2, 1), (-1, 2)) == by_sequence
 
 
 def test_packed_gcd_below_the_bound_falls_back():
@@ -171,14 +173,32 @@ def test_packed_gcd_below_the_bound_falls_back():
     # 2*||den||_inf + 2 = 6: gcd(18, 27) = 9 reads as (b-1)**2, which
     # divides neither; at X = 16, gcd(270, 495) = 45 reads as 3(b-1).
     num, den, k = [-2, 1, 1], [-1, -1, 2], 2
-    gamma = gcd(_pack(num, k), _pack(den, k))
-    assert _unpack(gamma, k) == [1, -2, 1]
-    assert _packed_cofactors(num, den, gamma, k) is None
-    assert _packed_cofactors(num, den, gcd(_pack(num, 2 * k), _pack(den, 2 * k)), 2 * k) == \
-        ([2, 1], [1, 2])
-    f = _reduced(num, den, gamma, k)
-    assert (f.ints_num, f.ints_den) == ((2, 1), (1, 2))
+    assert _unpack(gcd(_pack(num, k), _pack(den, k)), k) == [1, -2, 1]
+    assert _quotient(num, [1, -2, 1]) is None and _quotient(den, [1, -2, 1]) is None
+    assert _unpack(gcd(_pack(num, 2 * k), _pack(den, 2 * k)), 2 * k) == [-3, 3]
+    f, packs, by_sequence = _packed_gcd_case(num, den, k)
+    assert packs == [4, 4]  # declined at X = 4, one retry at X = 16
+    assert (f.ints_num, f.ints_den) == ((2, 1), (1, 2)) == by_sequence
     assert f == rational_of(poly_of(*num), poly_of(*den))
+
+
+@given(st.lists(st.integers(-20, 20), max_size=6),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+       st.lists(st.integers(-20, 20), max_size=6))
+@example([1, 1], [1, 2], [0, 1])  # b over 2b + 1: a step's coefficient division fails
+@example([1, 1], [1, 1], [1, 0, 1])  # b**2 + 1 over b + 1: the remainder is 2
+def test_quotient_is_exact_division(p, g, other):
+    # g primitive and nonzero: p*g divides back to p, and any other
+    # dividend gives None exactly where long division leaves a remainder
+    p, g, other = _ref_trim(p), _ref_trim(g), _ref_trim(other)
+    assume(g)
+    c = gcd(*g)
+    g = [x // c for x in g]
+    product = _int_mul(p, g)
+    assert _quotient(product, g) == p
+    assert ref_divmod(poly_of(*product), poly_of(*g)) == (poly_of(*p), poly_of())
+    quo, rem = ref_divmod(poly_of(*other), poly_of(*g))
+    assert _quotient(other, g) == (None if not rem.is_zero else [int(x) for x in quo.coeffs])
 
 
 @given(polys)

@@ -157,7 +157,7 @@ def word_set(lay, reward):
 def set_word(w):
     """w's stage word in its layout, as the probe reads it."""
     lay = cx._layout(w.pre_len, lcm(2, w.period))
-    pre, res = _expand(w, lay.h, lay.p)
+    pre, res = _expand(w.pre_mask, w.pre_len, w.res_mask, w.period, lay.h, lay.p)
     return lay, pre | res << lay.h
 
 
@@ -440,7 +440,8 @@ def test_lemma_mask_is_the_union_of_the_moduli_masks(m, p):
     # every multiple of 2**n is even, and the residues gcd(2**n, p)
     # divides are even as p is: the union is the n = 1 mask, the even stages
     lay = cx._layout(m, p)
-    pre, res = _expand(multiples(2), lay.h, lay.p)
+    even = multiples(2)
+    pre, res = _expand(even.pre_mask, even.pre_len, even.res_mask, even.period, lay.h, lay.p)
     assert lay.lemma == pre | res << lay.h
 
 

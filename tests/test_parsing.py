@@ -490,6 +490,31 @@ def test_a_weighted_cell_ends_where_the_next_cell_starts():
         parse_strategy("stationary { s: t: s }", m)
 
 
+NUMERIC_ACTIONS_MDP_TEXT = """
+mdp
+initial s
+state s
+  action t reward 1 goto t
+  action u reward 0 goto s
+state t
+  action 1 reward 0 goto s
+  action 0 reward 1 goto s
+"""
+
+
+def test_a_numeric_action_starts_the_next_cell_once_the_weights_sum_to_one():
+    """``t`` is a state and an action of ``s``, and ``0`` an action of
+    ``t``: once ``s``'s weights sum to 1, ``t: 0`` is ``t``'s cell in
+    either order of the cells; below 1 the number is still a weight."""
+    m = parse_mdp(NUMERIC_ACTIONS_MDP_TEXT)
+    half = Fraction(1, 2)
+    want = stationary({"s": {"t": half, "u": half}, "t": "0"})
+    assert parse_strategy("stationary { s: t:1/2 u:1/2 t: 0 }", m) == want
+    assert parse_strategy("stationary { t: 0 s: t:1/2 u:1/2 }", m) == want
+    assert parse_strategy("stationary { s: t:1/4 u:1/2 t: 1/4 }", m) == \
+        stationary({"s": {"t": half, "u": half}, "t": "1"})
+
+
 def test_parse_strategy_errors():
     m = even_or_odd_mdp()
     with pytest.raises(ParseError):

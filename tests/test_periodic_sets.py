@@ -177,7 +177,7 @@ def test_build_matches_reference(raw):
 def test_expand_matches_reference(raw, extra, factor):
     s = ref_build(*raw)
     m, p = s.pre_len + extra, s.period * factor
-    assert _expand(s, m, p) == ref_expand(s, m, p)
+    assert _expand(s.pre_mask, s.pre_len, s.res_mask, s.period, m, p) == ref_expand(s, m, p)
 
 
 def test_build_reaches_minimal_period_through_repeated_factors():
