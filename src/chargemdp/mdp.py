@@ -14,9 +14,9 @@ against a charge expression.
 ``Mdp._integer_form``, cached on the Mdp, is M and a step table: per
 (state, action) the reduced reward and the next state, or None where
 the row splits.  A walk reads a strategy as rows plus its phase -> row
-order; a row holds per state the (weight, action index) pairs and, where
-the cell is pure, the table's step, so from a point mass a stage is one
-read.  Any other stage runs the integer loop over ``Mdp.rows``.
+order, all resolved by ``_compile``: per state the (weight, action index)
+pairs and, where the cell is one known action, the table's step, so from
+a point mass a stage is one read.  Others run the loop over ``Mdp.rows``.
 
 The search generates the canonical pure strategies directly, as tuples
 of row ids (each row a tuple of action indices, in declared order), by
@@ -34,8 +34,8 @@ values each as one integer dot product, checked once per q against
 ``integrate``, which measures the word's level masks on the word's own
 shape.  The distinct values are ranked by num * (D // den), D the lcm of
 their denominators, not as Fractions.  Strategies are named tuples, and
-the rows ``_reward_stream`` walks are built only when a strategy first
-meets a split row or the horizon.
+their named rows are compiled, once per search, only when a strategy
+first meets a split row or the horizon.
 """
 
 from __future__ import annotations
@@ -274,20 +274,20 @@ class _Unresolved:
         return 0
 
 
-def _compile(mdp: Mdp, sigma: PeriodicMarkovStrategy) -> tuple[int, int, list[list]]:
-    """(L, A, phases): the strategy resolved against the MDP for a walk.
+def _compile(mdp: Mdp, rows) -> tuple[int, list[tuple[list, list]]]:
+    """(A, phases): strategy rows resolved against the MDP for a walk.
 
-    phases[k][i] lists the (weight, action index) pairs of state i at
-    phase k + 1, the weights over A, the lcm of the strategy's action
-    probabilities; L phases are the preperiod and the rest repeat.
-    """
-    L, rows = sigma.preperiod_length, sigma.rows
+    phases[k] = (cells, steps) for rows[k]: cells[i] the (weight, action
+    index) pairs of state i, weights over A, the lcm of the rows' action
+    probabilities; steps[i] the step table's entry where the cell is one
+    known action, else None."""
+    table = mdp._integer_form[1]
     A = lcm(*(p.denominator for row in rows for _, dist in row for _, p in dist))
     phases = []
     for k, row in enumerate(rows, start=1):
         given = dict(row)
-        cells = []
-        for s, index in mdp._action_index.items():
+        cells, steps = [], []
+        for (s, index), opts in zip(mdp._action_index.items(), table):
             pairs = []
             for a, p in given.get(s, ((None, 1),)):  # a state left out: action None
                 if (j := index.get(a)) is None:
@@ -295,8 +295,9 @@ def _compile(mdp: Mdp, sigma: PeriodicMarkovStrategy) -> tuple[int, int, list[li
                     break
                 pairs.append((p.numerator * (A // p.denominator), j))
             cells.append(pairs)
-        phases.append(cells)
-    return L, A, phases
+            steps.append(opts[pairs[0][1]] if len(pairs) == 1 else None)
+        phases.append((cells, steps))
+    return A, phases
 
 
 DEFAULT_HORIZON = 4096
@@ -313,24 +314,17 @@ def _check_horizon(max_horizon: int) -> None:
         raise ValueError(f"max_horizon must be at least {LEAST_HORIZON}, got {max_horizon}")
 
 
-def _row(table: list, cells: list) -> tuple[list, list]:
-    """(cells, steps) for one phase row of (weight, action index) pairs
-    per state: steps[i] is table[i][j] where the cell is action j alone,
-    else None."""
-    return cells, [table[i][cell[0][1]] if len(cell) == 1 else None
-                   for i, cell in enumerate(cells)]
-
-
 def _reward_stream(mdp: Mdp, rows: list, order, L: int, start: int, A: int,
                    max_horizon: int) -> tuple[int, list]:
     """The expected-reward stream from state ``start`` as (i0, rewards):
     reduced (numerator, denominator) pairs over M * A (M from
     ``Mdp._integer_form``) up to the first repeat, the cycle from index
-    i0, neither part necessarily minimal.  Phase k plays ``rows[order[k]]``, (cells, steps) from
-    ``_row``; the last len(order) - L phases repeat.  A point mass at x
-    is keyed by k * n + x, any other distribution x / sum(x) by (k, x).
-    The key is checked before each stage, so a repeat is seen within
-    ``max_horizon`` checks only if it comes by stage ``max_horizon - 1``."""
+    i0, neither part necessarily minimal.  Phase k plays ``rows[order[k]]``,
+    (cells, steps) from ``_compile``; the last len(order) - L phases
+    repeat.  A point mass at x is keyed by k * n + x, any other
+    distribution x / sum(x) by (k, x).  The key is checked before each
+    stage, so a repeat is seen within ``max_horizon`` checks only if it
+    comes by stage ``max_horizon - 1``."""
     M = mdp._integer_form[0]
     n, phase_count = len(mdp.states), len(order)
     x: int | tuple = start
@@ -384,11 +378,9 @@ def expected_reward_stream(mdp: Mdp, sigma: PeriodicMarkovStrategy,
     reached state has no known action.
     """
     _check_horizon(max_horizon)
-    table = mdp._integer_form[1]
-    L, A, phases = _compile(mdp, sigma)
-    rows = [_row(table, phase) for phase in phases]
-    i0, rewards = _reward_stream(mdp, rows, range(len(rows)), L, mdp.states.index(mdp.initial),
-                                 A, max_horizon)
+    A, phases = _compile(mdp, sigma.rows)
+    i0, rewards = _reward_stream(mdp, phases, range(len(phases)), sigma.preperiod_length,
+                                 mdp.states.index(mdp.initial), A, max_horizon)
     values = [Fraction(n, d) for n, d in rewards]
     return stream(values[:i0], values[i0:])
 
@@ -417,11 +409,12 @@ def _primitive_cycles(n: int, max_period: int) -> dict[int, list[tuple[int, ...]
 
 
 def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int):
-    """(rows, groups): the phase rows of action indices, in product order,
-    and a generator of (L, q, [(row ids, strategy), ...]), one group per
-    shape (L, q) and preperiod.  Each canonical pure periodic strategy
-    within the bounds comes once, at its own (L, q), in the product order
-    of its row ids, so in declared action order.
+    """(rows, named, groups): the phase rows of action indices, in product
+    order, the same rows as strategy rows, and a generator of (L, q,
+    [(row ids, strategy), ...]), one group per shape (L, q) and preperiod.
+    Each canonical pure periodic strategy within the bounds comes once,
+    at its own (L, q), in the product order of its row ids, so in
+    declared action order.
 
     Such a tuple is canonical when its cycle is primitive, the power of
     no shorter word, and a preperiod, if any, ends in a row other than
@@ -453,11 +446,11 @@ def _canonical_pure(mdp: Mdp, max_period: int, max_preperiod: int):
     cycles = {q: [(c, tuple([named[k] for k in c])) for c in primitive]
               for q, primitive in _primitive_cycles(len(rows), max_period).items()}
     new = tuple.__new__  # the named tuple's own __new__ is one more Python call per strategy
-    return rows, ((L, q, [(pre + c, new(PeriodicMarkovStrategy, (L, q, head + tail)))
-                          for c, tail in cycles[q] if not L or c[-1] != pre[-1]])
-                  for L in range(max_preperiod + 1) for q in range(1, max_period + 1)
-                  for pre in itertools.product(range(len(rows)), repeat=L)
-                  for head in [tuple([named[k] for k in pre])])
+    return rows, named, ((L, q, [(pre + c, new(PeriodicMarkovStrategy, (L, q, head + tail)))
+                                 for c, tail in cycles[q] if not L or c[-1] != pre[-1]])
+                         for L in range(max_preperiod + 1) for q in range(1, max_period + 1)
+                         for pre in itertools.product(range(len(rows)), repeat=L)
+                         for head in [tuple([named[k] for k in pre])])
 
 
 _ZERO_WORD = ((), ((0, 1),))
@@ -531,8 +524,8 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
     """
     _check_horizon(max_horizon)
     table = mdp._integer_form[1]
-    actions, groups = _canonical_pure(mdp, max_period, max_preperiod)
-    rows = None  # _reward_stream's phase rows, built when a strategy first needs them
+    actions, named, groups = _canonical_pure(mdp, max_period, max_preperiod)
+    phases = None  # named compiled, when a strategy is first walked alone
     n, start = len(mdp.states), mdp.states.index(mdp.initial)
     by_word: dict[tuple, int] = {}  # reward word, raw or canonical -> its canonical one's index
     checks: dict[int, tuple[int, RationalStream]] = {}  # q -> its first nonzero word
@@ -583,8 +576,8 @@ def best_periodic(mdp: Mdp, mu: Charge, max_period: int, max_preperiod: int,
             if child is None:
                 child = grow(root, ids, L, L + q)
             if child < 0:
-                rows = rows or [_row(table, [((1, j),) for j in row]) for row in actions]
-                child = index(*_reward_stream(mdp, rows, ids, L, start, 1, max_horizon))
+                phases = phases or _compile(mdp, named)[1]
+                child = index(*_reward_stream(mdp, phases, ids, L, start, 1, max_horizon))
             found.append(strat)
             found_word.append(child)
             # the group's strategies share their preperiod's cells

@@ -153,7 +153,7 @@ def enumerate_pure_periodic(m, max_period: int, max_preperiod: int):
     """All distinct canonical pure periodic Markov strategies of m within
     bounds, in declared action order, as the search enumerates them.
     Raises ``BudgetExceeded`` at the call, as the search does."""
-    return (strat for _, _, group in _canonical_pure(m, max_period, max_preperiod)[1]
+    return (strat for _, _, group in _canonical_pure(m, max_period, max_preperiod)[2]
             for _, strat in group)
 
 

@@ -25,7 +25,7 @@ from chargemdp.counterexamples import (alternating_strategy, block_strategy,
 from chargemdp.mdp import (BudgetExceeded, CycleNotFound, MdpValidationError,
                            Problem, StrategyMismatch, best_periodic,
                            build_mdp, ensure_valid, expected_reward_stream,
-                           _primitive_cycles, payoff,
+                           _compile, _primitive_cycles, _Unresolved, payoff,
                            periodic, random_mdp, stationary, validate)
 from chargemdp.parsing import parse_strategy
 from chargemdp.periodic_sets import empty, multiples, odds
@@ -445,6 +445,62 @@ def test_stream_equals_fraction_reference(seed, n_states, n_actions, pure, horiz
             == _outcome(reference_stream, m, sigma, max_horizon=horizon))
 
 
+@given(st.integers(0, 10**9), st.booleans(), st.sampled_from([2, 3, 6, 60]))
+@settings(max_examples=200, deadline=None)
+def test_compile_gives_each_known_pure_cell_its_step(seed, deterministic, horizon):
+    """``_compile`` resolves rows of pure and randomized cells, with a
+    state left out or an unknown action at some state: a cell of one
+    known action j carries the step table's entry for j, any other cell
+    None, and an unresolved cell raises StrategyMismatch when iterated.
+    The walk over its phases is the reference stream, or raises where
+    the reference fails to look a reached cell up."""
+    rng = random.Random(seed)
+    if deterministic:
+        m = random_deterministic_mdp(rng, rng.randint(1, 3), rng.randint(1, 3))
+    else:
+        m = random_mdp(rng, rng.randint(1, 3), 2, rng.choice([1, 2, 3, 6]))
+
+    def row():
+        cells = {s: rng.choice(acts) if rng.random() < 0.6 else _random_dist(rng, list(acts))
+                 for s, acts in zip(m.states, m.actions)}
+        if rng.random() < 0.2:
+            del cells[rng.choice(m.states)]
+        if rng.random() < 0.2:
+            cells[rng.choice(m.states)] = rng.choice(
+                ["zz", {"zz": Fraction(1, 2), m.actions[0][0]: Fraction(1, 2)}])
+        return cells
+
+    sigma = periodic([row() for _ in range(rng.randint(0, 2))],
+                     [row() for _ in range(rng.randint(1, 3))])
+    A, phases = _compile(m, sigma.rows)
+    table = m._integer_form[1]
+    assert A == lcm(*(p.denominator for row in sigma.rows for _, d in row for _, p in d))
+    assert len(phases) == len(sigma.rows)
+    for k, ((cells, steps), row) in enumerate(zip(phases, sigma.rows), start=1):
+        given = dict(row)
+        for i, (s, cell, step) in enumerate(zip(m.states, cells, steps)):
+            dist = given.get(s, ((None, 1),))
+            if all(a in m.actions[i] for a, _ in dist):
+                assert cell == [(p * A, m.actions[i].index(a)) for a, p in dist]
+                assert step == (table[i][cell[0][1]] if len(cell) == 1 else None)
+                continue
+            assert type(cell) is _Unresolved and step is None
+            with pytest.raises(StrategyMismatch) as info:
+                list(cell)
+            unknown = next(a for a, _ in dist if a not in m.actions[i])
+            assert (info.value.phase, info.value.state, info.value.action) == (k, s, unknown)
+    outcomes = []
+    for evaluate, mismatch in ((expected_reward_stream, StrategyMismatch),
+                               (reference_stream, (KeyError, ValueError))):  # its lookups fail
+        try:
+            outcomes.append(evaluate(m, sigma, max_horizon=horizon))
+        except CycleNotFound:
+            outcomes.append(CycleNotFound)
+        except mismatch:
+            outcomes.append(StrategyMismatch)
+    assert outcomes[0] == outcomes[1]
+
+
 def merge_mdp():
     """s splits to a and b, which both return to s."""
     return build_mdp(("s", "a", "b"), "s", {z: ("x",) for z in "sab"},
@@ -795,10 +851,10 @@ def test_ranking_equals_reference_when_most_strategies_share_a_raw_word(mu, monk
     phases leaves the reward word unchanged: 1216 strategies reach 99
     raw words at bounds (3, 2).  The MDP is deterministic, so every
     strategy finds its word in its shape's trie, with no walk of its
-    own and no phase rows built for one, and each raw word is
+    own and no strategy rows compiled for one, and each raw word is
     canonicalised once."""
     import chargemdp.mdp as mdp_module
-    walks, rows, canonicalised = [], [], []
+    walks, compiled, canonicalised = [], [], []
     canonical = mdp_module._canonical
 
     def counted_canonical(pre, cyc):
@@ -807,11 +863,11 @@ def test_ranking_equals_reference_when_most_strategies_share_a_raw_word(mu, monk
         return canonical(pre, cyc)
 
     monkeypatch.setattr(mdp_module, "_reward_stream", lambda *args: walks.append(args))
-    monkeypatch.setattr(mdp_module, "_row", lambda *args: rows.append(args))
+    monkeypatch.setattr(mdp_module, "_compile", lambda *args: compiled.append(args))
     monkeypatch.setattr(mdp_module, "_canonical", counted_canonical)
     result = best_periodic(preperiod_mdp(), mu, 3, 2)
     monkeypatch.undo()
-    assert walks == [] and rows == []
+    assert walks == [] and compiled == []
     assert len(result.ranking) == 1216
     assert len(canonicalised) == len(set(canonicalised)) == 99
     assert_ranking_equals_reference(preperiod_mdp(), mu, 3, 2)
@@ -892,7 +948,7 @@ def test_a_strategy_is_walked_alone_exactly_when_its_walk_meets_a_split_row(monk
     monkeypatch.setattr(mdp_module, "_reward_stream", recorded)
     best_periodic(m, Frequency(), 2, 2)
     table = m._integer_form[1]
-    rows, groups = mdp_module._canonical_pure(m, 2, 2)
+    rows, _, groups = mdp_module._canonical_pure(m, 2, 2)
     split_in = {}  # (L, row ids) -> "pre" or "cycle", for the walks meeting a split row
     for L, q, group in groups:
         for ids, _ in group:
@@ -905,6 +961,31 @@ def test_a_strategy_is_walked_alone_exactly_when_its_walk_meets_a_split_row(monk
                 split_in[L, ids] = "pre" if k < L else "cycle"
     assert walked == list(split_in)
     assert set(split_in.values()) == {"pre", "cycle"}
+
+
+@pytest.mark.parametrize("make, bounds, ranked, distinct", [
+    (lambda: preperiod_mdp(), (3, 2), 1216, 59),
+    (lambda: late_split_mdp(), (2, 2), 256, 30),
+])
+def test_search_builds_one_stream_per_distinct_reward_stream(make, bounds, ranked, distinct,
+                                                             monkeypatch):
+    """The search calls ``stream`` once per distinct canonical reward
+    stream of its ranking, whether the word came from the trie or from a
+    strategy walked alone: bench/tracer.py reads its stream cache's hit
+    ratio from these calls."""
+    import chargemdp.mdp as mdp_module
+    built, real = [], mdp_module.stream
+
+    def counted(pre, cyc):
+        built.append(real(pre, cyc))
+        return built[-1]
+
+    monkeypatch.setattr(mdp_module, "stream", counted)
+    result = best_periodic(make(), Frequency(), *bounds)
+    monkeypatch.undo()
+    own = {expected_reward_stream(make(), strat) for strat, _ in result.ranking}
+    assert len(result.ranking) == ranked
+    assert len(built) == len(set(built)) == len(own) == distinct and set(built) == own
 
 
 def test_long_point_mass_walk_stays_linear():
